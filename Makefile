@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint ruff mypy statcheck sarif test verify bench
+.PHONY: lint ruff mypy statcheck sarif test verify bench spine
 
 lint: ruff mypy statcheck
 
@@ -32,3 +32,8 @@ verify:
 
 bench:
 	$(PYTHON) -m benchmarks.perf_harness --out-dir bench_out --repeats 3 --steps 3
+
+# The measurement spine's own tests plus a quick pass of its workloads.
+spine:
+	$(PYTHON) -m pytest benchmarks/spine/tests -q
+	python3 benchmarks/spine/run.py --quick

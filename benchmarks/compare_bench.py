@@ -28,9 +28,7 @@ from pathlib import Path
 __all__ = [
     "Comparison",
     "compare",
-    "check_min_speedups",
     "check_ledger_trends",
-    "parse_min_speedups",
     "render_table",
     "main",
 ]
@@ -98,59 +96,6 @@ def compare(baseline: dict, candidate: dict, threshold: float = 0.3) -> list[Com
                 )
             )
     return out
-
-
-def parse_min_speedups(specs: list[str]) -> dict[str, float]:
-    """Parse repeated ``--min-speedup ENTRY=MIN`` values."""
-    out: dict[str, float] = {}
-    for spec in specs:
-        name, sep, value = spec.partition("=")
-        if not sep or not name:
-            raise ValueError(f"--min-speedup expects ENTRY=MIN, got {spec!r}")
-        try:
-            out[name] = float(value)
-        except ValueError:
-            raise ValueError(f"--min-speedup {spec!r}: {value!r} is not a number")
-    return out
-
-
-def check_min_speedups(
-    baseline: dict, candidate: dict, required: dict[str, float]
-) -> list[str]:
-    """Enforce ``--min-speedup ENTRY=MIN``; returns failure messages.
-
-    For a self-contained A/B entry (one carrying both ``seconds`` and
-    ``legacy_seconds``, like ``pressure_fastpath``) the speedup is the
-    candidate's own ``legacy_seconds / seconds`` -- machine-independent,
-    which is what lets CI gate a ratio measured on different silicon than
-    the committed baseline.  Otherwise the speedup is cross-file:
-    ``baseline seconds / candidate seconds``.
-    """
-    failures: list[str] = []
-    cand = candidate.get("results", {})
-    base = baseline.get("results", {})
-    for name, minimum in sorted(required.items()):
-        rec = cand.get(name)
-        if rec is None or "seconds" not in rec:
-            failures.append(f"{name}: required speedup x{minimum:g} but entry is missing")
-            continue
-        if "legacy_seconds" in rec:
-            speedup = rec["legacy_seconds"] / rec["seconds"]
-            kind = "self (legacy/fast)"
-        elif name in base and base[name].get("seconds"):
-            speedup = base[name]["seconds"] / rec["seconds"]
-            kind = "vs baseline"
-        else:
-            failures.append(
-                f"{name}: required speedup x{minimum:g} but no baseline or "
-                "legacy_seconds to compare against"
-            )
-            continue
-        if speedup < minimum:
-            failures.append(
-                f"{name}: speedup x{speedup:.3f} ({kind}) below required x{minimum:g}"
-            )
-    return failures
 
 
 def check_ledger_trends(
@@ -237,15 +182,6 @@ def main(argv=None) -> int:
         help="tolerated relative slowdown per entry (0.3 = 30%%)",
     )
     parser.add_argument(
-        "--min-speedup",
-        action="append",
-        default=[],
-        metavar="ENTRY=MIN",
-        help="require a minimum speedup for ENTRY (repeatable); entries "
-        "carrying legacy_seconds are gated on their own legacy/fast "
-        "ratio, others against the baseline file",
-    )
-    parser.add_argument(
         "--ledger",
         type=Path,
         default=None,
@@ -259,10 +195,6 @@ def main(argv=None) -> int:
         help="number of recent ledger runs the trend gate medians over",
     )
     args = parser.parse_args(argv)
-    try:
-        required = parse_min_speedups(args.min_speedup)
-    except ValueError as exc:
-        parser.error(str(exc))
 
     baseline = json.loads(args.baseline.read_text())
     candidate = json.loads(args.candidate.read_text())
@@ -277,10 +209,6 @@ def main(argv=None) -> int:
         print(f"REGRESSION: {len(regressed)} entr{'y' if len(regressed) == 1 else 'ies'} "
               f"beyond the {args.threshold:.0%} threshold")
         failed = True
-    speedup_failures = check_min_speedups(baseline, candidate, required)
-    for msg in speedup_failures:
-        print(f"SPEEDUP GATE: {msg}")
-        failed = True
     if args.ledger is not None:
         trend_failures = check_ledger_trends(
             candidate, args.ledger, window=args.trend_window, threshold=args.threshold
@@ -292,8 +220,6 @@ def main(argv=None) -> int:
             print(f"ledger trend gate satisfied ({args.ledger})")
     if failed:
         return 1
-    if required:
-        print(f"speedup gate{'s' if len(required) > 1 else ''} satisfied")
     print("no regressions")
     return 0
 

@@ -23,7 +23,6 @@ microbenchmarks (anything slower was interference, not the code).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import json
 import platform
@@ -48,7 +47,6 @@ from repro.precond import FastDiagonalization, HybridSchwarzMultigrid
 from repro.precond.jacobi import helmholtz_diagonal
 from repro.precond.cache import global_cache, reset_global_cache
 from repro.sem.bc import DirichletBC
-from repro.sem.coef import get_contraction_variant, set_contraction_variant
 from repro.sem.dealias import Dealiaser
 from repro.sem.mesh import box_mesh
 from repro.sem.operators import ax_helmholtz
@@ -58,7 +56,6 @@ __all__ = [
     "environment",
     "kernel_benchmarks",
     "step_benchmark",
-    "pressure_fastpath_benchmark",
     "world_step_benchmark",
     "scaling_campaign_benchmark",
     "noop_tracer_overhead",
@@ -253,23 +250,12 @@ def profiler_overhead(
     }
 
 
-#: Config overrides reproducing the pre-fast-path pressure solve: the old
-#: projection window, no operator cache (the per-axis contraction variant
-#: is switched separately -- it is process-wide state, not config).
-LEGACY_PRESSURE_OVERRIDES = {
-    "pressure_projection_dim": 8,
-    "operator_cache": False,
-}
-
-
 def step_benchmark(
     n_steps: int = 5,
     warmup: int = 3,
     n: tuple[int, int, int] = (3, 3, 3),
     lx: int = 6,
     repeats: int = 3,
-    overrides: dict | None = None,
-    contraction: str | None = None,
 ) -> dict[str, dict]:
     """Whole-step and per-phase wall times of a small box RBC case.
 
@@ -281,34 +267,10 @@ def step_benchmark(
     iteration counts depend on the flow state, so repeating a fixed
     window separates scheduler/VM noise from genuine cost without mixing
     in easier or harder physics.
-
-    ``overrides`` patches the case config (e.g.
-    :data:`LEGACY_PRESSURE_OVERRIDES` for the pre-fast-path A/B leg) and
-    ``contraction`` pins the process-wide contraction variant for the
-    duration of the measurement.
     """
-    prev_variant = get_contraction_variant()
-    if contraction is not None:
-        set_contraction_variant(contraction)
-    try:
-        return _step_benchmark_runs(n_steps, warmup, n, lx, repeats, overrides)
-    finally:
-        set_contraction_variant(prev_variant)
-
-
-def _step_benchmark_runs(
-    n_steps: int,
-    warmup: int,
-    n: tuple[int, int, int],
-    lx: int,
-    repeats: int,
-    overrides: dict | None,
-) -> dict[str, dict]:
     best: dict[str, dict] | None = None
     for _ in range(max(repeats, 1)):
         config = rbc_box_case(1e5, n=n, lx=lx, aspect=2.0, perturbation_amplitude=0.1)
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
         sim = Simulation(config)
         sim.run(n_steps=warmup)
         sim.timers.reset()
@@ -334,40 +296,6 @@ def _step_benchmark_runs(
             best = results
     assert best is not None
     return best
-
-
-def pressure_fastpath_benchmark(
-    n_steps: int = 5,
-    warmup: int = 3,
-    n: tuple[int, int, int] = (3, 3, 3),
-    lx: int = 6,
-    repeats: int = 3,
-) -> tuple[dict[str, dict], dict]:
-    """A/B the pressure solve: fast path vs the pre-optimization setup.
-
-    Runs the identical physical window twice -- once with the production
-    defaults (batched contraction, operator cache, projection dim 20) and
-    once with :data:`LEGACY_PRESSURE_OVERRIDES` plus the per-axis
-    contraction -- and reports the pressure-phase ratio.  Because both
-    legs run back to back on the same machine, the ``speedup`` figure is
-    hardware-independent and is what CI gates on
-    (``compare_bench --min-speedup pressure_fastpath=MIN``).
-
-    Returns ``(fast_step_results, pressure_fastpath_record)``.
-    """
-    fast = step_benchmark(n_steps, warmup, n, lx, repeats)
-    legacy = step_benchmark(
-        n_steps, warmup, n, lx, repeats,
-        overrides=LEGACY_PRESSURE_OVERRIDES, contraction="axis",
-    )
-    fast_s = fast["pressure"]["seconds"]
-    legacy_s = legacy["pressure"]["seconds"]
-    record = {
-        "seconds": fast_s,
-        "legacy_seconds": legacy_s,
-        "speedup": legacy_s / fast_s,
-    }
-    return fast, record
 
 
 def world_step_benchmark(
@@ -545,8 +473,7 @@ def run_harness(
     kernels_path = out_dir / "BENCH_kernels.json"
     kernels_path.write_text(json.dumps(kernels, indent=2) + "\n")
 
-    step_results, fastpath = pressure_fastpath_benchmark(n_steps=n_steps, warmup=warmup)
-    step_results["pressure_fastpath"] = fastpath
+    step_results = step_benchmark(n_steps=n_steps, warmup=warmup)
     step_results.update(world_step_benchmark(repeats=max(2, repeats - 2)))
     step_results.update(scaling_campaign_benchmark(repeats=max(2, repeats - 2)))
     step = {
@@ -588,12 +515,7 @@ def main(argv=None) -> int:
         data = json.loads(path.read_text())
         print(f"wrote {path}")
         for name, rec in data["results"].items():
-            if "gbps" in rec:
-                extra = f"  ({rec['gbps']:.2f} GB/s)"
-            elif "speedup" in rec:
-                extra = f"  (x{rec['speedup']:.2f} vs legacy {rec['legacy_seconds'] * 1e3:.3f} ms)"
-            else:
-                extra = ""
+            extra = f"  ({rec['gbps']:.2f} GB/s)" if "gbps" in rec else ""
             print(f"  {name:<18s} {rec['seconds'] * 1e3:9.3f} ms{extra}")
     kernels_data = json.loads(kernels_path.read_text())
     overhead = kernels_data["noop_tracer_overhead"]

@@ -283,20 +283,20 @@ class DistributedGatherScatter:
 
     def dot(self, a_chunks: list[np.ndarray], b_chunks: list[np.ndarray]) -> float:
         """Unique-dof inner product: local weighted dots + one allreduce."""
-        locals_ = []
-        for r in range(self.world.size):
-            mult = np.bincount(
-                self.local_ids[r], minlength=len(self.local_unique[r])
-            ).astype(np.float64)
-            # Global multiplicity of shared nodes differs from the local
-            # count; fetch it once (precomputed lazily).
-            gmult = self._global_multiplicity()[self.local_unique[r]]
-            w = (mult / mult) / gmult  # 1/global multiplicity per local slot
-            wfield = w[self.local_ids[r]]
-            locals_.append(
-                float(np.sum(a_chunks[r].reshape(-1) * b_chunks[r].reshape(-1) * wfield))
-            )
+        locals_ = [
+            float(np.sum(a.reshape(-1) * b.reshape(-1) * w))
+            for a, b, w in zip(a_chunks, b_chunks, self._inv_multiplicity())
+        ]
         return self.world.allreduce_scalar(locals_)
+
+    def _inv_multiplicity(self) -> list[np.ndarray]:
+        """Per-rank ``1 / global multiplicity`` of every local point (built once)."""
+        if not hasattr(self, "_inv_mult"):
+            gmult = self._global_multiplicity()
+            self._inv_mult = [
+                (1.0 / gmult[uniq])[ids] for uniq, ids in zip(self.local_unique, self.local_ids)
+            ]
+        return self._inv_mult
 
     def _global_multiplicity(self) -> np.ndarray:
         if not hasattr(self, "_gmult"):

@@ -75,12 +75,6 @@ class DistributedConjugateGradient:
         self.anomalies = anomalies
         self.profiler = profiler
         self._solves = 0
-        # 1/multiplicity per rank for unique-dof inner products.
-        gmult = dgs._global_multiplicity()
-        self._inv_mult = []
-        for r in range(world.size):
-            w = 1.0 / gmult[dgs.local_unique[r]]
-            self._inv_mult.append(w[dgs.local_ids[r]].reshape(-1))
 
     # -- distributed primitives --------------------------------------------
 
@@ -99,13 +93,6 @@ class DistributedConjugateGradient:
         if self.local_mask is not None:
             out = [o * m for o, m in zip(out, self.local_mask)]
         return out
-
-    def _dot(self, a: list[np.ndarray], b: list[np.ndarray]) -> float:
-        locals_ = [
-            float(np.sum(x.reshape(-1) * y.reshape(-1) * w))
-            for x, y, w in zip(a, b, self._inv_mult)
-        ]
-        return self.world.allreduce_scalar(locals_)
 
     def _apply_precond(
         self, r: list[np.ndarray], out: list[np.ndarray] | None = None
@@ -143,8 +130,8 @@ class DistributedConjugateGradient:
             ax = self._amul(x)
             r = [b - a for b, a in zip(b_chunks, ax)]
         z = self._apply_precond(r)
-        rho = self._dot(r, z)
-        rnorm = float(np.sqrt(max(self._dot(r, r), 0.0)))
+        rho = self.dgs.dot(r, z)
+        rnorm = float(np.sqrt(max(self.dgs.dot(r, r), 0.0)))
         if mon.start(rnorm):
             self._record_solve(mon)
             return x, mon
@@ -153,7 +140,7 @@ class DistributedConjugateGradient:
         for _ in range(self.maxiter):
             ap = self._amul(p)
             # statcheck: ignore[hot-loop-allocation] -- the simulated allreduce packs per-rank buffers; production uses MPI buffers
-            pap = self._dot(p, ap)
+            pap = self.dgs.dot(p, ap)
             if pap <= 0.0:
                 break
             alpha = rho / pap
@@ -161,13 +148,13 @@ class DistributedConjugateGradient:
                 xr += alpha * pr
                 rr -= alpha * apr
             # statcheck: ignore[hot-loop-allocation] -- the simulated allreduce packs per-rank buffers; production uses MPI buffers
-            rnorm = float(np.sqrt(max(self._dot(r, r), 0.0)))
+            rnorm = float(np.sqrt(max(self.dgs.dot(r, r), 0.0)))
             if mon.step(rnorm):
                 break
             # statcheck: ignore[hot-loop-allocation] -- z's chunk buffers are reused via out=
             z = self._apply_precond(r, out=z)
             # statcheck: ignore[hot-loop-allocation] -- the simulated allreduce packs per-rank buffers; production uses MPI buffers
-            rho_new = self._dot(r, z)
+            rho_new = self.dgs.dot(r, z)
             beta = rho_new / rho
             rho = rho_new
             # In-place recurrence update per chunk: beta*p + z is bitwise

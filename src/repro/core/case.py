@@ -69,12 +69,9 @@ class CaseConfig:
         Precision of the Schwarz/FDM smoother: ``"float64"`` or
         ``"float32"`` (mixed precision; guarded by the iteration-count
         fallback band).
-    operator_cache:
-        Share preconditioner setups through the process-wide operator
-        cache (``False`` forces cold builds).
     autotune:
-        Benchmark kernel variants at startup and install the winners
-        (overridden by an explicit ``tuning_table`` hit).
+        Benchmark the ``smoother_dtype`` variants at startup and use the
+        winner (overridden by an explicit ``tuning_table`` hit).
     tuning_table:
         Optional path to a committed autotuner tuning table consulted
         before (and instead of) a fresh startup sweep.
@@ -107,7 +104,6 @@ class CaseConfig:
     gmres_restart: int = 60
     coarse_method: str = "direct"
     smoother_dtype: str = "float64"
-    operator_cache: bool = True
     autotune: bool = False
     tuning_table: str | None = None
     name: str = "rbc"
@@ -130,6 +126,18 @@ class CaseConfig:
             raise ValueError("Ra and Pr must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.time_order not in (1, 2, 3):
+            raise ValueError(f"time_order must be 1, 2 or 3, got {self.time_order}")
+        if min(self.pressure_tol, self.velocity_tol, self.temperature_tol) <= 0:
+            raise ValueError("solver tolerances must be positive")
+        if self.gmres_restart < 1 or self.coarse_iterations < 1:
+            raise ValueError("gmres_restart and coarse_iterations must be >= 1")
+        if self.pressure_projection_dim < 0:
+            raise ValueError("pressure_projection_dim must be >= 0")
+        if self.adaptive_cfl is not None and self.adaptive_cfl <= 0:
+            raise ValueError("adaptive_cfl must be positive")
+        if self.dt_min > self.dt_max:
+            raise ValueError(f"dt_min {self.dt_min} exceeds dt_max {self.dt_max}")
         if self.coarse_method not in ("cg", "direct"):
             raise ValueError(f"coarse_method must be 'cg' or 'direct', got {self.coarse_method!r}")
         if self.smoother_dtype not in ("float64", "float32"):

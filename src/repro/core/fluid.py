@@ -88,9 +88,8 @@ class FluidScheme:
 
         # Pressure solver: GMRES + hybrid Schwarz multigrid, singular
         # (pure-Neumann) with the counting null-space projector.  The
-        # operator cache, coarse method and smoother precision are case
-        # options (autotuner/fast-path wiring lives in Simulation).
-        cache_opt = None if config.operator_cache else False
+        # coarse method and smoother precision are case options (the
+        # autotuner wiring lives in Simulation).
         self.hsmg = HybridSchwarzMultigrid(
             space,
             mask=None,
@@ -98,7 +97,6 @@ class FluidScheme:
             overlap=config.schwarz_overlap,
             smoother_dtype=config.smoother_dtype,
             coarse_method=config.coarse_method,
-            cache=cache_opt,
         )
         self._pressure_project = MeanProjector.counting(space.gs)
 
@@ -158,13 +156,7 @@ class FluidScheme:
             return
         h2 = b0 / self.dt
         if self._vel_precond is None:
-            self._vel_precond = JacobiPrecond(
-                self.space,
-                self.nu,
-                h2,
-                mask=self.vel_mask,
-                cache=None if self.config.operator_cache else False,
-            )
+            self._vel_precond = JacobiPrecond(self.space, self.nu, h2, mask=self.vel_mask)
         else:
             self._vel_precond.update(self.nu, h2)
         self._vel_solver = ConjugateGradient(

@@ -29,6 +29,7 @@ from repro.observability.phases import (
     PHASE_STEP,
 )
 from repro.observability.tracer import NULL_TRACER
+from repro.precond.cache import global_cache
 from repro.sem.space import FunctionSpace
 from repro.timeint.bdf_ext import TimeScheme
 from repro.timeint.cfl import courant_number
@@ -108,8 +109,8 @@ class Simulation:
         )
         self.dt = config.dt
 
-        # Kernel fast-path setup: consult the committed tuning table (or run
-        # the startup autotuner) and fold the winners into the effective
+        # Consult the configured tuning table (or run the startup
+        # autotuner) and fold the smoother_dtype pick into the effective
         # config before the schemes build their preconditioners.  The
         # original config object is never mutated.
         self.tuning: dict[str, str] | None = None
@@ -143,20 +144,17 @@ class Simulation:
 
         # Track the mixed-precision guard so trips surface as events/metrics.
         self._precision_fallbacks_seen = 0
-        if config.operator_cache:
-            from repro.precond.cache import global_cache
-
-            global_cache().attach_metrics(self.metrics)
+        global_cache().attach_metrics(self.metrics)
 
     def _apply_autotune(self, config: CaseConfig) -> CaseConfig:
-        """Resolve the kernel-variant selection for this case.
+        """Resolve the ``smoother_dtype`` selection for this case.
 
         Order of precedence: an exact ``(nelem, p)`` hit in the configured
         tuning table, then a fresh startup sweep (``config.autotune``),
         then the safe defaults.  An unreadable table or an entry naming an
         unknown variant falls back with an ``autotune.fallback`` event --
         never an exception.  Returns a config copy with the winning
-        ``smoother_dtype``/``operator_cache`` folded in.
+        ``smoother_dtype`` folded in.
         """
         if not (config.autotune or config.tuning_table):
             return config
@@ -182,11 +180,7 @@ class Simulation:
             tracer=self.tracer,
             metrics=self.metrics,
         )
-        return dataclasses.replace(
-            config,
-            smoother_dtype=self.tuning["smoother_dtype"],
-            operator_cache=self.tuning["operator_cache"] == "on",
-        )
+        return dataclasses.replace(config, smoother_dtype=self.tuning["smoother_dtype"])
 
     # -- accessors -------------------------------------------------------------
 

@@ -146,17 +146,12 @@ class OperatorCache:
         Maximum number of entries; the least recently used entry is
         evicted beyond it.  Eviction drops only the cache's reference --
         live preconditioners holding the entry are unaffected.
-    enabled:
-        When ``False`` every lookup is a miss and nothing is stored
-        (the autotuner benchmarks this configuration as the ``cache=off``
-        variant).
     """
 
-    def __init__(self, capacity: int = 64, enabled: bool = True) -> None:
+    def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self.enabled = enabled
         self._entries: OrderedDict[CacheKey, Any] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -169,27 +164,25 @@ class OperatorCache:
 
     def get_or_build(self, key: CacheKey, builder: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, building (and storing) on miss."""
-        if self.enabled:
-            with self._lock:
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    self._publish()
-                    return self._entries[key]
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                self._publish()
+                return self._entries[key]
         t0 = perf_counter()
         value = _freeze(builder())
         self.build_seconds += perf_counter() - t0
         with self._lock:
             self.misses += 1
-            if self.enabled:
-                # A concurrent builder may have won the race; keep the
-                # stored entry so every holder shares one buffer set.
-                if key not in self._entries:
-                    self._entries[key] = value
-                    while len(self._entries) > self.capacity:
-                        self._entries.popitem(last=False)
-                        self.evictions += 1
-                value = self._entries[key]
+            # A concurrent builder may have won the race; keep the
+            # stored entry so every holder shares one buffer set.
+            if key not in self._entries:
+                self._entries[key] = value
+                while len(self._entries) > self.capacity:
+                    self._entries.popitem(last=False)
+                    self.evictions += 1
+            value = self._entries[key]
             self._publish()
         return value
 
@@ -222,7 +215,6 @@ class OperatorCache:
         """JSON-ready snapshot (the CI artifact format)."""
         return {
             "capacity": self.capacity,
-            "enabled": self.enabled,
             "entries": len(self._entries),
             "hits": self.hits,
             "misses": self.misses,
@@ -274,13 +266,14 @@ def reset_global_cache(capacity: int | None = None) -> OperatorCache:
 def resolve_cache(cache: OperatorCache | bool | None) -> OperatorCache:
     """Normalize the ``cache=`` convention used across ``repro.precond``.
 
-    ``None`` -> the process-wide cache; ``False`` -> a throwaway disabled
-    cache (every lookup builds); an :class:`OperatorCache` -> itself.
+    ``None`` -> the process-wide cache; ``False`` -> a fresh private cache
+    (a cold build shared with nobody: the oracle the cache-correctness
+    tests compare hits against); an :class:`OperatorCache` -> itself.
     """
     if cache is None:
         return _GLOBAL_CACHE
     if cache is False:
-        return OperatorCache(enabled=False)
+        return OperatorCache()
     if cache is True:
         return _GLOBAL_CACHE
     return cache

@@ -184,8 +184,9 @@ class HybridSchwarzMultigrid:
 
         Returns ``True`` exactly when this observation trips the guard, in
         which case the smoothers have just been rebuilt in float64 (the
-        caller should log/export the ``autotune.fallback`` event).  A
-        float64 preconditioner has no guard and always returns ``False``.
+        caller should log/export the ``autotune.precision_fallback``
+        event).  A float64 preconditioner has no guard and always returns
+        ``False``.
         """
         if self.guard is None:
             return False

@@ -1,18 +1,16 @@
-"""Startup kernel autotuner: pick the fastest variant per ``(nelem, p)``.
+"""Startup kernel autotuner: pick the smoother precision per ``(nelem, p)``.
 
-The hot kernels of the solver come in interchangeable variants whose
-relative speed depends on the problem shape and the BLAS build underneath:
+One kernel choice depends on the problem shape and the BLAS build
+underneath: ``smoother_dtype`` -- float32 vs float64 Schwarz/FDM local
+solves (:mod:`repro.precond.fdm`); float64 wins at (27 el, p5), float32 at
+(216 el, p7).  The f32 pick is additionally protected at runtime by the
+:class:`~repro.precond.hsmg.IterationGuard`.  Dimensions whose variants
+never won at any shape (per-axis ``einsum`` contractions, a disabled
+operator cache) are not tuned: there is one contraction path and one cache
+(EXPERIMENTS.md records the measurements behind their removal).
 
-* ``contraction`` -- batched-reshape ``matmul`` vs per-axis ``einsum``
-  tensor contractions (:mod:`repro.sem.coef` / :mod:`repro.sem.operators`);
-* ``smoother_dtype`` -- float32 vs float64 Schwarz/FDM local solves
-  (:mod:`repro.precond.fdm`); the f32 pick is additionally protected at
-  runtime by the :class:`~repro.precond.hsmg.IterationGuard`;
-* ``operator_cache`` -- process-wide operator cache on vs off
-  (:mod:`repro.precond.cache`).
-
-:func:`autotune` benchmarks every variant on synthetic, deterministically
-generated data of the target shape and records the winners into a
+:func:`autotune` benchmarks both variants on synthetic, deterministically
+generated data of the target shape and records the winner into a
 :class:`TuningTable` -- a JSON-round-trippable artifact a `Simulation`
 consults at startup (and that CI uploads).  Selection is a pure argmin
 with ties broken by declaration order, so the same measurements always
@@ -23,7 +21,8 @@ A stale table (an entry naming a variant this build no longer knows) must
 never take the solver down: :func:`apply_tuning` validates every
 selection against :data:`DIMENSIONS`, silently substitutes the default,
 and reports the substitution as an ``autotune.fallback`` tracer event and
-metric counter.
+metric counter.  Selections for dimensions this build does not tune
+(tables written when there were three) are ignored.
 """
 
 from __future__ import annotations
@@ -37,13 +36,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.precond.cache import CacheKey, OperatorCache
-from repro.sem.coef import (
-    _tensor_derivatives_axis,
-    _tensor_derivatives_batched,
-    set_contraction_variant,
-)
-
 __all__ = [
     "DIMENSIONS",
     "DEFAULTS",
@@ -52,9 +44,7 @@ __all__ = [
     "TuningTable",
     "autotune",
     "apply_tuning",
-    "benchmark_contraction",
     "benchmark_smoother_dtype",
-    "benchmark_operator_cache",
 ]
 
 TABLE_VERSION = 1
@@ -62,16 +52,12 @@ TABLE_VERSION = 1
 #: Tunable dimensions and their known variants, in tie-break order (the
 #: first variant wins ties, so defaults are listed first).
 DIMENSIONS: dict[str, tuple[str, ...]] = {
-    "contraction": ("batched", "axis"),
     "smoother_dtype": ("float64", "float32"),
-    "operator_cache": ("on", "off"),
 }
 
 #: The safe selection used when a table entry is missing or unknown.
 DEFAULTS: dict[str, str] = {
-    "contraction": "batched",
     "smoother_dtype": "float64",
-    "operator_cache": "on",
 }
 
 Clock = Callable[[], float]
@@ -104,18 +90,6 @@ def _time_call(fn: Callable[[], Any], repeats: int, clock: Clock) -> float:
 
 
 # -- per-dimension benchmarks --------------------------------------------------
-
-
-def benchmark_contraction(
-    nelem: int, n: int, repeats: int = 3, clock: Clock = time.perf_counter
-) -> dict[str, float]:
-    """Seconds per tensor-derivative evaluation, per contraction variant."""
-    u = _synthetic_field(nelem, n)
-    d = _synthetic_matrix(n)
-    return {
-        "batched": _time_call(lambda: _tensor_derivatives_batched(u, d), repeats, clock),
-        "axis": _time_call(lambda: _tensor_derivatives_axis(u, d), repeats, clock),
-    }
 
 
 def _fdm_proxy(u: np.ndarray, s: np.ndarray, st: np.ndarray, inv_d: np.ndarray) -> np.ndarray:
@@ -159,32 +133,6 @@ def benchmark_smoother_dtype(
         "float64": _time_call(run64, repeats, clock),
         "float32": _time_call(run32, repeats, clock),
     }
-
-
-def benchmark_operator_cache(
-    n: int = 24, repeats: int = 3, clock: Clock = time.perf_counter
-) -> dict[str, float]:
-    """Seconds per operator lookup with the cache on (warm) vs off (rebuild).
-
-    The probe builder is a small symmetric eigendecomposition -- the same
-    work class as the FDM setup -- so the measurement captures the real
-    trade: a dict lookup against a dense factorization.
-    """
-    mat = _synthetic_matrix(n)
-    sym = mat + mat.T
-
-    def build() -> Any:
-        return np.linalg.eigh(sym)
-
-    key = CacheKey(mesh_hash="autotune-probe", p=n - 1, operator="eigh", dtype="float64")
-
-    warm = OperatorCache(capacity=4)
-    warm.get_or_build(key, build)  # prime
-    on = _time_call(lambda: warm.get_or_build(key, build), repeats, clock)
-
-    cold = OperatorCache(capacity=4, enabled=False)
-    off = _time_call(lambda: cold.get_or_build(key, build), repeats, clock)
-    return {"on": on, "off": off}
 
 
 # -- tuning table --------------------------------------------------------------
@@ -282,9 +230,7 @@ def autotune(
     """
     n = p + 1
     measurements = {
-        "contraction": benchmark_contraction(nelem, n, repeats, clock),
         "smoother_dtype": benchmark_smoother_dtype(nelem, n, repeats, clock),
-        "operator_cache": benchmark_operator_cache(repeats=repeats, clock=clock),
     }
     selections = {
         dim: min(DIMENSIONS[dim], key=lambda v: measurements[dim][v])
@@ -302,15 +248,15 @@ def apply_tuning(
     tracer: Any = None,
     metrics: Any = None,
 ) -> dict[str, str]:
-    """Validate and install a selection set; unknown variants fall back.
+    """Validate a selection set; unknown variants fall back.
 
-    Returns the selections actually applied.  The ``contraction`` pick is
-    installed process-wide here; ``smoother_dtype`` and ``operator_cache``
-    are returned for the caller (`Simulation`) to thread into the
-    preconditioner construction.  Every substitution of an unknown or
-    missing variant by its default is logged as an ``autotune.fallback``
+    Returns the selections to use, one per entry of :data:`DIMENSIONS`,
+    for the caller (`Simulation`) to thread into the preconditioner
+    construction; nothing process-wide is touched.  Every substitution of
+    an unknown variant by its default is logged as an ``autotune.fallback``
     event and counted on the ``autotune.fallback`` metric -- a stale table
-    must be visible, never fatal.
+    must be visible, never fatal.  Keys outside :data:`DIMENSIONS` are
+    ignored.
     """
     selections = selections or {}
     applied: dict[str, str] = {}
@@ -323,7 +269,6 @@ def apply_tuning(
                 metrics.counter("autotune.fallback").inc()
             value = default
         applied[dim] = value
-    set_contraction_variant(applied["contraction"])
     if metrics is not None:
         for dim, value in applied.items():
             metrics.gauge(f"autotune.{dim}.variant_index").set(DIMENSIONS[dim].index(value))

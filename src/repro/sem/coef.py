@@ -18,64 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Coefficients",
-    "tensor_derivatives",
-    "CONTRACTION_VARIANTS",
-    "set_contraction_variant",
-    "get_contraction_variant",
-]
-
-#: Interchangeable implementations of the tensor-contraction kernels.  The
-#: startup autotuner (:mod:`repro.sem.autotune`) benchmarks both per
-#: ``(nelem, p)`` and installs the winner; ``"batched"`` (batched BLAS
-#: ``matmul`` over ``(nelem*n, n, n)`` reshapes) is the default.
-CONTRACTION_VARIANTS: tuple[str, ...] = ("batched", "axis")
-
-_contraction_variant = "batched"
-
-
-def set_contraction_variant(name: str) -> None:
-    """Install a contraction variant process-wide (autotuner hook)."""
-    global _contraction_variant
-    if name not in CONTRACTION_VARIANTS:
-        raise ValueError(
-            f"unknown contraction variant {name!r}; options: {CONTRACTION_VARIANTS}"
-        )
-    _contraction_variant = name
-
-
-def get_contraction_variant() -> str:
-    """The currently installed contraction variant."""
-    return _contraction_variant
-
-
-def _tensor_derivatives_batched(
-    u: np.ndarray, dx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    nelv, lz, ly, lx = u.shape
-    ur = u @ dx.T
-    us = np.matmul(dx, u)
-    ut = np.matmul(dx, u.reshape(nelv, lz, ly * lx)).reshape(u.shape)
-    return ur, us, ut
-
-
-def _tensor_derivatives_axis(
-    u: np.ndarray, dx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ur = np.einsum("il,ekjl->ekji", dx, u)
-    us = np.einsum("jl,ekli->ekji", dx, u)
-    ut = np.einsum("kl,elji->ekji", dx, u)
-    return ur, us, ut
+__all__ = ["Coefficients", "tensor_derivatives"]
 
 
 def tensor_derivatives_stacked(u: np.ndarray, dx: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Reference-space derivatives written into a stacked ``(3, *u.shape)`` buffer.
 
-    Same contractions as the ``"batched"`` variant of
-    :func:`tensor_derivatives` but with ``out=`` targets, so the result
-    lands directly in the layout the fused geometric-factor contraction
-    of ``ax_poisson``/``ax_helmholtz`` consumes -- no staging copies.
+    Same contractions as :func:`tensor_derivatives` but with ``out=``
+    targets, so the result lands directly in the layout the fused
+    geometric-factor contraction of ``ax_poisson``/``ax_helmholtz``
+    consumes -- no staging copies.
     """
     nelv, lz, ly, lx = u.shape
     np.matmul(u, dx.T, out=out[0])
@@ -88,15 +40,15 @@ def tensor_derivatives(u: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.nd
     """Reference-space derivatives ``(du/dr, du/ds, du/dt)`` of nodal data.
 
     ``u`` has shape ``(nelv, lx, lx, lx)`` indexed ``[e, k(t), j(s), i(r)]``
-    and ``dx`` is the 1-D collocation derivative matrix.  The default
-    ``"batched"`` variant runs all three directions as batched BLAS
-    ``matmul`` calls (the guide's "vectorize the loops" rule); the
-    ``"axis"`` variant is the per-axis ``einsum`` form kept as an
-    autotuner alternative and equivalence oracle.
+    and ``dx`` is the 1-D collocation derivative matrix.  All three
+    directions run as batched BLAS ``matmul`` calls over ``(nelv*lz, ly, lx)``
+    reshapes (the guide's "vectorize the loops" rule).
     """
-    if _contraction_variant == "axis":
-        return _tensor_derivatives_axis(u, dx)
-    return _tensor_derivatives_batched(u, dx)
+    nelv, lz, ly, lx = u.shape
+    ur = u @ dx.T
+    us = np.matmul(dx, u)
+    ut = np.matmul(dx, u.reshape(nelv, lz, ly * lx)).reshape(u.shape)
+    return ur, us, ut
 
 
 @dataclass

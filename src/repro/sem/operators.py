@@ -13,12 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sem.coef import (
-    Coefficients,
-    get_contraction_variant,
-    tensor_derivatives,
-    tensor_derivatives_stacked,
-)
+from repro.sem.coef import Coefficients, tensor_derivatives, tensor_derivatives_stacked
 from repro.statcheck.contracts import FIELD, OPERATOR_1D, contract
 
 __all__ = [
@@ -44,16 +39,7 @@ def local_grad(u: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 def local_grad_transpose(
     wr: np.ndarray, ws: np.ndarray, wt: np.ndarray, dx: np.ndarray
 ) -> np.ndarray:
-    """Adjoint of :func:`local_grad`: ``D_r^T wr + D_s^T ws + D_t^T wt``.
-
-    Dispatches on the same autotuner-selected contraction variant as
-    :func:`~repro.sem.coef.tensor_derivatives`.
-    """
-    if get_contraction_variant() == "axis":
-        out = np.einsum("ekjl,li->ekji", wr, dx)
-        out += np.einsum("lj,ekli->ekji", dx, ws)
-        out += np.einsum("lk,elji->ekji", dx, wt)
-        return out
+    """Adjoint of :func:`local_grad`: ``D_r^T wr + D_s^T ws + D_t^T wt``."""
     nelv, lz, ly, lx = wr.shape
     out = wr @ dx
     out += np.matmul(dx.T, ws)
@@ -82,18 +68,18 @@ def ax_poisson(u: np.ndarray, coef: Coefficients, dx: np.ndarray) -> np.ndarray:
     bandwidth-bound profile the roofline model in ``repro.perfmodel``
     assumes.
     """
-    # The batched fast path needs the stacked geometric factors; duck-typed
-    # coef stand-ins (e.g. per-rank chunks in the distributed layer) that
-    # only carry g11..g33 take the per-axis form regardless of the variant.
+    # The fused path needs the stacked geometric factors; duck-typed coef
+    # stand-ins (e.g. per-rank chunks in the distributed layer) that only
+    # carry g11..g33 contract G component by component.
     g_stack = getattr(coef, "g_stack", None)
-    if get_contraction_variant() == "axis" or g_stack is None:
+    if g_stack is None:
         ur, us, ut = tensor_derivatives(u, dx)
         wr = coef.g11 * ur + coef.g12 * us + coef.g13 * ut
         ws = coef.g12 * ur + coef.g22 * us + coef.g23 * ut
         wt = coef.g13 * ur + coef.g23 * us + coef.g33 * ut
         return local_grad_transpose(wr, ws, wt, dx)
-    # Batched fast path: derivatives land in a stacked buffer and the G
-    # contraction runs as a single fused einsum pass.
+    # Derivatives land in a stacked buffer and the G contraction runs as a
+    # single fused einsum pass.
     du = np.empty((3,) + u.shape)
     tensor_derivatives_stacked(u, dx, du)
     w = np.einsum("abn,bn->an", g_stack(), du.reshape(3, u.size))
@@ -115,7 +101,7 @@ def ax_helmholtz(
     BDF ``b0 / dt`` factor in the time-stepper); both may vary pointwise.
     """
     g_stack = getattr(coef, "g_stack", None)
-    if get_contraction_variant() == "axis" or g_stack is None:
+    if g_stack is None:
         ur, us, ut = tensor_derivatives(u, dx)
         wr = h1 * (coef.g11 * ur + coef.g12 * us + coef.g13 * ut)
         ws = h1 * (coef.g12 * ur + coef.g22 * us + coef.g23 * ut)

@@ -76,6 +76,8 @@ class Gmres:
         tracer: TracerProtocol | None = None,
         dot_weight: FloatArray | None = None,
     ) -> None:
+        if restart < 1:
+            raise ValueError(f"restart must be >= 1, got {restart}")
         self.amul = amul
         self.dot = dot
         self.dot_weight = dot_weight

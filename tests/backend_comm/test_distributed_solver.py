@@ -82,6 +82,8 @@ class TestDistributedCG:
         assert mon.converged
         x = dgs.gather_field(x_chunks)
         assert np.allclose(x, x_ref, atol=1e-7 * max(1.0, np.abs(x_ref).max()))
+        # The solve went through dgs.dot's weights, built once and reused.
+        assert dgs.dot(dgs.scatter_field(b), x_chunks) == pytest.approx(sp.gs.dot(b, x), rel=1e-12)
 
     def test_iteration_count_rank_invariant(self, problem):
         sp, bc, h1, h2, b, x_ref, mon_ref = problem

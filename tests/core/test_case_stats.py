@@ -37,10 +37,24 @@ class TestCaseConfig:
             cfg.validate()
 
     def test_validate_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            CaseConfig(mesh=box_mesh((1, 1, 1)), rayleigh=-1.0).validate()
-        with pytest.raises(ValueError):
-            CaseConfig(mesh=box_mesh((1, 1, 1)), dt=0.0).validate()
+        mesh = box_mesh((1, 1, 1))
+        CaseConfig(mesh=mesh, pressure_projection_dim=0, adaptive_cfl=0.5).validate()
+        for bad in (
+            {"rayleigh": -1.0},
+            {"dt": 0.0},
+            {"gmres_restart": 0},  # GMRES would never advance an iteration
+            {"coarse_iterations": 0},
+            {"pressure_projection_dim": -1},
+            {"pressure_tol": 0.0},
+            {"velocity_tol": -1e-9},
+            {"temperature_tol": 0.0},
+            {"dt_min": 1.0, "dt_max": 0.1},
+            {"adaptive_cfl": 0.0},
+            {"time_order": 0},
+            {"time_order": 4},
+        ):
+            with pytest.raises(ValueError):
+                CaseConfig(mesh=mesh, **bad).validate()
 
     def test_box_factory(self):
         cfg = rbc_box_case(1e5, n=(2, 2, 2), lx=5)

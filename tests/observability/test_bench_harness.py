@@ -12,19 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.compare_bench import (
-    check_min_speedups,
-    compare,
-    main as compare_main,
-    parse_min_speedups,
-)
+from benchmarks.compare_bench import compare, main as compare_main
 from benchmarks.perf_harness import (
-    LEGACY_PRESSURE_OVERRIDES,
     SCHEMA_VERSION,
     environment,
     kernel_benchmarks,
     noop_tracer_overhead,
-    pressure_fastpath_benchmark,
     step_benchmark,
     write_tuning_artifacts,
 )
@@ -135,59 +128,6 @@ class TestComparator:
         assert "worst ratio" in out
 
 
-class TestMinSpeedup:
-    """The --min-speedup ENTRY=MIN gate of the comparator."""
-
-    def test_parse(self):
-        assert parse_min_speedups(["pressure_fastpath=1.3", "ax=2"]) == {
-            "pressure_fastpath": 1.3,
-            "ax": 2.0,
-        }
-
-    @pytest.mark.parametrize("bad", ["nosep", "=1.3", "ax=fast"])
-    def test_parse_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            parse_min_speedups([bad])
-
-    def test_cross_file_speedup_pass_and_fail(self):
-        base = make_record(ax=0.010)
-        fast = make_record(ax=0.004)
-        assert check_min_speedups(base, fast, {"ax": 2.0}) == []
-        slow = make_record(ax=0.008)
-        failures = check_min_speedups(base, slow, {"ax": 2.0})
-        assert len(failures) == 1 and "ax" in failures[0]
-
-    def test_self_contained_ab_entry_uses_its_own_ratio(self):
-        """An entry with legacy_seconds gates on its internal A/B ratio,
-        ignoring the baseline file entirely (machine independence)."""
-        base = make_record()  # no pressure_fastpath in the baseline at all
-        cand = make_record()
-        cand["results"]["pressure_fastpath"] = {
-            "seconds": 0.015,
-            "legacy_seconds": 0.034,
-            "speedup": 0.034 / 0.015,
-        }
-        assert check_min_speedups(base, cand, {"pressure_fastpath": 2.0}) == []
-        failures = check_min_speedups(base, cand, {"pressure_fastpath": 3.0})
-        assert len(failures) == 1 and "self (legacy/fast)" in failures[0]
-
-    def test_missing_entry_fails_the_gate(self):
-        failures = check_min_speedups(make_record(), make_record(), {"gone": 1.5})
-        assert len(failures) == 1 and "missing" in failures[0]
-
-    def test_main_enforces_min_speedup(self, tmp_path, capsys):
-        b = tmp_path / "b.json"
-        c = tmp_path / "c.json"
-        b.write_text(json.dumps(make_record(ax=0.010)))
-        c.write_text(json.dumps(make_record(ax=0.008)))
-        args = [str(b), str(c), "--min-speedup", "ax=2.0"]
-        assert compare_main(args) == 1
-        assert "SPEEDUP GATE" in capsys.readouterr().out
-        c.write_text(json.dumps(make_record(ax=0.004)))
-        assert compare_main(args) == 0
-        assert "speedup gate satisfied" in capsys.readouterr().out
-
-
 class TestHarness:
     def test_environment_metadata(self):
         env = environment()
@@ -216,30 +156,6 @@ class TestHarness:
         # Phases are a decomposition of (most of) the step.
         phase_sum = sum(v["seconds"] for k, v in results.items() if k != "step")
         assert phase_sum < results["step"]["seconds"] * 1.5
-
-    def test_pressure_fastpath_benchmark_tiny(self):
-        fast, record = pressure_fastpath_benchmark(
-            n_steps=2, warmup=1, n=(2, 2, 2), lx=4, repeats=1
-        )
-        assert record["seconds"] == fast["pressure"]["seconds"]
-        assert record["legacy_seconds"] > 0
-        assert record["speedup"] == pytest.approx(
-            record["legacy_seconds"] / record["seconds"]
-        )
-        # The legacy leg restores the process-wide contraction variant.
-        from repro.sem.coef import get_contraction_variant
-
-        assert get_contraction_variant() == "batched"
-
-    def test_legacy_overrides_are_valid_config_fields(self):
-        import dataclasses
-
-        from repro.core import rbc_box_case
-
-        config = rbc_box_case(1e4, n=(2, 2, 2), lx=4)
-        legacy = dataclasses.replace(config, **LEGACY_PRESSURE_OVERRIDES)
-        assert legacy.pressure_projection_dim == 8
-        assert legacy.operator_cache is False
 
     def test_write_tuning_artifacts(self, tmp_path):
         from repro.sem.autotune import DIMENSIONS, TuningTable

@@ -232,7 +232,8 @@ def test_resolve_cache_convention():
     assert resolve_cache(True) is global_cache()
     throwaway = resolve_cache(False)
     assert throwaway is not global_cache()
-    assert throwaway.enabled is False
+    assert resolve_cache(False) is not throwaway  # private: shared with nobody
+    assert len(throwaway) == 0
 
 
 def test_schwarz_weight_cached_once():

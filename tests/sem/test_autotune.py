@@ -10,8 +10,8 @@ into the benchmark layer so the measurements themselves are pinned.
 """
 
 import json
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.observability import MetricsRegistry
@@ -23,9 +23,8 @@ from repro.sem.autotune import (
     TuningTable,
     apply_tuning,
     autotune,
-    benchmark_contraction,
+    benchmark_smoother_dtype,
 )
-from repro.sem.coef import get_contraction_variant, set_contraction_variant
 
 
 class ScriptedClock:
@@ -56,13 +55,6 @@ class RecordingTracer:
         self.events.append((name, tags))
 
 
-@pytest.fixture(autouse=True)
-def _restore_variant():
-    before = get_contraction_variant()
-    yield
-    set_contraction_variant(before)
-
-
 # -- determinism ---------------------------------------------------------------
 
 
@@ -86,16 +78,14 @@ def test_ties_break_by_declaration_order():
 
 
 def test_selection_is_argmin_of_measurements():
-    """Biasing one timed interval flips exactly that dimension's winner."""
-    # benchmark_contraction times "batched" first: interval (calls 0,1).
-    # Slowing it makes "axis" the argmin.
+    """Biasing one timed interval flips the winner."""
+    # benchmark_smoother_dtype times "float64" first: interval (calls 0,1).
+    # Slowing it makes "float32" the argmin.
     clock = ScriptedClock(biases={1: 100.0})
-    times = benchmark_contraction(4, 4, repeats=1, clock=clock)
-    assert times["batched"] > times["axis"]
+    times = benchmark_smoother_dtype(4, 4, repeats=1, clock=clock)
+    assert times["float64"] > times["float32"]
     entry = autotune(4, 3, repeats=1, clock=ScriptedClock(biases={1: 100.0}))
-    assert entry.selections["contraction"] == "axis"
-    # The other dimensions still tie to their defaults.
-    assert entry.selections["smoother_dtype"] == DEFAULTS["smoother_dtype"]
+    assert entry.selections["smoother_dtype"] == "float32"
 
 
 def test_autotune_emits_sweep_event():
@@ -105,7 +95,7 @@ def test_autotune_emits_sweep_event():
     assert "autotune.sweep" in names
     _, tags = tracer.events[names.index("autotune.sweep")]
     assert tags["nelem"] == 4 and tags["p"] == 3
-    assert tags["pick_contraction"] in DIMENSIONS["contraction"]
+    assert tags["pick_smoother_dtype"] in DIMENSIONS["smoother_dtype"]
 
 
 def test_real_clock_sweep_selects_known_variants():
@@ -175,22 +165,14 @@ def test_entry_dict_round_trip():
 def test_unknown_variant_falls_back_to_default_with_event():
     tracer = RecordingTracer()
     metrics = MetricsRegistry()
-    applied = apply_tuning(
-        {"contraction": "simd-unrolled-v2", "smoother_dtype": "float32"},
-        tracer=tracer,
-        metrics=metrics,
-    )
-    # The stale pick is replaced, the valid pick survives, the missing
-    # dimension gets its default.
-    assert applied["contraction"] == DEFAULTS["contraction"]
-    assert applied["smoother_dtype"] == "float32"
-    assert applied["operator_cache"] == DEFAULTS["operator_cache"]
+    applied = apply_tuning({"smoother_dtype": "bfloat16"}, tracer=tracer, metrics=metrics)
+    assert applied == DEFAULTS
     fallbacks = [t for n, t in tracer.events if n == "autotune.fallback"]
     assert fallbacks == [
         {
-            "dimension": "contraction",
-            "requested": "simd-unrolled-v2",
-            "used": DEFAULTS["contraction"],
+            "dimension": "smoother_dtype",
+            "requested": "bfloat16",
+            "used": DEFAULTS["smoother_dtype"],
         }
     ]
     assert metrics.counter("autotune.fallback").value == 1.0
@@ -199,29 +181,69 @@ def test_unknown_variant_falls_back_to_default_with_event():
 def test_valid_selection_applies_without_fallback():
     tracer = RecordingTracer()
     metrics = MetricsRegistry()
-    applied = apply_tuning(
-        {"contraction": "axis", "smoother_dtype": "float64", "operator_cache": "off"},
-        tracer=tracer,
-        metrics=metrics,
-    )
-    assert applied == {
-        "contraction": "axis",
-        "smoother_dtype": "float64",
-        "operator_cache": "off",
-    }
+    applied = apply_tuning({"smoother_dtype": "float32"}, tracer=tracer, metrics=metrics)
+    assert applied == {"smoother_dtype": "float32"}
     assert [n for n, _ in tracer.events] == []
     assert metrics.counter("autotune.fallback").value == 0.0
-    # apply_tuning really installs the contraction variant process-wide.
-    assert get_contraction_variant() == "axis"
-    # And exports the applied picks as gauges for dashboards.
-    idx = metrics.gauge("autotune.contraction.variant_index").value
-    assert DIMENSIONS["contraction"][int(idx)] == "axis"
+    # The applied pick is exported as a gauge for dashboards.
+    idx = metrics.gauge("autotune.smoother_dtype.variant_index").value
+    assert DIMENSIONS["smoother_dtype"][int(idx)] == "float32"
 
 
 def test_none_selection_means_all_defaults():
-    applied = apply_tuning(None)
-    assert applied == DEFAULTS
-    assert get_contraction_variant() == DEFAULTS["contraction"]
+    assert apply_tuning(None) == DEFAULTS
+
+
+# The committed tuning_table.json as it was when the sweep still had the
+# ``contraction`` and ``operator_cache`` dimensions.
+THREE_DIMENSION_TABLE = {
+    "version": 1,
+    "entries": [
+        {
+            "nelem": 27,
+            "p": 5,
+            "measurements": {
+                "contraction": {"axis": 0.0001346019998891279, "batched": 3.216900040570181e-05},
+                "operator_cache": {"off": 3.895999907399528e-05, "on": 1.0399999155197293e-06},
+                "smoother_dtype": {"float32": 0.00013512700024875812, "float64": 6.457000017690007e-05},
+            },
+            "selections": {
+                "contraction": "batched",
+                "operator_cache": "on",
+                "smoother_dtype": "float64",
+            },
+        },
+        {
+            "nelem": 216,
+            "p": 7,
+            "measurements": {
+                "contraction": {"axis": 0.002693217000341974, "batched": 0.0005834750008943956},
+                "operator_cache": {"off": 4.6134000513120554e-05, "on": 1.4880006347084418e-06},
+                "smoother_dtype": {"float32": 0.001012841999909142, "float64": 0.001347565999822109},
+            },
+            "selections": {
+                "contraction": "batched",
+                "operator_cache": "on",
+                "smoother_dtype": "float32",
+            },
+        },
+    ],
+}
+
+
+def test_three_dimension_table_still_loads_extra_keys_ignored(tmp_path):
+    path = tmp_path / "old_table.json"
+    path.write_text(json.dumps(THREE_DIMENSION_TABLE))
+    entry = TuningTable.load(path).lookup(216, 7)
+    tracer = RecordingTracer()
+    assert apply_tuning(entry.selections, tracer=tracer) == {"smoother_dtype": "float32"}
+    assert tracer.events == []
+
+
+def test_committed_table_has_exactly_the_tuned_dimensions():
+    table = TuningTable.load(Path(__file__).resolve().parents[2] / "tuning_table.json")
+    for entry in table.entries():
+        assert set(entry.selections) == set(entry.measurements) == set(DIMENSIONS)
 
 
 # -- Simulation integration ----------------------------------------------------
@@ -241,7 +263,6 @@ def test_simulation_consults_tuning_table(tmp_path):
     table = TuningTable()
     entry = autotune(nelem, p, repeats=1, clock=ScriptedClock())
     entry.selections["smoother_dtype"] = "float32"
-    entry.selections["operator_cache"] = "off"
     table.add(entry)
     path = tmp_path / "table.json"
     table.save(path)
@@ -249,7 +270,6 @@ def test_simulation_consults_tuning_table(tmp_path):
     sim = Simulation(dataclasses_replace(config, tuning_table=str(path)))
     assert sim.tuning["smoother_dtype"] == "float32"
     assert sim.config.smoother_dtype == "float32"
-    assert sim.config.operator_cache is False
     assert sim.fluid.hsmg.guard is not None
 
 

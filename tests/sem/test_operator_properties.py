@@ -159,48 +159,42 @@ def test_ax_poisson_positive_semidefinite_on_deformed_mesh():
     )
 
 
-# -- contraction-variant equivalence and probe identities ---------------------
+# -- contraction oracle and probe identities -----------------------------------
 #
-# The autotuner switches tensor contractions between the batched-matmul and
-# per-axis einsum forms at runtime; these properties pin the two forms (and
-# the fused geometric-factor path of ax_poisson/ax_helmholtz) to each other
-# on random deformed meshes.  Probe evaluation rides the same batched
-# contraction structure, so its polynomial-reproduction identities live here
-# too.
+# The kernels contract with batched matmul and one fused geometric-factor
+# einsum; the per-axis einsum form below is the independent reference they
+# are pinned to on random deformed meshes.  Probe evaluation rides the same
+# batched contraction structure, so its polynomial-reproduction identities
+# live here too.
 
-from repro.sem.coef import (  # noqa: E402
-    get_contraction_variant,
-    set_contraction_variant,
-    tensor_derivatives,
-    tensor_derivatives_stacked,
-)
+from repro.sem.coef import tensor_derivatives, tensor_derivatives_stacked  # noqa: E402
 from repro.sem.operators import ax_helmholtz  # noqa: E402
 from repro.sem.probes import FieldProbes  # noqa: E402
 
 
-@pytest.fixture
-def restore_variant():
-    """Leave the process-wide contraction variant as we found it."""
-    before = get_contraction_variant()
-    yield
-    set_contraction_variant(before)
+def per_axis_helmholtz(u, coef, dx, h1, h2):
+    """``h1 A u + h2 B u`` contracted one axis at a time (the oracle)."""
+    ur = np.einsum("il,ekjl->ekji", dx, u)
+    us = np.einsum("jl,ekli->ekji", dx, u)
+    ut = np.einsum("kl,elji->ekji", dx, u)
+    wr = h1 * (coef.g11 * ur + coef.g12 * us + coef.g13 * ut)
+    ws = h1 * (coef.g12 * ur + coef.g22 * us + coef.g23 * ut)
+    wt = h1 * (coef.g13 * ur + coef.g23 * us + coef.g33 * ut)
+    out = np.einsum("ekjl,li->ekji", wr, dx)
+    out += np.einsum("lj,ekli->ekji", dx, ws)
+    out += np.einsum("lk,elji->ekji", dx, wt)
+    return out + h2 * coef.mass * u
 
 
 @settings(max_examples=10, deadline=None)
 @given(**deformations)
 def test_contraction_variants_agree_on_ax_poisson(seed, amplitude):
-    """Batched (fused einsum) and per-axis variants produce the same A u."""
+    """Batched (fused einsum) and per-axis forms produce the same A u."""
     space = deformed_space(seed, amplitude)
     rng = np.random.default_rng(seed ^ 0xC0DE)
     u = random_field(space, rng)
-    before = get_contraction_variant()
-    try:
-        set_contraction_variant("batched")
-        batched = ax_poisson(u, space.coef, space.dx)
-        set_contraction_variant("axis")
-        axis = ax_poisson(u, space.coef, space.dx)
-    finally:
-        set_contraction_variant(before)
+    batched = ax_poisson(u, space.coef, space.dx)
+    axis = per_axis_helmholtz(u, space.coef, space.dx, 1.0, 0.0)
     np.testing.assert_allclose(batched, axis, rtol=0, atol=1e-12 * np.abs(batched).max())
 
 
@@ -210,18 +204,12 @@ def test_contraction_variants_agree_on_ax_helmholtz(seed, amplitude):
     space = deformed_space(seed, amplitude)
     rng = np.random.default_rng(seed ^ 0x4E1)
     u = random_field(space, rng)
-    before = get_contraction_variant()
-    try:
-        set_contraction_variant("batched")
-        batched = ax_helmholtz(u, space.coef, space.dx, 0.7, 3.0)
-        set_contraction_variant("axis")
-        axis = ax_helmholtz(u, space.coef, space.dx, 0.7, 3.0)
-    finally:
-        set_contraction_variant(before)
+    batched = ax_helmholtz(u, space.coef, space.dx, 0.7, 3.0)
+    axis = per_axis_helmholtz(u, space.coef, space.dx, 0.7, 3.0)
     np.testing.assert_allclose(batched, axis, rtol=0, atol=1e-12 * np.abs(batched).max())
 
 
-def test_tensor_derivatives_stacked_matches_tuple_form(restore_variant):
+def test_tensor_derivatives_stacked_matches_tuple_form():
     """The out=-staged stacked derivatives equal the tuple-returning form."""
     space = deformed_space(3, 0.03)
     rng = np.random.default_rng(3)

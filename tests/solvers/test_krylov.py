@@ -124,6 +124,9 @@ class TestGmres:
         x, mon = g.solve(b)
         assert mon.converged
         assert np.allclose(a @ x, b, atol=1e-7)
+        # restart=0 would spin forever (no iteration ever counted).
+        with pytest.raises(ValueError):
+            Gmres(lambda u: a @ u, dense_dot, restart=0)
 
     def test_right_preconditioning_exact(self):
         a = make_spd(25, seed=8, cond=1e5)
