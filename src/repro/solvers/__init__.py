@@ -1,16 +1,18 @@
 """Krylov solvers used by the time-stepper.
 
-The paper's configuration: conjugate gradients with block-Jacobi
-preconditioning for the velocity and temperature Helmholtz solves, and
-GMRES with the hybrid Schwarz-multigrid preconditioner for the pressure
-Poisson equation.  Both are implemented matrix-free against a user-supplied
-operator callable and a user-supplied inner product (so that duplicated SEM
-storage and, in the distributed case, allreduce-based dots plug in
-unchanged).
+Conjugate gradients with block-Jacobi preconditioning for the velocity and
+temperature Helmholtz solves; flexible CG with the (symmetric) hybrid
+Schwarz-multigrid preconditioner behind a previous-solutions projection for
+the pressure Poisson equation; GMRES -- the paper's pressure solver -- for
+the preconditioner variants that are not symmetric.  All are implemented
+matrix-free against a user-supplied operator callable and a user-supplied
+inner product (so that duplicated SEM storage and, in the distributed case,
+allreduce-based dots plug in unchanged).
 """
 
 from repro.solvers.monitor import SolverMonitor
 from repro.solvers.cg import ConjugateGradient
+from repro.solvers.fcg import FlexibleCG
 from repro.solvers.pipecg import PipelinedConjugateGradient
 from repro.solvers.gmres import Gmres
 from repro.solvers.projection import MeanProjector
@@ -19,6 +21,7 @@ from repro.solvers.solution_projection import SolutionProjection
 __all__ = [
     "SolverMonitor",
     "ConjugateGradient",
+    "FlexibleCG",
     "PipelinedConjugateGradient",
     "Gmres",
     "MeanProjector",

@@ -9,9 +9,13 @@ right-hand sides vary slowly, so this typically cuts pressure iterations
 by an integer factor.
 
 The basis is A-orthonormalized with modified Gram-Schmidt using stored
-``A x_i`` products -- no extra operator applications per solve beyond the
-one needed for the new entry (which the caller already computed as part
-of its residual evaluation, or we compute here once).
+``A x_i`` products, and maintaining it applies the operator at most once
+per solve: the image of the new entry comes from the solver's closing
+true-residual evaluation when it exposes one.  A full basis is *restarted*
+from the current solution ``x0 + dx`` (Fischer's and Nek5000/NekRS's
+policy), not rolled: in an incrementally orthonormalised basis direction 0
+is the normalised first solution, which carries the bulk of every later
+one, so dropping the oldest direction throws away most of the guess.
 """
 
 from __future__ import annotations
@@ -43,16 +47,16 @@ class _KrylovSolver(Protocol):
 
 
 class SolutionProjection:
-    """Rolling A-orthonormal space of previous solutions.
+    """A-orthonormal space of previous solutions, restarted when full.
 
     Parameters
     ----------
     amul, dot:
         Operator action and inner product (same objects the solver uses).
     max_dim:
-        Maximum basis size; the oldest direction is dropped beyond it.
-        (Neko's ``proj_pre`` default is 20; the memory cost is two fields
-        per direction.)
+        Maximum basis size; an update arriving at a full basis restarts
+        it from the current solution alone.  (Neko's ``proj_pre`` default
+        is 20; the memory cost is two fields per direction.)
     """
 
     def __init__(self, amul: Operator, dot: Dot, max_dim: int = 10) -> None:
@@ -94,16 +98,28 @@ class SolutionProjection:
         self.last_guess_norm_fraction = 1.0 - r_norm / b_norm if b_norm > 0 else 0.0
         return x0, r
 
-    def update(self, dx: FloatArray, adx: FloatArray | None = None) -> None:
+    def update(
+        self,
+        dx: FloatArray,
+        adx: FloatArray | None = None,
+        guess: tuple[FloatArray, FloatArray] | None = None,
+    ) -> None:
         """Fold the newly computed correction into the basis.
 
         ``dx`` is the solver's solution of the deflated problem; ``adx``
         its operator image (computed here if not supplied).  The direction
         is A-orthonormalized against the current basis; negligible
-        remainders are discarded.
+        remainders are discarded.  ``guess`` is the pair ``(x0, A x0)``
+        that ``dx`` corrects: a full basis is emptied and restarted from
+        the A-normalised ``x0 + dx``, whose image ``A x0 + A dx`` needs no
+        operator application.
         """
         if adx is None:
             adx = self.amul(dx)
+        if len(self._x) >= self.max_dim:
+            self.clear()
+            if guess is not None:
+                dx, adx = guess[0] + dx, guess[1] + adx
         d = dx.copy()
         ad = adx.copy()
         for xi, axi in zip(self._x, self._ax):
@@ -117,9 +133,6 @@ class SolutionProjection:
         inv = 1.0 / float(np.sqrt(norm2))
         self._x.append(d * inv)
         self._ax.append(ad * inv)
-        if len(self._x) > self.max_dim:
-            self._x.pop(0)
-            self._ax.pop(0)
 
     def solve_with(
         self, solver: _KrylovSolver, b: FloatArray
@@ -127,8 +140,11 @@ class SolutionProjection:
         """Deflate, solve the remainder, update the space.
 
         ``solver`` must expose ``solve(b, x0=None) -> (x, monitor)`` (the
-        CG/GMRES interface).  Returns ``(x, monitor)`` for the *full*
-        problem.  The solver's absolute floor is temporarily raised to
+        CG/GMRES interface); one that also exposes ``closing_ax`` (``A dx``
+        from its closing true residual, as :class:`~repro.solvers.fcg.FlexibleCG`
+        does) saves the operator application of the update.  Returns
+        ``(x, monitor)`` for the *full* problem.  The solver's absolute floor
+        is temporarily raised to
         ``tol * ||b||`` so a deflated residual already below the original
         problem's target terminates immediately -- otherwise the *relative*
         criterion would chase ``tol`` more digits below an already tiny
@@ -144,7 +160,8 @@ class SolutionProjection:
         finally:
             if old_atol is not None:
                 solver.atol = old_atol
-        self.update(dx)
+        # A x0 = b - r exactly: the deflation subtracted the stored images.
+        self.update(dx, getattr(solver, "closing_ax", None), guess=(x0, b - r))
         return x0 + dx, mon
 
     # -- checkpoint support ----------------------------------------------------

@@ -1,7 +1,7 @@
 """precision-flow: dtype provenance through the mixed-precision stack.
 
 PR 7 made float32 a first-class citizen of the pressure solve (float32
-Schwarz/FDM smoothing inside float64 GMRES, guarded by ``IterationGuard``).
+Schwarz/FDM smoothing inside a float64 Krylov solve, guarded by ``IterationGuard``).
 That split is safe exactly as long as two invariants hold:
 
 * float64 data is narrowed to float32 only inside a *guard-managed

@@ -8,10 +8,9 @@ This module turns the closed-form fields of
 * elliptic MMS solves with inhomogeneous Dirichlet data handled by lifting
   (solve the homogeneous correction, add the boundary interpolant back);
 * a preconditioner factory pairing each preconditioner with the Krylov
-  method it is valid for -- the Schwarz-based preconditioners are not
-  symmetric with respect to the gather--scatter inner product, so they pair
-  with GMRES exactly as the production pressure solver does, while Jacobi
-  keeps CG;
+  method its iteration bands were pinned with -- GMRES for the FDM/Schwarz
+  family (the raw FDM is not symmetric with respect to the gather--scatter
+  inner product and needs it), CG for Jacobi;
 * temporal MMS problems for the scalar advection--diffusion equation and
   the coupled Boussinesq step, with the multistep history primed from the
   exact solution so the BDFk/EXTk design order is observable from the very
@@ -196,7 +195,7 @@ def solve_helmholtz_mms(
 # -- preconditioner factory --------------------------------------------------
 
 #: Preconditioner names accepted by :func:`make_preconditioner`, each paired
-#: with the Krylov method it is symmetric/valid for.
+#: with the Krylov method its iteration bands were pinned with.
 PRECONDITIONERS: tuple[str, ...] = ("none", "jacobi", "fdm", "schwarz", "hsmg")
 
 
@@ -205,12 +204,26 @@ def make_preconditioner(
 ) -> tuple[Callable[[Array], Array] | None, str]:
     """Build preconditioner ``name``; returns ``(apply, recommended_solver)``.
 
-    ``recommended_solver`` is ``"cg"`` for preconditioners symmetric with
-    respect to the gather--scatter inner product (identity, Jacobi) and
-    ``"gmres"`` for the Schwarz family -- the overlap/ghost exchange makes
-    those non-symmetric, and CG silently diverges with them (observed:
-    2000 iterations without convergence), exactly why the production
-    pressure solve uses GMRES + HSMG.
+    ``recommended_solver`` is ``"cg"`` for identity and Jacobi and
+    ``"gmres"`` for the FDM/Schwarz family.  Only the raw FDM needs it: its
+    unweighted element-local solves are not symmetric in the gather--scatter
+    inner product (observed on the MMS box: classic CG 2000 iterations
+    without convergence, flexible CG 115, GMRES 57).  Measured symmetry defect
+    ``|<M r1, r2> - <r1, M r2>| / |<M r1, r2>|`` (box / deformed meshes):
+
+    ======================================  ==============
+    additive Schwarz, symmetric weights     0 -- 1e-14
+    HSMG, direct coarse solve (production)  5e-15
+    HSMG, float32 smoother                  1e-8 -- 4e-7
+    HSMG, fixed-iteration coarse CG         6e-6 -- 8e-3
+    HSMG / Schwarz, one-layer overlap       1e-2 -- 1.7e-1
+    raw FDM                                 5e-3 -- 1.0
+    ======================================  ==============
+
+    The first four rows are CG material -- the production pressure solve
+    runs flexible CG on the second (:mod:`repro.solvers.fcg`) -- and stay
+    paired with GMRES here only because the pinned iteration bands in
+    ``tests/precond`` were taken with it.
     """
 
     def masked(apply: Callable[[Array], Array]) -> Callable[[Array], Array]:

@@ -42,7 +42,6 @@ class TestCaseConfig:
         for bad in (
             {"rayleigh": -1.0},
             {"dt": 0.0},
-            {"gmres_restart": 0},  # GMRES would never advance an iteration
             {"coarse_iterations": 0},
             {"pressure_projection_dim": -1},
             {"pressure_tol": 0.0},

@@ -1,4 +1,4 @@
-"""Property tests for the float32 Schwarz/FDM smoother inside float64 GMRES.
+"""Property tests for the float32 Schwarz/FDM smoother inside float64 flexible CG.
 
 The mixed-precision design (NekRS precedent: single-precision
 preconditioning inside a double-precision Krylov solve) is only admissible
@@ -18,7 +18,7 @@ from repro.precond import HybridSchwarzMultigrid, IterationGuard, reset_global_c
 from repro.sem.mesh import box_mesh
 from repro.sem.operators import ax_poisson
 from repro.sem.space import FunctionSpace
-from repro.solvers.gmres import Gmres
+from repro.solvers.fcg import FlexibleCG
 from repro.solvers.projection import MeanProjector
 
 TOL = 1e-8
@@ -54,15 +54,13 @@ def poisson_solve(space: FunctionSpace, dtype: str, seed: int):
 
     project = MeanProjector.counting(space.gs)
     precond = HybridSchwarzMultigrid(space, smoother_dtype=dtype, cache=False)
-    solver = Gmres(
+    solver = FlexibleCG(
         amul,
-        space.gs.dot,
+        space.gs.inv_multiplicity,
         precond=precond,
         tol=TOL,
         maxiter=500,
-        restart=60,
         project_out=project,
-        dot_weight=space.gs.inv_multiplicity,
     )
     rng = np.random.default_rng(seed)
     b = space.gs.add(space.coef.mass * rng.normal(size=space.shape))
@@ -116,7 +114,7 @@ def test_f32_smoother_is_actually_single_precision():
 
 
 def test_f32_smoother_output_is_float64():
-    """The smoother casts back up: GMRES always sees float64 vectors."""
+    """The smoother casts back up: the Krylov solver always sees float64 vectors."""
     space = deformed_space(2, lx=5)
     pc = HybridSchwarzMultigrid(space, smoother_dtype="float32", cache=False)
     rng = np.random.default_rng(2)
