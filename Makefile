@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint ruff mypy statcheck sarif test verify bench spine
+.PHONY: lint ruff mypy statcheck sarif test verify spine
 
 lint: ruff mypy statcheck
 
@@ -29,9 +29,6 @@ test:
 
 verify:
 	$(PYTHON) -m repro.verify --quick --out verify_report.json
-
-bench:
-	$(PYTHON) -m benchmarks.perf_harness --out-dir bench_out --repeats 3 --steps 3
 
 # The measurement spine's own tests plus a quick pass of its workloads.
 spine:

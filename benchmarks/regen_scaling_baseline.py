@@ -10,10 +10,10 @@ reasoning for the move::
 
     PYTHONPATH=src python -m benchmarks.regen_scaling_baseline
 
-CI re-runs the identical campaign and diffs against the committed copy
-with a tight threshold (``compare_bench --threshold 0.05``); an
-unexplained drift there means the simulated machine changed when only
-the code was supposed to.
+CI regenerates the file with ``--out`` and ``cmp``s it byte for byte
+against the committed copy (tier-1 asserts the same equality); an
+unexplained difference there means the simulated machine changed when
+only the code was supposed to.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from repro.comm.campaign import DEFAULT_RANKS, DEFAULT_SHAPE, bench_record, run_
 
 __all__ = ["regenerate", "main"]
 
-#: The committed baseline lives at the repository root, next to the other
-#: BENCH_* baselines the comparator knows about.
+#: The committed baseline lives at the repository root.
 BASELINE = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
 
 

@@ -22,9 +22,9 @@ mesh/partition structure, never on field values or a wall clock -- so the
 campaign's efficiency numbers are golden-file stable across platforms
 (``BENCH_scaling.json``).
 
-Run the campaign from the repository root::
+Run the campaign (from any directory)::
 
-    PYTHONPATH=src python -m repro.comm.campaign --out bench_out \
+    PYTHONPATH=src python -m repro.comm.campaign --out scaling_out \
         --ranks 16,64,256,1024
 """
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -355,10 +356,10 @@ def bench_record(
 ) -> dict:
     """A ``BENCH_scaling.json`` payload from campaign sweeps.
 
-    Entry names follow the ``world<N>_*`` convention so the campaign
-    observatory's Fig. 3 scaling section picks them up from the ledger;
+    One ``world<N>_scaling_<machine>`` entry per campaign point;
     ``seconds`` is the *simulated* (DES) step time -- deterministic, so
-    :mod:`benchmarks.compare_bench` can gate on it with a tight threshold.
+    the committed golden file is held to equality (tier-1 and CI's ``cmp``
+    against a fresh regeneration; the spine's ``fig3_campaign`` to 1e-12).
     """
     entries: dict[str, dict] = {}
     for key, points in results.items():
@@ -413,9 +414,6 @@ def main(argv=None) -> int:
         "--fleet-ranks", type=int, default=64,
         help="rank count for the per-rank fleet snapshot (0 disables)",
     )
-    parser.add_argument(
-        "--ledger", default=None, help="campaign ledger (JSONL) to append this run to"
-    )
     args = parser.parse_args(argv)
 
     rank_counts = tuple(int(t) for t in args.ranks.split(","))
@@ -423,13 +421,17 @@ def main(argv=None) -> int:
     if len(shape) != 3:
         raise SystemExit("--shape must be ExEyEz, e.g. 16x16x16")
 
-    from benchmarks.perf_harness import environment
-
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = run_fig3_campaign(rank_counts, shape=shape, lx=args.lx)
 
-    record = bench_record(results, environment=environment())
+    environment = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+    }
+    record = bench_record(results, environment=environment)
     bench_path = out_dir / "BENCH_scaling.json"
     bench_path.write_text(json.dumps(record, indent=2) + "\n")
 
@@ -453,12 +455,6 @@ def main(argv=None) -> int:
         )
         print()
         print(imbalance.render())
-
-    if args.ledger:
-        from repro.observability.campaign import Ledger, RunRecord
-
-        Ledger(Path(args.ledger)).append(RunRecord.from_bench(record))
-        print(f"appended scaling run to {args.ledger}")
 
     print(f"wrote {bench_path} and {report_path}")
     return 0

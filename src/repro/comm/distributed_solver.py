@@ -25,7 +25,6 @@ from repro.solvers.monitor import SolverMonitor
 if TYPE_CHECKING:  # pragma: no cover
     from repro.observability.fleet.anomaly import AnomalyMonitor
     from repro.observability.fleet.rank import FleetTelemetry
-    from repro.observability.profile.profiler import ContinuousProfiler
 
 __all__ = ["DistributedConjugateGradient"]
 
@@ -59,7 +58,6 @@ class DistributedConjugateGradient:
         maxiter: int = 500,
         fleet: "FleetTelemetry | None" = None,
         anomalies: "AnomalyMonitor | None" = None,
-        profiler: "ContinuousProfiler | None" = None,
     ) -> None:
         self.local_amul = local_amul
         self.dgs = dgs
@@ -68,12 +66,10 @@ class DistributedConjugateGradient:
         self.precond_diag = precond_diag
         self.tol = tol
         self.maxiter = maxiter
-        # Per-rank telemetry, online iteration-count anomaly detection and
-        # the continuous profiler's collective-count attribution; all
-        # optional and free when absent.
+        # Per-rank telemetry and online iteration-count anomaly detection;
+        # both optional and free when absent.
         self.fleet = fleet
         self.anomalies = anomalies
-        self.profiler = profiler
         self._solves = 0
 
     # -- distributed primitives --------------------------------------------
@@ -121,7 +117,6 @@ class DistributedConjugateGradient:
         epoch's solution this way instead of paying full price again.
         """
         mon = SolverMonitor(tol=self.tol, name="dist-cg")
-        stats0 = (self.world.stats.allreduce_calls, self.world.stats.p2p_messages)
         if x0 is None:
             x = [np.zeros_like(c) for c in b_chunks]
             r = [c.copy() for c in b_chunks]

@@ -73,7 +73,6 @@ class Simulation:
         metrics=None,
         anomalies=None,
         flight=None,
-        profiler=None,
     ) -> None:
         config.validate()
         self.config = config
@@ -94,11 +93,6 @@ class Simulation:
         self.anomalies = anomalies
         if anomalies is not None and flight is not None and anomalies.flight is None:
             anomalies.flight = flight
-        # Continuous profiler (repro.observability.profile): per-step
-        # measured-vs-modeled attribution fed from the region timers and
-        # gather--scatter counters already maintained below; absent by
-        # default, so the uninstrumented step path is unchanged.
-        self.profiler = profiler
         self._last_step_seconds = 0.0
         self.timers = RegionTimers(tracer=self.tracer)
         self.adaptive = config.adaptive_cfl is not None
@@ -345,8 +339,6 @@ class Simulation:
                 self.flight.record_step(self, res)
             if self.anomalies is not None:
                 self.anomalies.observe_step(self, res, step_seconds=self._last_step_seconds)
-            if self.profiler is not None:
-                self.profiler.observe_step(self, res, step_seconds=self._last_step_seconds)
             if stats_interval and self.step_count % stats_interval == 0:
                 with self.tracer.span(PHASE_STATISTICS, step=self.step_count):
                     self.sample_statistics()

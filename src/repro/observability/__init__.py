@@ -42,9 +42,6 @@ from repro.observability.fleet import (
 # reaches back into repro.core); importing it eagerly here would close an
 # import cycle through core.timers.  PEP 562 lazy attribute access breaks
 # it: the bridge loads on first use, when everything is initialized.
-# The profile/campaign subpackages pull repro.perfmodel and repro.gpu and
-# are lazy for the same reason: this package is imported from inside
-# repro.core's module initialization.
 _BRIDGE_EXPORTS = {
     "TracedEventLog",
     "record_solver_monitor",
@@ -53,38 +50,12 @@ _BRIDGE_EXPORTS = {
     "publish_gather_scatter",
 }
 
-_PROFILE_EXPORTS = {
-    "ContinuousProfiler",
-    "ModelDriftDetector",
-    "DriftEvent",
-    "KernelSample",
-    "Attribution",
-    "kernel_roofline_report",
-    "profiler_report",
-}
-
-_CAMPAIGN_EXPORTS = {
-    "Ledger",
-    "RunRecord",
-    "campaign_report",
-    "analyze_ledger",
-    "write_dashboard",
-}
-
 
 def __getattr__(name: str):
     if name in _BRIDGE_EXPORTS:
         from repro.observability import bridge
 
         return getattr(bridge, name)
-    if name in _PROFILE_EXPORTS:
-        from repro.observability import profile
-
-        return getattr(profile, name)
-    if name in _CAMPAIGN_EXPORTS:
-        from repro.observability import campaign
-
-        return getattr(campaign, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
@@ -123,16 +94,4 @@ __all__ = [
     "Anomaly",
     "AnomalyMonitor",
     "EwmaDetector",
-    "ContinuousProfiler",
-    "ModelDriftDetector",
-    "DriftEvent",
-    "KernelSample",
-    "Attribution",
-    "kernel_roofline_report",
-    "profiler_report",
-    "Ledger",
-    "RunRecord",
-    "campaign_report",
-    "analyze_ledger",
-    "write_dashboard",
 ]

@@ -2,7 +2,7 @@
 
 The paper's wall-time breakdown (Fig. 4) partitions a time step into a
 fixed set of phases; the observability layer reproduces that taxonomy as
-span names, and every dashboard, exporter and regression comparison keys
+span names, and every exporter, report and per-phase benchmark metric keys
 on them.  A misspelled span name does not fail -- it silently opens a new
 series that no tooling aggregates, which is how taxonomies rot.  This
 module is therefore the single source of truth:
@@ -73,11 +73,7 @@ PHASES: tuple[str, ...] = (
 #: The ``cache.`` family marks operator-cache lifecycle events
 #: (``cache.build``) and the ``autotune.`` family the startup kernel
 #: autotuner (``autotune.sweep``, ``autotune.variant``,
-#: ``autotune.fallback``, ``autotune.precision_fallback``).  The
-#: ``profile.`` family carries the continuous profiler's roofline
-#: attribution spans and model-drift events (``profile.attribution``,
-#: ``profile.drift.<series>``); the ``campaign.`` family wraps the
-#: cross-run ledger/observatory (``campaign.append``, ``campaign.report``).
+#: ``autotune.fallback``, ``autotune.precision_fallback``).
 #: The ``topo.`` family carries the topology-aware gather--scatter's
 #: staged-exchange spans and per-rank DES timings (``topo.gs``,
 #: ``topo.compute``), and the ``scaling.`` family wraps the simulated
@@ -93,8 +89,6 @@ SPAN_PREFIXES: tuple[str, ...] = (
     "chaos.",
     "cache.",
     "autotune.",
-    "profile.",
-    "campaign.",
     "topo.",
     "scaling.",
 )
@@ -119,8 +113,6 @@ METRIC_PREFIXES: tuple[str, ...] = (
     "chaos.",
     "cache.",
     "autotune.",
-    "profile.",
-    "campaign.",
     "topo.",
     "scaling.",
 )

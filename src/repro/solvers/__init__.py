@@ -13,7 +13,6 @@ allreduce-based dots plug in unchanged).
 from repro.solvers.monitor import SolverMonitor
 from repro.solvers.cg import ConjugateGradient
 from repro.solvers.fcg import FlexibleCG
-from repro.solvers.pipecg import PipelinedConjugateGradient
 from repro.solvers.gmres import Gmres
 from repro.solvers.projection import MeanProjector
 from repro.solvers.solution_projection import SolutionProjection
@@ -22,7 +21,6 @@ __all__ = [
     "SolverMonitor",
     "ConjugateGradient",
     "FlexibleCG",
-    "PipelinedConjugateGradient",
     "Gmres",
     "MeanProjector",
     "SolutionProjection",

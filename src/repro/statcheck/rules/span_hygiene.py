@@ -2,9 +2,9 @@
 
 Every span name must be one of the Fig. 4 phases (or belong to a
 registered dynamic family like ``krylov.<solver>``), and every metric
-name must belong to a registered family -- otherwise dashboards, the
-Chrome-trace exporter and the bench comparator silently grow orphan
-series nobody aggregates.  The registry lives in
+name must belong to a registered family -- otherwise the Chrome-trace
+exporter, the text reports and the benchmark's per-phase metrics silently
+grow orphan series nobody aggregates.  The registry lives in
 :mod:`repro.observability.phases`; this rule closes the loop statically.
 
 Only *constant* names can be checked: plain string literals are matched

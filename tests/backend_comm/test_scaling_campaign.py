@@ -9,6 +9,9 @@ simulated machine changed -- which is either a deliberate model change
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -122,9 +125,8 @@ class TestCampaignPieces:
         with pytest.raises(ValueError):
             structured_global_ids((2, 2, 2), 1)
 
-    def test_cli_writes_artifacts_and_ledger(self, tmp_path):
+    def test_cli_writes_artifacts(self, tmp_path):
         out = tmp_path / "bench_out"
-        ledger = tmp_path / "ledger.jsonl"
         rc = main(
             [
                 "--out", str(out),
@@ -132,7 +134,6 @@ class TestCampaignPieces:
                 "--shape", "4x4x4",
                 "--lx", "4",
                 "--fleet-ranks", "4",
-                "--ledger", str(ledger),
             ]
         )
         assert rc == 0
@@ -146,7 +147,27 @@ class TestCampaignPieces:
         assert "parallel efficiency" in imbalance
         trace = json.loads((out / "fig3_fleet_trace.json").read_text())
         assert trace["traceEvents"]
-        assert ledger.read_text().count("\n") == 1
+
+    def test_cli_runs_from_foreign_cwd(self, tmp_path):
+        """The module needs only ``src`` on the path, not the repository root."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.comm.campaign",
+                "--out", "out",
+                "--ranks", "4,16",
+                "--shape", "4x4x4",
+                "--fleet-ranks", "0",
+            ],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads((tmp_path / "out" / "BENCH_scaling.json").read_text())
+        assert set(record["environment"]) == {"python", "numpy", "platform", "machine"}
 
     def test_cli_rejects_bad_shape(self):
         with pytest.raises(SystemExit):

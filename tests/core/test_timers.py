@@ -1,10 +1,16 @@
 """RegionTimers coverage: nesting, re-entrancy, reset, zero-total fractions,
 and the tracer coupling added by the observability layer."""
 
+import time
+
+import numpy as np
 import pytest
 
 from repro.core.timers import RegionTimers
 from repro.observability.tracer import NULL_TRACER, Tracer
+from repro.sem.mesh import box_mesh
+from repro.sem.operators import ax_helmholtz
+from repro.sem.space import FunctionSpace
 
 
 class TestAccumulation:
@@ -120,3 +126,36 @@ class TestTracerCoupling:
         assert tracer.current is None
         (span,) = tracer.spans_named("boom")
         assert span.end is not None
+
+    def test_noop_tracer_overhead_under_2_percent(self):
+        # The acceptance criterion for the observability layer: a region on
+        # the default NULL_TRACER around the ax kernel costs < 2 %.  Timing
+        # noise can spoil one measurement; best-of-three attempts must land
+        # under the bound.
+        sp = FunctionSpace(box_mesh((6, 6, 6)), 8)
+        u = np.random.default_rng(0).normal(size=sp.shape)
+        timers = RegionTimers()
+
+        def bare():
+            ax_helmholtz(u, sp.coef, sp.dx, 1.0, 10.0)
+
+        def traced():
+            with timers.region("ax"):
+                ax_helmholtz(u, sp.coef, sp.dx, 1.0, 10.0)
+
+        def seconds(fn):
+            t0 = time.perf_counter()
+            for _ in range(8):
+                fn()
+            return time.perf_counter() - t0
+
+        def overhead():
+            # Legs interleaved per repeat so host drift cannot bias one.
+            t_bare = t_traced = float("inf")
+            for _ in range(5):
+                t_bare = min(t_bare, seconds(bare))
+                t_traced = min(t_traced, seconds(traced))
+            return t_traced / t_bare - 1.0
+
+        bare()  # warm caches and page faults
+        assert any(overhead() < 0.02 for _ in range(3)), "no-op tracer overhead >= 2%"

@@ -1,6 +1,7 @@
 """Exporter tests: Chrome-trace JSON, JSONL, text report."""
 
 import json
+import math
 
 import pytest
 
@@ -76,6 +77,19 @@ class TestJsonl:
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(lines) == 3
         assert lines[0]["name"] == "step"
+
+    def test_non_finite_values_survive_strict_json(self, tmp_path):
+        tracer = Tracer(clock=FakeClock())
+        with tracer.span("pressure") as sp:
+            sp.add("residual", math.nan)
+            sp.add("bound", math.inf)
+        path = tmp_path / "spans.jsonl"
+        write_jsonl(path, tracer)
+        # The raw file stays strict JSON: NaN drops to null, infinities
+        # become the jsonio sentinels.
+        (rec,) = [json.loads(line) for line in path.read_text().splitlines()]
+        assert rec["counters"]["residual"] is None
+        assert rec["counters"]["bound"] == "Infinity"
 
 
 class TestTextReport:

@@ -82,23 +82,6 @@ class TestSpanHygiene:
         )
         assert findings == []
 
-    def test_profile_family_is_registered(self):
-        # The continuous profiler's drift events and roofline metrics
-        # (profile.*) are a registered family: a module using only them
-        # is clean.
-        findings = run_rule(
-            "span-hygiene", FIXTURES / "src/repro/core/profile_span_case.py"
-        )
-        assert findings == []
-
-    def test_campaign_family_is_registered(self):
-        # The campaign observatory's spans and metrics (campaign.*) are a
-        # registered family: a module using only them is clean.
-        findings = run_rule(
-            "span-hygiene", FIXTURES / "src/repro/core/campaign_span_case.py"
-        )
-        assert findings == []
-
     def test_topo_and_scaling_families_are_registered(self):
         # The simulated-exascale comm engine's staged-exchange spans
         # (topo.*) and campaign metrics (scaling.*) are registered
