@@ -12,6 +12,7 @@ CG + block-Jacobi for velocity and temperature.
 
 from repro.core.case import CaseConfig
 from repro.core.timers import RegionTimers
+from repro.core.helmholtz import HelmholtzSolver
 from repro.core.fluid import FluidScheme
 from repro.core.scalar import ScalarScheme
 from repro.core.simulation import Simulation, StepResult
@@ -45,6 +46,7 @@ __all__ = [
     "CaseConfig",
     "RegionTimers",
     "FluidScheme",
+    "HelmholtzSolver",
     "ScalarScheme",
     "Simulation",
     "StepResult",

@@ -45,7 +45,13 @@ class CaseConfig:
         the conductive profile plus a deterministic multi-mode perturbation
         that triggers convection above onset.
     pressure_tol / velocity_tol / temperature_tol:
-        Relative tolerances of the three linear solves.
+        Tolerances of the three linear solves, each relative to the norm of
+        that solve's right-hand side, ``||r|| <= tol * ||b||`` -- not to the
+        residual of its initial guess, so the guesses (previous-solutions
+        projection for the pressure increment, EXT-k extrapolated history
+        for velocity and temperature) shorten the solves without moving
+        their targets.  The pressure right-hand side is that of the
+        *increment* equation.
     coarse_iterations:
         Fixed iteration count of the coarse-grid CG (paper: ~10).
     pressure_projection_dim:

@@ -14,7 +14,10 @@ scheme, as configured in the paper:
    configuration.)  The right-hand side uses the integrated-by-parts form
    ``(grad phi, v*)`` so that the impermeability condition on the walls
    enters naturally (homogeneous Neumann on ``p``).
-3. Solve one Helmholtz problem per velocity component with Jacobi-CG.
+3. Solve one Helmholtz problem per velocity component with Jacobi-CG
+   (:class:`~repro.core.helmholtz.HelmholtzSolver`, built once), started
+   from the EXT-k extrapolation ``sum_q a_q u^{n+1-q}`` of the velocity
+   history and stopped at ``velocity_tol`` relative to the right-hand side.
 
 Deliberate simplification vs. Neko (documented in DESIGN.md): the pressure
 uses the first-order homogeneous Neumann condition instead of the full
@@ -27,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.case import CaseConfig
+from repro.core.helmholtz import HelmholtzSolver
 from repro.core.timers import RegionTimers
 from repro.observability.phases import (
     PHASE_ADVECTION,
@@ -34,11 +38,9 @@ from repro.observability.phases import (
     PHASE_VELOCITY,
 )
 from repro.precond.hsmg import HybridSchwarzMultigrid
-from repro.precond.jacobi import JacobiPrecond
 from repro.sem.bc import BoundaryMask
 from repro.sem.dealias import Dealiaser
 from repro.sem.operators import (
-    ax_helmholtz,
     ax_poisson,
     convective_term_collocated,
     divergence,
@@ -46,7 +48,6 @@ from repro.sem.operators import (
     weak_gradient_transpose,
 )
 from repro.sem.space import FunctionSpace
-from repro.solvers.cg import ConjugateGradient
 from repro.solvers.fcg import FlexibleCG
 from repro.solvers.monitor import SolverMonitor
 from repro.solvers.projection import MeanProjector
@@ -125,10 +126,17 @@ class FluidScheme:
                 p_amul, space.gs.dot, max_dim=config.pressure_projection_dim
             )
 
-        # Velocity Helmholtz solver (coefficients fixed by dt and order;
-        # refreshed when the BDF order ramps).
-        self._helmholtz_b0: float | None = None
-        self._vel_precond: JacobiPrecond | None = None
+        # Velocity Helmholtz solver, shared by the three components; h2
+        # starts at the first (BDF1) step's value and follows b0 / dt.
+        self.velocity_solver = HelmholtzSolver(
+            space,
+            self.nu,
+            1.0 / self.dt,
+            self.vel_mask,
+            tol=config.velocity_tol,
+            name="velocity",
+            tracer=self.timers.tracer,
+        )
         self.monitors: dict[str, SolverMonitor] = {}
         # Times the mixed-precision guard tripped (exported by Simulation
         # as the ``autotune.precision_fallback`` event/metric).
@@ -136,41 +144,11 @@ class FluidScheme:
 
     # -- operators -----------------------------------------------------------
 
-    def _vel_amul(self, h2: float):
-        space = self.space
-        nu = self.nu
-        mask = self.vel_mask
-
-        def amul(u: np.ndarray) -> np.ndarray:
-            w = space.gs.add(ax_helmholtz(u, space.coef, space.dx, nu, h2))
-            return w * mask
-
-        return amul
-
     def set_dt(self, dt: float) -> None:
-        """Change the step size (adaptive stepping); operators refresh lazily."""
+        """Change the step size (adaptive stepping); the next step applies it."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.dt = dt
-
-    def _refresh_helmholtz(self, b0: float) -> None:
-        if self._helmholtz_b0 == (b0, self.dt):
-            return
-        h2 = b0 / self.dt
-        if self._vel_precond is None:
-            self._vel_precond = JacobiPrecond(self.space, self.nu, h2, mask=self.vel_mask)
-        else:
-            self._vel_precond.update(self.nu, h2)
-        self._vel_solver = ConjugateGradient(
-            self._vel_amul(h2),
-            self.space.gs.dot,
-            precond=self._vel_precond,
-            tol=self.config.velocity_tol,
-            maxiter=500,
-            name="velocity",
-            tracer=self.timers.tracer,
-        )
-        self._helmholtz_b0 = (b0, self.dt)
 
     def convective_weak(
         self,
@@ -243,7 +221,7 @@ class FluidScheme:
         b0, bs = self.scheme.bdf
         ext = self.scheme.ext
         dt = self.dt
-        self._refresh_helmholtz(b0)
+        self.velocity_solver.set_h2(b0 / dt)
 
         with self.timers.region(PHASE_ADVECTION):
             fx = -self.convective_weak(self.u[0], c_fine) + forcing_weak[0]
@@ -296,8 +274,8 @@ class FluidScheme:
             for comp, (r, gp, hist) in enumerate(
                 ((rhs[0], px, self.u), (rhs[1], py, self.v), (rhs[2], pz, self.w))
             ):
-                bvec = space.gs.add(r - b * gp) * self.vel_mask
-                sol, mon = self._vel_solver.solve(bvec, x0=hist[0] * self.vel_mask)
+                guess = sum(aq * lev for aq, lev in zip(ext, hist))
+                sol, mon = self.velocity_solver.solve(r - b * gp, guess)
                 mons.append(mon)
                 hist.insert(0, sol)
                 del hist[3:]

@@ -3,7 +3,11 @@
 Dirichlet plates (hot bottom, cold top) enter through lifting: the solve is
 performed for the homogeneous correction and the boundary data added back,
 so the CG operator stays symmetric.  Insulated side walls are natural
-(zero-flux) conditions and need no action.
+(zero-flux) conditions and need no action.  The Helmholtz solve runs on the
+same :class:`~repro.core.helmholtz.HelmholtzSolver` class as the velocity
+components (one instance, built once, which also owns the lifting): it starts
+from the EXT-k extrapolation ``sum_q a_q T^{n+1-q}`` of the temperature
+history and stops at ``temperature_tol`` relative to the right-hand side.
 """
 
 from __future__ import annotations
@@ -11,14 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.case import CaseConfig
+from repro.core.helmholtz import HelmholtzSolver
 from repro.core.timers import RegionTimers
 from repro.observability.phases import PHASE_TEMPERATURE
-from repro.precond.jacobi import JacobiPrecond
 from repro.sem.bc import DirichletBC
 from repro.sem.dealias import Dealiaser
-from repro.sem.operators import ax_helmholtz, convective_term_collocated
+from repro.sem.operators import convective_term_collocated
 from repro.sem.space import FunctionSpace
-from repro.solvers.cg import ConjugateGradient
 from repro.solvers.monitor import SolverMonitor
 from repro.timeint.bdf_ext import TimeScheme
 
@@ -56,8 +59,17 @@ class ScalarScheme:
 
         self.t_hist = [space.zeros() for _ in range(3)]
         self.f_hist: list[np.ndarray] = []
-        self._b0: float | None = None
-        self._precond: JacobiPrecond | None = None
+        # h2 starts at the first (BDF1) step's value and follows b0 / dt.
+        self.solver = HelmholtzSolver(
+            space,
+            self.kappa,
+            1.0 / self.dt,
+            self.mask,
+            tol=config.temperature_tol,
+            name="temperature",
+            tracer=self.timers.tracer,
+            lift=self.lift,
+        )
         self.monitors: dict[str, SolverMonitor] = {}
 
     @property
@@ -96,39 +108,11 @@ class ScalarScheme:
         ]
         self.scheme.jump_start()
 
-    def _amul_full(self, u: np.ndarray, h2: float) -> np.ndarray:
-        return self.space.gs.add(
-            ax_helmholtz(u, self.space.coef, self.space.dx, self.kappa, h2)
-        )
-
     def set_dt(self, dt: float) -> None:
-        """Change the step size (adaptive stepping); operators refresh lazily."""
+        """Change the step size (adaptive stepping); the next step applies it."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.dt = dt
-
-    def _refresh(self, b0: float) -> None:
-        if self._b0 == (b0, self.dt):
-            return
-        h2 = b0 / self.dt
-        if self._precond is None:
-            self._precond = JacobiPrecond(self.space, self.kappa, h2, mask=self.mask)
-        else:
-            self._precond.update(self.kappa, h2)
-
-        def amul(u: np.ndarray) -> np.ndarray:
-            return self._amul_full(u, h2) * self.mask
-
-        self._solver = ConjugateGradient(
-            amul,
-            self.space.gs.dot,
-            precond=self._precond,
-            tol=self.config.temperature_tol,
-            maxiter=500,
-            name="temperature",
-            tracer=self.timers.tracer,
-        )
-        self._b0 = (b0, self.dt)
 
     def step(
         self,
@@ -141,7 +125,7 @@ class ScalarScheme:
         b0, bs = self.scheme.bdf
         ext = self.scheme.ext
         dt = self.dt
-        self._refresh(b0)
+        self.solver.set_h2(b0 / dt)
 
         with self.timers.region(PHASE_TEMPERATURE):
             cx, cy, cz = velocity
@@ -165,12 +149,8 @@ class ScalarScheme:
             for j, bj in enumerate(bs):
                 rhs += (bj / dt) * space.coef.mass * self.t_hist[j]
 
-            # Lifting of the inhomogeneous Dirichlet data.
-            h2 = b0 / dt
-            bvec = (space.gs.add(rhs) - self._amul_full(self.lift, h2)) * self.mask
-            guess = (self.t_hist[0] - self.lift) * self.mask
-            theta, mon = self._solver.solve(bvec, x0=guess)
-            t_new = theta * self.mask + self.lift
+            guess = sum(aq * lev for aq, lev in zip(ext, self.t_hist))
+            t_new, mon = self.solver.solve(rhs, guess)
             self.t_hist.insert(0, t_new)
             del self.t_hist[3:]
 

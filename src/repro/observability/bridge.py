@@ -66,6 +66,8 @@ def record_solver_monitor(
         metrics.counter(f"{prefix}.{name}.unconverged").inc()
     if mon.residuals:
         metrics.gauge(f"{prefix}.{name}.final_residual").set(mon.final_residual)
+        # What ``tol`` was relative to: ||b|| for a guessed CG solve, ||r_0|| else.
+        metrics.gauge(f"{prefix}.{name}.reference_residual").set(mon.reference)
 
 
 def publish_pipeline_stats(

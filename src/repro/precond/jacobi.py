@@ -2,16 +2,16 @@
 
 The diagonal of the tensor-product stiffness matrix is computed in closed
 form from the 1-D derivative matrix and the geometric factors (no operator
-probing), assembled across elements with a gather--scatter sum, and
-inverted once.  This is the preconditioner the paper uses for the velocity
-and temperature solves.
+probing) and assembled across elements with a gather--scatter sum once per
+space; a change of coefficients only rescales and inverts.  This is the
+preconditioner the paper uses for the velocity and temperature solves.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.precond.cache import CacheKey, OperatorCache, mask_fingerprint, resolve_cache
+from repro.precond.cache import CacheKey, OperatorCache, resolve_cache
 from repro.sem.space import FunctionSpace
 
 __all__ = ["helmholtz_diagonal", "JacobiPrecond"]
@@ -61,11 +61,14 @@ class JacobiPrecond:
         Optional Dirichlet mask; masked dofs get an identity diagonal so
         that applying the preconditioner never touches them.
     cache:
-        Operator-cache handle.  For *scalar* ``h1``/``h2`` the assembled
-        inverse diagonal is a pure function of ``(space, h1, h2, mask)``
-        and is shared through the cache (repeated jobs on the same mesh
-        and time step skip the closed-form assembly); array-valued
-        coefficients always rebuild.
+        Operator-cache handle.  What is cached is independent of the
+        coefficients and the mask: the assembled diagonal of the stiffness
+        matrix, one entry per space (the space already holds the assembled
+        mass), from which *scalar* ``h1``/``h2`` give
+        ``1 / (h1 diag A + h2 diag B)`` without a gather--scatter.  A run
+        that changes its step size therefore leaves the cache as it found
+        it.  Array-valued coefficients weight the element diagonals before
+        assembly and always rebuild.
     """
 
     def __init__(
@@ -78,31 +81,24 @@ class JacobiPrecond:
     ) -> None:
         self.space = space
         self.mask = mask
-        self._cache = cache
+        self._diag_a: np.ndarray = resolve_cache(cache).get_or_build(
+            CacheKey.for_space(space, "jacobi_diag"),
+            lambda: space.gs.add(helmholtz_diagonal(space, 1.0, 0.0)),
+        )
         self._inv_diag: np.ndarray | None = None
         self.update(h1, h2)
-
-    def _build_inv_diag(self, h1: float | np.ndarray, h2: float | np.ndarray) -> np.ndarray:
-        diag = self.space.gs.add(helmholtz_diagonal(self.space, h1, h2))
-        if self.mask is not None:
-            diag = np.where(self.mask == 0.0, 1.0, diag)
-        if np.any(diag <= 0.0):
-            raise ValueError("Helmholtz diagonal is not positive; check h1/h2 signs")
-        return 1.0 / diag
 
     def update(self, h1: float | np.ndarray, h2: float | np.ndarray) -> None:
         """Recompute the assembled diagonal for new Helmholtz coefficients."""
         if np.isscalar(h1) and np.isscalar(h2):
-            key = CacheKey.for_space(
-                self.space,
-                f"jacobi_diag[h1={float(h1)!r};h2={float(h2)!r};"
-                f"mask={mask_fingerprint(self.mask)}]",
-            )
-            self._inv_diag = resolve_cache(self._cache).get_or_build(
-                key, lambda: self._build_inv_diag(h1, h2)
-            )
+            diag = h1 * self._diag_a + h2 * self.space.mass_assembled
         else:
-            self._inv_diag = self._build_inv_diag(h1, h2)
+            diag = self.space.gs.add(helmholtz_diagonal(self.space, h1, h2))
+        if self.mask is not None:
+            diag[self.mask == 0.0] = 1.0
+        if np.any(diag <= 0.0):
+            raise ValueError("Helmholtz diagonal is not positive; check h1/h2 signs")
+        self._inv_diag = np.divide(1.0, diag, out=diag)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Apply ``z = diag(A)^{-1} r`` (masked dofs passed through zeroed)."""

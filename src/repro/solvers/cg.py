@@ -5,6 +5,12 @@ Jacobi preconditioner.  The operator, preconditioner and inner product are
 injected as callables, mirroring Neko's abstract ``ax``/``pc``/``glsc3``
 interfaces, so the same solver runs on the plain CPU arrays, the
 instrumented backend and the distributed rank simulator.
+
+The stopping test is relative to the right-hand side, ``||r|| <= tol *
+||b||`` (PETSc's default; NekRS stops its Helmholtz solves on the residual
+itself, arXiv:2104.05829), not to the residual of the initial guess: a guess
+that already explains most of ``b`` is rewarded with fewer iterations
+instead of being asked for ``tol`` more digits below what it achieved.
 """
 
 from __future__ import annotations
@@ -41,7 +47,11 @@ class ConjugateGradient:
     precond:
         Optional preconditioner action ``z = M^{-1} r``; must be SPD.
     tol, maxiter:
-        Relative residual tolerance and iteration cap.
+        Residual tolerance relative to ``max(||b||, ||r_0||)`` and iteration
+        cap.  Without an initial guess ``r_0 = b``, so this is the classic
+        ``tol * ||r_0||``; with one, the ``||r_0||`` term only matters when
+        the guess is worse than none (or ``b`` vanishes), and keeps such a
+        solve no stricter than ``tol`` of its own starting residual.
     fixed_iterations:
         When set, run exactly this many iterations with *no* convergence
         test -- the mode the paper uses for the coarse-grid solve ("a fixed
@@ -94,11 +104,10 @@ class ConjugateGradient:
         z = self.precond(r)
         rho = self.dot(r, z)
         rnorm = float(np.sqrt(max(self.dot(r, r), 0.0)))
+        bnorm = rnorm if x0 is None else float(np.sqrt(max(self.dot(b, b), 0.0)))
 
-        if self.fixed_iterations is None and mon.start(rnorm):
+        if mon.start(rnorm, reference=bnorm) and self.fixed_iterations is None:
             return x, mon
-        if self.fixed_iterations is not None:
-            mon.start(rnorm)
 
         p = z.copy()
         niter = self.fixed_iterations if self.fixed_iterations is not None else self.maxiter

@@ -142,7 +142,7 @@ class FlexibleCG:
         if mon.start(rnorm):
             self.closing_ax = ax
             return x, mon
-        target = max(self.tol * rnorm, mon.atol)
+        target = mon.target
 
         p = np.empty_like(b)
         wap = np.empty_like(b)

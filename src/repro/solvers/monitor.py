@@ -12,9 +12,13 @@ class SolverMonitor:
     """Record of one linear solve: residual history and outcome.
 
     ``residuals[0]`` is the initial residual norm; one entry is appended per
-    iteration.  ``converged`` reflects the *relative* criterion
-    ``||r|| <= tol * ||r_0||`` unless the initial residual was already below
-    the absolute floor ``atol``.
+    iteration.  ``reference`` is the norm ``tol`` is measured against, as
+    handed to :meth:`start`: the initial residual unless the solver knows a
+    larger scale for the problem (:class:`~repro.solvers.cg.ConjugateGradient`
+    passes ``||b||``, so a good initial guess shortens the solve instead of
+    moving the target).  ``converged`` reflects ``||r|| <= target`` with
+    ``target = max(tol * reference, atol)``; a solve whose initial residual
+    already meets it takes no iteration.
     """
 
     tol: float
@@ -22,6 +26,7 @@ class SolverMonitor:
     residuals: list[float] = field(default_factory=list)
     converged: bool = False
     name: str = ""
+    reference: float = float("nan")
 
     @property
     def iterations(self) -> int:
@@ -36,17 +41,28 @@ class SolverMonitor:
     def final_residual(self) -> float:
         return self.residuals[-1] if self.residuals else float("nan")
 
-    def start(self, r0: float) -> bool:
-        """Record the initial residual; returns True if already converged."""
+    @property
+    def target(self) -> float:
+        """The residual norm at which the solve counts as converged."""
+        return max(self.tol * self.reference, self.atol)
+
+    def start(self, r0: float, reference: float | None = None) -> bool:
+        """Record the initial residual; returns True if already converged.
+
+        ``reference`` is the scale ``tol`` is relative to.  It never drops
+        below ``r0`` (no solve is asked for more than ``tol`` of its own
+        initial residual), which is also what keeps a zero right-hand side
+        with a non-zero guess solvable.
+        """
         self.residuals = [r0]
-        self.converged = r0 <= self.atol
+        self.reference = r0 if reference is None else max(reference, r0)
+        self.converged = r0 <= self.target
         return self.converged
 
     def step(self, r: float) -> bool:
         """Record an iteration residual; returns True on convergence."""
         self.residuals.append(r)
-        target = max(self.tol * self.residuals[0], self.atol)
-        self.converged = r <= target
+        self.converged = r <= self.target
         return self.converged
 
     def summary(self) -> str:
@@ -54,7 +70,8 @@ class SolverMonitor:
         status = "converged" if self.converged else "NOT converged"
         return (
             f"{self.name or 'solve'}: {status} in {self.iterations} iters, "
-            f"||r|| {self.initial_residual:.3e} -> {self.final_residual:.3e}"
+            f"||r|| {self.initial_residual:.3e} -> {self.final_residual:.3e} "
+            f"(tol {self.tol:.1e} of {self.reference:.3e})"
         )
 
     def as_record(self) -> dict[str, object]:
@@ -65,6 +82,7 @@ class SolverMonitor:
             "converged": self.converged,
             "initial_residual": self.initial_residual,
             "final_residual": self.final_residual,
+            "reference": self.reference,
             "tol": self.tol,
         }
 

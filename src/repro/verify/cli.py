@@ -41,6 +41,11 @@ MIN_SPECTRAL_RATE = 2.0
 #: Temporal-order tolerance: assert ``observed >= k - 0.2``.
 TEMPORAL_MARGIN = 0.2
 
+#: (velocity, temperature) floors of the production coupled step, ``k = 2``:
+#: a tenth below the calibrated slopes 1.96 / 1.76, so that a quarter-order
+#: loss in the Helmholtz solves or their initial guess fails the gate.
+COUPLED_K2_FLOORS = (1.85, 1.65)
+
 
 def build_report(quick: bool = True, tracer: Tracer | None = None) -> VerificationReport:
     """Assemble and run the suite; ``quick`` trims the sweeps to CI size."""
@@ -95,7 +100,8 @@ def build_report(quick: bool = True, tracer: Tracer | None = None) -> Verificati
     # Coupled Boussinesq step.  The velocity order is capped at 2 by the
     # incremental pressure-correction splitting (see EXPERIMENTS.md), so
     # the velocity expectation is min(k, 2) with a wider margin that also
-    # absorbs coupling-error pollution near the spatial floor.
+    # absorbs coupling-error pollution near the spatial floor; k = 2, the
+    # configuration every run uses, is held to its calibrated floors.
     coupled_orders = (2,) if quick else (1, 2, 3)
     coupled_dts = dts[:2] if quick else dts
     coupled = BoussinesqTemporalMMSProblem()
@@ -108,7 +114,9 @@ def build_report(quick: bool = True, tracer: Tracer | None = None) -> Verificati
         def temp_case(dt: float, _errs: list[tuple[float, float]] = errs) -> float:
             return _errs[coupled_dts.index(dt)][1]
 
-        vel_expected = min(order, 2) - 0.5
+        vel_expected = temp_expected = min(order, 2) - 0.5
+        if order == 2:
+            vel_expected, temp_expected = COUPLED_K2_FLOORS
         study = ConvergenceStudy(
             f"boussinesq-dt-bdf{order}-velocity", vel_case, kind="dt", tracer=tracer
         )
@@ -116,7 +124,7 @@ def build_report(quick: bool = True, tracer: Tracer | None = None) -> Verificati
         study = ConvergenceStudy(
             f"boussinesq-dt-bdf{order}-temperature", temp_case, kind="dt", tracer=tracer
         )
-        report.studies.append(study.run(coupled_dts, min(order, 2) - 0.5))
+        report.studies.append(study.run(coupled_dts, temp_expected))
 
     # Cross-backend equivalence over the full operator/solver chain.
     report.equivalence = cross_backend_check(tracer=tracer)

@@ -127,6 +127,51 @@ class TestPressureProjection:
         assert mean_iterations(8) <= (2.0 / 3.0) * mean_iterations(0)
 
 
+class TestHelmholtzSolves:
+    """Velocity and temperature CG stop against ||b|| and start from the
+    EXT-extrapolated history, on solver objects that are built once."""
+
+    def test_half_the_iterations_same_answer(self):
+        # The box of TestPressureProjection.  With tol measured against the
+        # warm-started residual and u^n as the guess (this repo until PR 22)
+        # steps 10-40 took 7.0 velocity and 7.0 temperature iterations and
+        # ended at the kinetic energy pinned below.
+        cfg = rbc_box_case(1e5, n=(3, 3, 3), lx=6, aspect=2.0, dt=0.025,
+                           perturbation_amplitude=0.1)
+        sim = Simulation(cfg)
+        results, converged = [], []
+        for _ in range(40):
+            results.append(sim.step())
+            monitors = (*sim.fluid.monitors.values(), *sim.scalar.monitors.values())
+            converged.append(all(m.converged for m in monitors))
+        assert all(converged)
+        assert np.mean([r.velocity_iterations for r in results[10:]]) <= 0.6 * 7.0
+        assert np.mean([r.temperature_iterations for r in results[10:]]) <= 0.6 * 7.0
+        assert results[-1].kinetic_energy == pytest.approx(0.001733587860704966, rel=1e-7)
+        # The monitors say what tol was relative to: the right-hand side,
+        # which the extrapolated guess had already reduced a lot.
+        mon = sim.scalar.monitors["temperature"]
+        assert mon.reference > 1e3 * mon.initial_residual
+        assert mon.final_residual <= cfg.temperature_tol * mon.reference
+
+    def test_solvers_are_built_once(self):
+        cfg = rbc_box_case(2e4, n=(2, 2, 2), lx=4, aspect=2.0, dt=5e-3,
+                           perturbation_amplitude=0.1, adaptive_cfl=0.3)
+        sim = Simulation(cfg)
+        velocity, temperature = sim.fluid.velocity_solver, sim.scalar.solver
+        inner = (velocity.cg, velocity.precond, temperature.cg, temperature.precond)
+        h2 = []
+        for _ in range(6):  # the order ramp (steps 1-3), then set_dt every step
+            sim.step()
+            assert sim.fluid.velocity_solver is velocity
+            assert sim.scalar.solver is temperature
+            assert velocity.h2 == temperature.h2
+            h2.append(velocity.h2)
+        assert (velocity.cg, velocity.precond, temperature.cg, temperature.precond) == inner
+        assert len(set(h2)) == 6
+        assert len({r.dt for r in sim.history}) > 1
+
+
 class TestDeterminism:
     def test_runs_are_reproducible(self):
         def run():

@@ -105,10 +105,12 @@ class TestBridges:
     def test_record_solver_monitor(self):
         metrics = MetricsRegistry()
         mon = SolverMonitor(tol=1e-8, name="pressure")
-        mon.start(1.0)
+        mon.start(1.0, reference=4.0)
         mon.step(0.5)
         mon.step(1e-9)
         record_solver_monitor(mon, metrics)
+        assert metrics.gauge("solver.pressure.final_residual").value == 1e-9
+        assert metrics.gauge("solver.pressure.reference_residual").value == 4.0
         assert metrics.histogram("solver.pressure.iterations").count == 1
         assert metrics.counter("solver.pressure.solves").value == 1
         assert "solver.pressure.unconverged" not in metrics

@@ -162,6 +162,31 @@ def test_eviction_preserves_lru_order():
     assert cache.hits == before + 1
 
 
+def test_adaptive_stepping_does_not_evict_the_pressure_preconditioner():
+    # One Jacobi entry per distinct (b0, dt), twice per change, used to
+    # push the FDM and coarse factorizations out of the process-wide LRU:
+    # 18 evictions in this run, and a cold preconditioner build for the next
+    # Simulation on the mesh (a rollback, a restart).  The cached diagonal
+    # is now independent of the coefficients.
+    from repro.core import Simulation, rbc_box_case
+
+    cache = reset_global_cache(capacity=8)
+    sim = Simulation(rbc_box_case(1e5, n=(2, 2, 2), lx=5, dt=0.01, adaptive_cfl=0.3))
+
+    def jacobi_entries():
+        return [k for k in cache.report()["keys"] if k["operator"].startswith("jacobi")]
+
+    sim.run(n_steps=5)
+    early = len(jacobi_entries())
+    sim.run(n_steps=35)
+    assert len({r.dt for r in sim.history}) >= 8
+    assert cache.evictions == 0
+    operators = [k["operator"] for k in cache.report()["keys"]]
+    assert any(op.startswith("fdm[") for op in operators)
+    assert any(op.startswith("coarse[") for op in operators)
+    assert len(jacobi_entries()) == early == 1
+
+
 def test_cached_arrays_are_read_only():
     """Shared entries must be immutable: a write through one user would
     silently corrupt every other holder."""

@@ -68,6 +68,17 @@ class TestJacobi:
         z2 = pc(np.ones(sp.shape))
         assert np.all(z2 < z1)
 
+    def test_update_equals_direct_assembly(self, sp):
+        # update() rescales the cached assembled diagonals; the reference
+        # assembles h1 * diag A + h2 * B element by element.
+        bc = DirichletBC(sp, ["bottom", "top"], 0.0)
+        pc = JacobiPrecond(sp, 1.0, 1.0, mask=bc.mask)
+        r = np.random.default_rng(3).normal(size=sp.shape)
+        for h1, h2 in ((0.01, 100.0), (0.3, 7.5), (2.0, 0.0)):
+            pc.update(h1, h2)
+            diag = sp.gs.add(helmholtz_diagonal(sp, h1, h2))
+            assert np.allclose(pc(r), r / diag * bc.mask, rtol=1e-13, atol=0.0)
+
     def test_invalid_coefficients_raise(self, sp):
         with pytest.raises(ValueError):
             JacobiPrecond(sp, -1.0, -1.0)

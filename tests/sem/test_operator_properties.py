@@ -31,6 +31,7 @@ from repro.sem.operators import (
     divergence,
     local_grad,
     local_grad_transpose,
+    physical_grad,
     weak_divergence,
     weak_gradient,
     weak_gradient_transpose,
@@ -122,6 +123,24 @@ def test_weak_divergence_is_mass_weighted_divergence(seed, amplitude):
     weak = weak_divergence(vx, vy, vz, space.coef, space.dx)
     strong = divergence(vx, vy, vz, space.coef, space.dx)
     np.testing.assert_allclose(weak, space.coef.mass * strong, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(**deformations)
+def test_divergence_is_the_trace_of_the_physical_gradient(seed, amplitude):
+    """``divergence`` forms three derivatives; the nine-derivative
+    composition of ``physical_grad`` is its reference."""
+    space = deformed_space(seed, amplitude)
+    rng = np.random.default_rng(seed ^ 0x7ACE)
+    vx, vy, vz = (random_field(space, rng) for _ in range(3))
+
+    trace = (
+        physical_grad(vx, space.coef, space.dx)[0]
+        + physical_grad(vy, space.coef, space.dx)[1]
+        + physical_grad(vz, space.coef, space.dx)[2]
+    )
+    div = divergence(vx, vy, vz, space.coef, space.dx)
+    np.testing.assert_allclose(div, trace, rtol=0, atol=1e-13 * np.abs(trace).max())
 
 
 @settings(max_examples=15, deadline=None)

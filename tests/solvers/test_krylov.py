@@ -80,6 +80,66 @@ class TestCG:
         assert np.allclose(x, xexact, atol=1e-8)
         assert mon.iterations <= 30
 
+    def test_good_guess_halves_the_iterations(self):
+        # tol is measured against ||b||, so a guess that is right to six
+        # digits leaves two to find.  Measured against ||r_0|| (this repo
+        # until PR 22) the same guess bought nothing: 118 iterations against
+        # 117 from zero.
+        a = make_spd(80, seed=12, cond=1e3)
+        rng = np.random.default_rng(13)
+        xexact = rng.normal(size=80)
+        b = a @ xexact
+        cg = ConjugateGradient(lambda u: a @ u, dense_dot, tol=1e-8, maxiter=500)
+        _, cold = cg.solve(b)
+        x, warm = cg.solve(b, x0=xexact + 1e-6 * rng.normal(size=80))
+        assert cold.converged and warm.converged
+        assert cold.iterations == 117
+        assert warm.iterations <= cold.iterations // 2
+        assert np.linalg.norm(b - a @ x) <= 1e-8 * np.linalg.norm(b)
+        assert warm.reference == pytest.approx(np.linalg.norm(b))
+        assert cold.reference == cold.initial_residual
+
+    def test_without_a_guess_the_history_is_the_classic_one(self):
+        # reference = ||r_0|| = ||b|| when x0 is None: iteration counts and
+        # closing residuals of the fixtures above, pinned bit for bit.
+        a = make_spd(40, seed=1)
+        cg = ConjugateGradient(lambda u: a @ u, dense_dot, tol=1e-12, maxiter=200)
+        _, mon = cg.solve(np.arange(40, dtype=float))
+        assert mon.iterations == 55
+        assert mon.final_residual == float.fromhex("0x1.1bf27fd0f89f4p-33")
+
+        a = make_spd(15, seed=5, cond=10.0)
+        cg = ConjugateGradient(lambda u: a @ u, dense_dot, tol=1e-13, maxiter=30)
+        _, mon = cg.solve(np.ones(15))
+        assert mon.iterations == 16
+        assert mon.final_residual == float.fromhex("0x1.0795174ff092ap-47")
+
+        a = make_spd(60, seed=2, cond=1e4)
+        s = np.diag(np.geomspace(1.0, 100.0, 60))
+        a = s @ a @ s
+        inv_diag = 1.0 / np.diag(a)
+        cg = ConjugateGradient(
+            lambda u: a @ u, dense_dot, precond=lambda r: inv_diag * r, tol=1e-10, maxiter=2000
+        )
+        _, mon = cg.solve(np.ones(60))
+        assert mon.iterations == 204
+        assert mon.final_residual == float.fromhex("0x1.1e4ee0ac536afp-31")
+
+    def test_zero_rhs_with_nonzero_guess_converges_to_zero(self):
+        # A bare tol * ||b|| target would be zero here and the solve would
+        # run to maxiter; the reference falls back to ||r_0||.
+        a = make_spd(30, seed=6)
+        rng = np.random.default_rng(7)
+        cg = ConjugateGradient(lambda u: a @ u, dense_dot, tol=1e-10, maxiter=200)
+        x, mon = cg.solve(np.zeros(30), x0=rng.normal(size=30))
+        assert mon.converged
+        assert mon.iterations < 200
+        assert mon.reference == mon.initial_residual
+        assert np.linalg.norm(x) <= 1e-9
+        # Round-off instead of exact zeros behaves the same way.
+        x, mon = cg.solve(1e-300 * np.ones(30), x0=rng.normal(size=30))
+        assert mon.converged and np.linalg.norm(x) <= 1e-9
+
     def test_fixed_iterations_mode(self):
         a = make_spd(30, seed=4)
         b = np.ones(30)

@@ -6,6 +6,7 @@ exhaustion, streak resets) are load-bearing."""
 
 import math
 
+import pytest
 
 from repro.solvers.monitor import IterationStreakTracker, SolverMonitor
 
@@ -28,6 +29,22 @@ class TestSolverMonitor:
         assert mon.step(10.0) is False
         assert mon.step(0.99) is True  # 0.99 <= 1e-2 * 100
         assert mon.iterations == 2
+
+    def test_reference_is_the_scale_tol_is_relative_to(self):
+        m = SolverMonitor(tol=1e-2, name="velocity")
+        assert m.start(0.5, reference=100.0) is True  # 0.5 <= 1e-2 * 100
+        assert m.reference == 100.0 and m.iterations == 0
+        m.start(50.0, reference=100.0)
+        assert m.step(2.0) is False
+        assert m.step(0.9) is True
+        assert m.as_record()["reference"] == 100.0
+        assert "of 1.000e+02" in m.summary()
+        # Never below the initial residual: no solve gets stricter than
+        # ``tol`` of what it started from, and a vanishing ``b`` is solvable.
+        m.start(3.0, reference=0.0)
+        assert m.reference == 3.0 and m.target == pytest.approx(3e-2)
+        m.start(3.0)
+        assert m.reference == 3.0
 
     def test_zero_initial_residual_then_step_uses_atol_floor(self):
         # With r0 == 0 the relative target collapses; the atol floor keeps

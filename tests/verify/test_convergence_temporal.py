@@ -17,6 +17,7 @@ Design-order facts asserted here (calibrated, see EXPERIMENTS.md):
 
 import pytest
 
+from repro.verify.cli import COUPLED_K2_FLOORS
 from repro.verify.convergence import fit_algebraic_order
 from repro.verify.problems import (
     BoussinesqTemporalMMSProblem,
@@ -51,9 +52,11 @@ class TestBoussinesqTemporalOrder:
         rate_u = fit_algebraic_order(DTS[:2], errs_u)
         rate_t = fit_algebraic_order(DTS[:2], errs_t)
         # Calibrated slopes: velocity ~1.96, temperature ~1.76 (the
-        # temperature is slightly polluted by velocity coupling error).
-        assert rate_u >= 1.5
-        assert rate_t >= 1.5
+        # temperature is slightly polluted by velocity coupling error);
+        # the floors sit a tenth below and are the CI ``verify`` job's.
+        assert COUPLED_K2_FLOORS == (1.85, 1.65)
+        assert rate_u >= COUPLED_K2_FLOORS[0]
+        assert rate_t >= COUPLED_K2_FLOORS[1]
 
     def test_coupled_first_order(self):
         problem = BoussinesqTemporalMMSProblem()
