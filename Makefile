@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint ruff mypy statcheck sarif test verify spine
+.PHONY: lint ruff mypy statcheck test verify spine
 
 lint: ruff mypy statcheck
 
@@ -14,15 +14,10 @@ ruff:
 mypy:
 	mypy --strict -p repro.solvers -p repro.timeint
 
-# The full gate: per-module rules plus all three interprocedural
+# The full gate: per-module rules plus both interprocedural
 # analyzers, against the committed (empty) baseline.
 statcheck:
 	$(PYTHON) -m repro.statcheck src/ --analysis all --baseline statcheck_baseline.json
-
-# Code-scanning export of the same run (written to statcheck.sarif).
-sarif:
-	$(PYTHON) -m repro.statcheck src/ --analysis all \
-	    --baseline statcheck_baseline.json --format sarif > statcheck.sarif
 
 test:
 	$(PYTHON) -m pytest -x -q

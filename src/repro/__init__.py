@@ -12,8 +12,6 @@ Through Unprecedented Spectral-Element Simulations" (SC '23):
 * ``repro.timeint`` / ``repro.core`` -- BDF/EXT time integration, the
   P_N-P_N splitting scheme, the Boussinesq scalar, case configuration and
   the simulation driver with Nusselt-number statistics.
-* ``repro.backend`` -- the device-abstraction layer (CPU backend plus an
-  instrumented backend feeding the GPU simulator).
 * ``repro.gpu`` -- a discrete-event GPU execution simulator (streams,
   launch latency, priorities) reproducing the Fig. 2 overlap study.
 * ``repro.comm`` -- an in-process MPI-rank simulator with two-phase
@@ -35,7 +33,6 @@ __all__ = [
     "precond",
     "timeint",
     "core",
-    "backend",
     "gpu",
     "comm",
     "perfmodel",

@@ -72,16 +72,6 @@ class CaseConfig:
     coarse_method:
         Coarse-grid solve strategy: ``"direct"`` (cached sparse LU, the
         fast path) or ``"cg"`` (the paper's fixed-iteration Jacobi-CG).
-    smoother_dtype:
-        Precision of the Schwarz/FDM smoother: ``"float64"`` or
-        ``"float32"`` (mixed precision; guarded by the iteration-count
-        fallback band).
-    autotune:
-        Benchmark the ``smoother_dtype`` variants at startup and use the
-        winner (overridden by an explicit ``tuning_table`` hit).
-    tuning_table:
-        Optional path to a committed autotuner tuning table consulted
-        before (and instead of) a fresh startup sweep.
     """
 
     mesh: HexMesh
@@ -104,9 +94,6 @@ class CaseConfig:
     dt_max: float = 5.0e-2
     dealias: bool = True
     coarse_method: str = "direct"
-    smoother_dtype: str = "float64"
-    autotune: bool = False
-    tuning_table: str | None = None
     name: str = "rbc"
 
     @property
@@ -141,10 +128,6 @@ class CaseConfig:
             raise ValueError(f"dt_min {self.dt_min} exceeds dt_max {self.dt_max}")
         if self.coarse_method not in ("cg", "direct"):
             raise ValueError(f"coarse_method must be 'cg' or 'direct', got {self.coarse_method!r}")
-        if self.smoother_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"smoother_dtype must be 'float64' or 'float32', got {self.smoother_dtype!r}"
-            )
         known = set(self.mesh.boundary_labels())
         for lab in self.no_slip_labels:
             if lab not in known:

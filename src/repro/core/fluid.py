@@ -92,15 +92,13 @@ class FluidScheme:
         self.p = space.zeros()
 
         # Pressure solver: flexible CG + hybrid Schwarz multigrid, singular
-        # (pure-Neumann) with the counting null-space projector.  The
-        # coarse method and smoother precision are case options (the
-        # autotuner wiring lives in Simulation); both keep the
-        # preconditioner symmetric enough for the flexible recurrence.
+        # (pure-Neumann) with the counting null-space projector.  Either
+        # coarse method keeps the preconditioner symmetric enough for the
+        # flexible recurrence.
         self.hsmg = HybridSchwarzMultigrid(
             space,
             mask=None,
             coarse_iterations=config.coarse_iterations,
-            smoother_dtype=config.smoother_dtype,
             coarse_method=config.coarse_method,
         )
         self._pressure_project = MeanProjector.counting(space.gs)
@@ -138,8 +136,7 @@ class FluidScheme:
             tracer=self.timers.tracer,
         )
         self.monitors: dict[str, SolverMonitor] = {}
-        # Times the mixed-precision guard tripped (exported by Simulation
-        # as the ``autotune.precision_fallback`` event/metric).
+        # Constant: the smoother is float64 only; benchmarks/spine still reads it.
         self.precision_fallbacks = 0
 
     # -- operators -----------------------------------------------------------
@@ -262,10 +259,6 @@ class FluidScheme:
                 dp, mon_p = self.pressure_solver.solve(rhs_p)
             self.p = self.p + dp
             self._pressure_project(self.p)
-            # Mixed-precision guard: a float32 smoother whose iteration
-            # counts regress beyond the band is swapped back to float64.
-            if self.hsmg.observe_iterations(mon_p.iterations):
-                self.precision_fallbacks += 1
 
         with self.timers.region(PHASE_VELOCITY):
             px, py, pz = physical_grad(self.p, space.coef, space.dx)

@@ -9,7 +9,6 @@ hooks: compression, streaming POD, field output).
 
 from __future__ import annotations
 
-import dataclasses
 import time as _time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -103,15 +102,6 @@ class Simulation:
         )
         self.dt = config.dt
 
-        # Consult the configured tuning table (or run the startup
-        # autotuner) and fold the smoother_dtype pick into the effective
-        # config before the schemes build their preconditioners.  The
-        # original config object is never mutated.
-        self.tuning: dict[str, str] | None = None
-        self.tuning_entry = None
-        config = self._apply_autotune(config)
-        self.config = config
-
         self.fluid = FluidScheme(self.space, config, self.scheme, self.timers)
         self.scalar = ScalarScheme(
             self.space, config, self.scheme, self.timers, dealiaser=self.fluid.dealiaser
@@ -136,45 +126,7 @@ class Simulation:
                 np.asarray(uz, dtype=np.float64) * np.ones(self.space.shape),
             )
 
-        # Track the mixed-precision guard so trips surface as events/metrics.
-        self._precision_fallbacks_seen = 0
         global_cache().attach_metrics(self.metrics)
-
-    def _apply_autotune(self, config: CaseConfig) -> CaseConfig:
-        """Resolve the ``smoother_dtype`` selection for this case.
-
-        Order of precedence: an exact ``(nelem, p)`` hit in the configured
-        tuning table, then a fresh startup sweep (``config.autotune``),
-        then the safe defaults.  An unreadable table or an entry naming an
-        unknown variant falls back with an ``autotune.fallback`` event --
-        never an exception.  Returns a config copy with the winning
-        ``smoother_dtype`` folded in.
-        """
-        if not (config.autotune or config.tuning_table):
-            return config
-        from repro.sem.autotune import TuningTable, apply_tuning, autotune
-
-        nelem, p = config.mesh.nelv, config.lx - 1
-        entry = None
-        if config.tuning_table:
-            try:
-                table = TuningTable.load(config.tuning_table)
-                entry = table.lookup(nelem, p)
-            except (OSError, ValueError, KeyError) as exc:
-                self.tracer.event(
-                    "autotune.fallback", dimension="table", requested=str(config.tuning_table),
-                    used="defaults", error=str(exc),
-                )
-                self.metrics.counter("autotune.fallback").inc()
-        if entry is None and config.autotune:
-            entry = autotune(nelem, p, tracer=self.tracer)
-        self.tuning_entry = entry
-        self.tuning = apply_tuning(
-            entry.selections if entry is not None else None,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
-        return dataclasses.replace(config, smoother_dtype=self.tuning["smoother_dtype"])
 
     # -- accessors -------------------------------------------------------------
 
@@ -302,13 +254,6 @@ class Simulation:
         m.counter("gs.calls").inc(gs.calls - gs_calls)
         m.counter("gs.bytes_moved").inc(gs.bytes_moved - gs_bytes)
         m.counter("gs.seconds").inc(gs.seconds - gs_seconds)
-        pf = self.fluid.precision_fallbacks
-        if pf > self._precision_fallbacks_seen:
-            self.tracer.event(
-                "autotune.precision_fallback", step=result.step, count=pf
-            )
-            m.counter("autotune.precision_fallback").inc(pf - self._precision_fallbacks_seen)
-            self._precision_fallbacks_seen = pf
         for mon in (*self.fluid.monitors.values(), *self.scalar.monitors.values()):
             record_solver_monitor(mon, m)
 

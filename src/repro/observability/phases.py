@@ -66,14 +66,11 @@ PHASES: tuple[str, ...] = (
 #: telemetry layer (``fleet.gs.local``, ``fleet.cg.amul``); ``anomaly.``
 #: are the instant events of the online detectors; ``flight.`` marks the
 #: flight-recorder lifecycle (arm, dump, divergence).  The ``verify.``
-#: family wraps the verification subsystem's convergence studies and
-#: cross-backend checks (``verify.study``, ``verify.case``,
-#: ``verify.equivalence``).  The ``chaos.`` family wraps the chaos-testing
-#: harness's scenario runs (``chaos.campaign``, ``chaos.scenario``).
-#: The ``cache.`` family marks operator-cache lifecycle events
-#: (``cache.build``) and the ``autotune.`` family the startup kernel
-#: autotuner (``autotune.sweep``, ``autotune.variant``,
-#: ``autotune.fallback``, ``autotune.precision_fallback``).
+#: family wraps the verification subsystem's convergence studies
+#: (``verify.study``, ``verify.case``).  The ``chaos.`` family wraps the
+#: chaos-testing harness's scenario runs (``chaos.campaign``,
+#: ``chaos.scenario``).  The ``cache.`` family marks operator-cache
+#: lifecycle events (``cache.build``).
 #: The ``topo.`` family carries the topology-aware gather--scatter's
 #: staged-exchange spans and per-rank DES timings (``topo.gs``,
 #: ``topo.compute``), and the ``scaling.`` family wraps the simulated
@@ -88,7 +85,6 @@ SPAN_PREFIXES: tuple[str, ...] = (
     "verify.",
     "chaos.",
     "cache.",
-    "autotune.",
     "topo.",
     "scaling.",
 )
@@ -112,7 +108,6 @@ METRIC_PREFIXES: tuple[str, ...] = (
     "verify.",
     "chaos.",
     "cache.",
-    "autotune.",
     "topo.",
     "scaling.",
 )

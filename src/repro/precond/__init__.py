@@ -30,7 +30,7 @@ from repro.precond.jacobi import JacobiPrecond, helmholtz_diagonal
 from repro.precond.fdm import FastDiagonalization
 from repro.precond.schwarz import SchwarzSmoother
 from repro.precond.coarse import CoarseGridSolver
-from repro.precond.hsmg import HybridSchwarzMultigrid, IterationGuard
+from repro.precond.hsmg import HybridSchwarzMultigrid
 
 __all__ = [
     "JacobiPrecond",
@@ -39,7 +39,6 @@ __all__ = [
     "SchwarzSmoother",
     "CoarseGridSolver",
     "HybridSchwarzMultigrid",
-    "IterationGuard",
     "CacheKey",
     "OperatorCache",
     "global_cache",

@@ -62,7 +62,7 @@ def array_signature(*arrays: np.ndarray) -> str:
     """
     h = hashlib.sha256()
     for a in arrays:
-        a = np.ascontiguousarray(a)  # statcheck: ignore[backend-purity] -- setup-time cache-key hashing
+        a = np.ascontiguousarray(a)
         h.update(str(a.dtype).encode())
         h.update(str(a.shape).encode())
         h.update(a.tobytes())

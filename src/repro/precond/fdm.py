@@ -152,14 +152,8 @@ class FastDiagonalization:
     overlapping Schwarz); otherwise on plain ``lx^3`` element arrays with
     zero Dirichlet ghost caps.
 
-    ``dtype=np.float32`` runs the local solves in single precision (the
-    NekRS mixed-precision smoother): residuals are cast down on entry and
-    the correction cast back up, so the outer Krylov arithmetic stays in
-    float64.  The eigen-setup is still computed in float64 and rounded
-    once, which keeps the f32 operator a faithful rounding of the f64 one.
-
     The ``(S, S^T, inv_d3)`` setup is a pure function of the mesh geometry
-    and ``(overlap, dtype)``, so it is shared through the process-wide
+    and ``overlap``, so it is shared through the process-wide
     :class:`~repro.precond.cache.OperatorCache` (``cache=None``); pass
     ``cache=False`` to force a private cold build.
     """
@@ -168,24 +162,18 @@ class FastDiagonalization:
         self,
         space: FunctionSpace,
         overlap: bool = False,
-        dtype: np.dtype | str | type = np.float64,
         cache: OperatorCache | bool | None = None,
     ) -> None:
         self.space = space
         self.overlap = overlap
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(f"unsupported FDM dtype: {self.dtype}")
-        key = CacheKey.for_space(space, f"fdm[overlap={overlap}]", self.dtype)
+        key = CacheKey.for_space(space, f"fdm[overlap={overlap}]")
         self.s, self.st, self.inv_d3 = resolve_cache(cache).get_or_build(
-            key, lambda: self._build(space, overlap, self.dtype)
+            key, lambda: self._build(space, overlap)
         )
         self._inv_counts: np.ndarray | None = None
 
     @staticmethod
-    def _build(
-        space: FunctionSpace, overlap: bool, dtype: np.dtype
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _build(space: FunctionSpace, overlap: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lx = space.lx
         s, lam, _ = extended_grid_operators(lx, overlap=overlap)
         lr, ls, lt = _element_lengths(space)
@@ -204,12 +192,8 @@ class FastDiagonalization:
             + mz[:, :, None, None] * ky[:, None, :, None] * mx[:, None, None, :]
             + mz[:, :, None, None] * my[:, None, :, None] * kx[:, None, None, :]
         )
-        inv_d3 = 1.0 / d3
-        return (
-            s.astype(dtype, copy=True),
-            np.ascontiguousarray(s.T).astype(dtype, copy=True),
-            inv_d3.astype(dtype, copy=True),
-        )
+        # ``s`` belongs to the lru-cached reference setup: hand out a copy.
+        return np.array(s), np.ascontiguousarray(s.T), 1.0 / d3
 
     def _tensor_apply(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
         nelv, lz, ly, lx = u.shape
@@ -220,11 +204,9 @@ class FastDiagonalization:
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Apply the batched local inverse to an elementwise residual."""
-        r = r.astype(self.dtype, copy=False)
         v = self._tensor_apply(r, self.st)
         v *= self.inv_d3
-        v = self._tensor_apply(v, self.s)
-        return v.astype(np.float64, copy=False)
+        return self._tensor_apply(v, self.s)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Preconditioner interface: local solves + counting-weighted average.

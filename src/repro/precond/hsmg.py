@@ -13,10 +13,6 @@ while :meth:`__call__` is the serial reference composition.
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.precond.cache import OperatorCache
@@ -27,63 +23,7 @@ from repro.sem.dealias import interp3, interp3_transpose
 from repro.sem.quadrature import gll_points_weights
 from repro.sem.space import FunctionSpace
 
-__all__ = ["HybridSchwarzMultigrid", "IterationGuard"]
-
-
-@dataclass
-class _Timing:
-    """Cumulative wall time spent in the two independent parts.
-
-    ``per_apply`` keeps only the most recent samples (bounded deque):
-    the preconditioner is applied once per Krylov iteration for the whole
-    run, and an unbounded list would grow without limit.
-    """
-
-    coarse: float = 0.0
-    schwarz: float = 0.0
-    applications: int = 0
-    per_apply: deque[tuple[float, float]] = field(
-        default_factory=lambda: deque(maxlen=1024)
-    )
-
-
-@dataclass
-class IterationGuard:
-    """Fallback guard for the mixed-precision smoother.
-
-    Watches the outer-solver iteration counts while the float32 smoother
-    is active.  The best count seen so far is the *reference*; a solve
-    whose count exceeds ``reference * (1 + band)`` scores a strike, and
-    ``patience`` consecutive strikes trip the guard (:meth:`observe`
-    returns ``True`` exactly once, at the trip).  A count back inside the
-    band resets the strikes.  Once tripped the guard stays tripped -- the
-    preconditioner rebuilds its smoothers in float64 and the guard only
-    records history from then on.
-    """
-
-    band: float = 0.2
-    patience: int = 3
-    reference: int | None = None
-    strikes: int = 0
-    tripped: bool = False
-    history: list[int] = field(default_factory=list)
-
-    def observe(self, iterations: int) -> bool:
-        """Record one solve's iteration count; ``True`` when the guard trips."""
-        n = int(iterations)
-        self.history.append(n)
-        if self.tripped:
-            return False
-        if self.reference is None or n < self.reference:
-            self.reference = n
-        if n > self.reference * (1.0 + self.band):
-            self.strikes += 1
-            if self.strikes >= self.patience:
-                self.tripped = True
-                return True
-        else:
-            self.strikes = 0
-        return False
+__all__ = ["HybridSchwarzMultigrid"]
 
 
 class HybridSchwarzMultigrid:
@@ -102,12 +42,6 @@ class HybridSchwarzMultigrid:
         Optional intermediate polynomial orders (``lx`` values) inserted
         between the fine level and the vertex space, each contributing an
         additional additive Schwarz term (the general k-level form).
-    smoother_dtype:
-        Precision of the Schwarz/FDM smoother solves.  ``np.float32``
-        activates the mixed-precision fast path with an
-        :class:`IterationGuard`: feed outer iteration counts to
-        :meth:`observe_iterations` and the preconditioner rebuilds its
-        smoothers in float64 when convergence regresses beyond the band.
     coarse_method:
         ``"direct"`` (cached sparse LU, the production default here) or
         ``"cg"`` (the paper's fixed-iteration configuration).
@@ -123,18 +57,12 @@ class HybridSchwarzMultigrid:
         coarse_iterations: int = 10,
         mid_orders: tuple[int, ...] = (),
         overlap: bool = False,
-        smoother_dtype: np.dtype | str | type = np.float64,
         coarse_method: str = "direct",
         cache: OperatorCache | bool | None = None,
-        guard_band: float = 0.2,
-        guard_patience: int = 3,
     ) -> None:
         self.space = space
         self.mask = mask
         self.overlap = overlap
-        self.smoother_dtype = np.dtype(smoother_dtype)
-        self._cache = cache
-        self._mid_orders = tuple(mid_orders)
         self.coarse = CoarseGridSolver(
             space,
             iterations=coarse_iterations,
@@ -142,24 +70,10 @@ class HybridSchwarzMultigrid:
             method=coarse_method,
             cache=cache,
         )
-        self._build_smoothers(self.smoother_dtype)
-        self.guard: IterationGuard | None = (
-            IterationGuard(band=guard_band, patience=guard_patience)
-            if self.smoother_dtype == np.dtype(np.float32)
-            else None
-        )
-
-        self.timing = _Timing()
-
-    def _build_smoothers(self, dtype: np.dtype) -> None:
-        """(Re)build the fine and mid-level smoothers at ``dtype``."""
-        space, mask, cache = self.space, self.mask, self._cache
-        self.schwarz = SchwarzSmoother(
-            space, mask=mask, overlap=self.overlap, dtype=dtype, cache=cache
-        )
+        self.schwarz = SchwarzSmoother(space, mask=mask, overlap=overlap, cache=cache)
         self.mid_levels: list[tuple[FunctionSpace, SchwarzSmoother, np.ndarray]] = []
         fine_pts, _ = gll_points_weights(space.lx)
-        for lxm in self._mid_orders:
+        for lxm in mid_orders:
             if not (2 < lxm < space.lx):
                 raise ValueError(
                     f"mid level lx={lxm} must satisfy 2 < lx < {space.lx}"
@@ -170,31 +84,12 @@ class HybridSchwarzMultigrid:
                 # Re-derive the mask on the mid space from the same labels is
                 # not possible here (labels are not stored); restrict by
                 # interpolating and thresholding instead.
-                # statcheck: ignore[backend-purity] -- constructor: levels built once per case
                 jm = lagrange_interpolation_matrix(np.asarray(mid_space.points), space.lx)
                 mid_mask = (interp3(mask, jm) > 0.999).astype(np.float64)
                 mid_mask = mid_space.gs.min(mid_mask)
-            smoother = SchwarzSmoother(mid_space, mask=mid_mask, dtype=dtype, cache=cache)
-            # statcheck: ignore[backend-purity] -- constructor: levels built once per case
+            smoother = SchwarzSmoother(mid_space, mask=mid_mask, cache=cache)
             j_m2f = lagrange_interpolation_matrix(np.asarray(fine_pts), lxm)
             self.mid_levels.append((mid_space, smoother, j_m2f))
-
-    def observe_iterations(self, iterations: int) -> bool:
-        """Feed one outer-solve iteration count to the mixed-precision guard.
-
-        Returns ``True`` exactly when this observation trips the guard, in
-        which case the smoothers have just been rebuilt in float64 (the
-        caller should log/export the ``autotune.precision_fallback``
-        event).  A float64 preconditioner has no guard and always returns
-        ``False``.
-        """
-        if self.guard is None:
-            return False
-        if self.guard.observe(iterations):
-            self.smoother_dtype = np.dtype(np.float64)
-            self._build_smoothers(self.smoother_dtype)
-            return True
-        return False
 
     # -- the two independent parts -----------------------------------------
 
@@ -214,22 +109,13 @@ class HybridSchwarzMultigrid:
         return z
 
     def apply_parts(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both parts, timed separately (they are data-independent).
+        """Both parts, ``(coarse, schwarz)`` (they are data-independent).
 
         This is the decomposition the overlapped schedule launches on two
         streams; here the parts run sequentially but their independence is
         what the DES-based Fig. 2 study exploits.
         """
-        t0 = time.perf_counter()
-        zc = self.coarse_part(r)
-        t1 = time.perf_counter()
-        zs = self.schwarz_part(r)
-        t2 = time.perf_counter()
-        self.timing.coarse += t1 - t0
-        self.timing.schwarz += t2 - t1
-        self.timing.applications += 1
-        self.timing.per_apply.append((t1 - t0, t2 - t1))
-        return zc, zs
+        return self.coarse_part(r), self.schwarz_part(r)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Serial composition ``z = coarse_part(r) + schwarz_part(r)``."""

@@ -47,9 +47,6 @@ class SchwarzSmoother:
         appropriate for the Poisson problem.
     overlap:
         Use the one-layer data overlap (see module docstring).
-    dtype:
-        Precision of the local FDM solves (``np.float32`` for the
-        mixed-precision smoother); the exchange and weighting stay float64.
     cache:
         Operator-cache handle forwarded to the FDM setup and used for the
         overlap counting weights (``None`` = process-wide cache).
@@ -61,15 +58,13 @@ class SchwarzSmoother:
         mask: np.ndarray | None = None,
         damping: float = 1.0,
         overlap: bool = False,
-        dtype: np.dtype | str | type = np.float64,
         cache: OperatorCache | bool | None = None,
     ) -> None:
         self.space = space
         self.mask = mask
         self.damping = damping
         self.overlap = overlap
-        self.dtype = np.dtype(dtype)
-        self.fdm = FastDiagonalization(space, overlap=overlap, dtype=dtype, cache=cache)
+        self.fdm = FastDiagonalization(space, overlap=overlap, cache=cache)
         # Counting weights: each unique dof receives the average of its
         # (possibly overlapping) local solutions.  With overlap, the count
         # includes the ghost-return contributions and is computed

@@ -97,7 +97,6 @@ def modal_transform_matrix(lx: int) -> np.ndarray:
     x, _ = gll_points_weights(lx)
     v = np.empty((lx, lx), dtype=np.float64)
     for j in range(lx):
-        # statcheck: ignore[backend-purity] -- Vandermonde assembled once per order
         v[:, j] = legendre_value(j, x) * np.sqrt((2 * j + 1) / 2.0)
     v.setflags(write=False)
     return v

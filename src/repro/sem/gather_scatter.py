@@ -54,10 +54,8 @@ def build_global_numbering(
         # *distinct* nodes can be; use a small fraction of it.
         spacing = np.inf
         for d in range(3):
-            # statcheck: ignore[backend-purity] -- numbering built once per space
             vals = np.unique(np.round(coords[:, d], decimals=12))
             if len(vals) > 1:
-                # statcheck: ignore[backend-purity] -- numbering built once per space
                 spacing = min(spacing, float(np.min(np.diff(vals))))
         if not np.isfinite(spacing):
             spacing = 1.0

@@ -232,8 +232,8 @@ def box_mesh(
                 if not mask[d]:
                     continue
                 hi = orig[d] + spans[d]
-                wrap = np.isclose(out[..., d], hi, rtol=0.0, atol=1e-10 * max(spans[d], 1.0))  # statcheck: ignore[backend-purity] -- mesh construction is setup-time
-                out[..., d] = np.where(wrap, orig[d], out[..., d])  # statcheck: ignore[backend-purity] -- mesh construction is setup-time
+                wrap = np.isclose(out[..., d], hi, rtol=0.0, atol=1e-10 * max(spans[d], 1.0))
+                out[..., d] = np.where(wrap, orig[d], out[..., d])
             return out
 
     return HexMesh(
@@ -267,7 +267,7 @@ def _butterfly_cross_section(
     # Central square block: bilinear quads.
     for j in range(n_square):
         for i in range(n_square):
-            c = np.empty((2, 2, 2))  # statcheck: ignore[backend-purity] -- mesh construction is setup-time
+            c = np.empty((2, 2, 2))
             for cs in range(2):
                 for cr in range(2):
                     c[cs, cr] = (a * u_sq[i + cr], a * u_sq[j + cs])
@@ -286,7 +286,7 @@ def _butterfly_cross_section(
     # Block b rotates the +x construction by b * 90 degrees.
     for b in range(4):
         ang = b * np.pi / 2.0
-        ca, sa = np.cos(ang), np.sin(ang)  # statcheck: ignore[backend-purity] -- mesh construction is setup-time
+        ca, sa = np.cos(ang), np.sin(ang)
 
         def square_edge(u: np.ndarray, ca: float = ca, sa: float = sa) -> tuple[np.ndarray, np.ndarray]:
             x0, y0 = a, a * u
@@ -294,7 +294,7 @@ def _butterfly_cross_section(
 
         def circle_edge(u: np.ndarray, ca: float = ca, sa: float = sa) -> tuple[np.ndarray, np.ndarray]:
             th = u * np.pi / 4.0
-            x0, y0 = radius * np.cos(th), radius * np.sin(th)  # statcheck: ignore[backend-purity] -- geometry closure evaluated at mesh build
+            x0, y0 = radius * np.cos(th), radius * np.sin(th)
             return ca * x0 - sa * y0, sa * x0 + ca * y0
 
         def layer_curve(u: np.ndarray, gl: float, ca: float = ca, sa: float = sa):
@@ -326,10 +326,10 @@ def _butterfly_cross_section(
                     w = (ss + 1.0) / 2.0
                     return (1.0 - w) * xi_ + w * xo_, (1.0 - w) * yi_ + w * yo_
 
-                c = np.empty((2, 2, 2))  # statcheck: ignore[backend-purity] -- mesh construction is setup-time
+                c = np.empty((2, 2, 2))
                 for cs, gl in ((0, g_in), (1, g_out)):
                     for cr, uu in ((0, u0), (1, u1)):
-                        xx, yy = layer_curve(np.asarray(uu), gl, ca, sa)  # statcheck: ignore[backend-purity] -- mesh construction is setup-time
+                        xx, yy = layer_curve(np.asarray(uu), gl, ca, sa)
                         c[cs, cr] = (float(xx), float(yy))
                 quads_corners.append(c)
                 quad_maps.append(qmap)
@@ -391,9 +391,9 @@ def cylinder_mesh(
                     xx, yy = qmap(rr, ss)
                     zz = z0 + (tt + 1.0) / 2.0 * (z1 - z0)
                     return (
-                        np.broadcast_to(xx, rr.shape).copy(),  # statcheck: ignore[backend-purity] -- geometry closure evaluated at mesh build
-                        np.broadcast_to(yy, rr.shape).copy(),  # statcheck: ignore[backend-purity] -- geometry closure evaluated at mesh build
-                        np.broadcast_to(zz, rr.shape).copy(),  # statcheck: ignore[backend-purity] -- geometry closure evaluated at mesh build
+                        np.broadcast_to(xx, rr.shape).copy(),
+                        np.broadcast_to(yy, rr.shape).copy(),
+                        np.broadcast_to(zz, rr.shape).copy(),
                     )
 
                 elem_maps[e] = emap

@@ -72,9 +72,7 @@ class FieldProbes:
         self.found = np.zeros(n, dtype=bool)
 
         for ip, p in enumerate(pts):
-            candidates = np.flatnonzero(  # statcheck: ignore[backend-purity] -- probe location runs once at setup
-                np.all((p >= lo) & (p <= hi), axis=1)  # statcheck: ignore[backend-purity] -- probe location runs once at setup
-            )
+            candidates = np.flatnonzero(np.all((p >= lo) & (p <= hi), axis=1))
             for e in candidates:
                 ok, rst = self._invert(int(e), p, newton_tol, ref_tol)
                 if ok:
@@ -92,9 +90,9 @@ class FieldProbes:
                 self._rows.append(None)
                 continue
             rr, ss, tt = self.rst[ip]
-            li = lagrange_interpolation_matrix(np.array([rr]), lx)[0]  # statcheck: ignore[backend-purity] -- probe location runs once at setup
-            lj = lagrange_interpolation_matrix(np.array([ss]), lx)[0]  # statcheck: ignore[backend-purity] -- probe location runs once at setup
-            lk = lagrange_interpolation_matrix(np.array([tt]), lx)[0]  # statcheck: ignore[backend-purity] -- probe location runs once at setup
+            li = lagrange_interpolation_matrix(np.array([rr]), lx)[0]
+            lj = lagrange_interpolation_matrix(np.array([ss]), lx)[0]
+            lk = lagrange_interpolation_matrix(np.array([tt]), lx)[0]
             self._rows.append((li, lj, lk))
         # Batched layout for evaluate(): stacked rows over the found probes,
         # so one einsum evaluates every probe (the per-probe Python loop was
@@ -154,16 +152,16 @@ class FieldProbes:
         for _ in range(25):
             pos, jac = self._geom_at(e, rst)
             res = pos - p
-            if np.abs(res).max() < newton_tol * scale:  # statcheck: ignore[backend-purity] -- Newton point inversion runs once at setup
+            if np.abs(res).max() < newton_tol * scale:
                 break
             try:
-                step = np.linalg.solve(jac, res)  # statcheck: ignore[backend-purity] -- Newton point inversion runs once at setup
+                step = np.linalg.solve(jac, res)
             except np.linalg.LinAlgError:
                 return False, rst
             # Damped to stay in the basin for curved elements.
-            step = np.clip(step, -0.5, 0.5)  # statcheck: ignore[backend-purity] -- Newton point inversion runs once at setup
+            step = np.clip(step, -0.5, 0.5)
             rst -= step
-            if np.abs(rst).max() > 2.0:  # statcheck: ignore[backend-purity] -- Newton point inversion runs once at setup
+            if np.abs(rst).max() > 2.0:
                 return False, rst
         else:
             return False, rst

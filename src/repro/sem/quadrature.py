@@ -91,7 +91,7 @@ def gll_points_weights(lx: int) -> tuple[np.ndarray, np.ndarray]:
             d2p = (2.0 * xi * dp - n * (n + 1) * p) / (1.0 - xi * xi)
             step = dp / d2p
             x[1:-1] -= step
-            if np.max(np.abs(step)) < 1e-15:  # statcheck: ignore[backend-purity] -- quadrature Newton runs once per order
+            if np.max(np.abs(step)) < 1e-15:
                 break
     x[0], x[-1] = -1.0, 1.0
     pn = legendre_value(n, x)

@@ -12,10 +12,9 @@ NekRS configuration (arXiv:2104.05829).
 The *flexible* (Polak--Ribiere) direction update
 ``beta = <z_new, r_new - r_old> / <z_old, r_old>`` keeps the iteration
 convergent when the preconditioner is only approximately a fixed symmetric
-operator: the float32 smoother (defect 1e-8 to 4e-7) and the fixed-iteration
-coarse CG (6e-6 to 8e-3) are both admissible.  The one-layer overlap
-smoother (1e-2 to 1.7e-1) and the raw FDM (5e-3 to 1.0) are not; they stay
-GMRES material (:mod:`repro.solvers.gmres`).
+operator: the fixed-iteration coarse CG (defect 6e-6 to 8e-3) is admissible.
+The one-layer overlap smoother (1e-2 to 1.7e-1) and the raw FDM (5e-3 to
+1.0) are not; they stay GMRES material (:mod:`repro.solvers.gmres`).
 
 The iteration stops on the recurrence residual and is closed by one
 evaluation of the true residual ``b - A x``; if that misses the target the

@@ -1,6 +1,6 @@
-"""Interprocedural analyzers built on the call graph + dataflow framework.
+"""Interprocedural analyzers built on the call graph.
 
-Three analyzers, each encoding a scaling invariant the ROADMAP's next
+Two analyzers, each encoding a scaling invariant the ROADMAP's next
 pushes depend on; see the individual modules for the rationale.
 """
 
@@ -9,20 +9,17 @@ from __future__ import annotations
 from repro.statcheck.analyzers.allocations import HotLoopAllocationAnalyzer
 from repro.statcheck.analyzers.base import Analyzer
 from repro.statcheck.analyzers.collectives import CollectiveOrderingAnalyzer
-from repro.statcheck.analyzers.precision import PrecisionFlowAnalyzer
 
 __all__ = [
     "ALL_ANALYZERS",
     "Analyzer",
     "CollectiveOrderingAnalyzer",
     "HotLoopAllocationAnalyzer",
-    "PrecisionFlowAnalyzer",
     "get_analyzers",
 ]
 
 #: CLI keyword -> analyzer class ("all" expands to every entry, in order).
 ALL_ANALYZERS: dict[str, type[Analyzer]] = {
-    "precision": PrecisionFlowAnalyzer,
     "collectives": CollectiveOrderingAnalyzer,
     "allocations": HotLoopAllocationAnalyzer,
 }

@@ -16,7 +16,6 @@ from repro.statcheck.baseline import Baseline, partition_findings
 from repro.statcheck.engine import check_project
 from repro.statcheck.finding import Severity
 from repro.statcheck.rules import ALL_RULES, get_rules
-from repro.statcheck.sarif import to_sarif
 
 __all__ = ["main", "build_parser"]
 
@@ -52,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="minimum severity of NEW findings that fails the run (default: warning)",
     )
     parser.add_argument(
-        "--format", default="text", choices=["text", "json", "sarif"],
+        "--format", default="text", choices=["text", "json"],
         help="output format (default: text)",
     )
     parser.add_argument(
@@ -108,10 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     failing = [f for f in new if f.severity >= threshold]
     advisory = [f for f in new if f.severity < threshold]
 
-    if args.format == "sarif":
-        json.dump(to_sarif(new, baselined, checks=[*rules, *analyzers]), out, indent=2)
-        print(file=out)
-    elif args.format == "json":
+    if args.format == "json":
         json.dump(
             {
                 "new": [f.to_json() for f in new],
@@ -146,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if failing:
         return 1
-    if advisory and args.format != "sarif":
+    if advisory:
         print(
             f"note: {len(advisory)} new finding(s) below the fail threshold",
             file=out,

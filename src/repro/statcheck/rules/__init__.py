@@ -1,6 +1,6 @@
 """The domain rule set.
 
-Five rules, each encoding an invariant the paper's claims rest on; see the
+Four rules, each encoding an invariant the paper's claims rest on; see the
 individual modules for the rationale.  :data:`ALL_RULES` is the default
 set the CLI runs; :func:`get_rules` resolves ``--select`` names.
 """
@@ -8,7 +8,6 @@ set the CLI runs; :func:`get_rules` resolves ``--select`` names.
 from __future__ import annotations
 
 from repro.statcheck.rules.api_hygiene import ApiHygieneRule
-from repro.statcheck.rules.backend_purity import BackendPurityRule
 from repro.statcheck.rules.base import Rule
 from repro.statcheck.rules.determinism import DeterminismRule
 from repro.statcheck.rules.resource_discipline import ResourceDisciplineRule
@@ -18,7 +17,6 @@ __all__ = [
     "Rule",
     "ALL_RULES",
     "get_rules",
-    "BackendPurityRule",
     "DeterminismRule",
     "SpanHygieneRule",
     "ResourceDisciplineRule",
@@ -26,7 +24,6 @@ __all__ = [
 ]
 
 ALL_RULES: tuple[type[Rule], ...] = (
-    BackendPurityRule,
     DeterminismRule,
     SpanHygieneRule,
     ResourceDisciplineRule,

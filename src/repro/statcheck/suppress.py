@@ -2,7 +2,7 @@
 
 Grammar (one comment per physical line)::
 
-    x = np.dot(a, b)  # statcheck: ignore[backend-purity] -- setup-time only
+    def f(x, acc=[]):  # statcheck: ignore[api-hygiene] -- shared accumulator is the point
     # statcheck: ignore[determinism, api-hygiene] -- reason for the next line
     y = roll()
     z = frob()  # statcheck: ignore -- silences every rule on this line

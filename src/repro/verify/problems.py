@@ -214,13 +214,12 @@ def make_preconditioner(
     ======================================  ==============
     additive Schwarz, symmetric weights     0 -- 1e-14
     HSMG, direct coarse solve (production)  5e-15
-    HSMG, float32 smoother                  1e-8 -- 4e-7
     HSMG, fixed-iteration coarse CG         6e-6 -- 8e-3
     HSMG / Schwarz, one-layer overlap       1e-2 -- 1.7e-1
     raw FDM                                 5e-3 -- 1.0
     ======================================  ==============
 
-    The first four rows are CG material -- the production pressure solve
+    The first three rows are CG material -- the production pressure solve
     runs flexible CG on the second (:mod:`repro.solvers.fcg`) -- and stay
     paired with GMRES here only because the pinned iteration bands in
     ``tests/precond`` were taken with it.

@@ -3,18 +3,41 @@
 CG needs a preconditioner that is symmetric positive definite in the
 solver's inner product.  With the symmetric counting weights the default
 hybrid Schwarz multigrid is, to rounding, on deformed elements and at every
-order; the float32 smoother keeps it to single-precision rounding.  The
-one-layer overlap variant and the raw (unweighted) FDM are *not* symmetric:
-they are pinned here as such so the documented defect table stays true and
-nobody pairs them with CG by accident.
+order -- and the production pairing, flexible CG behind it, converges there.
+The one-layer overlap variant and the raw (unweighted) FDM are *not*
+symmetric: they are pinned here as such so the documented defect table stays
+true and nobody pairs them with CG by accident.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.precond import FastDiagonalization, HybridSchwarzMultigrid
+from repro.sem.mesh import box_mesh
+from repro.sem.operators import ax_poisson
+from repro.sem.space import FunctionSpace
+from repro.solvers.fcg import FlexibleCG
 from repro.solvers.projection import MeanProjector
-from tests.precond.test_mixed_precision import deformed_space
+
+TOL = 1e-8
+
+
+def deformed_space(seed: int, lx: int, amplitude: float = 0.04) -> FunctionSpace:
+    mesh = box_mesh((2, 2, 2))
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(3, 3))
+    cc = mesh.corner_coords
+    x, y, z = cc[..., 0].copy(), cc[..., 1].copy(), cc[..., 2].copy()
+    for d in range(3):
+        cc[..., d] += (
+            amplitude
+            * np.sin(np.pi * x + phases[d, 0])
+            * np.sin(np.pi * y + phases[d, 1])
+            * np.sin(np.pi * z + phases[d, 2])
+        )
+    space = FunctionSpace(mesh, lx)
+    assert np.all(space.coef.jac > 0.0)
+    return space
 
 
 def symmetry_defects(precond, space, seed: int, pairs: int) -> tuple[list[float], list[float]]:
@@ -40,11 +63,37 @@ def symmetry_defects(precond, space, seed: int, pairs: int) -> tuple[list[float]
 @given(seed=st.integers(0, 2**31 - 1), p=st.integers(3, 8))
 def test_default_hsmg_is_symmetric_positive_definite(seed, p):
     space = deformed_space(seed, lx=p + 1)
-    for dtype, bound in (("float64", 1e-12), ("float32", 1e-6)):
-        precond = HybridSchwarzMultigrid(space, smoother_dtype=dtype, cache=False)
-        (defect,), (energy,) = symmetry_defects(precond, space, seed, pairs=1)
-        assert defect <= bound, f"p={p} {dtype}: symmetry defect {defect:.2e}"
-        assert energy > 0.0
+    precond = HybridSchwarzMultigrid(space, cache=False)
+    (defect,), (energy,) = symmetry_defects(precond, space, seed, pairs=1)
+    assert defect <= 1e-12, f"p={p}: symmetry defect {defect:.2e}"
+    assert energy > 0.0
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), p=st.integers(3, 8))
+def test_flexible_cg_with_default_hsmg_converges_on_deformed_boxes(seed, p):
+    """The production pressure pairing on a pure-Neumann Poisson problem."""
+    space = deformed_space(seed, lx=p + 1)
+
+    def amul(u: np.ndarray) -> np.ndarray:
+        return space.gs.add(ax_poisson(u, space.coef, space.dx))
+
+    project = MeanProjector.counting(space.gs)
+    solver = FlexibleCG(
+        amul,
+        space.gs.inv_multiplicity,
+        precond=HybridSchwarzMultigrid(space, cache=False),
+        tol=TOL,
+        maxiter=500,
+        project_out=project,
+    )
+    rng = np.random.default_rng(seed)
+    b = project(space.gs.add(space.coef.mass * rng.normal(size=space.shape)))
+    x, mon = solver.solve(b)
+    assert mon.converged
+    res = project(b - amul(x))
+    bnorm = float(np.sqrt(space.gs.dot(b, b)))
+    assert np.sqrt(max(space.gs.dot(res, res), 0.0)) <= 10.0 * TOL * bnorm
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)

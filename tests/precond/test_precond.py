@@ -287,15 +287,6 @@ class TestHSMG:
         z = hsmg(r)
         assert np.allclose(z, zc + zs, atol=1e-12)
 
-    def test_timing_recorded(self):
-        sp = FunctionSpace(box_mesh((2, 1, 1)), 4)
-        hsmg = HybridSchwarzMultigrid(sp)
-        r = sp.gs.add(np.ones(sp.shape))
-        hsmg(r)
-        assert hsmg.timing.applications == 1
-        assert hsmg.timing.coarse > 0
-        assert hsmg.timing.schwarz > 0
-
     def test_mid_level_ladder(self):
         sp = FunctionSpace(box_mesh((2, 2, 2)), 7)
         amul = assembled_poisson(sp)

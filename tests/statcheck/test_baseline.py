@@ -44,17 +44,17 @@ class TestRoundTrip:
         number -- so the baseline is built and re-checked against the same
         relative path under ``root=tmp_path``.
         """
-        src = FIXTURES / "src/repro/sem/purity_case.py"
-        copy = tmp_path / "src" / "repro" / "sem" / "purity_case.py"
+        src = FIXTURES / "src/repro/core/suppress_case.py"
+        copy = tmp_path / "src" / "repro" / "core" / "suppress_case.py"
         copy.parent.mkdir(parents=True)
         copy.write_text(src.read_text())
         baseline = Baseline.from_findings(
-            check_paths([copy], get_rules(["backend-purity"]), root=tmp_path)[0]
+            check_paths([copy], get_rules(["span-hygiene"]), root=tmp_path)[0]
         )
 
         copy.write_text("\n\n\n" + src.read_text())
-        drifted = check_paths([copy], get_rules(["backend-purity"]), root=tmp_path)[0]
-        assert [f.line for f in drifted] == [17, 18]  # moved by three lines
+        drifted = check_paths([copy], get_rules(["span-hygiene"]), root=tmp_path)[0]
+        assert [f.line for f in drifted] == [12, 14]  # moved by three lines
 
         new, baselined, stale = partition_findings(drifted, baseline)
         assert new == [] and len(baselined) == 2 and stale == []
@@ -64,19 +64,22 @@ class TestCountSemantics:
     def test_duplicated_violation_exceeds_allowance(self, tmp_path):
         """A second copy of a baselined line is NEW even though the
         fingerprint is known -- the gate is count-based."""
-        src = FIXTURES / "src/repro/sem/purity_case.py"
-        copy = tmp_path / "src" / "repro" / "sem" / "purity_case.py"
+        src = FIXTURES / "src/repro/core/suppress_case.py"
+        copy = tmp_path / "src" / "repro" / "core" / "suppress_case.py"
         copy.parent.mkdir(parents=True)
         text = src.read_text()
         copy.write_text(text)
         baseline = Baseline.from_findings(
-            check_paths([copy], get_rules(["backend-purity"]), root=tmp_path)[0]
+            check_paths([copy], get_rules(["span-hygiene"]), root=tmp_path)[0]
         )
 
-        dup = "        total += np.sum(f)  # finding 1: raw numpy reduction in a hot loop\n"
+        dup = (
+            '    with tracer.span("warmup_phase"):  # finding 1: not in the phase registry\n'
+            "        pass\n"
+        )
         assert dup in text
         copy.write_text(text.replace(dup, dup + dup))
-        findings = check_paths([copy], get_rules(["backend-purity"]), root=tmp_path)[0]
+        findings = check_paths([copy], get_rules(["span-hygiene"]), root=tmp_path)[0]
         assert len(findings) == 3
 
         new, baselined, stale = partition_findings(findings, baseline)

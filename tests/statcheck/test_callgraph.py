@@ -170,7 +170,7 @@ class TestFixtureTree:
     def test_analyzer_fixture_tree_builds_a_graph(self):
         project = Project.load([FIXTURES_A], root=FIXTURES_A)
         graph = project.callgraph
-        assert "repro.solvers.precision_case:narrow_plain" in graph.functions
+        assert "repro.solvers.alloc_case:alloc_in_loop" in graph.functions
         assert "repro.comm.collective_case:interproc_divergent" in graph.functions
         # The interprocedural edge the collectives analyzer splices through.
         assert "repro.comm.collective_case:_sum_then_sync" in _callee_names(

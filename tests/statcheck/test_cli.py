@@ -15,7 +15,7 @@ class TestExitCodes:
     def test_fixture_tree_without_baseline_fails(self, capsys):
         assert main([str(FIXTURES)]) == 1
         out = capsys.readouterr().out
-        assert "new" in out and "[backend-purity]" in out
+        assert "new" in out and "[span-hygiene]" in out
 
     def test_write_then_gate_is_clean(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
@@ -32,20 +32,20 @@ class TestExitCodes:
         baseline = tmp_path / "baseline.json"
         assert main([str(tree), "--baseline", str(baseline), "--write-baseline"]) == 0
 
-        target = tree / "src" / "repro" / "sem" / "purity_case.py"
+        target = tree / "src" / "repro" / "core" / "suppress_case.py"
         target.write_text(
             target.read_text()
-            + "\n\ndef fresh(fields):\n"
-            + "    for f in fields:\n"
-            + "        f += np.exp(f)\n"
+            + "\n\ndef fresh(tracer):\n"
+            + '    with tracer.span("fresh_phase"):\n'
+            + "        pass\n"
         )
         assert main([str(tree), "--baseline", str(baseline)]) == 1
         out = capsys.readouterr().out
-        assert "np.exp" in out and "1 new" in out
+        assert "fresh_phase" in out and "1 new" in out
 
     def test_fail_on_error_ignores_warnings(self, tmp_path):
-        src = FIXTURES / "src/repro/sem/purity_case.py"
-        # backend-purity findings are warnings: with --fail-on=error they
+        src = FIXTURES / "src/repro/core/suppress_case.py"
+        # span-hygiene findings are warnings: with --fail-on=error they
         # are advisory and the run passes.
         assert main([str(src), "--fail-on", "error"]) == 0
         assert main([str(src), "--fail-on", "warning"]) == 1
@@ -53,7 +53,7 @@ class TestExitCodes:
     def test_select_limits_rules(self, capsys):
         assert main([str(FIXTURES), "--select", "span-hygiene"]) == 1
         out = capsys.readouterr().out
-        assert "span-hygiene" in out and "backend-purity" not in out
+        assert "span-hygiene" in out and "api-hygiene" not in out
 
     def test_unknown_rule_is_usage_error(self, capsys):
         assert main([str(FIXTURES), "--select", "bogus"]) == 2
@@ -69,24 +69,22 @@ class TestAnalysisFlag:
     def test_analysis_all_runs_every_analyzer(self, capsys):
         assert main([str(FIXTURES_A), "--analysis", "all"]) == 1
         out = capsys.readouterr().out
-        for name in ("precision-flow", "collective-ordering", "hot-loop-allocation"):
+        for name in ("collective-ordering", "hot-loop-allocation"):
             assert f"[{name}]" in out
 
     def test_single_analyzer_selection(self, capsys):
-        assert main([str(FIXTURES_A), "--analysis", "precision"]) == 1
+        assert main([str(FIXTURES_A), "--analysis", "allocations"]) == 1
         out = capsys.readouterr().out
-        assert "[precision-flow]" in out
+        assert "[hot-loop-allocation]" in out
         assert "[collective-ordering]" not in out
-        assert "[hot-loop-allocation]" not in out
 
     def test_analysis_is_repeatable(self, capsys):
         assert main(
-            [str(FIXTURES_A), "--analysis", "precision", "--analysis", "collectives"]
+            [str(FIXTURES_A), "--analysis", "allocations", "--analysis", "collectives"]
         ) == 1
         out = capsys.readouterr().out
-        assert "[precision-flow]" in out
+        assert "[hot-loop-allocation]" in out
         assert "[collective-ordering]" in out
-        assert "[hot-loop-allocation]" not in out
 
     def test_analyzer_findings_respect_the_baseline_gate(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
@@ -113,7 +111,6 @@ class TestOutput:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in (
-            "backend-purity",
             "determinism",
             "span-hygiene",
             "resource-discipline",
@@ -124,7 +121,7 @@ class TestOutput:
     def test_list_rules_includes_analyzers(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for name in ("precision-flow", "collective-ordering", "hot-loop-allocation"):
+        for name in ("collective-ordering", "hot-loop-allocation"):
             assert name in out
 
     def test_stale_note_printed(self, tmp_path, capsys):
@@ -158,7 +155,7 @@ class TestMeta:
         assert main([str(REPO_ROOT / "src" / "repro" / "statcheck")]) == 0
 
     def test_src_tree_is_gate_clean_under_full_analysis(self, capsys, monkeypatch):
-        # The acceptance criterion: rules AND all three interprocedural
+        # The acceptance criterion: rules AND both interprocedural
         # analyzers pass on HEAD with the committed (empty) baseline.
         monkeypatch.chdir(REPO_ROOT)
         baseline = REPO_ROOT / "statcheck_baseline.json"

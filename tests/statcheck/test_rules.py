@@ -1,8 +1,8 @@
 """Per-rule behaviour of the statcheck linter, driven by committed fixtures.
 
 The fixture tree mirrors the ``src/repro/<pkg>/`` layout so package-scoped
-rules (backend-purity, resource-discipline) apply to fixture modules the
-same way they apply to the real tree.
+rules (resource-discipline) apply to fixture modules the same way they
+apply to the real tree.
 """
 
 from pathlib import Path
@@ -17,20 +17,6 @@ def run_rule(name, path):
     findings, errors = check_paths([path], get_rules([name]))
     assert errors == []
     return findings
-
-
-class TestBackendPurity:
-    def test_flags_numpy_calls_in_loops(self):
-        findings = run_rule("backend-purity", FIXTURES / "src/repro/sem/purity_case.py")
-        assert [f.line for f in findings] == [14, 15]
-        assert all(f.rule == "backend-purity" for f in findings)
-        assert all(f.severity == Severity.WARNING for f in findings)
-        assert "np.sum" in findings[0].message
-
-    def test_does_not_apply_outside_kernel_packages(self):
-        # Same source, but the module resolves to repro.core.* -- no findings.
-        findings = run_rule("backend-purity", FIXTURES / "src/repro/core")
-        assert findings == []
 
 
 class TestDeterminism:
@@ -124,10 +110,9 @@ class TestEngine:
             per_rule[f.rule] = per_rule.get(f.rule, 0) + 1
         assert per_rule == {
             "api-hygiene": 5,
-            "backend-purity": 2,
             "determinism": 3,
             "resource-discipline": 2,
-            "span-hygiene": 1,
+            "span-hygiene": 3,
         }
         # Stable ordering: sorted by (path, line, col, rule).
         keys = [(f.path, f.line, f.col, f.rule) for f in findings]

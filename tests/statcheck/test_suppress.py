@@ -10,10 +10,10 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 class TestGrammar:
     def test_trailing_comment_suppresses_own_line(self):
-        sup = parse_suppressions(["x = 1  # statcheck: ignore[backend-purity]"])
-        assert sup.is_suppressed(1, "backend-purity")
+        sup = parse_suppressions(["x = 1  # statcheck: ignore[span-hygiene]"])
+        assert sup.is_suppressed(1, "span-hygiene")
         assert not sup.is_suppressed(1, "determinism")
-        assert not sup.is_suppressed(2, "backend-purity")
+        assert not sup.is_suppressed(2, "span-hygiene")
 
     def test_multiple_rules_and_reason(self):
         sup = parse_suppressions(
@@ -21,11 +21,11 @@ class TestGrammar:
         )
         assert sup.is_suppressed(1, "determinism")
         assert sup.is_suppressed(1, "api-hygiene")
-        assert not sup.is_suppressed(1, "backend-purity")
+        assert not sup.is_suppressed(1, "span-hygiene")
 
     def test_bare_ignore_suppresses_all_rules(self):
         sup = parse_suppressions(["z = 3  # statcheck: ignore"])
-        assert sup.is_suppressed(1, "backend-purity")
+        assert sup.is_suppressed(1, "span-hygiene")
         assert sup.is_suppressed(1, "anything-at-all")
 
     def test_standalone_comment_forwards_to_next_code_line(self):
@@ -42,34 +42,33 @@ class TestGrammar:
 
     def test_unrelated_comments_do_not_suppress(self):
         sup = parse_suppressions(["x = 1  # just a comment", "y = 2"])
-        assert not sup.is_suppressed(1, "backend-purity")
-        assert not sup.is_suppressed(2, "backend-purity")
+        assert not sup.is_suppressed(1, "span-hygiene")
+        assert not sup.is_suppressed(2, "span-hygiene")
 
 
 class TestEngineIntegration:
     def test_suppressed_fixture_line_not_reported(self):
-        path = FIXTURES / "src/repro/sem/purity_case.py"
-        findings, errors = check_paths([path], get_rules(["backend-purity"]))
+        path = FIXTURES / "src/repro/core/suppress_case.py"
+        findings, errors = check_paths([path], get_rules(["span-hygiene"]))
         assert errors == []
-        # Line 16 (np.multiply in the loop) carries an ignore; lines 14-15 do not.
-        assert [f.line for f in findings] == [14, 15]
+        # Line 13 (the third unregistered span) carries an ignore; lines 9 and 11 do not.
+        assert [f.line for f in findings] == [9, 11]
 
     def test_suppression_is_rule_scoped(self, tmp_path):
-        mod = tmp_path / "src" / "repro" / "sem" / "scoped.py"
+        mod = tmp_path / "src" / "repro" / "core" / "scoped.py"
         mod.parent.mkdir(parents=True)
         mod.write_text(
-            "import numpy as np\n"
             "import time\n"
-            "def f(xs):\n"
-            "    for x in xs:\n"
-            "        t = time.time()  # statcheck: ignore[backend-purity] -- wrong rule\n"
-            "        s = np.sum(x)  # statcheck: ignore[backend-purity] -- right rule\n"
-            "    return s, t\n"
+            "def f(tracer):\n"
+            "    t = time.time()  # statcheck: ignore[span-hygiene] -- wrong rule\n"
+            "    with tracer.span('made_up'):  # statcheck: ignore[span-hygiene] -- right rule\n"
+            "        pass\n"
+            "    return t\n"
         )
         findings, _ = check_paths([mod], get_rules(None))
         rules = sorted(f.rule for f in findings)
         # The determinism finding survives its mis-scoped ignore; the
-        # backend-purity finding on the np.sum line is suppressed.
+        # span-hygiene finding on the span line is suppressed.
         assert rules == ["determinism"]
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from repro.verify import cli
 from repro.verify.convergence import ConvergenceStudy, StudyResult
-from repro.verify.equivalence import EquivalenceResult, cross_backend_check
 from repro.verify.report import VerificationReport
 
 
@@ -27,47 +26,21 @@ def synthetic_study(passed: bool) -> StudyResult:
     )
 
 
-def synthetic_equivalence(passed: bool) -> EquivalenceResult:
-    return EquivalenceResult(
-        chain="ax_poisson",
-        backends=("cpu", "simgpu"),
-        max_divergence=0.0 if passed else 1e-3,
-        tolerance=1e-12,
-        passed=passed,
-    )
-
-
 class TestVerificationReport:
     def test_passed_requires_every_component(self):
-        ok = VerificationReport(
-            studies=[synthetic_study(True)], equivalence=[synthetic_equivalence(True)]
-        )
-        assert ok.passed
-        bad_study = VerificationReport(
-            studies=[synthetic_study(False)], equivalence=[synthetic_equivalence(True)]
-        )
-        assert not bad_study.passed
-        bad_equiv = VerificationReport(
-            studies=[synthetic_study(True)], equivalence=[synthetic_equivalence(False)]
-        )
-        assert not bad_equiv.passed
+        assert VerificationReport(studies=[synthetic_study(True)]).passed
+        mixed = VerificationReport(studies=[synthetic_study(True), synthetic_study(False)])
+        assert not mixed.passed
 
     def test_json_round_trip(self):
-        report = VerificationReport(
-            studies=[synthetic_study(True)],
-            equivalence=[synthetic_equivalence(True)],
-            extra={"suite": "quick"},
-        )
+        report = VerificationReport(studies=[synthetic_study(True)], extra={"suite": "quick"})
         rec = json.loads(report.to_json())
         assert rec["passed"] is True
         assert rec["studies"][0]["observed_rate"] == 2.0
-        assert rec["equivalence"][0]["chain"] == "ax_poisson"
         assert rec["extra"] == {"suite": "quick"}
 
     def test_text_table_contains_verdicts(self):
-        report = VerificationReport(
-            studies=[synthetic_study(True)], equivalence=[synthetic_equivalence(False)]
-        )
+        report = VerificationReport(studies=[synthetic_study(True), synthetic_study(False)])
         table = report.text_table()
         assert "synthetic" in table
         assert "PASS" in table and "FAIL" in table
@@ -75,13 +48,10 @@ class TestVerificationReport:
 
 
 def tiny_report(quick: bool = True, tracer=None) -> VerificationReport:
-    """A real-but-small suite: one synthetic study + one real equivalence chain."""
+    """A real-but-small suite: one study on a closed-form error."""
     study = ConvergenceStudy("tiny-h", lambda h: 0.1 * h**2, kind="h", tracer=tracer)
     report = VerificationReport()
     report.studies.append(study.run([0.5, 0.25], expected_rate=1.8))
-    report.equivalence = cross_backend_check(
-        backends=("cpu", "simgpu"), chains=("gs_add",), lx=4, tracer=tracer
-    )
     return report
 
 
@@ -109,7 +79,7 @@ class TestCli:
         """verify.* spans must be in the phase registry (span hygiene)."""
         from repro.observability.phases import is_registered_metric, is_registered_span
 
-        for name in ("verify.study", "verify.case", "verify.equivalence"):
+        for name in ("verify.study", "verify.case"):
             assert is_registered_span(name)
         assert is_registered_metric("verify.studies_passed")
 
@@ -121,7 +91,6 @@ class TestCli:
         names = [s.name for s in tracer.walk()]
         assert "verify.study" in names
         assert "verify.case" in names
-        assert "verify.equivalence" in names
 
 
 @pytest.mark.parametrize("flag", ["--quick"])
