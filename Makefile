@@ -14,8 +14,8 @@ ruff:
 mypy:
 	mypy --strict -p repro.solvers -p repro.timeint
 
-# The full gate: per-module rules plus both interprocedural
-# analyzers, against the committed (empty) baseline.
+# The full gate: per-module rules plus the one interprocedural
+# analyzer (hot-loop-allocation), against the committed (empty) baseline.
 statcheck:
 	$(PYTHON) -m repro.statcheck src/ --analysis all --baseline statcheck_baseline.json
 

@@ -6,15 +6,15 @@ around ``world4_dist_cg``'s 4 ranks.  :class:`BatchedWorld` is the same
 world refactored for scale: per-rank state lives in stacked arrays, a
 whole exchange round is one vectorized accounting pass
 (:meth:`exchange_batched` / :meth:`TrafficStats.record_p2p_batch`), and
-every round is appended to a :class:`~repro.comm.costmodel.CommRound`
-log the DES cost model prices afterwards.  That is what lets the Fig. 3
+every round is returned as a :class:`~repro.comm.costmodel.CommRound`
+the DES cost model prices afterwards.  That is what lets the Fig. 3
 campaign sweep O(10^3..10^4) simulated ranks in seconds.
 
 **The per-rank API survives via thin adapters.**  ``BatchedWorld`` *is a*
 ``SimWorld``: the dict-based :meth:`exchange`, :meth:`gather`,
-:meth:`barrier` and the allreduces all still work, fleet telemetry
-attaches the same way, and the moment a fault injector or a retry policy
-is armed the exchange falls back to the inherited per-message path --
+:meth:`barrier` and the allreduces all still work, and the moment a
+fault injector or a retry policy is armed the exchange falls back to the
+inherited per-message path --
 bit-for-bit the legacy channel, because fault outcomes depend on the
 injector's per-message RNG/counter sequence and only the original
 delivery loop reproduces it.  The vectorized fast path is taken exactly
@@ -39,12 +39,6 @@ __all__ = ["BatchedWorld"]
 class BatchedWorld(SimWorld):
     """A :class:`SimWorld` whose hot paths are batched index operations."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: Chronological log of batched exchange rounds, consumed by
-        #: :class:`~repro.comm.costmodel.CommCostModel`.
-        self.comm_log: list[CommRound] = []
-
     # -- batched primitives -----------------------------------------------------
 
     def exchange_batched(
@@ -58,9 +52,9 @@ class BatchedWorld(SimWorld):
 
         The round's payloads are computed analytically by the caller (the
         batched gather--scatter assembles results with ``reduceat``, not
-        by moving buffers), so this is traffic accounting plus cost-model
-        logging: validation, :meth:`TrafficStats.record_p2p_batch`, one
-        :class:`CommRound` appended to :attr:`comm_log`.
+        by moving buffers), so this is traffic accounting for the cost
+        model: validation, :meth:`TrafficStats.record_p2p_batch`, and the
+        wire messages returned as one :class:`CommRound`.
 
         Count-only rounds cannot pass through the fault injector or the
         reliable channel (there is no per-message buffer to drop or
@@ -90,9 +84,7 @@ class BatchedWorld(SimWorld):
         if not wire.all():
             src, dst, nbytes = src[wire], dst[wire], nbytes[wire]
         self.stats.record_p2p_batch(src, dst, nbytes)
-        round_ = CommRound(phase, src, dst, nbytes)
-        self.comm_log.append(round_)
-        return round_
+        return CommRound(phase, src, dst, nbytes)
 
     # -- per-rank adapter -------------------------------------------------------
 
@@ -105,7 +97,7 @@ class BatchedWorld(SimWorld):
         inherited per-message loop, whose delivery order drives the
         injector's RNG/counter stream -- the fallback is what keeps
         injected-fault outcomes bit-identical to the legacy world.  The
-        fault-free path batches the accounting and logs a comm round.
+        fault-free path batches the accounting.
         """
         if self.fault_injector is not None or self.retry is not None:
             return super().exchange(sends)

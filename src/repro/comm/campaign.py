@@ -267,36 +267,29 @@ class ScalingCampaign:
     # -- fleet analytics at one representative point ----------------------------
 
     def fleet_snapshot(self, n_ranks: int):
-        """Per-rank DES telemetry of one step at one rank count.
+        """Per-rank DES imbalance of one step at one rank count.
 
-        Replays the step's per-rank busy times into a
-        :class:`~repro.observability.fleet.rank.FleetTelemetry` (with a
-        frozen injected clock, so the artifact is deterministic) and
-        returns ``(fleet, imbalance_report)`` -- the Fig. 4-style straggler
-        view of the simulated campaign, plus a mergeable Chrome trace.
+        Hands the step's per-rank busy times (compute, gather--scatter,
+        allreduce) to :func:`~repro.observability.fleet.imbalance.analyze_totals`
+        and returns its report -- the Fig. 4-style straggler view of the
+        simulated campaign.
         """
-        from repro.observability.fleet.rank import FleetTelemetry
+        from repro.observability.fleet.imbalance import analyze_totals
 
-        world, gs, cost = self.build_point(n_ranks)
-        compute = self._rank_compute_us(gs, n_ranks)
-        n_gs = self.gs_per_step()
-        gs_busy = cost.rank_log_us(gs.rounds("topology"), n_ranks) * n_gs
-        red_busy = self.allreduces_per_step() * cost.allreduce_us(n_ranks)
-        fleet = FleetTelemetry(n_ranks, clock=lambda: 0.0)
-        for r in range(n_ranks):
-            rt = fleet[r]
-            rt.record_span("topo.compute", compute[r] * 1e-6, cat="scaling")
-            rt.record_span(
-                "topo.gs",
-                gs_busy[r] * 1e-6,
-                counters={"shared_entries": float(gs.rank_shared_entries()[r])},
-                cat="scaling",
-            )
-            rt.record_span("topo.allreduce", red_busy * 1e-6, cat="scaling")
-        # One dssum replay fills the world's traffic stats for the gauges.
-        gs.add(np.zeros(self.field_shape), algorithm="topology")
-        fleet.publish_traffic(world)
-        return fleet, fleet.imbalance()
+        _world, gs, cost = self.build_point(n_ranks)
+        compute_s = self._rank_compute_us(gs, n_ranks) * 1e-6
+        gs_s = cost.rank_log_us(gs.rounds("topology"), n_ranks) * self.gs_per_step() * 1e-6
+        allreduce_s = self.allreduces_per_step() * cost.allreduce_us(n_ranks) * 1e-6
+        return analyze_totals(
+            {
+                r: {
+                    "topo.compute": compute_s[r],
+                    "topo.gs": gs_s[r],
+                    "topo.allreduce": allreduce_s,
+                }
+                for r in range(n_ranks)
+            }
+        )
 
 
 def fig3_scaling_report(
@@ -412,7 +405,7 @@ def main(argv=None) -> int:
     parser.add_argument("--lx", type=int, default=8, help="points per element edge")
     parser.add_argument(
         "--fleet-ranks", type=int, default=64,
-        help="rank count for the per-rank fleet snapshot (0 disables)",
+        help="rank count for the per-rank imbalance table (0 disables)",
     )
     args = parser.parse_args(argv)
 
@@ -448,11 +441,8 @@ def main(argv=None) -> int:
 
     if args.fleet_ranks:
         campaign = ScalingCampaign(MACHINES["lumi"], shape=shape, lx=args.lx)
-        fleet, imbalance = campaign.fleet_snapshot(args.fleet_ranks)
+        imbalance = campaign.fleet_snapshot(args.fleet_ranks)
         (out_dir / "fig3_fleet_imbalance.txt").write_text(imbalance.render() + "\n")
-        (out_dir / "fig3_fleet_trace.json").write_text(
-            json.dumps(fleet.merge_traces()) + "\n"
-        )
         print()
         print(imbalance.render())
 

@@ -16,15 +16,9 @@ be asserted on and fed to the performance model.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, ContextManager
-
 import numpy as np
 
 from repro.comm.simworld import SimWorld
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.observability.fleet.rank import FleetTelemetry
 
 __all__ = ["DistributedGatherScatter"]
 
@@ -51,11 +45,8 @@ class DistributedGatherScatter:
         owner: np.ndarray,
         shape: tuple[int, ...],
         world: SimWorld,
-        fleet: "FleetTelemetry | None" = None,
     ) -> None:
         self.world = world
-        # Per-rank telemetry; also settable via FleetTelemetry.attach(dgs).
-        self.fleet = fleet
         self.shape = tuple(shape)
         nelv = self.shape[0]
         pts = int(np.prod(self.shape[1:]))
@@ -139,13 +130,6 @@ class DistributedGatherScatter:
             out[self.rank_elements[r]] = chunk
         return out
 
-    def _rank_span(self, rank: int, name: str, **tags) -> "ContextManager":
-        """A per-rank fleet span, or a no-op when no fleet is attached."""
-        fleet = self.fleet
-        if fleet is None:
-            return nullcontext()
-        return fleet[rank].span(name, **tags)
-
     # -- the operation -----------------------------------------------------------
 
     def add(self, chunks: list[np.ndarray], algorithm: str = "two_phase") -> list[np.ndarray]:
@@ -176,16 +160,15 @@ class DistributedGatherScatter:
             slots = self.rank_shared_slots[r]
             if len(slots) == 0:
                 continue
-            with self._rank_span(r, "fleet.gs.pack", cat="gs"):
-                gids = self.local_unique[r][slots]
-                vals = local_sums[r][slots]
-                by_owner: dict[int, list[tuple[int, float]]] = {}
-                for g, v in zip(gids, vals):
-                    o = self.shared_owner[int(g)]
-                    by_owner.setdefault(o, []).append((int(g), float(v)))
-                for o, pairs in by_owner.items():
-                    arr = np.array(pairs, dtype=np.float64)
-                    sends[(r, o)] = arr
+            gids = self.local_unique[r][slots]
+            vals = local_sums[r][slots]
+            by_owner: dict[int, list[tuple[int, float]]] = {}
+            for g, v in zip(gids, vals):
+                o = self.shared_owner[int(g)]
+                by_owner.setdefault(o, []).append((int(g), float(v)))
+            for o, pairs in by_owner.items():
+                arr = np.array(pairs, dtype=np.float64)
+                sends[(r, o)] = arr
         delivered = world.exchange(sends)
 
         # Owners reduce in rank order (deterministic), then send results back.
@@ -208,29 +191,24 @@ class DistributedGatherScatter:
         # Install the reduced shared values.
         out_chunks = []
         for r in range(world.size):
-            with self._rank_span(r, "fleet.gs.unpack", cat="gs"):
-                s = local_sums[r]
-                slot_of = {int(g): i for i, g in enumerate(self.local_unique[r])}
-                for (o, dst), arr in delivered_back.items():
-                    if dst != r:
-                        continue
-                    for g, v in arr:
-                        s[slot_of[int(g)]] = v
-                out = s[self.local_ids[r]].reshape(chunks[r].shape)
-            out_chunks.append(out)
+            s = local_sums[r]
+            slot_of = {int(g): i for i, g in enumerate(self.local_unique[r])}
+            for (o, dst), arr in delivered_back.items():
+                if dst != r:
+                    continue
+                for g, v in arr:
+                    s[slot_of[int(g)]] = v
+            out_chunks.append(s[self.local_ids[r]].reshape(chunks[r].shape))
         return out_chunks
 
     def _local_sums(self, chunks: list[np.ndarray]) -> list[np.ndarray]:
-        out = []
-        for r, chunk in enumerate(chunks):
-            with self._rank_span(r, "fleet.gs.local", cat="gs"):
-                out.append(
-                    np.bincount(
-                        self.local_ids[r], weights=chunk.reshape(-1),
-                        minlength=len(self.local_unique[r]),
-                    )
-                )
-        return out
+        return [
+            np.bincount(
+                self.local_ids[r], weights=chunk.reshape(-1),
+                minlength=len(self.local_unique[r]),
+            )
+            for r, chunk in enumerate(chunks)
+        ]
 
     def _add_one_sided(self, chunks: list[np.ndarray]) -> list[np.ndarray]:
         """One-round PUT-style shared phase (symmetric all-to-all of holders)."""

@@ -13,18 +13,12 @@ exchange per CG iteration -- exactly what ``SEMWorkModel`` budgets).
 from __future__ import annotations
 
 from collections.abc import Callable
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, ContextManager
 
 import numpy as np
 
 from repro.comm.distributed_gs import DistributedGatherScatter
 from repro.comm.simworld import SimWorld
 from repro.solvers.monitor import SolverMonitor
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.observability.fleet.anomaly import AnomalyMonitor
-    from repro.observability.fleet.rank import FleetTelemetry
 
 __all__ = ["DistributedConjugateGradient"]
 
@@ -56,8 +50,6 @@ class DistributedConjugateGradient:
         precond_diag: list[np.ndarray] | None = None,
         tol: float = 1e-8,
         maxiter: int = 500,
-        fleet: "FleetTelemetry | None" = None,
-        anomalies: "AnomalyMonitor | None" = None,
     ) -> None:
         self.local_amul = local_amul
         self.dgs = dgs
@@ -66,26 +58,11 @@ class DistributedConjugateGradient:
         self.precond_diag = precond_diag
         self.tol = tol
         self.maxiter = maxiter
-        # Per-rank telemetry and online iteration-count anomaly detection;
-        # both optional and free when absent.
-        self.fleet = fleet
-        self.anomalies = anomalies
-        self._solves = 0
 
     # -- distributed primitives --------------------------------------------
 
-    def _rank_span(self, rank: int, name: str, **tags) -> "ContextManager":
-        fleet = self.fleet
-        if fleet is None:
-            return nullcontext()
-        return fleet[rank].span(name, **tags)
-
     def _amul(self, chunks: list[np.ndarray]) -> list[np.ndarray]:
-        local = []
-        for r, c in enumerate(chunks):
-            with self._rank_span(r, "fleet.cg.amul", cat="cg"):
-                local.append(self.local_amul(r, c))
-        out = self.dgs.add(local)
+        out = self.dgs.add([self.local_amul(r, c) for r, c in enumerate(chunks)])
         if self.local_mask is not None:
             out = [o * m for o, m in zip(out, self.local_mask)]
         return out
@@ -128,7 +105,6 @@ class DistributedConjugateGradient:
         rho = self.dgs.dot(r, z)
         rnorm = float(np.sqrt(max(self.dgs.dot(r, r), 0.0)))
         if mon.start(rnorm):
-            self._record_solve(mon)
             return x, mon
         p = [c.copy() for c in z]
 
@@ -157,17 +133,4 @@ class DistributedConjugateGradient:
             for zr, pr in zip(z, p):
                 pr *= beta
                 pr += zr
-        self._record_solve(mon)
         return x, mon
-
-    def _record_solve(self, mon: SolverMonitor) -> None:
-        """Feed one finished solve to the fleet metrics and anomaly sink."""
-        self._solves += 1
-        if self.fleet is not None:
-            for rt in self.fleet:
-                rt.metrics.counter("fleet.cg.solves").inc()
-                rt.metrics.histogram("fleet.cg.iterations").record(float(mon.iterations))
-        if self.anomalies is not None:
-            self.anomalies.observe(
-                "krylov.dist-cg.iterations", float(mon.iterations), step=self._solves
-            )

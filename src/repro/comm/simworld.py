@@ -34,7 +34,7 @@ merely suffering them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -46,8 +46,7 @@ from repro.comm.reliable import (
     payload_checksum,
 )
 
-if TYPE_CHECKING:  # avoid runtime repro.resilience / observability dependencies
-    from repro.observability.fleet.rank import FleetTelemetry
+if TYPE_CHECKING:  # avoid a runtime repro.resilience dependency
     from repro.resilience.faults import FaultInjector
 
 __all__ = ["SimWorld", "TrafficStats"]
@@ -55,14 +54,11 @@ __all__ = ["SimWorld", "TrafficStats"]
 
 @dataclass
 class TrafficStats:
-    """Counters of simulated network traffic.
+    """World-total counters of simulated network traffic.
 
-    World totals plus per-rank send/receive accounting: the imbalance
-    analytics (:mod:`repro.observability.fleet.imbalance`) need to know
-    *which* rank moved the bytes, not just that the world did -- a
-    partition that concentrates shared faces on one rank shows up here
-    first.  The per-rank dicts are keyed by rank id and only hold ranks
-    that actually communicated.
+    *Which* rank moved the bytes is the business of the
+    :class:`~repro.comm.costmodel.CommRound` edge arrays, which
+    :class:`~repro.comm.costmodel.CommCostModel` prices per rank.
     """
 
     allreduce_calls: int = 0
@@ -78,19 +74,11 @@ class TrafficStats:
     duplicates: int = 0
     timeouts: int = 0
     integrity_failures: int = 0
-    sent_messages: dict[int, int] = field(default_factory=dict)
-    sent_bytes: dict[int, int] = field(default_factory=dict)
-    recv_messages: dict[int, int] = field(default_factory=dict)
-    recv_bytes: dict[int, int] = field(default_factory=dict)
 
     def record_p2p(self, src: int, dst: int, nbytes: int) -> None:
-        """Count one point-to-point message in both world and rank views."""
+        """Count one point-to-point message."""
         self.p2p_messages += 1
         self.p2p_bytes += nbytes
-        self.sent_messages[src] = self.sent_messages.get(src, 0) + 1
-        self.sent_bytes[src] = self.sent_bytes.get(src, 0) + nbytes
-        self.recv_messages[dst] = self.recv_messages.get(dst, 0) + 1
-        self.recv_bytes[dst] = self.recv_bytes.get(dst, 0) + nbytes
 
     def record_p2p_batch(
         self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray
@@ -99,11 +87,7 @@ class TrafficStats:
 
         Vectorized equivalent of calling :meth:`record_p2p` per message
         (self-messages ``src == dst`` are skipped, matching
-        :meth:`SimWorld.exchange`); byte weights go through ``bincount``,
-        which is exact for integer byte counts below 2**53.  This is what
-        keeps per-rank accounting O(messages) instead of O(ranks^2) dict
-        churn when a :class:`~repro.comm.batched.BatchedWorld` replays a
-        10^4-rank exchange round.
+        :meth:`SimWorld.exchange`).
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -111,29 +95,8 @@ class TrafficStats:
         wire = src != dst
         if not wire.all():
             src, dst, nbytes = src[wire], dst[wire], nbytes[wire]
-        if src.size == 0:
-            return
         self.p2p_messages += int(src.size)
         self.p2p_bytes += int(nbytes.sum())
-        for ranks, counts, messages, byte_totals in (
-            (src, nbytes, self.sent_messages, self.sent_bytes),
-            (dst, nbytes, self.recv_messages, self.recv_bytes),
-        ):
-            n_msg = np.bincount(ranks)
-            n_bytes = np.bincount(ranks, weights=counts)
-            for r in np.flatnonzero(n_msg):
-                r = int(r)
-                messages[r] = messages.get(r, 0) + int(n_msg[r])
-                byte_totals[r] = byte_totals.get(r, 0) + int(n_bytes[r])
-
-    def rank_totals(self, rank: int) -> dict[str, int]:
-        """One rank's traffic: sent/received messages and bytes."""
-        return {
-            "sent_messages": self.sent_messages.get(rank, 0),
-            "sent_bytes": self.sent_bytes.get(rank, 0),
-            "recv_messages": self.recv_messages.get(rank, 0),
-            "recv_bytes": self.recv_bytes.get(rank, 0),
-        }
 
     def reset(self) -> None:
         self.allreduce_calls = 0
@@ -145,10 +108,6 @@ class TrafficStats:
         self.duplicates = 0
         self.timeouts = 0
         self.integrity_failures = 0
-        self.sent_messages.clear()
-        self.sent_bytes.clear()
-        self.recv_messages.clear()
-        self.recv_bytes.clear()
 
     def absorb(self, other: "TrafficStats") -> None:
         """Fold another stats object into this one (campaign accounting).
@@ -166,14 +125,6 @@ class TrafficStats:
         self.duplicates += other.duplicates
         self.timeouts += other.timeouts
         self.integrity_failures += other.integrity_failures
-        for mine, theirs in (
-            (self.sent_messages, other.sent_messages),
-            (self.sent_bytes, other.sent_bytes),
-            (self.recv_messages, other.recv_messages),
-            (self.recv_bytes, other.recv_bytes),
-        ):
-            for rank, n in theirs.items():
-                mine[rank] = mine.get(rank, 0) + n
 
 
 class SimWorld:
@@ -183,7 +134,6 @@ class SimWorld:
         self,
         size: int,
         fault_injector: "FaultInjector | None" = None,
-        fleet: "FleetTelemetry | None" = None,
         retry: RetryPolicy | None = None,
         verify_collectives: bool = False,
     ) -> None:
@@ -192,9 +142,6 @@ class SimWorld:
         self.size = size
         self.stats = TrafficStats()
         self.fault_injector = fault_injector
-        # Per-rank telemetry (repro.observability.fleet); also settable
-        # after construction via FleetTelemetry.attach(world).
-        self.fleet = fleet
         # Reliable-delivery policy for exchange() and bounded integrity
         # retries for verified collectives; None keeps the raw channel.
         self.retry = retry

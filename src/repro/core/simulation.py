@@ -70,7 +70,6 @@ class Simulation:
         config: CaseConfig,
         tracer=None,
         metrics=None,
-        anomalies=None,
         flight=None,
     ) -> None:
         config.validate()
@@ -84,15 +83,9 @@ class Simulation:
         # gather_scatter, insitu (see EXPERIMENTS.md).
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Optional crash flight recorder and online anomaly detection
-        # (repro.observability.fleet); both are no-cost when absent.  An
-        # anomaly monitor without its own flight sink inherits ours, so a
-        # flagged anomaly lands in the crash bundle's event tail.
+        # Optional crash flight recorder (repro.observability.fleet.flight);
+        # no-cost when absent.
         self.flight = flight
-        self.anomalies = anomalies
-        if anomalies is not None and flight is not None and anomalies.flight is None:
-            anomalies.flight = flight
-        self._last_step_seconds = 0.0
         self.timers = RegionTimers(tracer=self.tracer)
         self.adaptive = config.adaptive_cfl is not None
         self.scheme = (
@@ -223,7 +216,6 @@ class Simulation:
                     if np.isfinite(depth):
                         self.tracer.sample("insitu.queue_depth", depth)
         step_seconds = _time.perf_counter() - t_step
-        self._last_step_seconds = step_seconds
         self._record_step_metrics(result, step_seconds, gs_calls, gs_bytes, gs_seconds)
         self.history.append(result)
         self.last_cfl = (result.cfl, result.dt)
@@ -282,8 +274,6 @@ class Simulation:
             results.append(res)
             if self.flight is not None:
                 self.flight.record_step(self, res)
-            if self.anomalies is not None:
-                self.anomalies.observe_step(self, res, step_seconds=self._last_step_seconds)
             if stats_interval and self.step_count % stats_interval == 0:
                 with self.tracer.span(PHASE_STATISTICS, step=self.step_count):
                     self.sample_statistics()

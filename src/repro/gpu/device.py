@@ -21,9 +21,8 @@ class GpuModel:
     name:
         Marketing name.
     peak_bandwidth_gbs:
-        HBM bandwidth per logical GPU (Table 1: 1550 GB/s for A100-64GB
-        wait -- the paper lists per-GPU bandwidth; 1.55 TB/s A100, 1.6 TB/s
-        per MI250X GCD out of 3.3 TB/s per module).
+        HBM bandwidth per logical GPU (Table 1: 1.55 TB/s for A100-64GB,
+        1.6 TB/s per MI250X GCD out of 3.3 TB/s per module).
     peak_fp64_tflops:
         Vector FP64 peak per logical GPU.
     launch_overhead_us:

@@ -104,12 +104,6 @@ class InSituPipeline:
         every :meth:`put`, and :meth:`close` publishes the lifetime totals
         (items, bytes, per-processor latency, quarantines) via
         :func:`~repro.observability.bridge.publish_pipeline_stats`.
-    anomalies:
-        Optional :class:`~repro.observability.fleet.anomaly.AnomalyMonitor`.
-        Every :meth:`put` feeds the queue depth to its
-        ``insitu.queue_depth`` detector, so a consumer falling behind
-        (depth climbing toward the bound) raises an ``anomaly.*`` event
-        before the producer actually stalls.
     """
 
     def __init__(
@@ -124,7 +118,6 @@ class InSituPipeline:
         quarantine_after: int = 3,
         strict: bool = True,
         metrics=None,
-        anomalies=None,
     ) -> None:
         self.processors = processors
         self.queue: queue.Queue = queue.Queue(maxsize=max_queue)
@@ -136,7 +129,6 @@ class InSituPipeline:
         self.quarantine_after = quarantine_after
         self.strict = strict
         self.metrics = metrics
-        self.anomalies = anomalies
         self.stats = PipelineStats()
         self._worker: threading.Thread | None = None
         self._closed = False
@@ -221,14 +213,10 @@ class InSituPipeline:
         self.stats.producer_wait += time.perf_counter() - t0
         self.stats.items += 1
         self.stats.bytes_in += array.nbytes
-        if self.metrics is not None or self.anomalies is not None:
+        if self.metrics is not None:
             # qsize is advisory (the worker drains concurrently) but is
             # exactly the backpressure signal production dashboards watch.
-            depth = self.queue.qsize()
-            if self.metrics is not None:
-                self.metrics.gauge("insitu.queue_depth").set(depth)
-            if self.anomalies is not None:
-                self.anomalies.observe("insitu.queue_depth", float(depth))
+            self.metrics.gauge("insitu.queue_depth").set(self.queue.qsize())
         return True
 
     # -- consumer side ----------------------------------------------------------

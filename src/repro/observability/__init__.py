@@ -24,18 +24,10 @@ from repro.observability.phases import (
 )
 from repro.observability.tracer import NULL_TRACER, NullTracer, Span, Tracer
 from repro.observability.fleet import (
-    Anomaly,
-    AnomalyMonitor,
-    EwmaDetector,
-    FleetTelemetry,
     FlightBundle,
     FlightRecorder,
     ImbalanceReport,
-    RankTracer,
-    analyze_fleet,
     analyze_totals,
-    merge_trace_files,
-    merge_traces,
 )
 
 # The bridge module reaches into repro.resilience (whose package __init__
@@ -82,16 +74,8 @@ __all__ = [
     "publish_pipeline_stats",
     "publish_traffic_stats",
     "publish_gather_scatter",
-    "FleetTelemetry",
-    "RankTracer",
-    "merge_traces",
-    "merge_trace_files",
     "ImbalanceReport",
-    "analyze_fleet",
     "analyze_totals",
     "FlightRecorder",
     "FlightBundle",
-    "Anomaly",
-    "AnomalyMonitor",
-    "EwmaDetector",
 ]

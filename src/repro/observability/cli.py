@@ -1,14 +1,8 @@
-"""``python -m repro.observability``: inspect traces and flight bundles.
+"""``python -m repro.observability``: inspect flight bundles.
 
-Three subcommands close the loop between a run's on-disk record and a
+One subcommand closes the loop between a run's on-disk record and a
 human:
 
-* ``merge`` -- combine per-rank Chrome-trace JSON files (one per rank, as
-  written by :func:`~repro.observability.export.write_chrome_trace`) into
-  a single multi-lane trace, one ``pid`` per rank;
-* ``report`` -- print the Fig. 4-style per-rank/per-phase wall-time table
-  (max/mean/min, straggler rank, critical-path share, parallel-efficiency
-  estimate) from a merged trace;
 * ``flight`` -- parse a flight-recorder bundle back and print its digest
   (window of steps, last frame, solver monitors, event tail).
 
@@ -19,60 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
-from pathlib import Path
 
 from repro.observability.fleet.flight import FlightBundle
-from repro.observability.fleet.imbalance import analyze_totals
-from repro.observability.fleet.merge import merge_trace_files
 
-__all__ = ["main", "trace_phase_totals"]
-
-
-def trace_phase_totals(trace: dict) -> dict[int, dict[str, float]]:
-    """``{pid: {span name: seconds}}`` reconstructed from a Chrome trace.
-
-    Only complete (``"X"``) events carry duration; instants and metadata
-    are skipped.  This is the inverse of the exporters far enough for the
-    imbalance analytics -- lane identity (pid) stands in for the rank.
-    """
-    totals: dict[int, dict[str, float]] = {}
-    for ev in trace.get("traceEvents", []):
-        if ev.get("ph") != "X":
-            continue
-        pid = int(ev.get("pid", 0))
-        name = str(ev.get("name", ""))
-        per = totals.setdefault(pid, {})
-        per[name] = per.get(name, 0.0) + float(ev.get("dur", 0.0)) * 1e-6
-    return totals
-
-
-def _cmd_merge(args: argparse.Namespace) -> int:
-    try:
-        merged = merge_trace_files(args.traces)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot merge: {exc}")
-        return 2
-    out = Path(args.output)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(merged, fh)
-    n_events = len(merged["traceEvents"])
-    print(f"wrote {out}: {len(args.traces)} rank lanes, {n_events} events")
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        trace = json.loads(Path(args.trace).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read trace: {exc}")
-        return 2
-    totals = trace_phase_totals(trace)
-    if not totals:
-        print("(no complete spans in the trace)")
-        return 0
-    report = analyze_totals(totals)
-    print(report.render())
-    return 0
+__all__ = ["main"]
 
 
 def _cmd_flight(args: argparse.Namespace) -> int:
@@ -101,15 +45,6 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.observability", description=__doc__.splitlines()[0]
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_merge = sub.add_parser("merge", help="merge per-rank Chrome traces into one")
-    p_merge.add_argument("traces", nargs="+", help="per-rank trace JSON files, rank order")
-    p_merge.add_argument("-o", "--output", default="merged_trace.json")
-    p_merge.set_defaults(func=_cmd_merge)
-
-    p_report = sub.add_parser("report", help="per-rank per-phase imbalance table")
-    p_report.add_argument("trace", help="merged Chrome-trace JSON")
-    p_report.set_defaults(func=_cmd_report)
 
     p_flight = sub.add_parser("flight", help="inspect a flight-recorder bundle")
     p_flight.add_argument("bundle", help="flight bundle (.jsonl)")

@@ -6,7 +6,7 @@ Three formats, mirroring how the paper's measurements are consumed:
   Perfetto) and renders the nested spans as the familiar flame chart, the
   reproduction of the Fig. 2 style kernel trace.  Counter samples
   (``Tracer.sample``) and metric final values become ``"C"`` counter
-  events, so queue depth, CFL and anomaly signals render as lanes under
+  events, so queue depth and CFL render as lanes under
   the spans instead of hiding in metadata.
 * **JSONL** -- one span per line, the machine-readable stream for ad-hoc
   analysis (pandas, jq).

@@ -1,27 +1,16 @@
-"""Distributed per-rank telemetry over the simulated rank world.
+"""Crash flight recorder and per-rank imbalance analytics.
 
-The fleet layer is the multi-rank half of the observability story:
-
-* :class:`~repro.observability.fleet.rank.FleetTelemetry` /
-  :class:`~repro.observability.fleet.rank.RankTracer` -- one tracer +
-  metrics registry per rank, attachable to :class:`SimWorld`,
-  :class:`DistributedGatherScatter` and
-  :class:`DistributedConjugateGradient`;
-* :mod:`~repro.observability.fleet.merge` -- rank-merged Chrome traces
-  (one ``pid`` lane per rank, the Fig. 2-style multi-rank flame chart);
 * :mod:`~repro.observability.fleet.imbalance` -- per-phase max/mean/min
   across ranks, straggler identification, critical-path shares and a
-  parallel-efficiency estimate comparable to ``perfmodel.scaling``;
+  parallel-efficiency estimate comparable to ``perfmodel.scaling``, over
+  the per-rank DES busy times of a scaling-campaign point;
 * :mod:`~repro.observability.fleet.flight` -- the bounded crash flight
   recorder dumped atomically on divergence, retry-budget exhaustion,
-  signals and armed exceptions;
-* :mod:`~repro.observability.fleet.anomaly` -- online EWMA/z-score
-  detectors over iteration counts, step wall time, CFL and queue depth.
+  signals and armed exceptions.
 
-Inspect bundles and traces with ``python -m repro.observability``.
+Inspect bundles with ``python -m repro.observability flight``.
 """
 
-from repro.observability.fleet.anomaly import Anomaly, AnomalyMonitor, EwmaDetector
 from repro.observability.fleet.flight import (
     FLIGHT_DIR_ENV,
     FlightBundle,
@@ -31,29 +20,15 @@ from repro.observability.fleet.flight import (
 from repro.observability.fleet.imbalance import (
     ImbalanceReport,
     PhaseImbalance,
-    analyze_fleet,
     analyze_totals,
-    phase_totals,
 )
-from repro.observability.fleet.merge import merge_trace_files, merge_traces, write_merged_trace
-from repro.observability.fleet.rank import FleetTelemetry, RankTracer
 
 __all__ = [
-    "FleetTelemetry",
-    "RankTracer",
-    "merge_traces",
-    "merge_trace_files",
-    "write_merged_trace",
     "ImbalanceReport",
     "PhaseImbalance",
-    "analyze_fleet",
     "analyze_totals",
-    "phase_totals",
     "FlightRecorder",
     "FlightFrame",
     "FlightBundle",
     "FLIGHT_DIR_ENV",
-    "Anomaly",
-    "AnomalyMonitor",
-    "EwmaDetector",
 ]

@@ -6,7 +6,7 @@ had the CFL crept up, was the in-situ queue backing up, which resilience
 events fired.  A full trace of the whole run is too large to keep; the
 flight recorder keeps only the last ``capacity`` steps -- per-step spans,
 a metrics snapshot, solver-monitor records and the step result -- plus a
-bounded tail of resilience/anomaly events, and writes the whole bundle
+bounded tail of resilience events, and writes the whole bundle
 *atomically* (temp file + ``os.replace``) as JSONL when something trips:
 
 * the divergence guard in :meth:`Simulation.run` (wired via the
@@ -28,7 +28,6 @@ import json
 import os
 import signal as _signal
 from collections import deque
-from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
@@ -108,12 +107,6 @@ class FlightRecorder:
         self.events: deque[dict] = deque(maxlen=event_capacity or 8 * capacity)
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.dumps: list[Path] = []
-        #: ``{name: zero-arg callable}`` polled at dump time; each yields a
-        #: JSON-serializable state dict written as a ``"state"`` record.
-        #: The anomaly monitor registers itself here so a crash bundle
-        #: carries its detectors' running statistics (see
-        #: :attr:`~repro.observability.fleet.anomaly.AnomalyMonitor.flight`).
-        self.state_providers: dict[str, Callable[[], dict]] = {}
 
     # -- recording ------------------------------------------------------------
 
@@ -170,7 +163,7 @@ class FlightRecorder:
     def record_event(
         self, kind: str, step: int = -1, time: float = 0.0, detail: str = "", **data: Any
     ) -> dict:
-        """Append one event (resilience, anomaly, lifecycle) to the ring."""
+        """Append one event (resilience, lifecycle) to the ring."""
         ev = {
             "kind": "event",
             "event": kind,
@@ -198,8 +191,7 @@ class FlightRecorder:
         """Write the bundle atomically; returns the final path.
 
         The bundle is JSONL: a header line, then one line per frame
-        (oldest first), then one line per event, then one ``"state"`` line
-        per registered state provider.  Every line goes through the
+        (oldest first), then one line per event.  Every line goes through the
         strict-JSON sanitizer (:mod:`repro.observability.jsonio`) -- a NaN
         gauge in a frame's metrics snapshot becomes ``null``, never an
         invalid ``NaN`` literal.  Written to a temporary sibling and moved
@@ -224,8 +216,6 @@ class FlightRecorder:
                 fh.write(dump_line(frame.as_record()))
             for ev in self.events:
                 fh.write(dump_line(ev))
-            for name, provider in sorted(self.state_providers.items()):
-                fh.write(dump_line({"kind": "state", "name": name, "state": provider()}))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, target)
@@ -275,9 +265,6 @@ class FlightBundle:
     header: dict
     frames: list[FlightFrame] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
-    #: ``{provider name: state dict}`` from the recorder's state providers
-    #: (e.g. ``"anomaly_monitor"`` -> detector statistics).
-    states: dict[str, dict] = field(default_factory=dict)
 
     @property
     def steps(self) -> list[int]:
@@ -289,7 +276,6 @@ class FlightBundle:
         header: dict | None = None
         frames: list[FlightFrame] = []
         events: list[dict] = []
-        states: dict[str, dict] = {}
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
@@ -303,13 +289,11 @@ class FlightBundle:
                     frames.append(FlightFrame.from_record(rec))
                 elif kind == "event":
                     events.append(rec)
-                elif kind == "state":
-                    states[str(rec.get("name"))] = dict(rec.get("state", {}))
                 else:
                     raise ValueError(f"unknown flight record kind {kind!r}")
         if header is None:
             raise ValueError(f"{path}: not a flight bundle (no header line)")
-        return cls(header=header, frames=frames, events=events, states=states)
+        return cls(header=header, frames=frames, events=events)
 
     def summary(self) -> str:
         """Human-readable digest: window, reason, last frame, event tail."""
@@ -335,6 +319,4 @@ class FlightBundle:
         for ev in self.events[-10:]:
             loc = f"step {ev['step']}" if ev.get("step", -1) >= 0 else ""
             lines.append(f"[{ev['event']}] {loc} {ev.get('detail', '')}".rstrip())
-        if self.states:
-            lines.append(f"carried state: {', '.join(sorted(self.states))}")
         return "\n".join(lines)

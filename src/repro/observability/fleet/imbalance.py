@@ -3,9 +3,9 @@
 Strong scaling dies by imbalance: Fig. 3's efficiency loss at 16,384 GCDs
 is, per Offermans et al., exactly the gap between the mean and the max of
 the per-rank phase times -- every collective waits for the slowest rank.
-This module turns a :class:`~repro.observability.fleet.rank.FleetTelemetry`
-(or a plain ``{rank: {phase: seconds}}`` mapping, e.g. reconstructed from
-a merged trace file by the CLI) into the Fig. 4-style per-rank breakdown:
+This module turns a plain ``{rank: {phase: seconds}}`` mapping (the
+campaign's per-rank DES busy times) into the Fig. 4-style per-rank
+breakdown:
 
 * per-phase **max/mean/min** across ranks and the **straggler** rank;
 * the **imbalance factor** ``max / mean`` (1.0 = perfectly balanced);
@@ -21,28 +21,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.observability.fleet.rank import FleetTelemetry
-    from repro.observability.tracer import Tracer
+__all__ = ["PhaseImbalance", "ImbalanceReport", "analyze_totals"]
 
-__all__ = [
-    "PhaseImbalance",
-    "ImbalanceReport",
-    "phase_totals",
-    "analyze_fleet",
-    "analyze_totals",
-]
+#: Widest world whose per-rank columns :meth:`ImbalanceReport.render` prints.
+MAX_RANK_COLUMNS = 8
 
 
 @dataclass
 class PhaseImbalance:
-    """Cross-rank statistics of one phase (one span-name family)."""
+    """Cross-rank statistics of one phase."""
 
     name: str
     per_rank: dict[int, float]
-    calls: int = 0
     critical_path_share: float = math.nan
 
     @property
@@ -106,22 +97,26 @@ class ImbalanceReport:
         return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
     def render(self) -> str:
-        """Fig. 4-style text table: per-rank seconds plus imbalance stats."""
+        """Fig. 4-style text table: imbalance stats per phase.
+
+        Per-rank seconds are printed only for worlds of up to
+        ``MAX_RANK_COLUMNS`` ranks; wider worlds get the summary columns
+        alone, so a line stays readable at any rank count.
+        """
         lines = [f"== per-rank phase breakdown ({self.n_ranks} ranks) =="]
         if not self.phases:
-            lines.append("(no per-rank spans recorded)")
+            lines.append("(no per-rank phase times)")
             return "\n".join(lines)
         name_w = max(len(p.name) for p in self.phases)
         name_w = max(name_w, len("phase"))
-        rank_cols = "".join(f"{'r' + str(r):>10s}" for r in range(self.n_ranks))
+        shown = range(self.n_ranks if self.n_ranks <= MAX_RANK_COLUMNS else 0)
+        rank_cols = "".join(f"{'r' + str(r):>10s}" for r in shown)
         lines.append(
             f"{'phase':<{name_w}s}{rank_cols}{'max':>10s}{'mean':>10s}{'min':>10s}"
             f"{'imbal':>7s}{'strag':>6s}{'cp%':>6s}"
         )
         for p in self.phases:
-            per_rank = "".join(
-                f"{p.per_rank.get(r, 0.0):>10.4f}" for r in range(self.n_ranks)
-            )
+            per_rank = "".join(f"{p.per_rank.get(r, 0.0):>10.4f}" for r in shown)
             lines.append(
                 f"{p.name:<{name_w}s}{per_rank}"
                 f"{p.max_seconds:>10.4f}{p.mean_seconds:>10.4f}{p.min_seconds:>10.4f}"
@@ -137,37 +132,6 @@ class ImbalanceReport:
             worst, n = next(iter(stragglers.items()))
             lines.append(f"worst straggler: rank {worst} ({n}/{len(self.phases)} phases)")
         return "\n".join(lines)
-
-
-def phase_totals(tracer: "Tracer") -> dict[str, tuple[float, int]]:
-    """``{span name: (total seconds, count)}`` over one rank's spans.
-
-    Grouping is by *name* (not path): the fleet's per-rank spans are flat
-    aggregates, and a phase's identity is its registered name.  Instant
-    events carry no duration and are skipped.
-    """
-    totals: dict[str, tuple[float, int]] = {}
-    for span in tracer.walk():
-        if span.instant or span.end is None:
-            continue
-        tot, cnt = totals.get(span.name, (0.0, 0))
-        totals[span.name] = (tot + span.duration, cnt + 1)
-    return totals
-
-
-def analyze_fleet(fleet: "FleetTelemetry") -> ImbalanceReport:
-    """Imbalance report over every span name recorded by any rank."""
-    per_rank: dict[int, dict[str, float]] = {}
-    calls: dict[str, int] = {}
-    for rt in fleet:
-        totals = phase_totals(rt.tracer)
-        per_rank[rt.rank] = {name: sec for name, (sec, _cnt) in totals.items()}
-        for name, (_sec, cnt) in totals.items():
-            calls[name] = calls.get(name, 0) + cnt
-    report = analyze_totals(per_rank, n_ranks=fleet.size)
-    for p in report.phases:
-        p.calls = calls.get(p.name, 0)
-    return report
 
 
 def analyze_totals(

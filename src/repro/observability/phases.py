@@ -62,31 +62,19 @@ PHASES: tuple[str, ...] = (
 
 #: Registered dynamic span families: a span name is valid when it starts
 #: with one of these prefixes (``krylov.pressure``, ``resilience.rollback``).
-#: The ``fleet.`` family carries the per-rank spans of the distributed
-#: telemetry layer (``fleet.gs.local``, ``fleet.cg.amul``); ``anomaly.``
-#: are the instant events of the online detectors; ``flight.`` marks the
-#: flight-recorder lifecycle (arm, dump, divergence).  The ``verify.``
-#: family wraps the verification subsystem's convergence studies
-#: (``verify.study``, ``verify.case``).  The ``chaos.`` family wraps the
-#: chaos-testing harness's scenario runs (``chaos.campaign``,
-#: ``chaos.scenario``).  The ``cache.`` family marks operator-cache
-#: lifecycle events (``cache.build``).
-#: The ``topo.`` family carries the topology-aware gather--scatter's
-#: staged-exchange spans and per-rank DES timings (``topo.gs``,
-#: ``topo.compute``), and the ``scaling.`` family wraps the simulated
-#: strong-scaling campaign (``scaling.campaign``, ``scaling.point``).
+#: ``flight.`` marks the flight-recorder lifecycle (arm, dump,
+#: divergence).  The ``verify.`` family wraps the verification
+#: subsystem's convergence studies (``verify.study``, ``verify.case``).
+#: The ``chaos.`` family wraps the chaos-testing harness's scenario runs
+#: (``chaos.campaign``, ``chaos.scenario``).  The ``cache.`` family marks
+#: operator-cache lifecycle events (``cache.build``).
 SPAN_PREFIXES: tuple[str, ...] = (
     "krylov.",
     "resilience.",
-    "checkpoint.",
-    "fleet.",
-    "anomaly.",
     "flight.",
     "verify.",
     "chaos.",
     "cache.",
-    "topo.",
-    "scaling.",
 )
 
 # -- metric taxonomy ---------------------------------------------------------
@@ -102,14 +90,10 @@ METRIC_PREFIXES: tuple[str, ...] = (
     "comm.",
     "resilience.",
     "bench.",
-    "fleet.",
-    "anomaly.",
     "flight.",
     "verify.",
     "chaos.",
     "cache.",
-    "topo.",
-    "scaling.",
 )
 
 

@@ -126,17 +126,15 @@ class Tracer:
             with tracer.span("pressure"):
                 tracer.add("iterations", mon.iterations)
 
-    The clock is injectable for deterministic tests.  ``origin`` pins the
-    timeline zero to an explicit clock reading so several tracers (one per
-    simulated rank) share one timeline and their merged trace aligns; by
-    default each tracer starts its own timeline at construction.
+    The clock is injectable for deterministic tests; each tracer starts
+    its own timeline at construction.
     """
 
     enabled = True
 
-    def __init__(self, clock: Any = time.perf_counter, origin: float | None = None) -> None:
+    def __init__(self, clock: Any = time.perf_counter) -> None:
         self._clock = clock
-        self._origin = clock() if origin is None else origin
+        self._origin = clock()
         self.roots: list[Span] = []
         self._stack: list[Span] = []
 
@@ -180,9 +178,9 @@ class Tracer:
     def sample(self, name: str, value: float, **tags: Any) -> Span:
         """Record one timestamped counter sample (a point of a metric lane).
 
-        Samples are how time-varying signals -- CFL, in-situ queue depth,
-        anomaly z-scores -- enter the trace *with their timestamps*, so the
-        exporters can render them as Chrome-trace counter (``"C"``) lanes
+        Samples are how time-varying signals -- CFL, in-situ queue depth --
+        enter the trace *with their timestamps*, so the exporters can
+        render them as Chrome-trace counter (``"C"``) lanes
         alongside the span flame chart instead of burying the final value
         in opaque metadata.  Sampling is cheap (one object per call) and
         only ever done at phase/step granularity.

@@ -117,9 +117,6 @@ class DistributedThermalWorkload:
     partition:
         ``"rcb"`` or ``"linear"`` element partitioning, reapplied on
         every world rebuild.
-    fleet:
-        Optional :class:`~repro.observability.fleet.rank.FleetTelemetry`;
-        re-created at the new size when the world shrinks.
     flight:
         Optional flight recorder mirroring the event stream.
     seed:
@@ -141,7 +138,6 @@ class DistributedThermalWorkload:
         verify_collectives: bool = False,
         world_kind: str = "object",
         partition: str = "rcb",
-        fleet: Any = None,
         flight: Any = None,
         events: EventLog | None = None,
         seed: int = 7,
@@ -167,7 +163,6 @@ class DistributedThermalWorkload:
         self.retry = retry
         self.verify_collectives = verify_collectives
         self.partition = partition
-        self.fleet = fleet
         self.flight = flight
         self.events = events if events is not None else EventLog()
         self.tol = tol
@@ -250,12 +245,6 @@ class DistributedThermalWorkload:
             tol=self.tol,
             maxiter=self.maxiter,
         )
-        if self.fleet is not None:
-            if len(self.fleet) != nranks:
-                from repro.observability.fleet.rank import FleetTelemetry
-
-                self.fleet = FleetTelemetry(nranks)
-            self.fleet.attach(self.world, self.dgs, self.solver)
 
     # -- recoverable-app protocol ------------------------------------------------
 

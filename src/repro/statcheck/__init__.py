@@ -1,20 +1,19 @@
 """Domain-invariant static analysis and runtime array contracts.
 
 Three cross-checking layers guard the invariants the paper's claims rest
-on (bitwise-reproducible DNS, a closed span taxonomy, deadlock-free
-collectives, allocation-free hot loops):
+on (bitwise-reproducible DNS, a closed span taxonomy, allocation-free
+hot loops):
 
 * the **linter** (``python -m repro.statcheck src/``) -- per-module AST
   rules with per-finding severities, inline ``# statcheck: ignore[RULE]``
   suppressions and a committed count-based baseline
   (``statcheck_baseline.json``) so pre-existing findings don't block CI
   while new ones do;
-* the **analyzers** (``--analysis {collectives,allocations,all}``) --
-  interprocedural analyses over the project call graph
-  (:mod:`repro.statcheck.callgraph`): collective-ordering deadlock shapes
-  in ``repro.comm`` and per-iteration allocations on hot loops.  Analyzer
-  findings share the rules' suppression grammar, baseline and output
-  formats;
+* the **analyzer** (``--analysis {allocations,all}``) -- one
+  interprocedural analysis over the project call graph
+  (:mod:`repro.statcheck.callgraph`): per-iteration allocations on hot
+  loops.  Its findings share the rules' suppression grammar, baseline and
+  output formats;
 * the **contracts** (:mod:`repro.statcheck.contracts`) -- shape/dtype
   specifications for the core ``(nelem, n, n, n)`` field layout, enforced
   at call boundaries when enabled (the test suite turns them on; runs

@@ -1,26 +1,22 @@
 """Interprocedural analyzers built on the call graph.
 
-Two analyzers, each encoding a scaling invariant the ROADMAP's next
-pushes depend on; see the individual modules for the rationale.
+One analyzer, hot-loop-allocation; see its module for the rationale.
 """
 
 from __future__ import annotations
 
 from repro.statcheck.analyzers.allocations import HotLoopAllocationAnalyzer
 from repro.statcheck.analyzers.base import Analyzer
-from repro.statcheck.analyzers.collectives import CollectiveOrderingAnalyzer
 
 __all__ = [
     "ALL_ANALYZERS",
     "Analyzer",
-    "CollectiveOrderingAnalyzer",
     "HotLoopAllocationAnalyzer",
     "get_analyzers",
 ]
 
 #: CLI keyword -> analyzer class ("all" expands to every entry, in order).
 ALL_ANALYZERS: dict[str, type[Analyzer]] = {
-    "collectives": CollectiveOrderingAnalyzer,
     "allocations": HotLoopAllocationAnalyzer,
 }
 

@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--analysis", action="append", default=None,
         choices=[*ALL_ANALYZERS, "all"],
-        help="also run this interprocedural analyzer (repeatable; 'all' runs every one)",
+        help="also run the interprocedural analyzer ('all' is the same selection)",
     )
     parser.add_argument(
         "--fail-on", default="warning", choices=[s.name.lower() for s in Severity],

@@ -1,95 +1,9 @@
-"""The ``python -m repro.observability`` CLI: merge, report, flight."""
+"""The ``python -m repro.observability`` CLI: flight."""
 
 import json
 
-import pytest
-
-from repro.observability import FleetTelemetry, FlightRecorder, Tracer, write_chrome_trace
-from repro.observability.cli import main, trace_phase_totals
-from repro.observability.fleet.merge import write_merged_trace
-
-
-def fake_clock(times):
-    it = iter(times)
-    return lambda: next(it)
-
-
-def make_rank_trace(path, spans):
-    """Write one single-rank Chrome trace with given (name, duration) spans."""
-    ticks = [0.0]
-    for _, dur in spans:
-        ticks.append(ticks[-1] + dur)
-    # Tracer reads the clock once at construction and twice per span.
-    reads = [0.0]
-    t = 0.0
-    for _, dur in spans:
-        reads.extend([t, t + dur])
-        t += dur
-    tracer = Tracer(clock=fake_clock(reads))
-    for name, dur in spans:
-        tracer.record_span(name, dur)
-    write_chrome_trace(path, tracer)
-
-
-class TestMerge:
-    def test_merges_rank_files_into_pid_lanes(self, tmp_path, capsys):
-        for r, dur in enumerate((0.5, 1.0)):
-            make_rank_trace(tmp_path / f"rank{r}.json", [("fleet.cg.amul", dur)])
-        out = tmp_path / "merged.json"
-        rc = main([
-            "merge", str(tmp_path / "rank0.json"), str(tmp_path / "rank1.json"),
-            "-o", str(out),
-        ])
-        assert rc == 0
-        assert "2 rank lanes" in capsys.readouterr().out
-        merged = json.loads(out.read_text())
-        pids = {e["pid"] for e in merged["traceEvents"] if e.get("ph") == "X"}
-        assert pids == {0, 1}
-        labels = {
-            e["pid"]: e["args"]["name"]
-            for e in merged["traceEvents"]
-            if e.get("ph") == "M" and e.get("name") == "process_name"
-        }
-        assert labels == {0: "rank 0", 1: "rank 1"}
-
-    def test_unreadable_input_exits_2(self, tmp_path, capsys):
-        assert main(["merge", str(tmp_path / "missing.json")]) == 2
-        assert "error" in capsys.readouterr().out
-
-
-class TestReport:
-    def test_table_from_merged_trace(self, tmp_path, capsys):
-        fleet = FleetTelemetry(2, clock=fake_clock([0.0] + [0.0] * 99))
-        fleet[0].record_span("fleet.cg.amul", 1.0)
-        fleet[1].record_span("fleet.cg.amul", 3.0)
-        path = tmp_path / "merged.json"
-        write_merged_trace(path, fleet)
-        rc = main(["report", str(path)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "fleet.cg.amul" in out
-        assert "2 ranks" in out
-        assert "parallel efficiency" in out
-
-    def test_trace_phase_totals_inverts_export(self, tmp_path):
-        fleet = FleetTelemetry(2, clock=fake_clock([0.0] * 100))
-        fleet[0].record_span("fleet.gs.local", 2.0)
-        fleet[1].record_span("fleet.gs.local", 4.0)
-        trace = fleet.merge_traces()
-        totals = trace_phase_totals(trace)
-        assert totals[0]["fleet.gs.local"] == pytest.approx(2.0)
-        assert totals[1]["fleet.gs.local"] == pytest.approx(4.0)
-
-    def test_empty_trace_reports_gracefully(self, tmp_path, capsys):
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps({"traceEvents": []}))
-        assert main(["report", str(path)]) == 0
-        assert "no complete spans" in capsys.readouterr().out
-
-    def test_invalid_json_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{nope")
-        assert main(["report", str(path)]) == 2
+from repro.observability import FlightRecorder
+from repro.observability.cli import main
 
 
 class TestFlight:
@@ -99,7 +13,7 @@ class TestFlight:
         rec = FlightRecorder(capacity=4, out_dir=tmp_path)
         for s in range(1, 6):
             rec.record_step(SimpleNamespace(), SimpleNamespace(step=s, time=s * 0.1, cfl=0.2))
-        rec.record_event("anomaly.cfl", step=5, detail="cfl spike")
+        rec.record_event("resilience.rollback", step=5, detail="rolled back")
         return rec.dump(reason="manual")
 
     def test_summary_output(self, tmp_path, capsys):
@@ -107,7 +21,7 @@ class TestFlight:
         assert main(["flight", str(path)]) == 0
         out = capsys.readouterr().out
         assert "steps 2..5" in out
-        assert "[anomaly.cfl]" in out
+        assert "[resilience.rollback]" in out
 
     def test_json_output_parses(self, tmp_path, capsys):
         path = self.make_bundle(tmp_path)
@@ -115,7 +29,7 @@ class TestFlight:
         data = json.loads(capsys.readouterr().out)
         assert data["header"]["reason"] == "manual"
         assert len(data["frames"]) == 4
-        assert data["events"][0]["event"] == "anomaly.cfl"
+        assert data["events"][0]["event"] == "resilience.rollback"
 
     def test_missing_bundle_exits_2(self, tmp_path, capsys):
         assert main(["flight", str(tmp_path / "nope.jsonl")]) == 2

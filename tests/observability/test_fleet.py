@@ -1,158 +1,49 @@
-"""Per-rank fleet telemetry: merged traces, imbalance analytics, traffic."""
+"""Imbalance analytics over per-rank phase times, and world-total traffic."""
 
 import numpy as np
 import pytest
 
-from repro.comm import (
-    DistributedConjugateGradient,
-    DistributedGatherScatter,
-    SimWorld,
-    linear_partition,
-)
-from repro.observability import FleetTelemetry, analyze_totals
-from repro.precond.jacobi import helmholtz_diagonal
-from repro.sem.bc import DirichletBC
-from repro.sem.mesh import box_mesh
-from repro.sem.space import FunctionSpace
+from repro.comm import SimWorld
+from repro.observability import analyze_totals
 
 
-NRANKS = 4
-
-
-def build_fleet_solver(nranks=NRANKS, lx=4, fleet=None):
-    """The distributed Helmholtz problem of test_distributed_solver, with
-    fleet telemetry attached to every layer."""
-    sp = FunctionSpace(box_mesh((3, 2, 2)), lx)
-    bc = DirichletBC(sp, ["bottom", "top", "x-", "x+", "y-", "y+"], 0.0)
-    h1, h2 = 0.05, 20.0
-    rng = np.random.default_rng(0)
-    b = sp.gs.add(sp.coef.mass * rng.normal(size=sp.shape)) * bc.mask
-
-    world = SimWorld(nranks)
-    owner = linear_partition(sp.mesh.nelv, nranks)
-    dgs = DistributedGatherScatter(sp.gs.global_ids, owner, sp.shape, world)
-    coef_chunks = {
-        name: dgs.scatter_field(getattr(sp.coef, name))
-        for name in ("g11", "g22", "g33", "g12", "g13", "g23", "mass")
+def straggler_totals(n_ranks=4):
+    """Rank 1 is a 2x straggler in the amul phase; the rest is balanced."""
+    return {
+        r: {"cg.amul": 2.0 if r == 1 else 1.0, "gs.local": 0.5}
+        for r in range(n_ranks)
     }
-
-    class LocalCoef:
-        pass
-
-    def local_amul(r, chunk):
-        from repro.sem.operators import ax_helmholtz
-
-        c = LocalCoef()
-        for name, chunks in coef_chunks.items():
-            setattr(c, name, chunks[r])
-        return ax_helmholtz(chunk, c, sp.dx, h1, h2)
-
-    mask_chunks = dgs.scatter_field(bc.mask)
-    diag = sp.gs.add(helmholtz_diagonal(sp, h1, h2))
-    diag = np.where(bc.mask == 0.0, 1.0, diag)
-    pd = [d * m for d, m in zip(dgs.scatter_field(1.0 / diag), mask_chunks)]
-    solver = DistributedConjugateGradient(
-        local_amul, dgs, world, local_mask=mask_chunks, precond_diag=pd,
-        tol=1e-10, maxiter=400,
-    )
-    if fleet is not None:
-        fleet.attach(world, dgs, solver)
-    return solver, dgs, world, b
-
-
-@pytest.fixture(scope="module")
-def solved_fleet():
-    fleet = FleetTelemetry(NRANKS)
-    solver, dgs, world, b = build_fleet_solver(fleet=fleet)
-    x, mon = solver.solve(dgs.scatter_field(b))
-    assert mon.converged
-    fleet.publish_traffic(world)
-    return fleet, world, mon
-
-
-class TestAttachment:
-    def test_attach_sets_fleet_attribute(self):
-        fleet = FleetTelemetry(NRANKS)
-        solver, dgs, world, _ = build_fleet_solver(fleet=fleet)
-        assert world.fleet is fleet
-        assert dgs.fleet is fleet
-        assert solver.fleet is fleet
-
-    def test_constructor_injection_equivalent(self):
-        fleet = FleetTelemetry(2)
-        world = SimWorld(2, fleet=fleet)
-        assert world.fleet is fleet
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            FleetTelemetry(0)
-
-
-class TestMergedTrace:
-    def test_one_pid_lane_per_rank(self, solved_fleet):
-        fleet, world, _ = solved_fleet
-        trace = fleet.merge_traces()
-        pids = {e["pid"] for e in trace["traceEvents"] if e.get("ph") == "X"}
-        assert pids == set(range(NRANKS))
-        assert trace["metadata"]["n_ranks"] == NRANKS
-
-    def test_per_phase_spans_in_every_lane(self, solved_fleet):
-        fleet, _, _ = solved_fleet
-        trace = fleet.merge_traces()
-        for rank in range(NRANKS):
-            names = {
-                e["name"]
-                for e in trace["traceEvents"]
-                if e.get("ph") == "X" and e["pid"] == rank
-            }
-            assert {"fleet.gs.local", "fleet.cg.amul"} <= names
-
-    def test_lanes_are_labelled_by_rank(self, solved_fleet):
-        fleet, _, _ = solved_fleet
-        trace = fleet.merge_traces()
-        labels = {
-            e["pid"]: e["args"]["name"]
-            for e in trace["traceEvents"]
-            if e.get("ph") == "M" and e.get("name") == "process_name"
-        }
-        assert labels[0] == "rank 0" and labels[NRANKS - 1] == f"rank {NRANKS - 1}"
-
-    def test_metrics_ride_in_metadata(self, solved_fleet):
-        fleet, _, mon = solved_fleet
-        trace = fleet.merge_traces()
-        per_rank = trace["metadata"]["metrics"]
-        assert set(per_rank) == {str(r) for r in range(NRANKS)}
-        snap = per_rank["0"]
-        assert snap["fleet.cg.solves"]["value"] == 1.0
-        assert snap["fleet.cg.iterations"]["mean"] == mon.iterations
 
 
 class TestImbalanceReport:
-    def test_fig4_style_table(self, solved_fleet):
-        fleet, _, _ = solved_fleet
-        report = fleet.text_report()
-        assert f"({NRANKS} ranks)" in report
-        for col in ("max", "mean", "min", "imbal", "strag", "cp%"):
-            assert col in report
-        assert "fleet.cg.amul" in report
+    def test_fig4_style_table(self):
+        report = analyze_totals(straggler_totals(4)).render()
+        assert "(4 ranks)" in report
+        header = report.splitlines()[1]
+        for col in ("r0", "r3", "max", "mean", "min", "imbal", "strag", "cp%"):
+            assert col in header
+        assert "cg.amul" in report
         assert "parallel efficiency" in report
 
-    def test_deterministic_analytics_from_recorded_spans(self):
-        # Drive the per-rank tracers by hand: rank 1 is a 2x straggler in
-        # the amul phase, everything else is balanced.
-        fleet = FleetTelemetry(4)
-        for rt in fleet:
-            rt.record_span("fleet.cg.amul", 2.0 if rt.rank == 1 else 1.0)
-            rt.record_span("fleet.gs.local", 0.5)
-        report = fleet.imbalance()
-        amul = report.phase("fleet.cg.amul")
+    def test_wide_world_prints_summary_columns_only(self):
+        report = analyze_totals(straggler_totals(64)).render()
+        assert "(64 ranks)" in report
+        header = report.splitlines()[1]
+        assert header.split() == ["phase", "max", "mean", "min", "imbal", "strag", "cp%"]
+        assert max(len(line) for line in report.splitlines()) < 80
+        amul = next(line for line in report.splitlines() if line.startswith("cg.amul"))
+        assert amul.split()[5] == "1"  # the straggler column survives
+
+    def test_deterministic_analytics_from_rank_totals(self):
+        report = analyze_totals(straggler_totals(4))
+        amul = report.phase("cg.amul")
         assert amul.max_seconds == pytest.approx(2.0)
         assert amul.mean_seconds == pytest.approx(1.25)
         assert amul.min_seconds == pytest.approx(1.0)
         assert amul.straggler == 1
         assert amul.imbalance == pytest.approx(1.6)
         # Phases are ordered by max time: the straggling phase leads.
-        assert report.phases[0].name == "fleet.cg.amul"
+        assert report.phases[0].name == "cg.amul"
         # critical path = 2.0 + 0.5; efficiency = (1.25 + 0.5) / 2.5.
         assert report.phases[0].critical_path_share == pytest.approx(0.8)
         assert report.parallel_efficiency == pytest.approx(1.75 / 2.5)
@@ -170,61 +61,17 @@ class TestImbalanceReport:
         balanced = analyze_totals({0: {"a": 1.0}, 1: {"a": 1.0}}, n_ranks=2)
         assert balanced.parallel_efficiency == pytest.approx(1.0)
 
-    def test_reset_clears_spans_and_metrics(self, ):
-        fleet = FleetTelemetry(2)
-        fleet[0].record_span("fleet.gs.local", 1.0)
-        fleet[1].metrics.counter("fleet.cg.solves").inc()
-        fleet.reset()
-        assert fleet.imbalance().phases == []
-        assert len(fleet[1].metrics) == 0
+    def test_empty_totals_render_gracefully(self):
+        report = analyze_totals({})
+        assert report.phases == []
+        assert "no per-rank phase times" in report.render()
 
 
 class TestTrafficAccounting:
-    def test_per_rank_totals_sum_to_world_totals(self, solved_fleet):
-        _, world, _ = solved_fleet
-        stats = world.stats
-        assert sum(stats.sent_messages.values()) == stats.p2p_messages
-        assert sum(stats.recv_messages.values()) == stats.p2p_messages
-        assert sum(stats.sent_bytes.values()) == stats.p2p_bytes
-        assert sum(stats.recv_bytes.values()) == stats.p2p_bytes
-
-    def test_rank_totals_shape(self, solved_fleet):
-        _, world, _ = solved_fleet
-        totals = world.stats.rank_totals(0)
-        assert set(totals) == {
-            "sent_messages", "sent_bytes", "recv_messages", "recv_bytes"
-        }
-        assert all(v > 0 for v in totals.values())
-
-    def test_gather_counts_per_rank(self):
-        world = SimWorld(3)
-        world.gather([np.zeros(4), np.ones(4), np.ones(4)], root=0)
-        assert world.stats.recv_messages.get(0) == 2
-        assert world.stats.sent_messages.get(1) == 1
-        assert world.stats.sent_messages.get(0, 0) == 0  # root sends nothing
-
-    def test_reset_clears_per_rank_counters(self):
+    def test_reset_clears_counters(self):
         world = SimWorld(2)
         world.exchange({(0, 1): np.zeros(8)})
-        assert world.stats.sent_messages
+        assert world.stats.p2p_messages == 1
         world.stats.reset()
         assert world.stats.p2p_messages == 0
-        assert world.stats.sent_messages == {}
-        assert world.stats.sent_bytes == {}
-        assert world.stats.recv_messages == {}
-        assert world.stats.recv_bytes == {}
-
-    def test_publish_traffic_sets_per_rank_gauges(self, solved_fleet):
-        fleet, world, _ = solved_fleet
-        for rt in fleet:
-            expected = world.stats.rank_totals(rt.rank)
-            for key, value in expected.items():
-                assert rt.metrics.gauge(f"fleet.comm.{key}").value == value
-
-
-class TestNoFleetOverhead:
-    def test_unattached_layers_record_nothing(self):
-        solver, dgs, world, b = build_fleet_solver(fleet=None)
-        x, mon = solver.solve(dgs.scatter_field(b))
-        assert mon.converged
-        assert world.fleet is None and dgs.fleet is None and solver.fleet is None
+        assert world.stats.p2p_bytes == 0

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core import Simulation, rbc_box_case
 from repro.observability import (
-    AnomalyMonitor,
     FlightBundle,
     FlightRecorder,
     Tracer,
@@ -87,13 +86,13 @@ class TestDumpLoad:
         sim = SimpleNamespace()
         for s in range(1, 13):
             rec.record_step(sim, fake_result(s, time=s * 0.1))
-        rec.record_event("anomaly.cfl", step=12, detail="spike")
+        rec.record_event("resilience.rollback", step=12, detail="spike")
         path = rec.dump(reason="manual")
         bundle = FlightBundle.load(path)
         assert bundle.header["reason"] == "manual"
         assert bundle.steps == list(range(5, 13))
         assert len(bundle.frames) >= 8
-        assert bundle.events[0]["event"] == "anomaly.cfl"
+        assert bundle.events[0]["event"] == "resilience.rollback"
         assert bundle.frames[-1].result["cfl"] == pytest.approx(0.1)
 
     def test_dump_is_atomic_no_tmp_left(self, tmp_path):
@@ -201,11 +200,3 @@ def _raise_or_none(fn, sim):
     except BaseException as exc:
         return exc
     return None
-
-
-class TestAnomalyIntoFlight:
-    def test_simulation_glues_anomalies_to_flight(self, tmp_path):
-        flight = FlightRecorder(capacity=4, out_dir=tmp_path)
-        anomalies = AnomalyMonitor(warmup=2)
-        sim = Simulation(small_case(), anomalies=anomalies, flight=flight)
-        assert anomalies.flight is flight

@@ -1,19 +1,17 @@
-"""Fixture: the topology/scaling span+metric families are registered.
+"""Fixture: the krylov/resilience/cache span+metric families are registered.
 
-Every literal name here belongs to the ``topo.`` or ``scaling.`` prefix
-families added to the phase registry by the simulated-exascale comm
-engine, so the span-hygiene rule must produce zero findings for this
-module.  Linted by tests, never imported.
+Every literal name here belongs to the ``krylov.``, ``resilience.`` or
+``cache.`` prefix families of the phase registry, so the span-hygiene
+rule must produce zero findings for this module.  Linted by tests, never
+imported.
 """
 
 
-def run(tracer, metrics, n_ranks):
-    with tracer.span("topo.stage_up", ranks=n_ranks):  # registered topo.* span
+def run(tracer, metrics, solver):
+    with tracer.span(f"krylov.{solver}", maxiter=50):  # registered krylov.* span
         pass
-    with tracer.span("topo.stage_inter"):  # registered topo.* span
-        tracer.event("topo.intra", direction="request")  # registered topo.* event
-    with tracer.span("scaling.campaign", machine="lumi"):  # registered scaling.* span
-        pass
-    metrics.counter("topo.inter_messages").inc()  # registered topo.* metric
-    metrics.gauge("scaling.efficiency").set(1.0)  # registered scaling.* metric
-    metrics.histogram("scaling.step_us").record(2.5)  # registered scaling.* metric
+    with tracer.span("resilience.rollback", step=4):  # registered resilience.* span
+        tracer.event("cache.build", key="hsmg")  # registered cache.* event
+    metrics.counter("resilience.retries").inc()  # registered resilience.* metric
+    metrics.gauge("cache.hit_rate").set(1.0)  # registered cache.* metric
+    metrics.histogram("cache.entries").record(2.0)  # registered cache.* metric

@@ -171,8 +171,8 @@ class TestFixtureTree:
         project = Project.load([FIXTURES_A], root=FIXTURES_A)
         graph = project.callgraph
         assert "repro.solvers.alloc_case:alloc_in_loop" in graph.functions
-        assert "repro.comm.collective_case:interproc_divergent" in graph.functions
-        # The interprocedural edge the collectives analyzer splices through.
-        assert "repro.comm.collective_case:_sum_then_sync" in _callee_names(
-            graph, "repro.comm.collective_case:interproc_divergent"
+        assert "repro.comm.batched:fill_loop_is_clean" in graph.functions
+        # The interprocedural edge the allocation analyzer's summary follows.
+        assert "repro.solvers.alloc_case:_fresh" in _callee_names(
+            graph, "repro.solvers.alloc_case:calls_allocator_in_loop"
         )

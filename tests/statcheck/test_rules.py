@@ -44,9 +44,9 @@ class TestSpanHygiene:
         assert [f.line for f in findings] == [7]
         assert "made_up_phase" in findings[0].message
 
-    def test_fleet_anomaly_flight_families_are_registered(self):
-        # The PR 4 telemetry names (fleet.*, anomaly.*, flight.*) are part
-        # of the registry: a module using only them is clean.
+    def test_flight_family_is_registered(self):
+        # The flight recorder's lifecycle names (flight.*) are part of the
+        # registry: a module using only them is clean.
         findings = run_rule(
             "span-hygiene", FIXTURES / "src/repro/core/fleet_span_case.py"
         )
@@ -68,10 +68,10 @@ class TestSpanHygiene:
         )
         assert findings == []
 
-    def test_topo_and_scaling_families_are_registered(self):
-        # The simulated-exascale comm engine's staged-exchange spans
-        # (topo.*) and campaign metrics (scaling.*) are registered
-        # families: a module using only them is clean.
+    def test_krylov_resilience_and_cache_families_are_registered(self):
+        # The solver (krylov.*), recovery (resilience.*) and operator-cache
+        # (cache.*) names are registered families: a module using only
+        # them is clean.
         findings = run_rule(
             "span-hygiene", FIXTURES / "src/repro/core/topo_span_case.py"
         )

@@ -53,3 +53,25 @@ def _resolves(dotted: str) -> bool:
 def test_documents_name_only_importable_modules():
     missing = unresolved(DOTTED_NAME, _resolves)
     assert not missing, f"documents name modules that are not in the tree: {missing}"
+
+
+def test_every_exported_name_resolves():
+    """A stale ``__all__`` entry fails here, not on a user's import.
+
+    ``getattr`` also drives PEP 562 lazy exports (``repro.observability``).
+    """
+    import importlib
+
+    import repro
+
+    stale = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue  # importing one runs its command-line interface
+        module = importlib.import_module(info.name)
+        stale += [
+            f"{info.name}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    assert not stale, f"__all__ names objects that do not exist: {stale}"
