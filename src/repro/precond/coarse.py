@@ -32,7 +32,7 @@ import scipy.sparse.linalg
 
 from repro.precond.cache import CacheKey, OperatorCache, mask_fingerprint, resolve_cache
 from repro.sem.basis import lagrange_interpolation_matrix
-from repro.sem.dealias import interp3, interp3_transpose
+from repro.sem.dealias import interp3
 from repro.sem.quadrature import gll_points_weights
 from repro.sem.space import FunctionSpace
 from repro.solvers.cg import ConjugateGradient
@@ -138,8 +138,10 @@ class CoarseGridSolver:
         self.method = method
         self.coarse = FunctionSpace(fine_space.mesh, 2)
         fine_pts, _ = gll_points_weights(fine_space.lx)
-        # Prolongation J: Q1 nodal values -> degree-N nodal values.
+        # Prolongation J: Q1 nodal values -> degree-N nodal values, and the
+        # restriction J^T, transposed once here rather than per application.
         self.j_c2f = lagrange_interpolation_matrix(np.asarray(fine_pts), 2)
+        self.j_f2c = np.ascontiguousarray(self.j_c2f.T)
 
         gs = self.coarse.gs
         self.n_vertices = gs.n_global
@@ -235,7 +237,7 @@ class CoarseGridSolver:
 
     def restrict(self, r_fine: np.ndarray) -> np.ndarray:
         """Dual restriction ``R0 r`` onto unique vertex dofs."""
-        rc = interp3_transpose(r_fine, self.j_c2f)
+        rc = interp3(r_fine, self.j_f2c)
         # Dual vectors assemble by summation over duplicates.  The fine
         # residual is duplicated-consistent (already dssum-ed), so each
         # unique fine dof contributes once per element it belongs to -- undo

@@ -19,7 +19,7 @@ from repro.precond.cache import OperatorCache
 from repro.precond.coarse import CoarseGridSolver
 from repro.precond.schwarz import SchwarzSmoother
 from repro.sem.basis import lagrange_interpolation_matrix
-from repro.sem.dealias import interp3, interp3_transpose
+from repro.sem.dealias import interp3
 from repro.sem.quadrature import gll_points_weights
 from repro.sem.space import FunctionSpace
 
@@ -71,7 +71,8 @@ class HybridSchwarzMultigrid:
             cache=cache,
         )
         self.schwarz = SchwarzSmoother(space, mask=mask, overlap=overlap, cache=cache)
-        self.mid_levels: list[tuple[FunctionSpace, SchwarzSmoother, np.ndarray]] = []
+        # (space, smoother, mid->fine interpolation, its transpose)
+        self.mid_levels: list[tuple[FunctionSpace, SchwarzSmoother, np.ndarray, np.ndarray]] = []
         fine_pts, _ = gll_points_weights(space.lx)
         for lxm in mid_orders:
             if not (2 < lxm < space.lx):
@@ -89,7 +90,8 @@ class HybridSchwarzMultigrid:
                 mid_mask = mid_space.gs.min(mid_mask)
             smoother = SchwarzSmoother(mid_space, mask=mid_mask, cache=cache)
             j_m2f = lagrange_interpolation_matrix(np.asarray(fine_pts), lxm)
-            self.mid_levels.append((mid_space, smoother, j_m2f))
+            j_f2m = np.ascontiguousarray(j_m2f.T)
+            self.mid_levels.append((mid_space, smoother, j_m2f, j_f2m))
 
     # -- the two independent parts -----------------------------------------
 
@@ -100,9 +102,9 @@ class HybridSchwarzMultigrid:
     def schwarz_part(self, r: np.ndarray) -> np.ndarray:
         """``sum_k R_k^T A~_k^{-1} R_k r`` -- the bandwidth-bound smoothers."""
         z = self.schwarz(r)
-        for mid_space, smoother, j_m2f in self.mid_levels:
+        for mid_space, smoother, j_m2f, j_f2m in self.mid_levels:
             # statcheck: ignore[hot-loop-allocation] -- one allocation per mid level (<= 2), not per element
-            rm = mid_space.gs.add(interp3_transpose(r, j_m2f))
+            rm = mid_space.gs.add(interp3(r, j_f2m))
             zm = smoother(rm)
             # statcheck: ignore[hot-loop-allocation] -- one allocation per mid level (<= 2), not per element
             z += interp3(mid_space.gs.average(zm), j_m2f)

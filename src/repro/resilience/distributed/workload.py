@@ -56,17 +56,25 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["DistributedThermalWorkload", "WorkloadResult"]
 
-#: Geometric-factor / mass coefficient names scattered to each rank.
-_COEF_NAMES = ("g11", "g22", "g33", "g12", "g13", "g23", "mass")
-
 #: The failures the run loop escalates to the recovery policy.
 RECOVERABLE = (RankFailedError, CommTimeoutError, CollectiveIntegrityError)
 
 
-class _LocalCoef:
-    """One rank's view of the geometric factors (duck-typed Coef)."""
+class _RankCoef:
+    """One rank's slice of the stacked metric and the mass, built per world.
 
-    __slots__ = _COEF_NAMES
+    Carries exactly what ``ax_helmholtz`` reads from a
+    :class:`~repro.sem.coef.Coefficients`: ``g_stack()`` and ``mass``.
+    """
+
+    __slots__ = ("_g", "mass")
+
+    def __init__(self, g: np.ndarray, mass: np.ndarray) -> None:
+        self._g = g
+        self.mass = mass
+
+    def g_stack(self) -> np.ndarray:
+        return self._g
 
 
 @dataclass
@@ -217,20 +225,24 @@ class DistributedThermalWorkload:
         self.dgs = DistributedGatherScatter(
             sp.gs.global_ids, self.owner, sp.shape, self.world
         )
-        coef_chunks = {
-            name: self.dgs.scatter_field(getattr(sp.coef, name)) for name in _COEF_NAMES
-        }
         self.mask_chunks = self.dgs.scatter_field(self.mask)
         self.lift_chunks = self.dgs.scatter_field(self.lift)
-        self._mass_chunks = coef_chunks["mass"]
+        self._mass_chunks = self.dgs.scatter_field(sp.coef.mass)
+        # The metric stack is (..., npts); view it per element to slice ranks.
+        g = sp.coef.g_stack()
+        g_elements = g.reshape(g.shape[:-1] + (sp.mesh.nelv, -1))
+        rank_coefs = [
+            _RankCoef(
+                g_elements[..., self.dgs.rank_elements[r], :].reshape(g.shape[:-1] + (-1,)),
+                self._mass_chunks[r],
+            )
+            for r in range(self.world.size)
+        ]
 
         h1, h2, dx = self.h1, self.h2, sp.dx
 
         def local_amul(rank: int, chunk: np.ndarray) -> np.ndarray:
-            c = _LocalCoef()
-            for name, chunks in coef_chunks.items():
-                setattr(c, name, chunks[rank])
-            return ax_helmholtz(chunk, c, dx, h1, h2)
+            return ax_helmholtz(chunk, rank_coefs[rank], dx, h1, h2)
 
         diag = sp.gs.add(helmholtz_diagonal(sp, h1, h2))
         diag = np.where(self.mask == 0.0, 1.0, diag)

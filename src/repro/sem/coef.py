@@ -10,6 +10,13 @@ six symmetric stiffness factors
 which are what the matrix-free Laplacian kernel contracts against.  These
 arrays are exactly the ``drdx``/``jac``/``B``/``G`` fields a spectral-element
 code keeps resident on the device for the whole run.
+
+The geometry also decides the contraction.  When every element's reference
+axes are the physical axes -- every forward-Jacobian off-diagonal is zero to
+round-off, as on any box mesh -- ``G`` and the inverse map are diagonal, and
+:attr:`Coefficients.axis_aligned` makes :meth:`Coefficients.g_stack` hand the
+kernels ``(g11, g22, g33)`` alone: three multiplies per point instead of a
+3x3 contraction.  The flag is computed from the coordinates, never passed.
 """
 
 from __future__ import annotations
@@ -18,7 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Coefficients", "tensor_derivatives"]
+__all__ = ["Coefficients", "stack_metric", "tensor_derivatives"]
+
+#: Largest forward-Jacobian off-diagonal, relative to the largest diagonal
+#: entry, that still counts as an axis-aligned mesh (round-off of the map).
+AXIS_ALIGNED_RTOL = 1e-12
 
 
 def tensor_derivatives_stacked(u: np.ndarray, dx: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -30,7 +41,7 @@ def tensor_derivatives_stacked(u: np.ndarray, dx: np.ndarray, out: np.ndarray) -
     consumes -- no staging copies.
     """
     nelv, lz, ly, lx = u.shape
-    np.matmul(u, dx.T, out=out[0])
+    np.matmul(u.reshape(-1, lx), dx.T, out=out[0].reshape(-1, lx))
     np.matmul(dx, u, out=out[1])
     np.matmul(dx, u.reshape(nelv, lz, ly * lx), out=out[2].reshape(nelv, lz, ly * lx))
     return out
@@ -41,14 +52,34 @@ def tensor_derivatives(u: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.nd
 
     ``u`` has shape ``(nelv, lx, lx, lx)`` indexed ``[e, k(t), j(s), i(r)]``
     and ``dx`` is the 1-D collocation derivative matrix.  All three
-    directions run as batched BLAS ``matmul`` calls over ``(nelv*lz, ly, lx)``
-    reshapes (the guide's "vectorize the loops" rule).
+    directions run as BLAS ``matmul`` calls: ``r`` as one 2-D GEMM over
+    ``(nelv*lz*ly, lx)`` rows, ``s`` and ``t`` batched over
+    ``(nelv*lz, ly, lx)`` / ``(nelv, lz, ly*lx)`` reshapes.
     """
     nelv, lz, ly, lx = u.shape
-    ur = u @ dx.T
+    ur = (u.reshape(-1, lx) @ dx.T).reshape(u.shape)
     us = np.matmul(dx, u)
     ut = np.matmul(dx, u.reshape(nelv, lz, ly * lx)).reshape(u.shape)
     return ur, us, ut
+
+
+def stack_metric(
+    g11: np.ndarray,
+    g22: np.ndarray,
+    g33: np.ndarray,
+    g12: np.ndarray,
+    g13: np.ndarray,
+    g23: np.ndarray,
+) -> np.ndarray:
+    """The six symmetric components as one full ``(3, 3, npts)`` array."""
+    g = np.empty((3, 3, g11.size))
+    for (a, b), comp in (
+        ((0, 0), g11), ((1, 1), g22), ((2, 2), g33),
+        ((0, 1), g12), ((0, 2), g13), ((1, 2), g23),
+    ):
+        g[a, b] = comp.reshape(-1)
+        g[b, a] = g[a, b]
+    return g
 
 
 @dataclass
@@ -87,31 +118,29 @@ class Coefficients:
     g13: np.ndarray
     g23: np.ndarray
     volume: float
+    # Every element's reference axes are the physical axes (see build()).
+    axis_aligned: bool = False
     # Lazily built stacked view of the symmetric G tensor (see g_stack()).
     _g_stack: np.ndarray | None = None
 
     def g_stack(self) -> np.ndarray:
-        """Symmetric geometric factors as one ``(3, 3, npts)`` array.
+        """Symmetric geometric factors, stacked for the ``ax_*`` kernels.
 
-        Feeds the fused ``einsum("abn,bn->an", ...)`` contraction in
-        ``ax_poisson``/``ax_helmholtz``: one C pass over nine components
-        instead of fifteen separate multiply/add sweeps.  Built on first
-        use and reused for the lifetime of the coefficients (the G tensor
-        is immutable after construction).
+        ``(3, npts)`` ``[g11, g22, g33]`` on an axis-aligned mesh (the
+        off-diagonals are round-off there), otherwise the full
+        ``(3, 3, npts)`` tensor for one fused ``einsum`` contraction.  The
+        kernels dispatch on ``ndim``.  Built on first use and reused for the
+        lifetime of the coefficients (G is immutable after construction).
         """
         if self._g_stack is None:
-            n = self.g11.size
-            g = np.empty((3, 3, n))
-            g[0, 0] = self.g11.reshape(-1)
-            g[0, 1] = self.g12.reshape(-1)
-            g[0, 2] = self.g13.reshape(-1)
-            g[1, 0] = self.g12.reshape(-1)
-            g[1, 1] = self.g22.reshape(-1)
-            g[1, 2] = self.g23.reshape(-1)
-            g[2, 0] = self.g13.reshape(-1)
-            g[2, 1] = self.g23.reshape(-1)
-            g[2, 2] = self.g33.reshape(-1)
-            self._g_stack = g
+            if self.axis_aligned:
+                self._g_stack = np.stack(
+                    [self.g11.reshape(-1), self.g22.reshape(-1), self.g33.reshape(-1)]
+                )
+            else:
+                self._g_stack = stack_metric(
+                    self.g11, self.g22, self.g33, self.g12, self.g13, self.g23
+                )
         return self._g_stack
 
     @classmethod
@@ -137,6 +166,11 @@ class Coefficients:
         dxdr, dxds, dxdt = tensor_derivatives(x, dx)
         dydr, dyds, dydt = tensor_derivatives(y, dx)
         dzdr, dzds, dzdt = tensor_derivatives(z, dx)
+        diagonal = max(float(np.abs(d).max()) for d in (dxdr, dyds, dzdt))
+        off_diagonal = max(
+            float(np.abs(d).max()) for d in (dxds, dxdt, dydr, dydt, dzdr, dzds)
+        )
+        axis_aligned = off_diagonal <= AXIS_ALIGNED_RTOL * diagonal
 
         jac = (
             dxdr * (dyds * dzdt - dydt * dzds)
@@ -182,4 +216,5 @@ class Coefficients:
             jac=jac, mass=mass,
             g11=g11, g22=g22, g33=g33, g12=g12, g13=g13, g23=g23,
             volume=float(np.sum(mass)),
+            axis_aligned=axis_aligned,
         )

@@ -6,10 +6,16 @@ removes the aliasing errors that destabilize marginally-resolved turbulence
 -- exactly the treatment the paper reports ("dealiasing (overintegration)
 according to the 3/2-rule").
 
-The interpolation operators and the fine-grid metric factors are
-precomputed once per space and reused every step; applying the operator is
-three batched ``matmul`` sweeps per direction, the same tensor-contraction
-structure as the coarse-grid kernels.
+The interpolation operators and the fine-grid inverse metric are
+precomputed once per space and reused every step.  The metric is one stacked
+array with the fine mass ``B_d`` folded in: ``(3, npts_d)`` entries
+``B_d (r_x, s_y, t_z)`` on an axis-aligned mesh
+(:attr:`~repro.sem.coef.Coefficients.axis_aligned`), the full
+``(3, 3, npts_d)`` ``B_d dr_a/dx_i`` otherwise.  One convection is then one
+stacked pass: three coarse reference derivatives, one stacked interpolation
+of all three, a contraction with the metric and the convecting velocity
+(three multiplies, or one fused ``einsum`` on deformed elements) and one
+projection back through the cached transposed interpolation matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sem.basis import lagrange_interpolation_matrix
-from repro.sem.coef import tensor_derivatives
+from repro.sem.coef import tensor_derivatives_stacked
 from repro.sem.quadrature import gll_points_weights
 from repro.sem.space import FunctionSpace
 
@@ -27,19 +33,26 @@ __all__ = ["Dealiaser", "interp3", "interp3_transpose"]
 def interp3(u: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Apply a 1-D operator ``j`` along all three tensor directions.
 
-    ``u`` has shape ``(nelv, m, m, m)`` and ``j`` shape ``(p, m)``; the
-    result has shape ``(nelv, p, p, p)``.
+    ``u`` has shape ``(..., m, m, m)`` -- one field ``(nelv, m, m, m)`` or a
+    stack of them -- and ``j`` shape ``(p, m)``; the result has shape
+    ``(..., p, p, p)``.  The first contraction is one 2-D GEMM over
+    ``(batch*m*m, m)`` rows.
     """
-    nelv, m = u.shape[0], u.shape[-1]
+    m = u.shape[-1]
     p = j.shape[0]
-    v = u @ j.T                                        # i: (e, m, m, p)
-    v = np.matmul(j, v)                                # j: (e, m, p, p)
-    v = np.matmul(j, v.reshape(nelv, m, p * p)).reshape(nelv, p, p, p)  # k
-    return v
+    nb = u.size // m**3
+    v = (u.reshape(nb * m * m, m) @ j.T).reshape(nb, m, m, p)  # i
+    v = np.matmul(j, v)                                          # j: (b, m, p, p)
+    v = np.matmul(j, v.reshape(nb, m, p * p))                    # k: (b, p, p*p)
+    return v.reshape(u.shape[:-3] + (p, p, p))
 
 
 def interp3_transpose(u: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`interp3` (projection from the fine grid back)."""
+    """Adjoint of :func:`interp3` (projection from the fine grid back).
+
+    Builds ``j.T`` on every call; hot paths keep the transposed matrix and
+    call :func:`interp3` with it.
+    """
     return interp3(u, j.T.copy())
 
 
@@ -62,51 +75,30 @@ class Dealiaser:
             raise ValueError(f"fine grid lxd={self.lxd} must be >= lx={lx}")
         fine_pts, fine_w = gll_points_weights(self.lxd)
         self.interp = lagrange_interpolation_matrix(np.asarray(fine_pts), lx)
+        self.interp_t = np.ascontiguousarray(self.interp.T)
 
         coef = space.coef
-        # Fine-grid inverse-map metrics and integration weights.  The
-        # interpolation of the coarse-grid metrics is exact for affine
+        # Inverse-map metric dr_a/dx_i on the coarse grid, row i physical,
+        # column a reference; the diagonal alone when the mesh is
+        # axis-aligned.  Interpolating the coarse metric is exact for affine
         # elements and spectrally accurate for the blended cylinder maps.
-        self.drdx_d = interp3(coef.drdx, self.interp)
-        self.drdy_d = interp3(coef.drdy, self.interp)
-        self.drdz_d = interp3(coef.drdz, self.interp)
-        self.dsdx_d = interp3(coef.dsdx, self.interp)
-        self.dsdy_d = interp3(coef.dsdy, self.interp)
-        self.dsdz_d = interp3(coef.dsdz, self.interp)
-        self.dtdx_d = interp3(coef.dtdx, self.interp)
-        self.dtdy_d = interp3(coef.dtdy, self.interp)
-        self.dtdz_d = interp3(coef.dtdz, self.interp)
-        jac_d = interp3(coef.jac, self.interp)
+        if coef.axis_aligned:
+            metric = np.stack([coef.drdx, coef.dsdy, coef.dtdz])
+        else:
+            metric = np.stack([
+                [coef.drdx, coef.dsdx, coef.dtdx],
+                [coef.drdy, coef.dsdy, coef.dtdy],
+                [coef.drdz, coef.dsdz, coef.dtdz],
+            ])
+        metric_d = interp3(metric, self.interp)
         w = np.asarray(fine_w)
         w3 = w[None, :, None, None] * w[None, None, :, None] * w[None, None, None, :]
-        self.mass_d = w3 * jac_d
+        metric_d *= w3 * interp3(coef.jac, self.interp)  # fold in B_d once
+        self.metric_d = metric_d.reshape(metric.shape[:-4] + (-1,))
 
     def to_fine(self, u: np.ndarray) -> np.ndarray:
         """Interpolate a coarse nodal field to the fine grid."""
         return interp3(u, self.interp)
-
-    def project_weak(self, u_fine: np.ndarray) -> np.ndarray:
-        """Multiply by the fine mass and project back (weak-form data)."""
-        return interp3_transpose(self.mass_d * u_fine, self.interp)
-
-    def grad_fine(
-        self, u: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Physical gradient of a coarse field, evaluated on the fine grid.
-
-        Differentiates on the coarse grid (where the polynomial lives) and
-        interpolates the reference-space derivatives, then applies the fine
-        metrics -- the standard Nek/Neko ordering, which keeps the result
-        exact for polynomial data.
-        """
-        ur, us, ut = tensor_derivatives(u, np.asarray(self.space.dx))
-        urd = interp3(ur, self.interp)
-        usd = interp3(us, self.interp)
-        utd = interp3(ut, self.interp)
-        dudx = urd * self.drdx_d + usd * self.dsdx_d + utd * self.dtdx_d
-        dudy = urd * self.drdy_d + usd * self.dsdy_d + utd * self.dtdy_d
-        dudz = urd * self.drdz_d + usd * self.dsdz_d + utd * self.dtdz_d
-        return dudx, dudy, dudz
 
     def convect_weak(
         self,
@@ -121,12 +113,25 @@ class Dealiaser:
         ``c_fine`` may carry the convecting velocity already interpolated to
         the fine grid (it is reused across the three momentum components and
         the scalar each step -- the caller-side optimization Neko performs).
+
+        Differentiates on the coarse grid (where the polynomial lives) and
+        interpolates the reference-space derivatives before applying the
+        fine metric -- the standard Nek/Neko ordering, which keeps the
+        result exact for polynomial data.
         """
         if c_fine is None:
             c_fine = (self.to_fine(cx), self.to_fine(cy), self.to_fine(cz))
-        cxd, cyd, czd = c_fine
-        dudx, dudy, dudz = self.grad_fine(u)
-        adv = cxd * dudx
-        adv += cyd * dudy
-        adv += czd * dudz
-        return self.project_weak(adv)
+        du = np.empty((3,) + u.shape)
+        tensor_derivatives_stacked(u, self.space.dx, du)
+        flux = interp3(du, self.interp).reshape(3, -1)
+        if self.metric_d.ndim == 2:
+            flux *= self.metric_d  # B_d r_x u_r, B_d s_y u_s, B_d t_z u_t
+        else:
+            flux = np.einsum("ian,an->in", self.metric_d, flux)  # B_d du/dx_i
+        flux = flux.reshape((3,) + c_fine[0].shape)
+        adv = flux[0]
+        adv *= c_fine[0]
+        for i in (1, 2):
+            flux[i] *= c_fine[i]
+            adv += flux[i]
+        return interp3(adv, self.interp_t)

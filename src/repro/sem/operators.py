@@ -3,7 +3,7 @@
 These are the compute kernels of the solver -- the Python analogues of
 Neko's ``ax_helm``, ``opgrad``, ``cdtp`` and friends.  Everything is
 formulated per element on the ``(nelv, lx, lx, lx)`` layout and contracted
-with batched ``matmul`` so the work runs inside BLAS.  None of these
+with 2-D and batched ``matmul`` so the work runs inside BLAS.  None of these
 routines performs gather--scatter or boundary masking; that is the caller's
 job (exactly as in the real code, where the ``Ax`` object computes the local
 action and the Krylov solver owns assembly).
@@ -13,7 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sem.coef import Coefficients, tensor_derivatives, tensor_derivatives_stacked
+from repro.sem.coef import (
+    Coefficients,
+    stack_metric,
+    tensor_derivatives,
+    tensor_derivatives_stacked,
+)
 from repro.statcheck.contracts import FIELD, OPERATOR_1D, contract
 
 __all__ = [
@@ -41,7 +46,7 @@ def local_grad_transpose(
 ) -> np.ndarray:
     """Adjoint of :func:`local_grad`: ``D_r^T wr + D_s^T ws + D_t^T wt``."""
     nelv, lz, ly, lx = wr.shape
-    out = wr @ dx
+    out = (wr.reshape(-1, lx) @ dx).reshape(wr.shape)
     out += np.matmul(dx.T, ws)
     out += np.matmul(dx.T, wt.reshape(nelv, lz, ly * lx)).reshape(wr.shape)
     return out
@@ -58,33 +63,48 @@ def physical_grad(
     return dudx, dudy, dudz
 
 
+def _metric(coef: Coefficients) -> np.ndarray:
+    """The stacked geometric factors the ``ax_*`` kernels contract against.
+
+    Per-rank stand-ins that carry only the six components (the SPMD solve of
+    ``benchmarks/spine/campaign.py``) get the full tensor stacked per call.
+    """
+    g_stack = getattr(coef, "g_stack", None)
+    if g_stack is None:
+        return stack_metric(coef.g11, coef.g22, coef.g33, coef.g12, coef.g13, coef.g23)
+    return g_stack()
+
+
+def _stiffness_flux(u: np.ndarray, g: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Stacked ``G (D u)``: reference derivatives contracted with the metric.
+
+    A diagonal ``(3, npts)`` metric (axis-aligned mesh) scales the stacked
+    derivatives in place; the full ``(3, 3, npts)`` one runs as one fused
+    ``einsum``.  This is the only fork in the stiffness kernels.
+    """
+    du = np.empty((3,) + u.shape)
+    tensor_derivatives_stacked(u, dx, du)
+    flat = du.reshape(3, u.size)
+    if g.ndim == 2:
+        flat *= g
+        return du
+    return np.einsum("abn,bn->an", g, flat).reshape(du.shape)
+
+
 @contract(u=FIELD, dx=OPERATOR_1D, returns=FIELD)
 def ax_poisson(u: np.ndarray, coef: Coefficients, dx: np.ndarray) -> np.ndarray:
     """Local action of the stiffness matrix: ``w = A u`` (unassembled).
 
     The weak Laplacian ``(grad v, grad u)`` evaluated with the geometric
     factors ``G``: differentiate, contract with ``G``, apply the transposed
-    derivatives.  ~`6 lx` flops per point over `7` resident arrays -- the
-    bandwidth-bound profile the roofline model in ``repro.perfmodel``
-    assumes.
+    derivatives.  ~``12 lx`` flops per point for the tensor sweeps; the
+    resident arrays are u, the output and the metric -- three diagonal
+    factors on an axis-aligned mesh, the nine-entry stack on a deformed
+    one -- the bandwidth-bound profile the roofline model in
+    ``repro.perfmodel`` assumes.
     """
-    # The fused path needs the stacked geometric factors; duck-typed coef
-    # stand-ins (e.g. per-rank chunks in the distributed layer) that only
-    # carry g11..g33 contract G component by component.
-    g_stack = getattr(coef, "g_stack", None)
-    if g_stack is None:
-        ur, us, ut = tensor_derivatives(u, dx)
-        wr = coef.g11 * ur + coef.g12 * us + coef.g13 * ut
-        ws = coef.g12 * ur + coef.g22 * us + coef.g23 * ut
-        wt = coef.g13 * ur + coef.g23 * us + coef.g33 * ut
-        return local_grad_transpose(wr, ws, wt, dx)
-    # Derivatives land in a stacked buffer and the G contraction runs as a
-    # single fused einsum pass.
-    du = np.empty((3,) + u.shape)
-    tensor_derivatives_stacked(u, dx, du)
-    w = np.einsum("abn,bn->an", g_stack(), du.reshape(3, u.size))
-    wv = w.reshape(du.shape)
-    return local_grad_transpose(wv[0], wv[1], wv[2], dx)
+    w = _stiffness_flux(u, _metric(coef), dx)
+    return local_grad_transpose(w[0], w[1], w[2], dx)
 
 
 @contract(u=FIELD, dx=OPERATOR_1D, returns=FIELD)
@@ -100,21 +120,9 @@ def ax_helmholtz(
     ``h1`` is the diffusivity, ``h2`` the reaction/mass coefficient (the
     BDF ``b0 / dt`` factor in the time-stepper); both may vary pointwise.
     """
-    g_stack = getattr(coef, "g_stack", None)
-    if g_stack is None:
-        ur, us, ut = tensor_derivatives(u, dx)
-        wr = h1 * (coef.g11 * ur + coef.g12 * us + coef.g13 * ut)
-        ws = h1 * (coef.g12 * ur + coef.g22 * us + coef.g23 * ut)
-        wt = h1 * (coef.g13 * ur + coef.g23 * us + coef.g33 * ut)
-        out = local_grad_transpose(wr, ws, wt, dx)
-        out += h2 * coef.mass * u
-        return out
-    du = np.empty((3,) + u.shape)
-    tensor_derivatives_stacked(u, dx, du)
-    w = np.einsum("abn,bn->an", g_stack(), du.reshape(3, u.size))
-    wv = w.reshape(du.shape)
-    wv *= h1  # scalar or pointwise (nelv, lx, lx, lx): broadcasts over rows
-    out = local_grad_transpose(wv[0], wv[1], wv[2], dx)
+    w = _stiffness_flux(u, _metric(coef), dx)
+    w *= h1  # scalar or pointwise (nelv, lx, lx, lx): broadcasts over rows
+    out = local_grad_transpose(w[0], w[1], w[2], dx)
     out += h2 * coef.mass * u
     return out
 

@@ -10,7 +10,8 @@ arithmetic, so the rewrites are safe even for golden-trajectory-tested
 code.
 
 Hot scope: ``repro.precond.*``, ``repro.solvers.*``, ``repro.sem.operators``,
-``repro.sem.coef`` and ``repro.comm.distributed_solver``.  Setup-time
+``repro.sem.coef``, ``repro.sem.dealias``, ``repro.comm.distributed_solver``
+and ``repro.comm.batched``.  Setup-time
 functions (``__init__``, ``build_*``/``_build_*``, ``setup*``) are exempt:
 construction cost is paid once and hoisting there hurts readability for
 nothing.
@@ -45,6 +46,8 @@ __all__ = ["HotLoopAllocationAnalyzer"]
 HOT_MODULES = {
     "repro.sem.operators",
     "repro.sem.coef",
+    # Dealiased advection: four convections per step, as hot as the ax_*.
+    "repro.sem.dealias",
     "repro.comm.distributed_solver",
     # The batched exchange path runs once per simulated collective round at
     # O(10^4) ranks; its fill loops must stay allocator-free.

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sem.mesh import box_mesh
+from repro.sem.mesh import box_mesh, cylinder_mesh
 from repro.sem.operators import (
     ax_poisson,
     divergence,
@@ -188,14 +188,24 @@ def test_ax_poisson_positive_semidefinite_on_deformed_mesh():
 
 from repro.sem.coef import tensor_derivatives, tensor_derivatives_stacked  # noqa: E402
 from repro.sem.operators import ax_helmholtz  # noqa: E402
+from repro.sem.basis import lagrange_interpolation_matrix  # noqa: E402
+from repro.sem.dealias import Dealiaser  # noqa: E402
 from repro.sem.probes import FieldProbes  # noqa: E402
+from repro.sem.quadrature import gll_points_weights  # noqa: E402
 
 
-def per_axis_helmholtz(u, coef, dx, h1, h2):
-    """``h1 A u + h2 B u`` contracted one axis at a time (the oracle)."""
+def per_axis_derivatives(u, dx):
+    """``(u_r, u_s, u_t)`` contracted one axis at a time."""
     ur = np.einsum("il,ekjl->ekji", dx, u)
     us = np.einsum("jl,ekli->ekji", dx, u)
     ut = np.einsum("kl,elji->ekji", dx, u)
+    return ur, us, ut
+
+
+def per_axis_helmholtz(u, coef, dx, h1, h2):
+    """``h1 A u + h2 B u`` with all nine G terms, one axis at a time (the
+    oracle: it never looks at ``axis_aligned`` or ``g_stack``)."""
+    ur, us, ut = per_axis_derivatives(u, dx)
     wr = h1 * (coef.g11 * ur + coef.g12 * us + coef.g13 * ut)
     ws = h1 * (coef.g12 * ur + coef.g22 * us + coef.g23 * ut)
     wt = h1 * (coef.g13 * ur + coef.g23 * us + coef.g33 * ut)
@@ -203,6 +213,27 @@ def per_axis_helmholtz(u, coef, dx, h1, h2):
     out += np.einsum("lj,ekli->ekji", dx, ws)
     out += np.einsum("lk,elji->ekji", dx, wt)
     return out + h2 * coef.mass * u
+
+
+def nine_metric_convection(cx, cy, cz, u, space, lxd):
+    """Weak dealiased ``(v, (c . grad) u)`` with all nine inverse-metric
+    terms interpolated separately and the fine mass applied last (the
+    oracle for ``Dealiaser.convect_weak``)."""
+    pts, w = gll_points_weights(lxd)
+    j = lagrange_interpolation_matrix(np.asarray(pts), space.lx)
+
+    def fine(f):
+        return np.einsum("zk,yj,xi,ekji->ezyx", j, j, j, f)
+
+    c = space.coef
+    urd, usd, utd = (fine(d) for d in per_axis_derivatives(u, space.dx))
+    dudx = urd * fine(c.drdx) + usd * fine(c.dsdx) + utd * fine(c.dtdx)
+    dudy = urd * fine(c.drdy) + usd * fine(c.dsdy) + utd * fine(c.dtdy)
+    dudz = urd * fine(c.drdz) + usd * fine(c.dsdz) + utd * fine(c.dtdz)
+    adv = fine(cx) * dudx + fine(cy) * dudy + fine(cz) * dudz
+    w = np.asarray(w)
+    mass_d = np.einsum("k,j,i->kji", w, w, w)[None] * fine(c.jac)
+    return np.einsum("zk,yj,xi,ezyx->ekji", j, j, j, mass_d * adv)
 
 
 @settings(max_examples=10, deadline=None)
@@ -242,8 +273,10 @@ def test_tensor_derivatives_stacked_matches_tuple_form():
 
 
 def test_g_stack_mirrors_components():
-    """The fused G matrix is exactly the six symmetric components."""
+    """The fused G matrix is exactly the six symmetric components; on an
+    axis-aligned box it is the diagonal alone."""
     space = deformed_space(11, 0.04)
+    assert not space.coef.axis_aligned
     g = space.coef.g_stack().reshape(3, 3, *space.shape)
     np.testing.assert_array_equal(g[0, 0], space.coef.g11)
     np.testing.assert_array_equal(g[1, 1], space.coef.g22)
@@ -254,6 +287,90 @@ def test_g_stack_mirrors_components():
     np.testing.assert_array_equal(g[1, 2], space.coef.g23)
     # And it is cached: same object on repeated access.
     assert space.coef.g_stack() is space.coef.g_stack()
+
+    box = FunctionSpace(box_mesh((2, 2, 2), lengths=(1.0, 2.0, 0.5)), 4)
+    g = box.coef.g_stack()
+    assert g.shape == (3, box.coef.g11.size)
+    np.testing.assert_array_equal(g[0], box.coef.g11.reshape(-1))
+    np.testing.assert_array_equal(g[1], box.coef.g22.reshape(-1))
+    np.testing.assert_array_equal(g[2], box.coef.g33.reshape(-1))
+
+
+# -- axis-aligned meshes: the diagonal metric --------------------------------
+
+
+def stretched_box_space(lengths, grading, lx=4):
+    """A box stretched differently along each axis (graded layers)."""
+    return FunctionSpace(box_mesh((2, 2, 2), lengths=lengths, grading=grading), lx)
+
+
+def rotated_box_space(degrees):
+    """A unit box rotated about z: orthogonal, but not axis-aligned."""
+    mesh = box_mesh((2, 2, 2))
+    cc = mesh.corner_coords
+    x, y = cc[..., 0].copy(), cc[..., 1].copy()
+    a = np.radians(degrees)
+    cc[..., 0] = np.cos(a) * x - np.sin(a) * y
+    cc[..., 1] = np.sin(a) * x + np.cos(a) * y
+    return FunctionSpace(mesh, 4)
+
+
+def test_axis_aligned_on_boxes():
+    assert FunctionSpace(box_mesh((2, 2, 2)), 4).coef.axis_aligned
+    assert stretched_box_space((2.0, 0.5, 1.3), (0.0, 1.5, 0.8)).coef.axis_aligned
+
+
+def test_not_axis_aligned_off_boxes():
+    assert not FunctionSpace(cylinder_mesh(n_square=2, n_ring=2, n_z=2), 4).coef.axis_aligned
+    assert not deformed_space(3, 0.03).coef.axis_aligned
+    rotated = rotated_box_space(30.0)
+    assert not rotated.coef.axis_aligned
+    # Orthogonal all the same: G's off-diagonals vanish to round-off, so
+    # the flag follows the axes, not the orthogonality.
+    assert np.abs(rotated.coef.g12).max() < 1e-12 * np.abs(rotated.coef.g11).max()
+
+
+stretches = {
+    "lengths": st.tuples(*(st.floats(0.2, 3.0, allow_nan=False),) * 3),
+    "grading": st.tuples(*(st.floats(0.0, 1.5, allow_nan=False),) * 3),
+    "seed": st.integers(0, 2**32 - 1),
+}
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(**stretches)
+def test_diagonal_metric_matches_nine_term_oracle(lengths, grading, seed):
+    """On stretched boxes the diagonal-metric kernels equal the nine-term
+    per-axis oracles: ``ax_poisson``, ``ax_helmholtz`` and ``convect_weak``."""
+    space = stretched_box_space(lengths, grading)
+    assert space.coef.axis_aligned
+    rng = np.random.default_rng(seed)
+    u = random_field(space, rng)
+
+    def check(got, ref):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    check(ax_poisson(u, space.coef, space.dx), per_axis_helmholtz(u, space.coef, space.dx, 1.0, 0.0))
+    check(
+        ax_helmholtz(u, space.coef, space.dx, 0.7, 3.0),
+        per_axis_helmholtz(u, space.coef, space.dx, 0.7, 3.0),
+    )
+    dl = Dealiaser(space)
+    cx, cy, cz = (random_field(space, rng) for _ in range(3))
+    check(dl.convect_weak(cx, cy, cz, u), nine_metric_convection(cx, cy, cz, u, space, dl.lxd))
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(**deformations)
+def test_full_metric_convection_matches_nine_term_oracle(seed, amplitude):
+    """The stacked ``einsum`` path of ``convect_weak`` on deformed meshes."""
+    space = deformed_space(seed, amplitude)
+    rng = np.random.default_rng(seed ^ 0xC0417)
+    u, cx, cy, cz = (random_field(space, rng) for _ in range(4))
+    dl = Dealiaser(space)
+    ref = nine_metric_convection(cx, cy, cz, u, space, dl.lxd)
+    got = dl.convect_weak(cx, cy, cz, u)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 @settings(max_examples=8, deadline=None)
