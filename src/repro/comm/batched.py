@@ -83,7 +83,7 @@ class BatchedWorld(SimWorld):
         wire = src != dst
         if not wire.all():
             src, dst, nbytes = src[wire], dst[wire], nbytes[wire]
-        self.stats.record_p2p_batch(src, dst, nbytes)
+        self.stats.record_p2p_batch(nbytes)
         return CommRound(phase, src, dst, nbytes)
 
     # -- per-rank adapter -------------------------------------------------------

@@ -110,7 +110,6 @@ class DistributedConjugateGradient:
 
         for _ in range(self.maxiter):
             ap = self._amul(p)
-            # statcheck: ignore[hot-loop-allocation] -- the simulated allreduce packs per-rank buffers; production uses MPI buffers
             pap = self.dgs.dot(p, ap)
             if pap <= 0.0:
                 break
@@ -118,13 +117,10 @@ class DistributedConjugateGradient:
             for xr, pr, rr, apr in zip(x, p, r, ap):
                 xr += alpha * pr
                 rr -= alpha * apr
-            # statcheck: ignore[hot-loop-allocation] -- the simulated allreduce packs per-rank buffers; production uses MPI buffers
             rnorm = float(np.sqrt(max(self.dgs.dot(r, r), 0.0)))
             if mon.step(rnorm):
                 break
-            # statcheck: ignore[hot-loop-allocation] -- z's chunk buffers are reused via out=
             z = self._apply_precond(r, out=z)
-            # statcheck: ignore[hot-loop-allocation] -- the simulated allreduce packs per-rank buffers; production uses MPI buffers
             rho_new = self.dgs.dot(r, z)
             beta = rho_new / rho
             rho = rho_new

@@ -75,27 +75,19 @@ class TrafficStats:
     timeouts: int = 0
     integrity_failures: int = 0
 
-    def record_p2p(self, src: int, dst: int, nbytes: int) -> None:
+    def record_p2p(self, nbytes: int) -> None:
         """Count one point-to-point message."""
         self.p2p_messages += 1
         self.p2p_bytes += nbytes
 
-    def record_p2p_batch(
-        self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray
-    ) -> None:
-        """Count a whole round of point-to-point messages at once.
+    def record_p2p_batch(self, nbytes: np.ndarray) -> None:
+        """Count a whole round of wire messages, one per entry of ``nbytes``.
 
-        Vectorized equivalent of calling :meth:`record_p2p` per message
-        (self-messages ``src == dst`` are skipped, matching
-        :meth:`SimWorld.exchange`).
+        Vectorized equivalent of calling :meth:`record_p2p` per message;
+        the caller has already dropped self-messages, which
+        :meth:`SimWorld.exchange` does not count either.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        nbytes = np.asarray(nbytes, dtype=np.int64)
-        wire = src != dst
-        if not wire.all():
-            src, dst, nbytes = src[wire], dst[wire], nbytes[wire]
-        self.p2p_messages += int(src.size)
+        self.p2p_messages += int(nbytes.size)
         self.p2p_bytes += int(nbytes.sum())
 
     def reset(self) -> None:
@@ -257,7 +249,7 @@ class SimWorld:
             if not (0 <= src < self.size and 0 <= dst < self.size):
                 raise ValueError(f"invalid ranks in send ({src}->{dst})")
             if src != dst:
-                self.stats.record_p2p(src, dst, buf.nbytes)
+                self.stats.record_p2p(buf.nbytes)
             if self.retry is not None:
                 delivered = self._deliver(src, dst, buf)
             elif self.fault_injector is not None:
@@ -337,5 +329,5 @@ class SimWorld:
                 nbytes = int(np.asarray(value).nbytes)
             except (TypeError, ValueError):
                 nbytes = 0  # non-numeric payloads count as messages only
-            self.stats.record_p2p(rank, root, nbytes)
+            self.stats.record_p2p(nbytes)
         return list(values)

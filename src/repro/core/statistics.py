@@ -19,7 +19,6 @@ import numpy as np
 from repro.sem.operators import physical_grad
 from repro.sem.quadrature import gll_points_weights
 from repro.sem.space import FunctionSpace
-from repro.statcheck.contracts import FIELD, contract
 
 __all__ = [
     "facet_integral",
@@ -142,7 +141,6 @@ class NusseltNumbers:
         return max(abs(v - m) for v in vals) / abs(m)
 
 
-@contract(uz=FIELD, temperature=FIELD)
 def compute_nusselt(
     space: FunctionSpace,
     uz: np.ndarray,
@@ -153,6 +151,7 @@ def compute_nusselt(
     top_label: str = "top",
 ) -> NusseltNumbers:
     """All Nusselt estimators in one call."""
+    space.check_fields("compute_nusselt", uz=uz, temperature=temperature)
     return NusseltNumbers(
         volume=nusselt_volume(space, uz, temperature, rayleigh, prandtl),
         plate_bottom=nusselt_plate(space, temperature, bottom_label),
@@ -161,7 +160,6 @@ def compute_nusselt(
     )
 
 
-@contract(ux=FIELD, uy=FIELD, uz=FIELD)
 def reynolds_number(
     space: FunctionSpace,
     ux: np.ndarray,
@@ -171,5 +169,6 @@ def reynolds_number(
     prandtl: float,
 ) -> float:
     """Free-fall Reynolds number ``u_rms * sqrt(Ra/Pr)``."""
+    space.check_fields("reynolds_number", ux=ux, uy=uy, uz=uz)
     urms = np.sqrt(space.mean(ux**2 + uy**2 + uz**2))
     return float(urms * np.sqrt(rayleigh / prandtl))

@@ -103,10 +103,8 @@ class HybridSchwarzMultigrid:
         """``sum_k R_k^T A~_k^{-1} R_k r`` -- the bandwidth-bound smoothers."""
         z = self.schwarz(r)
         for mid_space, smoother, j_m2f, j_f2m in self.mid_levels:
-            # statcheck: ignore[hot-loop-allocation] -- one allocation per mid level (<= 2), not per element
             rm = mid_space.gs.add(interp3(r, j_f2m))
             zm = smoother(rm)
-            # statcheck: ignore[hot-loop-allocation] -- one allocation per mid level (<= 2), not per element
             z += interp3(mid_space.gs.average(zm), j_m2f)
         return z
 

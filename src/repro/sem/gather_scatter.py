@@ -100,7 +100,6 @@ class GatherScatter:
         self.calls = 0
         self.bytes_moved = 0
         self.seconds = 0.0
-        self.dot_calls = 0
 
     # -- core operations ---------------------------------------------------
 
@@ -169,7 +168,6 @@ class GatherScatter:
         faster than the naive ``sum(u * v * w)`` triple product on the
         Gram--Schmidt hot path (thousands of calls per step).
         """
-        self.dot_calls += 1
         return float(np.dot((u * self._inv_multiplicity).reshape(-1), v.reshape(-1)))
 
     @property
@@ -181,10 +179,3 @@ class GatherScatter:
         ``weight`` of :class:`repro.solvers.fcg.FlexibleCG`).
         """
         return self._inv_multiplicity
-
-    def reset_traffic(self) -> None:
-        """Zero the traffic counters (between measurement windows)."""
-        self.calls = 0
-        self.bytes_moved = 0
-        self.seconds = 0.0
-        self.dot_calls = 0

@@ -19,7 +19,6 @@ from repro.sem.coef import (
     tensor_derivatives,
     tensor_derivatives_stacked,
 )
-from repro.statcheck.contracts import FIELD, OPERATOR_1D, contract
 
 __all__ = [
     "local_grad",
@@ -91,7 +90,6 @@ def _stiffness_flux(u: np.ndarray, g: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return np.einsum("abn,bn->an", g, flat).reshape(du.shape)
 
 
-@contract(u=FIELD, dx=OPERATOR_1D, returns=FIELD)
 def ax_poisson(u: np.ndarray, coef: Coefficients, dx: np.ndarray) -> np.ndarray:
     """Local action of the stiffness matrix: ``w = A u`` (unassembled).
 
@@ -107,7 +105,6 @@ def ax_poisson(u: np.ndarray, coef: Coefficients, dx: np.ndarray) -> np.ndarray:
     return local_grad_transpose(w[0], w[1], w[2], dx)
 
 
-@contract(u=FIELD, dx=OPERATOR_1D, returns=FIELD)
 def ax_helmholtz(
     u: np.ndarray,
     coef: Coefficients,

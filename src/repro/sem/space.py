@@ -74,6 +74,19 @@ class FunctionSpace:
             return num
         return num / denom
 
+    def check_fields(self, caller: str, **fields: np.ndarray) -> None:
+        """Raise ``ValueError`` unless every field has this space's shape.
+
+        A single element's ``(lx, lx, lx)`` array broadcasts silently
+        against the ``(nelv, lx, lx, lx)`` geometric factors, so the
+        diagnostics that take fields from their caller check first.
+        """
+        for name, u in fields.items():
+            if np.shape(u) != self.shape:
+                raise ValueError(
+                    f"{caller}: {name} has shape {np.shape(u)}, expected {self.shape}"
+                )
+
     def zeros(self) -> np.ndarray:
         """A zero field with the elementwise layout of this space."""
         return np.zeros(self.shape)

@@ -179,8 +179,7 @@ class SolutionProjection:
         self.clear()
         i = 0
         while f"proj_x{i}" in arrays:
-            # statcheck: ignore[hot-loop-allocation] -- checkpoint restore runs once; the basis must own its arrays
+            # Copies: the basis must own its arrays, not views of the checkpoint.
             self._x.append(np.array(arrays[f"proj_x{i}"], copy=True))
-            # statcheck: ignore[hot-loop-allocation] -- checkpoint restore runs once; the basis must own its arrays
             self._ax.append(np.array(arrays[f"proj_ax{i}"], copy=True))
             i += 1

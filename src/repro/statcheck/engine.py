@@ -1,15 +1,16 @@
 """The statcheck engine: walk files, parse, run rules, apply suppressions.
 
 The engine is deliberately small: rules do the domain work, the engine
-owns everything generic -- file discovery, AST parsing with a shared
-parent map, module-name derivation from the ``src`` layout, suppression
-filtering and stable ordering of the output.
+owns everything generic -- file discovery, AST parsing, module-name
+derivation from the ``src`` layout, suppression filtering and stable
+ordering of the output.  Each file is checked on its own; no rule sees
+more than one module.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -19,7 +20,7 @@ from repro.statcheck.suppress import Suppressions, parse_suppressions
 if TYPE_CHECKING:  # pragma: no cover
     from repro.statcheck.rules.base import Rule
 
-__all__ = ["ModuleContext", "check_paths", "check_project", "iter_python_files"]
+__all__ = ["ModuleContext", "check_paths", "iter_python_files"]
 
 #: Directory names never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", "build", "dist"}
@@ -29,23 +30,15 @@ _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", "build", "dist"}
 class ModuleContext:
     """Everything a rule needs to know about one module."""
 
-    path: Path  # absolute or as-given path on disk
     relpath: str  # repo-relative POSIX path used in findings
     module: str  # dotted module name ("repro.sem.mesh"); best effort
-    source: str
-    lines: list[str]
     tree: ast.AST
     suppressions: Suppressions
-    parents: dict[int, ast.AST] = field(default_factory=dict)
 
     @classmethod
     def from_path(cls, path: Path, root: Path | None = None) -> "ModuleContext":
         source = path.read_text()
         tree = ast.parse(source, filename=str(path))
-        parents: dict[int, ast.AST] = {}
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                parents[id(child)] = node
         try:
             rel = path.resolve().relative_to((root or Path.cwd()).resolve())
         except ValueError:
@@ -60,51 +53,28 @@ class ModuleContext:
                 for line in range(decorators[0].lineno, node.lineno):
                     suppressions.forward(line, node.lineno)
         return cls(
-            path=path,
             relpath=rel.as_posix(),
             module=_module_name(path),
-            source=source,
-            lines=source.splitlines(),
             tree=tree,
             suppressions=suppressions,
-            parents=parents,
         )
-
-    # -- helpers shared by rules --------------------------------------------
-
-    def parent(self, node: ast.AST) -> ast.AST | None:
-        return self.parents.get(id(node))
-
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        cur = self.parent(node)
-        while cur is not None:
-            yield cur
-            cur = self.parents.get(id(cur))
 
     def in_package(self, *packages: str) -> bool:
         """True when the module lives under any ``repro.<package>``."""
         parts = self.module.split(".")
         return len(parts) >= 2 and parts[0] == "repro" and parts[1] in packages
 
-    def source_line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
     def finding(
         self, rule: "Rule", node: ast.AST, message: str, severity=None
     ) -> Finding:
         """Build a finding anchored at ``node`` (severity defaults to the rule's)."""
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
         return Finding(
             rule=rule.name,
             path=self.relpath,
-            line=lineno,
-            col=col,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
             message=message,
             severity=severity if severity is not None else rule.severity,
-            source_line=self.source_line(lineno),
         )
 
 
@@ -139,46 +109,28 @@ def check_paths(
     rules: Iterable["Rule"],
     root: Path | None = None,
 ) -> tuple[list[Finding], list[str]]:
-    """Run per-module ``rules`` over every Python file under ``paths``.
+    """Run ``rules`` over every Python file under ``paths``.
 
     Returns ``(findings, errors)``: findings sorted by location, and a list
     of human-readable messages for files that failed to parse (a syntax
     error in checked code is reported, not raised -- the linter must not
     die on the code it lints).
     """
-    return check_project(paths, rules, analyzers=(), root=root)
-
-
-def check_project(
-    paths: Iterable[Path],
-    rules: Iterable["Rule"] = (),
-    analyzers: Iterable = (),
-    root: Path | None = None,
-) -> tuple[list[Finding], list[str]]:
-    """Run per-module rules and project-wide analyzers over ``paths``.
-
-    The project (all parsed modules + call graph) is loaded once and
-    shared by every analyzer.  Analyzer findings pass through the same
-    per-module suppression tables as rule findings, so one suppression
-    grammar covers both layers.
-    """
-    from repro.statcheck.callgraph import Project
-
     rules = list(rules)
-    analyzers = list(analyzers)
-    project = Project.load(list(paths), root=root)
     findings: list[Finding] = []
-    for ctx in project.modules:
+    errors: list[str] = []
+    for path in iter_python_files(paths):
+        try:
+            ctx = ModuleContext.from_path(path, root=root)
+        except (SyntaxError, UnicodeDecodeError, OSError) as exc:
+            errors.append(f"{path}: {type(exc).__name__}: {exc}")
+            continue
         for rule in rules:
-            if not rule.applies(ctx):
-                continue
-            for f in rule.check(ctx):
-                if not ctx.suppressions.is_suppressed(f.line, f.rule):
-                    findings.append(f)
-    for analyzer in analyzers:
-        for f in analyzer.check(project):
-            ctx = project.module_by_relpath(f.path)
-            if ctx is None or not ctx.suppressions.is_suppressed(f.line, f.rule):
-                findings.append(f)
+            if rule.applies(ctx):
+                findings.extend(
+                    f
+                    for f in rule.check(ctx)
+                    if not ctx.suppressions.is_suppressed(f.line, f.rule)
+                )
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings, list(project.errors)
+    return findings, errors

@@ -1,24 +1,17 @@
 """Finding and severity types shared by the statcheck engine and rules.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-*fingerprint* deliberately ignores the line number: baselining by
-``(path, rule, source line text)`` keeps a committed baseline stable under
-unrelated edits that shift code up or down, while still distinguishing
-genuinely new occurrences (a second copy of the same offending line in the
-same file raises the fingerprint's count above the baselined count).
+A :class:`Finding` is one rule violation at one source location.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Severity(enum.IntEnum):
     """Finding severity; ordering is by increasing seriousness."""
 
-    INFO = 0
     WARNING = 1
     ERROR = 2
 
@@ -43,13 +36,6 @@ class Finding:
     col: int  # 0-based, as reported by ast
     message: str
     severity: Severity = Severity.WARNING
-    source_line: str = field(default="", compare=False)
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baselining: path + rule + normalized line text."""
-        key = f"{self.path}::{self.rule}::{self.source_line.strip()}"
-        return hashlib.sha1(key.encode()).hexdigest()[:16]
 
     def render(self) -> str:
         """``path:line:col: severity [rule] message`` (editor-clickable)."""
@@ -66,5 +52,4 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "severity": self.severity.name.lower(),
-            "fingerprint": self.fingerprint,
         }

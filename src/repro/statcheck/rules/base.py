@@ -8,15 +8,15 @@ from typing import Iterator
 from repro.statcheck.engine import ModuleContext
 from repro.statcheck.finding import Finding, Severity
 
-__all__ = ["Rule", "attr_chain", "enclosing_loops", "call_name_arg"]
+__all__ = ["Rule", "attr_chain"]
 
 
 class Rule:
     """One named check over a parsed module.
 
-    Subclasses set :attr:`name` (the kebab-case id used in suppressions
-    and baselines), :attr:`severity` and implement :meth:`check`; they may
-    narrow :meth:`applies` to scope themselves to specific packages.
+    Subclasses set :attr:`name` (the kebab-case id used in suppressions),
+    :attr:`severity` and implement :meth:`check`; they may narrow
+    :meth:`applies` to scope themselves to specific packages.
     """
 
     name: str = ""
@@ -41,13 +41,3 @@ def attr_chain(node: ast.AST) -> str | None:
         parts.append(cur.id)
         return ".".join(reversed(parts))
     return None
-
-
-def enclosing_loops(ctx: ModuleContext, node: ast.AST) -> list[ast.AST]:
-    """The ``for``/``while`` statements lexically enclosing ``node``."""
-    return [a for a in ctx.ancestors(node) if isinstance(a, (ast.For, ast.While))]
-
-
-def call_name_arg(call: ast.Call) -> ast.expr | None:
-    """First positional argument of a call, if any."""
-    return call.args[0] if call.args else None

@@ -14,7 +14,6 @@ import numpy.typing as npt
 
 from repro.sem.quadrature import gll_points_weights
 from repro.sem.space import FunctionSpace
-from repro.statcheck.contracts import FIELD, contract
 
 __all__ = ["courant_number", "max_stable_dt"]
 
@@ -32,7 +31,6 @@ def _reference_spacings(lx: int) -> FloatArray:
     return d
 
 
-@contract(ux=FIELD, uy=FIELD, uz=FIELD)
 def courant_number(
     space: FunctionSpace,
     ux: FloatArray,
@@ -46,6 +44,7 @@ def courant_number(
     that the comparison against the reference GLL spacing accounts for both
     element size and deformation.
     """
+    space.check_fields("courant_number", ux=ux, uy=uy, uz=uz)
     c = space.coef
     ur = np.abs(ux * c.drdx + uy * c.drdy + uz * c.drdz)
     us = np.abs(ux * c.dsdx + uy * c.dsdy + uz * c.dsdz)

@@ -18,6 +18,7 @@ from repro.core.statistics import (
 )
 from repro.sem.mesh import box_mesh, cylinder_mesh
 from repro.sem.space import FunctionSpace
+from repro.timeint.cfl import courant_number
 
 
 class TestCaseConfig:
@@ -134,6 +135,22 @@ class TestNusselt:
         u = np.ones(sp.shape)
         z = np.zeros(sp.shape)
         assert reynolds_number(sp, u, z, z, 1e6, 1.0) == pytest.approx(1e3)
+
+    @pytest.mark.parametrize(
+        "diagnostic",
+        [
+            lambda sp, one, full: compute_nusselt(sp, one, full, 1e5, 1.0),
+            lambda sp, one, full: reynolds_number(sp, one, full, full, 1e5, 1.0),
+            lambda sp, one, full: courant_number(sp, one, full, full, 0.1),
+        ],
+        ids=["compute_nusselt", "reynolds_number", "courant_number"],
+    )
+    def test_single_element_field_is_rejected(self, sp, diagnostic):
+        # One element's (lx, lx, lx) block would broadcast against the
+        # (nelv, lx, lx, lx) geometry and return a plausible wrong number.
+        full = np.ones(sp.shape)
+        with pytest.raises(ValueError, match=r"has shape \(5, 5, 5\)"):
+            diagnostic(sp, full[0], full)
 
 
 class TestRegionTimers:
