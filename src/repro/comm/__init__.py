@@ -4,23 +4,26 @@ The paper runs one MPI rank per logical GPU with a topology-aware
 two-phase gather--scatter (local phase within the rank, shared phase over
 the network).  This package reproduces that structure in one process:
 
-* :class:`~repro.comm.simworld.SimWorld` -- a world of N simulated ranks
-  with collective operations over per-rank data and full traffic
-  accounting (message counts, bytes, reduction counts), which feeds the
-  network side of the performance model;
-* :class:`~repro.comm.batched.BatchedWorld` -- the same world with
-  per-rank state as stacked arrays and whole exchange rounds accounted as
-  batched index operations, scaling campaigns to 10^3..10^4 simulated
-  ranks;
+* :class:`~repro.comm.simworld.SimWorld` -- the one world of N simulated
+  ranks: collectives over per-rank data, full traffic accounting
+  (message counts, bytes, reduction counts) for the network side of the
+  performance model, and two point-to-point transports -- buffer
+  ``exchange`` (per-rank chunks, injected faults, the reliable channel)
+  and count-only ``exchange_batched`` rounds that scale campaigns to
+  10^3..10^4 simulated ranks;
 * :mod:`repro.comm.partition` -- element partitioning (linear and
   recursive coordinate bisection) with halo-quality metrics and
   vectorized rank-neighbor discovery;
+* :class:`~repro.comm.topology.CopyIndex` -- the one gather--scatter
+  index: every node copy sorted by (gid, holder rank);
 * :class:`~repro.comm.distributed_gs.DistributedGatherScatter` -- the
-  two-phase gather--scatter over a partition, verified against the
-  single-rank operator;
-* :class:`~repro.comm.topology.BatchedGatherScatter` -- its rank-batched
-  refactor plus the paper's topology-aware staged exchange
-  (:class:`~repro.comm.topology.NodeTopology`), bit-identical to flat;
+  two-phase gather--scatter on per-rank chunks, its shared phase as
+  (gid, value) buffers through ``exchange``;
+* :class:`~repro.comm.topology.BatchedGatherScatter` -- the same dssum
+  on a stacked field with count-only rounds, flat or the paper's
+  topology-aware staged exchange
+  (:class:`~repro.comm.topology.NodeTopology`), bit-identical to each
+  other and to the per-rank path;
 * :class:`~repro.comm.costmodel.CommCostModel` -- DES-style alpha-beta
   pricing of logged exchange rounds, the "measured" side of the Fig. 3
   scaling campaign (:mod:`repro.comm.campaign`).
@@ -33,7 +36,6 @@ from repro.comm.reliable import (
     payload_checksum,
 )
 from repro.comm.simworld import SimWorld, TrafficStats
-from repro.comm.batched import BatchedWorld
 from repro.comm.costmodel import CommCostModel, CommRound
 from repro.comm.partition import (
     linear_partition,
@@ -44,12 +46,15 @@ from repro.comm.partition import (
 )
 from repro.comm.distributed_gs import DistributedGatherScatter
 from repro.comm.distributed_solver import DistributedConjugateGradient
-from repro.comm.topology import BatchedGatherScatter, NodeTopology
+from repro.comm.topology import BatchedGatherScatter, CopyIndex, NodeTopology
+
+# The batched world is SimWorld itself; the name stays only for the
+# measurement spine's import and goes when the spine drops it.
+BatchedWorld = SimWorld
 
 __all__ = [
     "SimWorld",
     "TrafficStats",
-    "BatchedWorld",
     "CommRound",
     "CommCostModel",
     "RetryPolicy",
@@ -64,5 +69,6 @@ __all__ = [
     "DistributedGatherScatter",
     "DistributedConjugateGradient",
     "BatchedGatherScatter",
+    "CopyIndex",
     "NodeTopology",
 ]

@@ -3,7 +3,7 @@
 The paper's Fig. 3 plots average time per step against GPU count on LUMI
 and Leonardo.  This module reproduces that experiment *in simulation*: a
 synthetic structured spectral-element mesh is partitioned over
-O(10^2..10^4) simulated ranks of a :class:`~repro.comm.batched.BatchedWorld`,
+O(10^2..10^4) simulated ranks of a :class:`~repro.comm.simworld.SimWorld`,
 the topology-aware :class:`~repro.comm.topology.BatchedGatherScatter`
 replays its staged exchange rounds, and the
 :class:`~repro.comm.costmodel.CommCostModel` prices the logged traffic on
@@ -38,9 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.comm.batched import BatchedWorld
 from repro.comm.costmodel import CommCostModel
 from repro.comm.partition import rcb_from_centroids
+from repro.comm.simworld import SimWorld
 from repro.comm.topology import BatchedGatherScatter, NodeTopology
 from repro.perfmodel.machine import LEONARDO, LUMI, MachineSpec
 from repro.perfmodel.scaling import StrongScalingStudy
@@ -186,10 +186,10 @@ class ScalingCampaign:
 
     def build_point(
         self, n_ranks: int
-    ) -> tuple[BatchedWorld, BatchedGatherScatter, CommCostModel]:
+    ) -> tuple[SimWorld, BatchedGatherScatter, CommCostModel]:
         """Partition the mesh over ``n_ranks`` and wire the batched engine."""
         owner = rcb_from_centroids(self.centroids, n_ranks)
-        world = BatchedWorld(n_ranks)
+        world = SimWorld(n_ranks)
         topology = NodeTopology.for_machine(self.machine, n_ranks)
         gs = BatchedGatherScatter(
             self.global_ids, owner, self.field_shape, world, topology=topology

@@ -1,7 +1,7 @@
 """DES-style communication cost model over batched exchange rounds.
 
-The batched world (:mod:`repro.comm.batched`) executes collectives and
-gather--scatter exchanges as index arithmetic, so "measured" time cannot
+The batched gather--scatter executes its exchanges as index arithmetic
+(count-only ``SimWorld.exchange_batched`` rounds), so "measured" time cannot
 come from a wall clock -- at 10^4 simulated ranks the Python process is
 three orders of magnitude removed from the machine being simulated.
 Instead every exchange round is logged as a :class:`CommRound` (per-edge

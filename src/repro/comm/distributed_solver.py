@@ -5,9 +5,10 @@ SPMD data layout of the production code: every rank owns a chunk of
 elements, operator applications are rank-local, continuity comes from the
 two-phase distributed gather--scatter, and inner products are local dots
 plus one allreduce.  Tests assert rank-count invariance of the solution,
-and the traffic counters give the performance model's per-iteration
-communication counts an executable definition (2 allreduces + 1 halo
-exchange per CG iteration -- exactly what ``SEMWorkModel`` budgets).
+and the traffic counters give the per-iteration communication counts an
+executable definition: 1 halo exchange and 3 allreduces per CG iteration
+(p.Ap, r.r, r.z), so a solve from a zero guess that converges in n
+iterations performs 3 n + 1 allreduces.
 """
 
 from __future__ import annotations

@@ -5,6 +5,14 @@ resident in one process), which keeps the semantics of buffer-based MPI
 (mpi4py's upper-case methods) while making tests deterministic: sums are
 performed in rank order, so results are reproducible bit-for-bit.
 
+Point-to-point traffic has two transports on the one world.
+:meth:`SimWorld.exchange` moves real buffers, one per (src, dst) edge --
+the path per-rank chunks and every injected fault take.
+:meth:`SimWorld.exchange_batched` accounts a whole round from edge arrays
+without moving payloads, the count-only path that lets the Fig. 3
+campaign sweep 10^3..10^4 simulated ranks in seconds; it returns the
+round as a :class:`~repro.comm.costmodel.CommRound` for the cost model.
+
 A :class:`~repro.resilience.faults.FaultInjector` can be attached (the
 ``fault_injector`` attribute or constructor argument) to exercise the
 recovery paths: point-to-point buffers pass through its ``deliver`` hook
@@ -39,6 +47,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from repro.comm.costmodel import CommRound
 from repro.comm.reliable import (
     CollectiveIntegrityError,
     CommTimeoutError,
@@ -294,20 +303,54 @@ class SimWorld:
             self.stats.retransmissions += 1
             self.retry.wait(attempts)
 
+    def exchange_batched(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        nbytes: np.ndarray,
+        phase: str = "gs.exchange",
+    ) -> CommRound:
+        """Account one exchange round given per-message edge arrays.
+
+        The round's payloads are computed by the caller (the batched
+        gather--scatter reduces with ``bincount``, not by moving buffers),
+        so this is traffic accounting for the cost model: validation,
+        :meth:`TrafficStats.record_p2p_batch`, and the wire messages
+        returned as one :class:`CommRound`.
+
+        Count-only rounds cannot pass through the fault injector or the
+        reliable channel (there is no per-message buffer to drop or
+        checksum), so a hardened/faulted world refuses them -- faulted
+        traffic must use :meth:`exchange`.
+        """
+        if self.fault_injector is not None or self.retry is not None:
+            raise RuntimeError(
+                "exchange_batched bypasses the fault/reliable channel; "
+                "faulted or hardened worlds must use exchange()"
+            )
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        nbytes = np.asarray(nbytes, dtype=np.int64)
+        if not (src.shape == dst.shape == nbytes.shape):
+            raise ValueError("src, dst and nbytes must be parallel arrays")
+        if src.size and not (
+            (src >= 0).all()
+            and (src < self.size).all()
+            and (dst >= 0).all()
+            and (dst < self.size).all()
+        ):
+            raise ValueError("invalid ranks in batched exchange round")
+        # Self-messages are rank-local copies: free on the wire and uncounted,
+        # matching the per-message exchange() accounting.
+        wire = src != dst
+        if not wire.all():
+            src, dst, nbytes = src[wire], dst[wire], nbytes[wire]
+        self.stats.record_p2p_batch(nbytes)
+        return CommRound(phase, src, dst, nbytes)
+
     def barrier(self) -> None:
         self._collective("barrier")
         self.stats.barrier_calls += 1
-
-    def publish_metrics(self, metrics, prefix: str = "comm") -> None:
-        """Snapshot the traffic counters into a metrics registry.
-
-        Convenience wrapper over
-        :func:`repro.observability.bridge.publish_traffic_stats`, so a
-        driver holding only the world can feed the unified record.
-        """
-        from repro.observability.bridge import publish_traffic_stats
-
-        publish_traffic_stats(self.stats, metrics, prefix=prefix)
 
     def gather(self, values: list, root: int = 0) -> list:
         """Gather per-rank values at rank ``root``.

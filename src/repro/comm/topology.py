@@ -1,7 +1,14 @@
-"""Topology-aware two-phase gather--scatter over rank-batched state.
+"""The gather--scatter index and the topology-aware batched dssum.
 
-This is the paper's scaling-critical communication pattern, rebuilt for
-the batched world: at 16,384 GCDs the flat gather--scatter sends one
+:class:`CopyIndex` is the one index both distributed gather--scatters
+reduce on: every node copy sorted by (gid, holder rank), the partials one
+``bincount`` over it.  :class:`BatchedGatherScatter` runs the paper's
+scaling-critical communication pattern on it as count-only exchange
+rounds, for campaigns of 10^3..10^4 simulated ranks; its per-rank sibling
+:class:`~repro.comm.distributed_gs.DistributedGatherScatter` moves the
+same entries as buffers through ``SimWorld.exchange``.
+
+At 16,384 GCDs the flat gather--scatter sends one
 message per (holder, owner) rank pair, and the inter-node message count
 is what kills strong scaling (cf. the Nek5000 strong-scaling studies,
 arXiv:1706.02970 / arXiv:2109.03592).  The topology-aware variant keeps
@@ -19,12 +26,12 @@ byte-identical fields and differ only in their logged traffic, which is
 exactly the contract the equivalence property suite pins down to 0 ulp.
 
 The per-(gid, rank) partial sums are sequential ``bincount``
-accumulations in original copy order (over a stable lexsort), matching
-the rank-local ``bincount`` of the legacy
-:class:`~repro.comm.distributed_gs.DistributedGatherScatter`, and the
-owner reduction adds holder partials in ascending rank order exactly as
-the legacy owner loop does -- so the batched result is bit-identical to
-the legacy per-rank object path, not merely ``allclose``.
+accumulations in original copy order (over a stable lexsort), and the
+owner reduction adds holder partials in ascending rank order from 0.0 --
+the same arithmetic the per-rank
+:class:`~repro.comm.distributed_gs.DistributedGatherScatter` performs on
+its delivered buffers, so the two agree bit for bit, not merely
+``allclose``.
 """
 
 from __future__ import annotations
@@ -34,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.comm.costmodel import CommRound
+from repro.comm.simworld import SimWorld
 
-__all__ = ["NodeTopology", "BatchedGatherScatter"]
+__all__ = ["NodeTopology", "CopyIndex", "BatchedGatherScatter"]
 
 #: Wire size of one staged (gid, partial) entry: int64 id + float64 value.
 ENTRY_BYTES = 16
@@ -85,6 +93,55 @@ def _group_edges(
     return uniq // n_ranks, uniq % n_ranks, counts * ENTRY_BYTES
 
 
+class CopyIndex:
+    """Every node copy sorted by (gid, holder rank): the gather--scatter index.
+
+    One stable lexsort of the copies.  Runs of equal (gid, rank) are the
+    per-rank partial-sum *slots*, runs of equal gid the *holder groups*.
+    Stability keeps the copies of one slot in input order, so the
+    ``bincount`` of :meth:`partials` accumulates each slot exactly as a
+    rank-local ``bincount`` over that rank's copies would.  Both
+    :class:`BatchedGatherScatter` and
+    :class:`~repro.comm.distributed_gs.DistributedGatherScatter` reduce on it.
+    """
+
+    def __init__(self, ids: np.ndarray, copy_rank: np.ndarray) -> None:
+        order = np.lexsort((copy_rank, ids))
+        gid_sorted = ids[order]
+        rank_sorted = copy_rank[order]
+        new_slot = np.empty(ids.size, dtype=bool)
+        new_slot[0] = True
+        new_slot[1:] = (gid_sorted[1:] != gid_sorted[:-1]) | (
+            rank_sorted[1:] != rank_sorted[:-1]
+        )
+        self.order = order
+        slot_starts = np.flatnonzero(new_slot)
+        self.slot_of_sorted = np.cumsum(new_slot) - 1
+        self.slot_of_copy = np.empty(ids.size, dtype=np.int64)
+        self.slot_of_copy[order] = self.slot_of_sorted
+        self.slot_rank = rank_sorted[slot_starts]
+        self.slot_gid = gid_sorted[slot_starts]
+
+        new_group = np.empty(self.slot_gid.size, dtype=bool)
+        new_group[0] = True
+        new_group[1:] = self.slot_gid[1:] != self.slot_gid[:-1]
+        self.group_of_slot = np.cumsum(new_group) - 1
+        holders_per_group = np.bincount(self.group_of_slot)
+        # Lowest holder rank owns -- first slot of each (gid-sorted) group.
+        owner_rank_of_group = self.slot_rank[np.flatnonzero(new_group)]
+        self.owner_of_slot = owner_rank_of_group[self.group_of_slot]
+        self.shared_slot = (holders_per_group > 1)[self.group_of_slot]
+        self.n_shared = int(np.count_nonzero(holders_per_group > 1))
+
+    def partials(self, values: np.ndarray) -> np.ndarray:
+        """Per-slot partial sums of per-copy ``values``, in original copy order.
+
+        ``bincount``, not ``reduceat``: it accumulates strictly sequentially
+        from 0.0 (``reduceat``'s slice reduction may reassociate).
+        """
+        return np.bincount(self.slot_of_sorted, weights=values[self.order])
+
+
 class BatchedGatherScatter:
     """Distributed dssum computed as batched index operations.
 
@@ -105,8 +162,8 @@ class BatchedGatherScatter:
     shape:
         Elementwise field shape ``(nelv, ...)``.
     world:
-        A :class:`~repro.comm.batched.BatchedWorld`; exchange rounds are
-        replayed into its traffic stats and comm log.
+        The :class:`~repro.comm.simworld.SimWorld`; each ``add`` replays
+        its exchange rounds into the world's traffic stats.
     topology:
         Node packing for the ``"topology"`` algorithm (optional when
         only ``"flat"`` is used).
@@ -117,7 +174,7 @@ class BatchedGatherScatter:
         global_ids: np.ndarray,
         owner: np.ndarray,
         shape: tuple[int, ...],
-        world,
+        world: SimWorld,
         topology: NodeTopology | None = None,
     ) -> None:
         self.world = world
@@ -130,56 +187,17 @@ class BatchedGatherScatter:
             raise ValueError("owner must have one entry per element")
         if int(self.owner.max()) + 1 > world.size:
             raise ValueError("partition uses more ranks than the world has")
-        if not hasattr(world, "exchange_batched"):
-            raise TypeError(
-                "BatchedGatherScatter needs a BatchedWorld (exchange_batched); "
-                "use DistributedGatherScatter for per-rank object worlds"
-            )
-        if getattr(world, "fault_injector", None) is not None:
+        if world.fault_injector is not None:
             raise ValueError(
                 "the batched gather-scatter replays count-only exchange rounds "
-                "and cannot exercise a fault injector; faulted runs use the "
-                "per-rank DistributedGatherScatter adapter path"
+                "and cannot exercise a fault injector; faulted runs use "
+                "DistributedGatherScatter"
             )
 
         ids = np.asarray(global_ids, dtype=np.int64).reshape(-1)
         if ids.size != nelv * pts:
             raise ValueError("global_ids must cover every point of every element")
-        copy_rank = np.repeat(self.owner, pts)
-
-        # One stable sort of every node copy by (gid, holder rank): runs of
-        # equal (gid, rank) are the per-rank partial-sum slots, runs of equal
-        # gid are the holder groups.  Stability keeps copies of one slot in
-        # original (element, point) order -- the order the legacy per-rank
-        # bincount accumulates in, hence the bit-identity with that path.
-        order = np.lexsort((copy_rank, ids))
-        gid_sorted = ids[order]
-        rank_sorted = copy_rank[order]
-        new_slot = np.empty(ids.size, dtype=bool)
-        new_slot[0] = True
-        new_slot[1:] = (gid_sorted[1:] != gid_sorted[:-1]) | (
-            rank_sorted[1:] != rank_sorted[:-1]
-        )
-        self._order = order
-        self._slot_starts = np.flatnonzero(new_slot)
-        self._slot_of_sorted = np.cumsum(new_slot) - 1
-        self._slot_of_copy = np.empty(ids.size, dtype=np.int64)
-        self._slot_of_copy[order] = self._slot_of_sorted
-        self.slot_rank = rank_sorted[self._slot_starts]
-        slot_gid = gid_sorted[self._slot_starts]
-
-        new_group = np.empty(slot_gid.size, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = slot_gid[1:] != slot_gid[:-1]
-        self._group_starts = np.flatnonzero(new_group)
-        self._group_of_slot = np.cumsum(new_group) - 1
-        holders_per_group = np.bincount(self._group_of_slot)
-        # Lowest holder rank owns -- first slot of each (gid-sorted) group.
-        owner_rank_of_group = self.slot_rank[self._group_starts]
-        self.owner_of_slot = owner_rank_of_group[self._group_of_slot]
-        self.shared_slot = (holders_per_group > 1)[self._group_of_slot]
-        self.n_shared = int(np.count_nonzero(holders_per_group > 1))
-        self.n_global = int(holders_per_group.size)
+        self.index = CopyIndex(ids, np.repeat(self.owner, pts))
 
         self._rounds_flat = self._build_flat_rounds()
         self._rounds_topology = (
@@ -190,8 +208,9 @@ class BatchedGatherScatter:
 
     def _shared_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(holder, owner) per shared non-owner slot -- one staged entry each."""
-        moving = self.shared_slot & (self.slot_rank != self.owner_of_slot)
-        return self.slot_rank[moving], self.owner_of_slot[moving]
+        idx = self.index
+        moving = idx.shared_slot & (idx.slot_rank != idx.owner_of_slot)
+        return idx.slot_rank[moving], idx.owner_of_slot[moving]
 
     def _build_flat_rounds(self) -> list[CommRound]:
         """Every holder messages every remote owner directly, owners reply."""
@@ -277,23 +296,18 @@ class BatchedGatherScatter:
 
         The arithmetic is algorithm-independent (see the module docstring);
         ``algorithm`` selects which traffic pattern is replayed into the
-        world's stats and comm log.
+        world's stats.
         """
         rounds = self.rounds(algorithm)
         if u.shape != self.shape:
             raise ValueError(f"field shape {u.shape} != {self.shape}")
-        # Both reductions use bincount, not reduceat: bincount accumulates
-        # strictly sequentially in input order (reduceat's slice reduction
-        # may reassociate), which is the exact summation order of the
-        # legacy path -- per-rank bincount partials, then the owner adding
-        # holder partials in ascending rank order starting from 0.0.
+        idx = self.index
         # Phase 1: per-(gid, rank) partials in original copy order.
-        partial = np.bincount(
-            self._slot_of_sorted, weights=u.reshape(-1)[self._order]
-        )
-        # Phase 2: owner reduction over holders in ascending rank order.
-        totals = np.bincount(self._group_of_slot, weights=partial)
-        out = totals[self._group_of_slot][self._slot_of_copy].reshape(u.shape)
+        partial = idx.partials(u.reshape(-1))
+        # Phase 2: owner reduction over holders in ascending rank order,
+        # sequential from 0.0 like the partials.
+        totals = np.bincount(idx.group_of_slot, weights=partial)
+        out = totals[idx.group_of_slot][idx.slot_of_copy].reshape(u.shape)
         for round_ in rounds:
             self.world.exchange_batched(
                 round_.src, round_.dst, round_.nbytes, phase=round_.phase
@@ -305,8 +319,3 @@ class BatchedGatherScatter:
     def rank_element_counts(self) -> np.ndarray:
         """Elements per rank (the compute-side imbalance input)."""
         return np.bincount(self.owner, minlength=self.world.size)
-
-    def rank_shared_entries(self) -> np.ndarray:
-        """Staged halo entries each rank sends per add (its GS send load)."""
-        src, _dst = self._shared_edges()
-        return np.bincount(src, minlength=self.world.size)

@@ -38,7 +38,6 @@ _BRIDGE_EXPORTS = {
     "TracedEventLog",
     "record_solver_monitor",
     "publish_pipeline_stats",
-    "publish_traffic_stats",
     "publish_gather_scatter",
 }
 
@@ -72,7 +71,6 @@ __all__ = [
     "TracedEventLog",
     "record_solver_monitor",
     "publish_pipeline_stats",
-    "publish_traffic_stats",
     "publish_gather_scatter",
     "ImbalanceReport",
     "analyze_totals",

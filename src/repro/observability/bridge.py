@@ -1,9 +1,8 @@
 """Bridges from existing measurement objects into the unified record.
 
 The solver already measures a lot of itself -- ``SolverMonitor`` residual
-histories, ``PipelineStats`` on the in-situ stream, ``TrafficStats`` on
-the rank simulator, the resilience ``EventLog``.  These helpers fold all
-of it into one :class:`~repro.observability.metrics.MetricsRegistry` /
+histories, ``PipelineStats`` on the in-situ stream, the resilience
+``EventLog``.  These helpers fold all of it into one :class:`~repro.observability.metrics.MetricsRegistry` /
 :class:`~repro.observability.tracer.Tracer` pair so a single export call
 carries the whole story of a run.
 """
@@ -17,7 +16,6 @@ from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.resilience.events import EventLog
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.comm.simworld import TrafficStats
     from repro.insitu.pipeline import PipelineStats
     from repro.sem.gather_scatter import GatherScatter
     from repro.solvers.monitor import SolverMonitor
@@ -26,7 +24,6 @@ __all__ = [
     "TracedEventLog",
     "record_solver_monitor",
     "publish_pipeline_stats",
-    "publish_traffic_stats",
     "publish_gather_scatter",
 ]
 
@@ -88,14 +85,6 @@ def publish_pipeline_stats(
         metrics.gauge(f"{prefix}.processor.{name}.seconds").set(seconds)
     for name, fails in stats.processor_failures.items():
         metrics.gauge(f"{prefix}.processor.{name}.failures").set(fails)
-
-
-def publish_traffic_stats(
-    stats: "TrafficStats", metrics: MetricsRegistry, prefix: str = "comm"
-) -> None:
-    """Publish rank-simulator traffic totals (the SimWorld counters)."""
-    for attr in ("allreduce_calls", "allreduce_bytes", "p2p_messages", "p2p_bytes", "barrier_calls"):
-        metrics.gauge(f"{prefix}.{attr}").set(getattr(stats, attr))
 
 
 def publish_gather_scatter(

@@ -162,7 +162,6 @@ class ChaosHarness:
         key = (
             scenario.nranks,
             n_steps,
-            scenario.world_kind,
             scenario.shape,
             scenario.order,
         )
@@ -174,16 +173,14 @@ class ChaosHarness:
     def _workload(
         self, nranks: int, scenario: ChaosScenario | None = None, **kwargs: Any
     ) -> DistributedThermalWorkload:
-        shape, order, world_kind = self.shape, self.order, "object"
+        shape, order = self.shape, self.order
         if scenario is not None:
             shape = scenario.shape if scenario.shape is not None else shape
             order = scenario.order if scenario.order is not None else order
-            world_kind = scenario.world_kind
         return DistributedThermalWorkload(
             shape=shape,
             order=order,
             nranks=nranks,
-            world_kind=world_kind,
             checkpoint_interval=self.checkpoint_interval,
             seed=self.seed,
             **kwargs,

@@ -44,12 +44,6 @@ class ChaosScenario:
     nranks, n_steps:
         World size and steps of the run (small on purpose: a campaign is
         dozens of runs).
-    world_kind:
-        ``"object"`` runs on the per-rank-object
-        :class:`~repro.comm.simworld.SimWorld`; ``"batched"`` runs on the
-        vectorized :class:`~repro.comm.batched.BatchedWorld`, proving the
-        recovery machinery is world-implementation agnostic at widths the
-        object world cannot reach.
     shape, order:
         Workload mesh overrides (``None`` keeps the harness defaults);
         wide-world scenarios size the mesh to the rank count.
@@ -76,7 +70,6 @@ class ChaosScenario:
     policy: str = "warm_replace"
     nranks: int = 4
     n_steps: int = 6
-    world_kind: str = "object"
     shape: "tuple[int, int, int] | None" = None
     order: "int | None" = None
     retry: bool = True
@@ -103,7 +96,7 @@ def default_campaign() -> list[ChaosScenario]:
     Coverage matrix (the four required fault families, each hit by
     several scenarios): rank kill (1-5, 12, 13), message drop (6, 8, 12),
     message delay (7, 12), SDC bit flip (9-11).  Scenario 13 runs the
-    kill-and-recover path on a 256-rank :class:`BatchedWorld`.
+    kill-and-recover path on a 256-rank world.
     """
     return [
         ChaosScenario(
@@ -214,13 +207,12 @@ def default_campaign() -> list[ChaosScenario]:
         ),
         ChaosScenario(
             name="kill-rank-batched-256",
-            description="rank 37 dies on a 256-rank BatchedWorld (one element "
+            description="rank 37 dies on a 256-rank world (one element "
             "per rank); warm replacement at simulated-exascale width",
             schedule=(Fault(kind="rank_failure", rank=37, at_call=12, op="allreduce"),),
             policy="warm_replace",
             nranks=256,
             n_steps=2,
-            world_kind="batched",
             shape=(8, 8, 4),
             order=2,
             expect_recoveries=1,

@@ -60,23 +60,6 @@ __all__ = ["DistributedThermalWorkload", "WorkloadResult"]
 RECOVERABLE = (RankFailedError, CommTimeoutError, CollectiveIntegrityError)
 
 
-class _RankCoef:
-    """One rank's slice of the stacked metric and the mass, built per world.
-
-    Carries exactly what ``ax_helmholtz`` reads from a
-    :class:`~repro.sem.coef.Coefficients`: ``g_stack()`` and ``mass``.
-    """
-
-    __slots__ = ("_g", "mass")
-
-    def __init__(self, g: np.ndarray, mass: np.ndarray) -> None:
-        self._g = g
-        self.mass = mass
-
-    def g_stack(self) -> np.ndarray:
-        return self._g
-
-
 @dataclass
 class WorkloadResult:
     """Outcome of one (possibly faulted and recovered) workload run."""
@@ -117,11 +100,6 @@ class DistributedThermalWorkload:
         Passed to every :class:`~repro.comm.simworld.SimWorld` this
         workload builds (the injector is *kept* across rebuilds so global
         fault schedules keep counting).
-    world_kind:
-        ``"object"`` (default) builds :class:`~repro.comm.simworld.SimWorld`
-        worlds; ``"batched"`` builds
-        :class:`~repro.comm.batched.BatchedWorld` ones, so wide-world
-        chaos scenarios exercise recovery on the vectorized engine.
     partition:
         ``"rcb"`` or ``"linear"`` element partitioning, reapplied on
         every world rebuild.
@@ -144,7 +122,6 @@ class DistributedThermalWorkload:
         fault_injector: FaultInjector | None = None,
         retry: RetryPolicy | None = None,
         verify_collectives: bool = False,
-        world_kind: str = "object",
         partition: str = "rcb",
         flight: Any = None,
         events: EventLog | None = None,
@@ -156,9 +133,6 @@ class DistributedThermalWorkload:
             raise ValueError("checkpoint_interval must be >= 1")
         if partition not in ("rcb", "linear"):
             raise ValueError(f"unknown partition {partition!r}")
-        if world_kind not in ("object", "batched"):
-            raise ValueError(f"unknown world_kind {world_kind!r}")
-        self.world_kind = world_kind
         self.space = FunctionSpace(box_mesh(shape), order)
         self.kappa = kappa
         self.dt = dt
@@ -206,13 +180,7 @@ class DistributedThermalWorkload:
         old_world = getattr(self, "world", None)
         if old_world is not None:
             self._prior_stats.absorb(old_world.stats)
-        if self.world_kind == "batched":
-            from repro.comm.batched import BatchedWorld
-
-            world_cls: type[SimWorld] = BatchedWorld
-        else:
-            world_cls = SimWorld
-        self.world = world_cls(
+        self.world = SimWorld(
             nranks,
             fault_injector=self.fault_injector,
             retry=self.retry,
@@ -227,17 +195,8 @@ class DistributedThermalWorkload:
         )
         self.mask_chunks = self.dgs.scatter_field(self.mask)
         self.lift_chunks = self.dgs.scatter_field(self.lift)
-        self._mass_chunks = self.dgs.scatter_field(sp.coef.mass)
-        # The metric stack is (..., npts); view it per element to slice ranks.
-        g = sp.coef.g_stack()
-        g_elements = g.reshape(g.shape[:-1] + (sp.mesh.nelv, -1))
-        rank_coefs = [
-            _RankCoef(
-                g_elements[..., self.dgs.rank_elements[r], :].reshape(g.shape[:-1] + (-1,)),
-                self._mass_chunks[r],
-            )
-            for r in range(self.world.size)
-        ]
+        rank_coefs = self.dgs.scatter_coef(sp.coef)
+        self._mass_chunks = [c.mass for c in rank_coefs]
 
         h1, h2, dx = self.h1, self.h2, sp.dx
 

@@ -1,13 +1,15 @@
-"""Property suite: the batched comm engine is indistinguishable from the legacy one.
+"""Property suite: one world, one index, every transport agrees bit for bit.
 
-The tentpole contract of :class:`~repro.comm.batched.BatchedWorld` /
-:class:`~repro.comm.topology.BatchedGatherScatter` is *behavioral
-bit-identity*: under the same seed and inputs, every collective result,
-every traffic counter and every injected-fault outcome must match the
-per-rank-object :class:`~repro.comm.simworld.SimWorld` path exactly --
-and the topology-staged gather--scatter must equal the flat one to 0 ulp.
+:class:`~repro.comm.distributed_gs.DistributedGatherScatter` (per-rank
+chunks, (gid, value) buffers through ``SimWorld.exchange``) and
+:class:`~repro.comm.topology.BatchedGatherScatter` (a stacked field,
+count-only rounds) reduce on the same
+:class:`~repro.comm.topology.CopyIndex`.  The per-rank add is checked
+against :func:`reference_add`, the per-node dict two-phase add it
+replaced, kept here as an oracle: results, traffic counters and every
+injected-fault outcome must match exactly, with faults on and off.
 Hypothesis drives random meshes, partitions, payloads and fault seeds
-through both engines and compares bits, not tolerances.
+and compares bits, not tolerances.
 """
 
 import numpy as np
@@ -17,20 +19,19 @@ from hypothesis import strategies as st
 
 from repro.comm import (
     BatchedGatherScatter,
-    BatchedWorld,
+    CollectiveIntegrityError,
+    CommTimeoutError,
     DistributedGatherScatter,
     NodeTopology,
     RetryPolicy,
     SimWorld,
 )
 from repro.comm.campaign import structured_global_ids
-from repro.resilience.faults import FaultInjector
+from repro.resilience.faults import Fault, FaultInjector, RankFailedError
 
 # -- strategies ------------------------------------------------------------------
 
-world_sizes = st.integers(min_value=1, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
-ops = st.sampled_from(["sum", "max", "min"])
 
 mesh_shapes = st.tuples(
     st.integers(min_value=1, max_value=3),
@@ -52,135 +53,130 @@ def _mesh_and_partition(shape, lx, nranks, seed):
     return ids, owner, (nelv, lx, lx, lx)
 
 
-def _paired_worlds(nranks, **kwargs):
-    return SimWorld(nranks, **kwargs), BatchedWorld(nranks, **kwargs)
-
-
-def _random_sends(nranks, rng, max_msgs=8):
-    sends = {}
-    for _ in range(int(rng.integers(1, max_msgs + 1))):
-        src, dst = int(rng.integers(nranks)), int(rng.integers(nranks))
-        sends[(src, dst)] = rng.normal(size=int(rng.integers(1, 16)))
-    return sends
-
-
 def _stats_dict(stats):
-    out = dict(stats.__dict__)
+    return dict(stats.__dict__)
+
+
+# -- the per-node dict add, kept as the oracle -----------------------------------
+
+
+def reference_add(ids, owner, shape, world, chunks):
+    """Two-phase dssum with per-node dicts: partials to owners, totals back."""
+    ids = ids.reshape(shape[0], -1)
+    local = [np.unique(ids[owner == r].reshape(-1), return_inverse=True) for r in range(world.size)]
+    holders = {}
+    for r, (uniq, _) in enumerate(local):
+        for g in uniq.tolist():
+            holders.setdefault(g, []).append(r)
+    shared = {g: h for g, h in holders.items() if len(h) > 1}
+    sums = [
+        np.bincount(inv, weights=c.reshape(-1), minlength=len(uniq))
+        for (uniq, inv), c in zip(local, chunks)
+    ]
+    sends = {}
+    for r, (uniq, _) in enumerate(local):
+        for g, v in zip(uniq.tolist(), sums[r].tolist()):
+            if g in shared:
+                sends.setdefault((r, shared[g][0]), []).append((g, v))
+    delivered = world.exchange({k: np.array(v, dtype=np.float64) for k, v in sends.items()})
+    totals = {}
+    for _edge, arr in sorted(delivered.items()):
+        for g, v in arr:
+            totals[int(g)] = totals.get(int(g), 0.0) + v
+    replies = {}
+    for g in sorted(shared):
+        for h in shared[g]:
+            replies.setdefault((shared[g][0], h), []).append((g, totals[g]))
+    back = world.exchange({k: np.array(v, dtype=np.float64) for k, v in replies.items()})
+    out = []
+    for r, (uniq, inv) in enumerate(local):
+        slot_of = {g: i for i, g in enumerate(uniq.tolist())}
+        for (_o, dst), arr in back.items():
+            for g, v in arr if dst == r else ():
+                sums[r][slot_of[int(g)]] = v
+        out.append(sums[r][inv].reshape(chunks[r].shape))
     return out
 
 
-# -- collectives -----------------------------------------------------------------
+def _outcome(make_world, add_of, chunks):
+    """Two adds and an allreduce on a fresh world: bytes, counters, fault log."""
+    world = make_world()
+    add = add_of(world)
+    try:
+        out = add(add([c.copy() for c in chunks]))
+        total = world.allreduce_scalar([float(np.sum(c)) for c in out])
+        result = (b"".join(c.tobytes() for c in out), np.float64(total).tobytes())
+    except (CommTimeoutError, CollectiveIntegrityError, RankFailedError) as exc:
+        result = type(exc).__name__
+    inj = world.fault_injector
+    return result, _stats_dict(world.stats), repr(inj.events) if inj else None
 
 
-class TestCollectiveEquivalence:
-    @settings(max_examples=30, deadline=None)
-    @given(nranks=world_sizes, seed=seeds, op=ops)
-    def test_allreduce_scalar_bitmatch(self, nranks, seed, op):
-        values = np.random.default_rng(seed).normal(size=nranks).tolist()
-        legacy, batched = _paired_worlds(nranks)
-        a = legacy.allreduce_scalar(list(values), op=op)
-        b = batched.allreduce_scalar(list(values), op=op)
-        assert a == b and np.signbit(a) == np.signbit(b)
-        assert _stats_dict(legacy.stats) == _stats_dict(batched.stats)
+def _assert_matches_reference(shape, lx, nranks, seed, make_world):
+    ids, owner, fshape = _mesh_and_partition(shape, lx, nranks, seed)
+    u = np.random.default_rng(seed).normal(size=fshape)
+    chunks = [u[owner == r] for r in range(nranks)]
 
-    @settings(max_examples=25, deadline=None)
-    @given(nranks=world_sizes, seed=seeds, op=ops)
-    def test_allreduce_array_bitmatch(self, nranks, seed, op):
-        rng = np.random.default_rng(seed)
-        arrays = [rng.normal(size=(3, 2)) for _ in range(nranks)]
-        legacy, batched = _paired_worlds(nranks)
-        a = legacy.allreduce_array([x.copy() for x in arrays], op=op)
-        b = batched.allreduce_array([x.copy() for x in arrays], op=op)
-        assert a.tobytes() == b.tobytes()
-        assert _stats_dict(legacy.stats) == _stats_dict(batched.stats)
+    def new(world):
+        return DistributedGatherScatter(ids, owner, fshape, world).add
 
-    @settings(max_examples=25, deadline=None)
-    @given(nranks=world_sizes, seed=seeds)
-    def test_gather_and_barrier_bitmatch(self, nranks, seed):
-        rng = np.random.default_rng(seed)
-        values = [rng.normal(size=4) for _ in range(nranks)]
-        root = int(rng.integers(nranks))
-        legacy, batched = _paired_worlds(nranks)
-        ga = legacy.gather([v.copy() for v in values], root=root)
-        gb = batched.gather([v.copy() for v in values], root=root)
-        legacy.barrier()
-        batched.barrier()
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(ga, gb))
-        assert _stats_dict(legacy.stats) == _stats_dict(batched.stats)
+    def old(world):
+        return lambda ch: reference_add(ids, owner, fshape, world, ch)
+
+    assert _outcome(make_world, new, chunks) == _outcome(make_world, old, chunks)
 
 
-# -- point-to-point --------------------------------------------------------------
+class TestDistributedAddMatchesReference:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        shape=mesh_shapes,
+        lx=st.integers(min_value=2, max_value=4),
+        nranks=st.integers(min_value=1, max_value=6),
+        seed=seeds,
+    )
+    def test_fault_free(self, shape, lx, nranks, seed):
+        _assert_matches_reference(shape, lx, nranks, seed, lambda: SimWorld(nranks))
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        shape=mesh_shapes,
+        lx=st.integers(min_value=2, max_value=3),
+        nranks=st.integers(min_value=2, max_value=6),
+        seed=seeds,
+        rates=st.tuples(*[st.sampled_from([0.0, 0.1, 0.3])] * 3),
+        max_retries=st.integers(min_value=1, max_value=6),
+    )
+    def test_message_storms_under_retry(self, shape, lx, nranks, seed, rates, max_retries):
+        drop, corrupt, delay = rates
 
-class TestExchangeEquivalence:
-    @settings(max_examples=30, deadline=None)
-    @given(nranks=world_sizes, seed=seeds)
-    def test_exchange_bitmatch(self, nranks, seed):
-        rng = np.random.default_rng(seed)
-        sends = _random_sends(nranks, rng)
-        legacy, batched = _paired_worlds(nranks)
-        da = legacy.exchange({k: v.copy() for k, v in sends.items()})
-        db = batched.exchange({k: v.copy() for k, v in sends.items()})
-        assert set(da) == set(db)
-        for key in da:
-            assert da[key].tobytes() == db[key].tobytes()
-        assert _stats_dict(legacy.stats) == _stats_dict(batched.stats)
-
-    @settings(max_examples=30, deadline=None)
-    @given(nranks=world_sizes, seed=seeds)
-    def test_injected_fault_outcomes_bitmatch(self, nranks, seed):
-        """Same fault seed => same drops/corruptions/stats on both worlds."""
-        rng = np.random.default_rng(seed)
-        sends = _random_sends(nranks, rng)
-
-        def faulted(world_cls):
-            return world_cls(
+        def make_world():
+            return SimWorld(
                 nranks,
                 fault_injector=FaultInjector(
-                    seed=seed, drop_rate=0.3, corrupt_rate=0.2, delay_rate=0.1
+                    seed=seed, drop_rate=drop, corrupt_rate=corrupt, delay_rate=delay
                 ),
+                retry=RetryPolicy(seed=seed, max_retries=max_retries),
             )
 
-        legacy = faulted(SimWorld)
-        batched = faulted(BatchedWorld)
-        da = legacy.exchange({k: v.copy() for k, v in sends.items()})
-        db = batched.exchange({k: v.copy() for k, v in sends.items()})
-        for key in da:
-            assert da[key].tobytes() == db[key].tobytes()
-        assert _stats_dict(legacy.stats) == _stats_dict(batched.stats)
+        _assert_matches_reference(shape, lx, nranks, seed, make_world)
 
-    @settings(max_examples=20, deadline=None)
-    @given(nranks=world_sizes, seed=seeds)
-    def test_reliable_channel_outcomes_bitmatch(self, nranks, seed):
-        """Retry policy engaged: retransmission counters must match too."""
-        rng = np.random.default_rng(seed)
-        sends = _random_sends(nranks, rng)
-
-        def hardened(world_cls):
-            return world_cls(
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        shape=mesh_shapes,
+        nranks=st.integers(min_value=2, max_value=6),
+        seed=seeds,
+        kind=st.sampled_from(["collective_sdc", "rank_failure"]),
+    )
+    def test_collective_faults_without_retry(self, shape, nranks, seed, kind):
+        def make_world():
+            fault = Fault(kind=kind, rank=1, at_call=0, op="allreduce")
+            return SimWorld(
                 nranks,
-                fault_injector=FaultInjector(seed=seed, drop_rate=0.3),
-                retry=RetryPolicy(seed=seed, max_retries=6),
+                fault_injector=FaultInjector(seed=seed, schedule=[fault]),
+                verify_collectives=True,
             )
 
-        def outcome(world):
-            # Exhausted retries raise; the two engines must then raise
-            # identically, so compare exception types as part of the outcome.
-            try:
-                return world.exchange({k: v.copy() for k, v in sends.items()})
-            except Exception as exc:  # noqa: BLE001 -- compared, not hidden
-                return type(exc).__name__
-
-        legacy = hardened(SimWorld)
-        batched = hardened(BatchedWorld)
-        da = outcome(legacy)
-        db = outcome(batched)
-        if isinstance(da, str) or isinstance(db, str):
-            assert da == db
-        else:
-            for key in da:
-                assert da[key].tobytes() == db[key].tobytes()
-        assert _stats_dict(legacy.stats) == _stats_dict(batched.stats)
+        _assert_matches_reference(shape, 3, nranks, seed, make_world)
 
 
 # -- gather-scatter --------------------------------------------------------------
@@ -197,7 +193,7 @@ class TestGatherScatterEquivalence:
     )
     def test_flat_equals_topology_to_zero_ulp(self, shape, lx, nranks, rpn, seed):
         ids, owner, fshape = _mesh_and_partition(shape, lx, nranks, seed)
-        world = BatchedWorld(nranks)
+        world = SimWorld(nranks)
         gs = BatchedGatherScatter(
             ids, owner, fshape, world, topology=NodeTopology(nranks, rpn)
         )
@@ -212,7 +208,7 @@ class TestGatherScatterEquivalence:
         seed=seeds,
     )
     def test_batched_bitmatches_legacy_dgs(self, shape, lx, nranks, seed):
-        """Results AND TrafficStats match the per-rank object path exactly."""
+        """Results AND TrafficStats match the per-rank buffer path exactly."""
         ids, owner, fshape = _mesh_and_partition(shape, lx, nranks, seed)
         u = np.random.default_rng(seed).normal(size=fshape)
 
@@ -220,7 +216,7 @@ class TestGatherScatterEquivalence:
         dgs = DistributedGatherScatter(ids, owner, fshape, legacy_world)
         legacy = dgs.add_full(u.copy())
 
-        batched_world = BatchedWorld(nranks)
+        batched_world = SimWorld(nranks)
         gs = BatchedGatherScatter(ids, owner, fshape, batched_world)
         batched = gs.add(u.copy(), "flat")
 
@@ -240,32 +236,27 @@ class TestGatherScatterEquivalence:
         u = np.random.default_rng(seed).normal(size=fshape)
         totals = np.bincount(ids, weights=u.reshape(-1))
         reference = totals[ids].reshape(fshape)
-        world = BatchedWorld(nranks)
+        world = SimWorld(nranks)
         gs = BatchedGatherScatter(ids, owner, fshape, world)
         assert np.allclose(gs.add(u, "flat"), reference, rtol=1e-13, atol=1e-13)
 
     def test_topology_moves_traffic_off_the_network(self):
         """Staging reduces inter-node messages without changing bytes entering ranks."""
         ids, owner, fshape = _mesh_and_partition((3, 3, 3), 3, 6, seed=7)
-        world = BatchedWorld(6)
+        world = SimWorld(6)
         gs = BatchedGatherScatter(ids, owner, fshape, world, topology=NodeTopology(6, 2))
         flat = gs.traffic_summary("flat")
         topo = gs.traffic_summary("topology")
         assert topo["inter_messages"] <= flat["inter_messages"]
 
-    def test_batched_world_required(self):
-        ids, owner, fshape = _mesh_and_partition((2, 2, 2), 3, 2, seed=0)
-        with pytest.raises(TypeError):
-            BatchedGatherScatter(ids, owner, fshape, SimWorld(2))
-
     def test_faulted_world_refused(self):
         ids, owner, fshape = _mesh_and_partition((2, 2, 2), 3, 2, seed=0)
-        world = BatchedWorld(2, fault_injector=FaultInjector(seed=1, drop_rate=0.5))
+        world = SimWorld(2, fault_injector=FaultInjector(seed=1, drop_rate=0.5))
         with pytest.raises(ValueError):
             BatchedGatherScatter(ids, owner, fshape, world)
 
     def test_batched_exchange_refuses_faulted_world(self):
-        world = BatchedWorld(2, fault_injector=FaultInjector(seed=1, drop_rate=0.5))
+        world = SimWorld(2, fault_injector=FaultInjector(seed=1, drop_rate=0.5))
         with pytest.raises(RuntimeError):
             world.exchange_batched(
                 np.array([0]), np.array([1]), np.array([8])

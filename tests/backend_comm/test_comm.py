@@ -164,46 +164,6 @@ class TestDistributedGS:
         got = dgs.dot(dgs.scatter_field(a), dgs.scatter_field(b))
         assert got == pytest.approx(sp.gs.dot(a, b), rel=1e-12)
 
-    @pytest.mark.parametrize("nranks", [2, 3, 4])
-    def test_one_sided_matches_two_phase(self, nranks):
-        # The Coarray/SHMEM-style one-round algorithm must be bit-identical
-        # to the owner-reduces two-phase one.
-        mesh = box_mesh((3, 2, 2))
-        sp = FunctionSpace(mesh, 4)
-        world = SimWorld(nranks)
-        owner = rcb_partition(mesh, nranks)
-        dgs = DistributedGatherScatter(sp.gs.global_ids, owner, sp.shape, world)
-        rng = np.random.default_rng(7)
-        u = rng.normal(size=sp.shape)
-        two = dgs.add_full(u, algorithm="two_phase")
-        one = dgs.add_full(u, algorithm="one_sided")
-        assert np.array_equal(two, one)
-        assert np.allclose(two, sp.gs.add(u), atol=1e-12)
-
-    def test_one_sided_single_round_more_messages(self):
-        # One-sided: one communication round, but symmetric all-to-all
-        # among holders (more messages than owner-centric two-phase).
-        mesh = box_mesh((2, 2, 2))
-        sp = FunctionSpace(mesh, 4)
-        owner = linear_partition(mesh.nelv, 4)
-
-        w2 = SimWorld(4)
-        d2 = DistributedGatherScatter(sp.gs.global_ids, owner, sp.shape, w2)
-        d2.add_full(np.ones(sp.shape))
-        w1 = SimWorld(4)
-        d1 = DistributedGatherScatter(sp.gs.global_ids, owner, sp.shape, w1)
-        d1.add_full(np.ones(sp.shape), algorithm="one_sided")
-        assert w1.stats.p2p_messages >= w2.stats.p2p_messages
-
-    def test_unknown_algorithm_rejected(self):
-        mesh = box_mesh((2, 1, 1))
-        sp = FunctionSpace(mesh, 3)
-        dgs = DistributedGatherScatter(
-            sp.gs.global_ids, linear_partition(2, 2), sp.shape, SimWorld(2)
-        )
-        with pytest.raises(ValueError, match="algorithm"):
-            dgs.add(dgs.scatter_field(np.ones(sp.shape)), algorithm="magic")
-
     def test_too_many_ranks_rejected(self):
         mesh = box_mesh((2, 1, 1))
         sp = FunctionSpace(mesh, 4)

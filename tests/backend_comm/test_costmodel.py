@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.comm import BatchedWorld, CommCostModel, CommRound, NodeTopology
+from repro.comm import CommCostModel, CommRound, NodeTopology, SimWorld
 from repro.perfmodel.machine import LEONARDO, LUMI
 
 
@@ -99,8 +99,10 @@ class TestCommCostModel:
 
 
 class TestBatchedWorldLog:
+    """``SimWorld.exchange_batched``: one count-only round, returned for pricing."""
+
     def test_exchange_logs_wire_messages_only(self):
-        world = BatchedWorld(4)
+        world = SimWorld(4)
         r = world.exchange_batched(
             np.array([0, 1, 2]), np.array([1, 2, 2]), np.array([16, 32, 64]),
             phase="topo.stage_up",
@@ -112,7 +114,7 @@ class TestBatchedWorldLog:
         assert world.stats.p2p_messages == 2
 
     def test_exchange_validates_rank_ranges(self):
-        world = BatchedWorld(2)
+        world = SimWorld(2)
         with pytest.raises(ValueError):
             world.exchange_batched(np.array([0]), np.array([5]), np.array([8]))
         with pytest.raises(ValueError):

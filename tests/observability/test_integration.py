@@ -123,18 +123,6 @@ class TestBridges:
         record_solver_monitor(mon, metrics)
         assert metrics.counter("solver.pressure.unconverged").value == 1
 
-    def test_publish_traffic_stats_via_simworld(self):
-        from repro.comm.simworld import SimWorld
-
-        metrics = MetricsRegistry()
-        world = SimWorld(4)
-        world.allreduce_scalar([1.0, 2.0, 3.0, 4.0])
-        world.barrier()
-        world.publish_metrics(metrics)
-        assert metrics.gauge("comm.allreduce_calls").value == 1
-        assert metrics.gauge("comm.allreduce_bytes").value == 32
-        assert metrics.gauge("comm.barrier_calls").value == 1
-
     def test_publish_gather_scatter(self, instrumented_run):
         sim, _, _ = instrumented_run
         metrics = MetricsRegistry()
