@@ -9,7 +9,6 @@ hooks: compression, streaming POD, field output).
 
 from __future__ import annotations
 
-import time as _time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -20,7 +19,6 @@ from repro.core.fluid import FluidScheme
 from repro.core.scalar import ScalarScheme
 from repro.core.statistics import NusseltNumbers, compute_nusselt, reynolds_number
 from repro.core.timers import RegionTimers
-from repro.observability.metrics import MetricsRegistry
 from repro.observability.phases import (
     PHASE_GATHER_SCATTER,
     PHASE_INSITU,
@@ -28,7 +26,6 @@ from repro.observability.phases import (
     PHASE_STEP,
 )
 from repro.observability.tracer import NULL_TRACER
-from repro.precond.cache import global_cache
 from repro.sem.space import FunctionSpace
 from repro.timeint.bdf_ext import TimeScheme
 from repro.timeint.cfl import courant_number
@@ -69,20 +66,18 @@ class Simulation:
         self,
         config: CaseConfig,
         tracer=None,
-        metrics=None,
         flight=None,
     ) -> None:
         config.validate()
         self.config = config
         self.space = FunctionSpace(config.mesh, config.lx)
         # Observability: the tracer defaults to the no-op implementation
-        # (uninstrumented runs stay on the pre-observability fast path);
-        # the metrics registry is always live -- its per-step cost is a
-        # handful of dict updates.  Span names follow the Fig. 4 phase
-        # taxonomy: advection, pressure, velocity, temperature,
-        # gather_scatter, insitu (see EXPERIMENTS.md).
+        # (uninstrumented runs stay on the pre-observability fast path).
+        # Span names follow the Fig. 4 phase taxonomy: advection, pressure,
+        # velocity, temperature, gather_scatter, insitu (see EXPERIMENTS.md).
+        # Counts stay on the objects that keep them: ``history``, the
+        # schemes' solver monitors, ``space.gs`` and the operator cache.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Optional crash flight recorder (repro.observability.fleet.flight);
         # no-cost when absent.
         self.flight = flight
@@ -118,8 +113,6 @@ class Simulation:
                 np.asarray(uy, dtype=np.float64) * np.ones(self.space.shape),
                 np.asarray(uz, dtype=np.float64) * np.ones(self.space.shape),
             )
-
-        global_cache().attach_metrics(self.metrics)
 
     # -- accessors -------------------------------------------------------------
 
@@ -162,7 +155,6 @@ class Simulation:
 
         gs = self.space.gs
         gs_calls, gs_bytes, gs_seconds = gs.calls, gs.bytes_moved, gs.seconds
-        t_step = _time.perf_counter()
         with self.tracer.span(PHASE_STEP, step=self.step_count + 1, sim_time=self.time):
             b = self.space.coef.mass
             zeros = np.zeros(self.space.shape)
@@ -206,48 +198,14 @@ class Simulation:
                         "bytes": gs.bytes_moved - gs_bytes,
                     },
                 )
-                # Timestamped counter samples: these render as metric
-                # lanes ("C" events) under the flame chart, putting the
-                # CFL/backlog story on the same timeline as the phases.
+                # Timestamped counter samples: these render as lanes ("C"
+                # events) under the flame chart, putting the CFL story on
+                # the same timeline as the phases.
                 self.tracer.sample("sim.cfl", result.cfl)
                 self.tracer.sample("sim.dt", result.dt)
-                if "insitu.queue_depth" in self.metrics:
-                    depth = self.metrics.gauge("insitu.queue_depth").value
-                    if np.isfinite(depth):
-                        self.tracer.sample("insitu.queue_depth", depth)
-        step_seconds = _time.perf_counter() - t_step
-        self._record_step_metrics(result, step_seconds, gs_calls, gs_bytes, gs_seconds)
         self.history.append(result)
         self.last_cfl = (result.cfl, result.dt)
         return result
-
-    def _record_step_metrics(
-        self,
-        result: StepResult,
-        step_seconds: float,
-        gs_calls: int,
-        gs_bytes: int,
-        gs_seconds: float,
-    ) -> None:
-        """Fold one step's measurements into the metrics registry."""
-        # Runtime import: the bridge pulls repro.resilience, which imports
-        # back into repro.core -- fine once everything is initialized,
-        # circular at module-import time.
-        from repro.observability.bridge import record_solver_monitor
-
-        m = self.metrics
-        m.counter("sim.steps").inc()
-        m.histogram("sim.step_seconds").record(step_seconds)
-        m.gauge("sim.cfl").set(result.cfl)
-        m.gauge("sim.dt").set(result.dt)
-        m.gauge("sim.kinetic_energy").set(result.kinetic_energy)
-        m.gauge("sim.divergence").set(result.divergence)
-        gs = self.space.gs
-        m.counter("gs.calls").inc(gs.calls - gs_calls)
-        m.counter("gs.bytes_moved").inc(gs.bytes_moved - gs_bytes)
-        m.counter("gs.seconds").inc(gs.seconds - gs_seconds)
-        for mon in (*self.fluid.monitors.values(), *self.scalar.monitors.values()):
-            record_solver_monitor(mon, m)
 
     def run(
         self,

@@ -98,12 +98,9 @@ class InSituPipeline:
         error -- after finalizing the healthy processors.  If False,
         errors are only recorded in the stats, the graceful-degradation
         mode for production drivers.
-    metrics:
-        Optional :class:`~repro.observability.metrics.MetricsRegistry`.
-        The producer side keeps an ``insitu.queue_depth`` gauge current on
-        every :meth:`put`, and :meth:`close` publishes the lifetime totals
-        (items, bytes, per-processor latency, quarantines) via
-        :func:`~repro.observability.bridge.publish_pipeline_stats`.
+
+    Everything the pipeline measures lands in :attr:`stats`, which
+    :meth:`close` returns.
     """
 
     def __init__(
@@ -117,7 +114,6 @@ class InSituPipeline:
         sleep=time.sleep,
         quarantine_after: int = 3,
         strict: bool = True,
-        metrics=None,
     ) -> None:
         self.processors = processors
         self.queue: queue.Queue = queue.Queue(maxsize=max_queue)
@@ -128,7 +124,6 @@ class InSituPipeline:
         self.sleep = sleep
         self.quarantine_after = quarantine_after
         self.strict = strict
-        self.metrics = metrics
         self.stats = PipelineStats()
         self._worker: threading.Thread | None = None
         self._closed = False
@@ -168,10 +163,6 @@ class InSituPipeline:
             except BaseException as exc:
                 if finalize_error is None:
                     finalize_error = exc
-        if self.metrics is not None:
-            from repro.observability.bridge import publish_pipeline_stats
-
-            publish_pipeline_stats(self.stats, self.metrics)
         if self._error is not None and self.strict:
             raise RuntimeError("in-situ processor failed") from self._error
         if finalize_error is not None and self.strict:
@@ -213,10 +204,6 @@ class InSituPipeline:
         self.stats.producer_wait += time.perf_counter() - t0
         self.stats.items += 1
         self.stats.bytes_in += array.nbytes
-        if self.metrics is not None:
-            # qsize is advisory (the worker drains concurrently) but is
-            # exactly the backpressure signal production dashboards watch.
-            self.metrics.gauge("insitu.queue_depth").set(self.queue.qsize())
         return True
 
     # -- consumer side ----------------------------------------------------------

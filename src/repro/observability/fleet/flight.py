@@ -2,12 +2,12 @@
 
 When a week-long campaign dies, the question is never "did it die" but
 "what were the last minutes like": were the pressure iterations climbing,
-had the CFL crept up, was the in-situ queue backing up, which resilience
-events fired.  A full trace of the whole run is too large to keep; the
-flight recorder keeps only the last ``capacity`` steps -- per-step spans,
-a metrics snapshot, solver-monitor records and the step result -- plus a
-bounded tail of resilience events, and writes the whole bundle
-*atomically* (temp file + ``os.replace``) as JSONL when something trips:
+had the CFL crept up, which resilience events fired.  A full trace of the
+whole run is too large to keep; the flight recorder keeps only the last
+``capacity`` steps -- per-step spans, solver-monitor records and the step
+result -- plus a bounded tail of resilience events, and writes the whole
+bundle *atomically* (temp file + ``os.replace``) as JSONL when something
+trips:
 
 * the divergence guard in :meth:`Simulation.run` (wired via the
   simulation's ``flight=`` parameter);
@@ -55,13 +55,12 @@ def _jsonable(value: Any) -> Any:
 
 @dataclass
 class FlightFrame:
-    """One step's record: result summary, monitors, metrics, spans."""
+    """One step's record: result summary, monitors, spans."""
 
     step: int
     time: float
     result: dict = field(default_factory=dict)
     monitors: list[dict] = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
     spans: list[dict] = field(default_factory=list)
 
     def as_record(self) -> dict:
@@ -74,7 +73,6 @@ class FlightFrame:
             time=float(rec.get("time", 0.0)),
             result=dict(rec.get("result", {})),
             monitors=list(rec.get("monitors", [])),
-            metrics=dict(rec.get("metrics", {})),
             spans=list(rec.get("spans", [])),
         )
 
@@ -114,9 +112,9 @@ class FlightRecorder:
         """Capture one completed step from a simulation-like object.
 
         Duck-typed: uses ``sim.tracer`` (the last completed ``step`` root
-        span, when a live tracer is attached), ``sim.metrics`` and the
-        fluid/scalar solver monitors when present; a bare object with none
-        of them still yields a frame with the step result.
+        span, when a live tracer is attached) and the fluid/scalar solver
+        monitors when present; a bare object with neither still yields a
+        frame with the step result.
         """
         result_rec = asdict(result) if is_dataclass(result) else dict(vars(result))
         monitors: list[dict] = []
@@ -125,13 +123,11 @@ class FlightRecorder:
             for mon in getattr(scheme, "monitors", {}).values():
                 if hasattr(mon, "as_record"):
                     monitors.append(mon.as_record())
-        metrics = getattr(sim, "metrics", None)
         frame = FlightFrame(
             step=int(result_rec.get("step", getattr(sim, "step_count", -1))),
             time=float(result_rec.get("time", getattr(sim, "time", 0.0))),
             result=result_rec,
             monitors=monitors,
-            metrics=metrics.snapshot() if metrics is not None else {},
             spans=self._last_step_spans(getattr(sim, "tracer", None)),
         )
         self.frames.append(frame)
@@ -193,8 +189,8 @@ class FlightRecorder:
         The bundle is JSONL: a header line, then one line per frame
         (oldest first), then one line per event.  Every line goes through the
         strict-JSON sanitizer (:mod:`repro.observability.jsonio`) -- a NaN
-        gauge in a frame's metrics snapshot becomes ``null``, never an
-        invalid ``NaN`` literal.  Written to a temporary sibling and moved
+        in a frame's step result or monitor record becomes ``null``, never
+        an invalid ``NaN`` literal.  Written to a temporary sibling and moved
         into place with ``os.replace``, so a reader (or a second crash)
         never sees a half-written bundle.
         """

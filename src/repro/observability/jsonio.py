@@ -1,10 +1,10 @@
 """Strict-JSON serialization of telemetry records.
 
 Python's ``json`` module happily emits ``NaN`` / ``Infinity`` literals,
-which are *not* JSON: a gauge that saw a NaN (an empty histogram's mean,
-a diverging residual) silently produces a file ``jq``, browsers and most
-other parsers reject.  Every exporter in the observability stack therefore
-funnels its payload through :func:`sanitize` before writing:
+which are *not* JSON: a span counter or step result that saw a NaN (a
+diverging residual) silently produces a file ``jq``, browsers and most
+other parsers reject.  The Chrome-trace exporter and the flight recorder
+therefore funnel their payload through :func:`sanitize` before writing:
 
 * ``NaN`` becomes ``None`` (JSON ``null``) -- the value for "no data",
   matching how dashboards want to render a gap;

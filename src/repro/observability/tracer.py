@@ -5,7 +5,7 @@ execution trace, Fig. 4 a per-phase wall-time breakdown.  This module is
 the instrumentation that produces the equivalent record for the Python
 solver: nested :class:`Span` objects with wall time, counters and tags,
 collected by a :class:`Tracer` and exported (``repro.observability.export``)
-to Chrome-trace JSON, JSONL or a plain-text tree.
+to Chrome-trace JSON or a plain-text tree.
 
 Instrumented code never pays for tracing it does not use: the module-level
 :data:`NULL_TRACER` (a :class:`NullTracer`) implements the same interface
@@ -17,8 +17,7 @@ a handful of microseconds per time step.
 
 Tracers are single-threaded by design (one per simulation loop, like one
 per MPI rank); asynchronous components (the in-situ pipeline worker)
-report through their own stats objects, which the bridge module folds into
-the same record.
+report through their own stats objects (``PipelineStats``).
 """
 
 from __future__ import annotations
@@ -178,12 +177,11 @@ class Tracer:
     def sample(self, name: str, value: float, **tags: Any) -> Span:
         """Record one timestamped counter sample (a point of a metric lane).
 
-        Samples are how time-varying signals -- CFL, in-situ queue depth --
-        enter the trace *with their timestamps*, so the exporters can
-        render them as Chrome-trace counter (``"C"``) lanes
-        alongside the span flame chart instead of burying the final value
-        in opaque metadata.  Sampling is cheap (one object per call) and
-        only ever done at phase/step granularity.
+        Samples are how time-varying signals -- CFL, dt -- enter the trace
+        *with their timestamps*, so the exporter can render them as
+        Chrome-trace counter (``"C"``) lanes alongside the span flame
+        chart.  Sampling is cheap (one object per call) and only ever done
+        at phase/step granularity.
         """
         now = self._now()
         sp = Span(

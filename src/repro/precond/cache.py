@@ -24,10 +24,8 @@ buffers are marked read-only) and eviction only drops the cache's own
 reference -- objects holding evicted entries keep working, which is what
 makes a capacity cap safe under in-flight solves.
 
-Observability: hits/misses/evictions/build seconds are tracked per cache
-and exported through the ``cache.*`` metric family (see
-:mod:`repro.observability.phases`); :func:`attach_metrics` mirrors the
-counters into a :class:`~repro.observability.metrics.MetricsRegistry`.
+Observability: hits/misses/evictions/build seconds are counters on each
+cache, read directly or as the JSON-ready :meth:`OperatorCache.report`.
 """
 
 from __future__ import annotations
@@ -158,7 +156,6 @@ class OperatorCache:
         self.misses = 0
         self.evictions = 0
         self.build_seconds = 0.0
-        self._metrics: Any | None = None
 
     # -- core ----------------------------------------------------------------
 
@@ -168,7 +165,6 @@ class OperatorCache:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                self._publish()
                 return self._entries[key]
         t0 = perf_counter()
         value = _freeze(builder())
@@ -183,7 +179,6 @@ class OperatorCache:
                     self._entries.popitem(last=False)
                     self.evictions += 1
             value = self._entries[key]
-            self._publish()
         return value
 
     def __len__(self) -> int:
@@ -231,21 +226,6 @@ class OperatorCache:
                 for k in self._entries
             ],
         }
-
-    def attach_metrics(self, metrics: Any) -> None:
-        """Mirror the counters into a metrics registry (``cache.*`` family)."""
-        self._metrics = metrics
-        self._publish()
-
-    def _publish(self) -> None:
-        m = self._metrics
-        if m is None:
-            return
-        m.gauge("cache.hits").set(self.hits)
-        m.gauge("cache.misses").set(self.misses)
-        m.gauge("cache.evictions").set(self.evictions)
-        m.gauge("cache.hit_rate").set(self.hit_rate())
-        m.gauge("cache.entries").set(len(self._entries))
 
 
 _GLOBAL_CACHE = OperatorCache()

@@ -13,12 +13,12 @@ time-to-repair of a rollback system (wall-clock MTTR would be noise at
 this scale; replayed work is the quantity the checkpoint-interval
 trade-off controls, and it is bit-reproducible).
 
-Observability: every scenario runs under a ``chaos.scenario`` span,
-counters and histograms land in the harness metrics registry
-(``chaos.survived``, ``chaos.steps_replayed``, ...), and a scenario that
-fails dumps its flight-recorder ring -- fed by the recovery event stream
--- as a post-mortem bundle.  Each result also embeds the injector's
-replay log, so any campaign entry can be reproduced in isolation with
+Observability: every scenario runs under a ``chaos.scenario`` span, its
+counts are the fields of its :class:`ScenarioResult` (campaign totals are
+properties of :class:`CampaignResult`), and a scenario that fails dumps
+its flight-recorder ring -- fed by the recovery event stream -- as a
+post-mortem bundle.  Each result also embeds the injector's replay log,
+so any campaign entry can be reproduced in isolation with
 :meth:`~repro.resilience.faults.FaultInjector.from_replay`.
 """
 
@@ -30,7 +30,6 @@ from typing import Any
 
 from repro.comm.reliable import RetryPolicy
 from repro.observability.fleet.flight import FlightRecorder
-from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Tracer
 from repro.resilience.chaos.scenarios import ChaosScenario, default_campaign
 from repro.resilience.distributed.recovery import WorldRecovery
@@ -126,8 +125,8 @@ class ChaosHarness:
     flight_dir:
         When set, a failing scenario dumps its flight-recorder ring as a
         JSONL bundle into this directory (the CI artifact on red).
-    tracer, metrics:
-        Observability sinks; fresh ones are created when omitted.
+    tracer:
+        Receives the ``chaos.*`` spans; a fresh one is created when omitted.
     """
 
     def __init__(
@@ -141,7 +140,6 @@ class ChaosHarness:
         tol: float = DEFAULT_TOL,
         flight_dir: "Path | str | None" = None,
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.seed = seed
         self.shape = shape
@@ -152,7 +150,6 @@ class ChaosHarness:
         self.tol = tol
         self.flight_dir = Path(flight_dir) if flight_dir is not None else None
         self.tracer = tracer if tracer is not None else Tracer()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._baselines: dict[tuple, float] = {}
 
     # -- baselines ---------------------------------------------------------------
@@ -257,19 +254,9 @@ class ChaosHarness:
             replay=injector.export_replay(),
             incidents=list(run.incidents),
         )
-        self._record(result, flight)
-        return result
-
-    def _record(self, result: ScenarioResult, flight: FlightRecorder) -> None:
-        m = self.metrics
-        m.counter("chaos.scenarios").inc()
-        m.counter("chaos.survived" if result.survived else "chaos.failed").inc()
-        m.counter("chaos.recoveries").inc(result.recoveries)
-        m.counter("chaos.faults_fired").inc(result.faults_fired)
-        m.histogram("chaos.steps_replayed").record(float(result.steps_replayed))
-        m.histogram("chaos.nu_error").record(result.nu_error)
-        if not result.survived and self.flight_dir is not None:
+        if not survived and self.flight_dir is not None:
             flight.dump(reason=f"chaos_{result.name}")
+        return result
 
     # -- campaigns ---------------------------------------------------------------
 

@@ -1,10 +1,10 @@
-"""span-hygiene: span and metric names must come from the phase registry.
+"""span-hygiene: names written into a trace must come from the phase registry.
 
-Every span name must be one of the Fig. 4 phases (or belong to a
-registered dynamic family like ``krylov.<solver>``), and every metric
-name must belong to a registered family -- otherwise the Chrome-trace
-exporter, the text reports and the benchmark's per-phase metrics silently
-grow orphan series nobody aggregates.  The registry lives in
+Every span, instant event and counter sample name must be one of the
+Fig. 4 phases or belong to a registered dynamic family like
+``krylov.<solver>`` -- otherwise the Chrome-trace exporter, the text
+report and the benchmark's per-phase metrics silently grow orphan series
+nobody aggregates.  The registry lives in
 :mod:`repro.observability.phases`; this rule closes the loop statically.
 
 Only *constant* names can be checked: plain string literals are matched
@@ -19,37 +19,30 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.observability.phases import (
-    METRIC_PREFIXES,
-    SPAN_PREFIXES,
-    is_registered_metric,
-    is_registered_span,
-)
+from repro.observability.phases import SPAN_PREFIXES, is_registered_span
 from repro.statcheck.engine import ModuleContext
 from repro.statcheck.finding import Finding, Severity
 from repro.statcheck.rules.base import Rule
 
 __all__ = ["SpanHygieneRule"]
 
-#: Methods whose first argument is a span name.
-_SPAN_METHODS = {"span", "record_span", "event", "region"}
-#: Methods whose first argument is a metric name.  ``sample`` is the
-#: tracer's timestamped counter-sample hook: its series land in the same
-#: exported lanes as registry metrics, so the same taxonomy applies.
-_METRIC_METHODS = {"counter", "gauge", "histogram", "sample"}
+#: Methods whose first argument is a name in the trace: spans, instant
+#: events, timestamped counter samples and aggregate spans of ``Tracer``,
+#: and ``RegionTimers.region``, which opens a span of the same name.
+_SPAN_METHODS = {"span", "record_span", "event", "sample", "region"}
 
 
 class SpanHygieneRule(Rule):
     name = "span-hygiene"
     severity = Severity.WARNING
     description = (
-        "literal tracer span / RegionTimers region / metric names must match "
-        "the Fig. 4 phase registry (repro.observability.phases)"
+        "literal tracer span / event / sample and RegionTimers region names "
+        "must match the Fig. 4 phase registry (repro.observability.phases)"
     )
 
     def applies(self, ctx: ModuleContext) -> bool:
         # The observability package *implements* the generic machinery
-        # (metrics are constructed from arbitrary `name=` parameters there)
+        # (spans are constructed from arbitrary `name=` parameters there)
         # and statcheck ships fixture-like strings; both are out of scope.
         return not ctx.in_package("observability", "statcheck")
 
@@ -57,29 +50,25 @@ class SpanHygieneRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
                 continue
-            method = node.func.attr
-            if method in _SPAN_METHODS:
-                kind, check, prefixes = "span", is_registered_span, SPAN_PREFIXES
-            elif method in _METRIC_METHODS:
-                kind, check, prefixes = "metric", is_registered_metric, METRIC_PREFIXES
-            else:
-                continue
-            if not node.args:
+            if node.func.attr not in _SPAN_METHODS or not node.args:
                 continue
             name = _constant_prefix(node.args[0])
             if name is None:
                 continue  # dynamic name; not statically checkable
             literal, is_exact = name
-            ok = check(literal) if is_exact else literal.startswith(tuple(prefixes)) or any(
-                p.startswith(literal) for p in prefixes
+            ok = (
+                is_registered_span(literal)
+                if is_exact
+                else literal.startswith(SPAN_PREFIXES)
+                or any(p.startswith(literal) for p in SPAN_PREFIXES)
             )
             if not ok:
                 yield ctx.finding(
                     self,
                     node,
-                    f"unregistered {kind} name {literal!r}: add it to "
+                    f"unregistered span name {literal!r}: add it to "
                     f"repro.observability.phases or use a registered family "
-                    f"({', '.join(prefixes)})",
+                    f"({', '.join(SPAN_PREFIXES)})",
                 )
 
 

@@ -54,8 +54,7 @@ class TestRing:
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
 
-    def test_frame_captures_monitors_metrics_and_spans(self):
-        from repro.observability import MetricsRegistry
+    def test_frame_captures_monitors_and_spans(self):
         from repro.solvers.monitor import SolverMonitor
 
         mon = SolverMonitor(tol=1e-8, name="pressure")
@@ -65,19 +64,29 @@ class TestRing:
         with tracer.span("step", step=3):
             with tracer.span("pressure"):
                 pass
-        metrics = MetricsRegistry()
-        metrics.counter("sim.steps").inc()
         sim = SimpleNamespace(
             tracer=tracer,
-            metrics=metrics,
             fluid=SimpleNamespace(monitors={"pressure": mon}),
             scalar=SimpleNamespace(monitors={}),
         )
         frame = FlightRecorder(capacity=2).record_step(sim, fake_result(3))
         assert frame.monitors[0]["name"] == "pressure"
         assert frame.monitors[0]["converged"] is True
-        assert frame.metrics["sim.steps"]["value"] == 1.0
         assert [s["name"] for s in frame.spans] == ["step", "pressure"]
+
+    def test_bundle_with_a_metrics_snapshot_still_loads(self, tmp_path):
+        # Bundles written before frames lost their metrics snapshot carry
+        # an extra "metrics" key per frame; the reader ignores it.
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            json.dumps({"kind": "header", "schema": 1, "reason": "divergence"}) + "\n"
+            + json.dumps({"kind": "frame", "step": 4, "time": 0.2, "result": {"cfl": 0.3},
+                          "monitors": [], "metrics": {"sim.steps": {"value": 4}},
+                          "spans": []}) + "\n"
+        )
+        bundle = FlightBundle.load(path)
+        assert bundle.steps == [4]
+        assert "step 4" in bundle.summary()
 
 
 class TestDumpLoad:

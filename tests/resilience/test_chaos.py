@@ -91,19 +91,15 @@ class TestScenarioRuns:
         assert [f.kind for f in rebuilt.schedule] == ["drop"]
         assert rebuilt.events == []  # fresh injector, history not replayed
 
-    def test_harness_metrics_registered_names_only(self):
-        from repro.observability.phases import is_registered_metric, is_registered_span
+    def test_harness_spans_registered_names_only(self):
+        from repro.observability.phases import is_registered_span
 
         harness = ChaosHarness(seed=5)
         harness.run_scenario(
             ChaosScenario(name="plain", description="fault-free", n_steps=2)
         )
-        snapshot = harness.metrics.snapshot()
-        assert snapshot  # counters were recorded
-        assert all(is_registered_metric(name) for name in snapshot)
-        assert all(
-            is_registered_span(root.name) for root in harness.tracer.roots
-        )
+        assert [root.name for root in harness.tracer.roots] == ["chaos.scenario"]
+        assert all(is_registered_span(span.name) for span in harness.tracer.walk())
 
 
 class TestCampaign:

@@ -1,7 +1,7 @@
 """SolverMonitor and IterationStreakTracker edge cases.
 
-The monitors feed both the adaptive-timestep logic and the observability
-bridge, so their corner semantics (zero initial residual, iteration
+The monitors feed both the adaptive-timestep logic and the flight
+recorder, so their corner semantics (zero initial residual, iteration
 exhaustion, streak resets) are load-bearing."""
 
 import math

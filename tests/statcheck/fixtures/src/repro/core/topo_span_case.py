@@ -1,17 +1,15 @@
-"""Fixture: the krylov/resilience/cache span+metric families are registered.
+"""Fixture: the krylov span and sim sample families are registered.
 
-Every literal name here belongs to the ``krylov.``, ``resilience.`` or
-``cache.`` prefix families of the phase registry, so the span-hygiene
-rule must produce zero findings for this module.  Linted by tests, never
+Every literal name here is a Fig. 4 phase or belongs to the ``krylov.`` or
+``sim.`` prefix families of the phase registry, so the span-hygiene rule
+must produce zero findings for this module.  Linted by tests, never
 imported.
 """
 
 
-def run(tracer, metrics, solver):
+def run(tracer, solver, result):
     with tracer.span(f"krylov.{solver}", maxiter=50):  # registered krylov.* span
         pass
-    with tracer.span("resilience.rollback", step=4):  # registered resilience.* span
-        tracer.event("cache.build", key="hsmg")  # registered cache.* event
-    metrics.counter("resilience.retries").inc()  # registered resilience.* metric
-    metrics.gauge("cache.hit_rate").set(1.0)  # registered cache.* metric
-    metrics.histogram("cache.entries").record(2.0)  # registered cache.* metric
+    tracer.record_span("gather_scatter", 0.1)  # registered Fig. 4 phase
+    tracer.sample("sim.cfl", result.cfl)  # registered sim.* sample
+    tracer.sample("sim.dt", result.dt)  # registered sim.* sample

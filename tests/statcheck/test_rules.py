@@ -53,29 +53,44 @@ class TestSpanHygiene:
         assert findings == []
 
     def test_verify_family_is_registered(self):
-        # The verification subsystem's spans and metrics (verify.*) are a
-        # registered family: a module using only them is clean.
+        # The verification subsystem's spans (verify.*) are a registered
+        # family: a module using only them is clean.
         findings = run_rule(
             "span-hygiene", FIXTURES / "src/repro/core/verify_span_case.py"
         )
         assert findings == []
 
     def test_chaos_family_is_registered(self):
-        # The chaos harness's spans and metrics (chaos.*) are a registered
-        # family: a module using only them is clean.
+        # The chaos harness's spans (chaos.*) are a registered family: a
+        # module using only them is clean.
         findings = run_rule(
             "span-hygiene", FIXTURES / "src/repro/core/chaos_span_case.py"
         )
         assert findings == []
 
-    def test_krylov_resilience_and_cache_families_are_registered(self):
-        # The solver (krylov.*), recovery (resilience.*) and operator-cache
-        # (cache.*) names are registered families: a module using only
-        # them is clean.
+    def test_krylov_and_sample_families_are_registered(self):
+        # The solver spans (krylov.*) and the per-step counter samples
+        # (sim.*) are registered families: a module using only them is
+        # clean.
         findings = run_rule(
             "span-hygiene", FIXTURES / "src/repro/core/topo_span_case.py"
         )
         assert findings == []
+
+    def test_samples_and_events_share_the_span_registry(self, tmp_path):
+        # One registry for every name a trace carries: a counter sample or
+        # an event outside it is flagged like a span, and a family with no
+        # emitter left (resilience.*, cache.*) no longer passes.
+        path = tmp_path / "names.py"
+        path.write_text(
+            "def run(tracer):\n"
+            "    tracer.sample('sim.cfl', 0.5)\n"
+            "    tracer.sample('queue_depth', 3)\n"
+            "    tracer.event('resilience.rollback')\n"
+            "    tracer.event('cache.build')\n"
+        )
+        findings = run_rule("span-hygiene", path)
+        assert [f.line for f in findings] == [3, 4, 5]
 
 
 class TestResourceDiscipline:
