@@ -121,7 +121,6 @@ class CampaignPoint:
     modeled_step_us: float     # closed-form StrongScalingStudy prediction
     traffic: dict = field(default_factory=dict)
     efficiency: float = 1.0
-    efficiency_flat: float = 1.0
     modeled_efficiency: float = 1.0
 
     @property
@@ -163,24 +162,14 @@ class ScalingCampaign:
         self.field_shape = (self.nelv, lx, lx, lx)
         self.study = StrongScalingStudy(machine, n_elements=self.nelv, work=self.work)
 
-    # -- per-step operation counts (mirrors SEMWorkModel.step_costs) ------------
+    def _exchanges_per_step(self) -> tuple[float, int]:
+        """(gather-scatters in fine-halo units, allreduces) per step.
 
-    def gs_per_step(self) -> float:
-        """Gather-scatter applications per step, from the work counts."""
-        w = self.work
-        return (
-            w.pressure_iterations * 2          # ax + smoother
-            + w.pressure_iterations * 0.1      # coarse-level vertex halos
-            + 3 * w.velocity_iterations
-            + w.temperature_iterations
-            + 4                                # advection/dealiasing
-        )
-
-    def allreduces_per_step(self) -> float:
-        """Blocking allreduces per step, from the work counts."""
-        w = self.work
-        main, coarse = w.pressure_allreduces()
-        return main + coarse + 3 * w.velocity_iterations * 2 + w.temperature_iterations * 2
+        Summed over ``SEMWorkModel.step_exchanges``, the table the
+        closed-form step prices too.
+        """
+        table = self.work.step_exchanges().values()
+        return sum(n * size for n, size, _ in table), sum(r for _, _, r in table)
 
     # -- one scaling point ------------------------------------------------------
 
@@ -205,7 +194,7 @@ class ScalingCampaign:
             if ne == 0:
                 continue
             costs = self.work.step_costs(
-                float(ne), self.machine.device, self.study_net(), n_ranks
+                float(ne), self.machine.device, self.machine, n_ranks
             )
             t = sum(
                 max(costs[k].compute_us, costs[k].launch_us)
@@ -214,10 +203,9 @@ class ScalingCampaign:
             out[counts == ne] = t
         return out
 
-    def study_net(self):
-        from repro.perfmodel.network import NetworkModel
-
-        return NetworkModel(self.machine)
+    def study_net(self) -> MachineSpec:
+        """The network model ``step_costs`` prices with: the machine record."""
+        return self.machine
 
     def run_point(self, n_ranks: int) -> CampaignPoint:
         """Run one rank count: one dssum per algorithm, DES-price the step."""
@@ -227,8 +215,7 @@ class ScalingCampaign:
         red = cost.allreduce_us(n_ranks)
 
         compute = self._rank_compute_us(gs, n_ranks)
-        n_gs = self.gs_per_step()
-        n_red = self.allreduces_per_step()
+        n_gs, n_red = self._exchanges_per_step()
         step = float(compute.max()) + n_gs * gs_topo + n_red * red
         step_flat = float(compute.max()) + n_gs * gs_flat + n_red * red
         modeled = self.study.time_per_step(n_ranks) * 1e6
@@ -256,9 +243,6 @@ class ScalingCampaign:
         base = points[0]
         for pt in points:
             pt.efficiency = (base.step_us * base.n_ranks) / (pt.step_us * pt.n_ranks)
-            pt.efficiency_flat = (base.step_us_flat * base.n_ranks) / (
-                pt.step_us_flat * pt.n_ranks
-            )
             pt.modeled_efficiency = (base.modeled_step_us * base.n_ranks) / (
                 pt.modeled_step_us * pt.n_ranks
             )
@@ -278,8 +262,9 @@ class ScalingCampaign:
 
         _world, gs, cost = self.build_point(n_ranks)
         compute_s = self._rank_compute_us(gs, n_ranks) * 1e-6
-        gs_s = cost.rank_log_us(gs.rounds("topology"), n_ranks) * self.gs_per_step() * 1e-6
-        allreduce_s = self.allreduces_per_step() * cost.allreduce_us(n_ranks) * 1e-6
+        n_gs, n_red = self._exchanges_per_step()
+        gs_s = cost.rank_log_us(gs.rounds("topology"), n_ranks) * n_gs * 1e-6
+        allreduce_s = n_red * cost.allreduce_us(n_ranks) * 1e-6
         return analyze_totals(
             {
                 r: {

@@ -6,16 +6,17 @@ come from a wall clock -- at 10^4 simulated ranks the Python process is
 three orders of magnitude removed from the machine being simulated.
 Instead every exchange round is logged as a :class:`CommRound` (per-edge
 ``src``/``dst``/``nbytes`` arrays) and this module prices the log with a
-discrete-event alpha-beta model parameterized from
+discrete-event alpha-beta model read from the Table 1 record,
 :class:`~repro.perfmodel.machine.MachineSpec`:
 
-* **inter-node** hops pay the NIC share: ``alpha = network latency +
-  software overhead`` and ``beta = 1 / (node injection BW per GPU)`` --
-  the same parameters :class:`~repro.perfmodel.network.NetworkModel`
-  uses, so measured and modeled curves share one vocabulary;
-* **intra-node** hops ride the Infinity-Fabric/NVLink class links: a
-  quarter of the latency and ten times the bandwidth (the established
-  ``intra_bw = beta/10`` convention of ``NetworkModel.halo_exchange_us``).
+* **inter-node** hops pay the NIC share: the machine's ``alpha_us``
+  (network latency + software overhead) and ``beta_us_per_byte`` (one
+  GPU's share of the node injection bandwidth) -- the same parameters the
+  closed-form ``MachineSpec.halo_exchange_us`` uses, so measured and
+  modeled curves share one vocabulary;
+* **intra-node** hops ride the Infinity-Fabric/NVLink class links at the
+  machine module's intra-node factors: a quarter of the latency and ten
+  times the bandwidth.
 
 A round is bulk-synchronous: each rank serializes its own sends and
 receives on its link shares, and the round costs what the busiest rank
@@ -31,8 +32,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.perfmodel.machine import MachineSpec
-from repro.perfmodel.network import NetworkModel
+from repro.perfmodel.machine import (
+    INTRA_ALPHA_FACTOR,
+    INTRA_BW_FACTOR,
+    SOFTWARE_OVERHEAD_US,
+    MachineSpec,
+)
 
 if TYPE_CHECKING:  # pragma: no cover -- topology imports CommRound from here
     from repro.comm.topology import NodeTopology
@@ -79,38 +84,22 @@ class CommCostModel:
     topology:
         Rank-to-node mapping used to classify each edge as intra- or
         inter-node; defaults to the machine's ``gpus_per_node`` packing.
-    software_overhead_us:
-        Per-message MPI-stack/staging cost, matching ``NetworkModel``.
-    intra_alpha_factor, intra_beta_factor:
-        Node-local links relative to the NIC share: a fraction of the
-        latency, a multiple of the bandwidth (``beta/10`` by default).
-    aggregate_leader_nic:
-        When true (default), inter-node messages travelling *between two
-        node leaders* are priced at the node's full injection bandwidth
-        instead of the per-GPU share: in the staged exchange only the
-        leader injects for its whole node, so it owns the NIC rather than
-        an ``1/gpus_per_node`` slice of it.
-    nic_message_us:
-        Per-message processing cost at the node NIC (defaults to the
-        software overhead).  Every inter-node message also serializes
-        through its source and destination *node* NICs -- ``nic_message_us
-        + bytes / node_injection`` each -- and a round cannot finish
-        before the busiest NIC drains.  This message-rate limit is why
-        the paper aggregates inter-node traffic through node leaders: a
-        node sending 40 tiny messages pays 40 NIC slots, its staged
-        equivalent pays one slot per destination node.
+
+    Inter-node messages travelling *between two node leaders* are priced
+    at the node's full injection bandwidth instead of the per-GPU share:
+    in the staged exchange only the leader injects for its whole node, so
+    it owns the NIC rather than a ``1/gpus_per_node`` slice of it.
+
+    Every inter-node message also serializes through its source and
+    destination *node* NICs -- one NIC message slot (the software
+    overhead) ``+ bytes / node_injection`` each -- and a round cannot
+    finish before the busiest NIC drains.  This message-rate limit is why
+    the paper aggregates inter-node traffic through node leaders: a node
+    sending 40 tiny messages pays 40 NIC slots, its staged equivalent pays
+    one slot per destination node.
     """
 
-    def __init__(
-        self,
-        machine: MachineSpec,
-        topology: "NodeTopology | None" = None,
-        software_overhead_us: float = 2.0,
-        intra_alpha_factor: float = 0.25,
-        intra_beta_factor: float = 0.1,
-        aggregate_leader_nic: bool = True,
-        nic_message_us: float | None = None,
-    ) -> None:
+    def __init__(self, machine: MachineSpec, topology: "NodeTopology | None" = None) -> None:
         from repro.comm.topology import NodeTopology
 
         self.machine = machine
@@ -119,16 +108,11 @@ class CommCostModel:
             if topology is not None
             else NodeTopology(machine.n_logical_gpus, machine.gpus_per_node)
         )
-        self.network = NetworkModel(machine, software_overhead_us=software_overhead_us)
-        self.inter_alpha_us = self.network.alpha_us
-        self.inter_beta_us = self.network.beta_us_per_byte
-        self.intra_alpha_us = self.inter_alpha_us * intra_alpha_factor
-        self.intra_beta_us = self.inter_beta_us * intra_beta_factor
-        self.aggregate_leader_nic = aggregate_leader_nic
+        self.inter_alpha_us = machine.alpha_us
+        self.inter_beta_us = machine.beta_us_per_byte
+        self.intra_alpha_us = self.inter_alpha_us * INTRA_ALPHA_FACTOR
+        self.intra_beta_us = self.inter_beta_us / INTRA_BW_FACTOR
         self.leader_beta_us = self.inter_beta_us / self.topology.ranks_per_node
-        self.nic_message_us = (
-            nic_message_us if nic_message_us is not None else software_overhead_us
-        )
         # Full-node injection bandwidth, us per byte.
         self.node_beta_us = 1.0 / (machine.node_injection_gbs * 1e9) * 1e6
 
@@ -141,11 +125,10 @@ class CommCostModel:
         intra = self.topology.node_of(round_.src) == self.topology.node_of(round_.dst)
         nbytes = round_.nbytes.astype(np.float64)
         inter_beta = np.full(round_.n_messages, self.inter_beta_us)
-        if self.aggregate_leader_nic:
-            leader_edge = (self.topology.leader_of(round_.src) == round_.src) & (
-                self.topology.leader_of(round_.dst) == round_.dst
-            )
-            inter_beta[leader_edge] = self.leader_beta_us
+        leader_edge = (self.topology.leader_of(round_.src) == round_.src) & (
+            self.topology.leader_of(round_.dst) == round_.dst
+        )
+        inter_beta[leader_edge] = self.leader_beta_us
         return np.where(
             intra,
             self.intra_alpha_us + nbytes * self.intra_beta_us,
@@ -165,7 +148,7 @@ class CommCostModel:
         """Per-node NIC drain time of one round (send + receive sides).
 
         Only inter-node messages touch the NIC; each occupies both
-        endpoint nodes' NICs for ``nic_message_us + bytes * node_beta``.
+        endpoint nodes' NICs for one message slot ``+ bytes * node_beta``.
         """
         n_nodes = self.topology.n_nodes
         if round_.n_messages == 0:
@@ -175,7 +158,7 @@ class CommCostModel:
         inter = src_node != dst_node
         if not inter.any():
             return np.zeros(n_nodes)
-        cost = self.nic_message_us + round_.nbytes[inter] * self.node_beta_us
+        cost = SOFTWARE_OVERHEAD_US + round_.nbytes[inter] * self.node_beta_us
         sends = np.bincount(src_node[inter], weights=cost, minlength=n_nodes)
         recvs = np.bincount(dst_node[inter], weights=cost, minlength=n_nodes)
         return sends + recvs
@@ -194,15 +177,6 @@ class CommCostModel:
 
     # -- log aggregation --------------------------------------------------------
 
-    def log_us(self, rounds: list[CommRound], n_ranks: int) -> dict[str, float]:
-        """Total and per-phase-family round time of a whole comm log."""
-        out: dict[str, float] = {"total": 0.0}
-        for round_ in rounds:
-            t = self.round_us(round_, n_ranks)
-            out["total"] += t
-            out[round_.phase] = out.get(round_.phase, 0.0) + t
-        return out
-
     def rank_log_us(self, rounds: list[CommRound], n_ranks: int) -> np.ndarray:
         """Per-rank busy time summed over a comm log (imbalance input)."""
         total = np.zeros(n_ranks)
@@ -211,5 +185,5 @@ class CommCostModel:
         return total
 
     def allreduce_us(self, n_ranks: int, nbytes: float = 8.0) -> float:
-        """Small allreduce cost, delegated to the shared tree estimate."""
-        return float(self.network.allreduce_us(n_ranks, nbytes))
+        """Small allreduce cost: the machine's tree estimate."""
+        return float(self.machine.allreduce_us(n_ranks, nbytes))

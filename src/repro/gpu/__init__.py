@@ -9,11 +9,12 @@ hides the launch latency and the MPI waits under the big kernels.
 
 This package reproduces that mechanism with a discrete-event simulator:
 
-* :mod:`repro.gpu.device` -- GPU models (A100, MI250X GCD) with launch
-  overheads, bandwidth, occupancy-based concurrency and the
-  priority-scheduling quirk the paper notes (NVIDIA needs stream
-  priorities for small kernels to progress beside large ones; AMD
-  schedules concurrent kernels regardless).
+* :class:`GpuModel` records (A100, MI250X GCD) with launch overheads,
+  bandwidth, occupancy-based concurrency and the priority-scheduling
+  quirk the paper notes (NVIDIA needs stream priorities for small
+  kernels to progress beside large ones; AMD schedules concurrent
+  kernels regardless).  They are part of the Table 1 machine record and
+  live in :mod:`repro.perfmodel.machine`; this package re-exports them.
 * :mod:`repro.gpu.des` -- the simulator: host threads issuing launches,
   syncs, host compute and MPI waits; streams; a capacity-based device
   scheduler; full interval traces.
@@ -22,7 +23,6 @@ This package reproduces that mechanism with a discrete-event simulator:
   and measures the wall-time reduction (the Fig. 2 experiment).
 """
 
-from repro.gpu.device import GpuModel, A100, MI250X_GCD
 from repro.gpu.des import (
     DeviceSimulator,
     HostProgram,
@@ -34,6 +34,7 @@ from repro.gpu.des import (
     TraceInterval,
 )
 from repro.gpu.schwarz import SchwarzOverlapStudy, SchwarzPhaseResult
+from repro.perfmodel.machine import A100, MI250X_GCD, GpuModel
 
 __all__ = [
     "GpuModel",

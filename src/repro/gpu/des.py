@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from repro.gpu.device import GpuModel
+from repro.perfmodel.machine import GpuModel
 
 __all__ = [
     "Launch",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.gpu.des import AllReduce, Barrier, DeviceSimulator, HostProgram, Launch, StreamSync
-from repro.gpu.device import A100, GpuModel
+from repro.perfmodel.machine import A100, GpuModel
 
 __all__ = ["SchwarzWorkload", "SchwarzPhaseResult", "SchwarzOverlapStudy"]
 

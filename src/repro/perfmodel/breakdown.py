@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.perfmodel.machine import MachineSpec
-from repro.perfmodel.network import NetworkModel
 from repro.perfmodel.workmodel import SEMWorkModel
 
 __all__ = ["walltime_breakdown", "render_breakdown"]
@@ -21,9 +20,8 @@ def walltime_breakdown(
     constituting more than 85% of a time step.
     """
     work = work if work is not None else SEMWorkModel()
-    net = NetworkModel(machine)
     ne_local = n_elements / n_gpus
-    costs = work.step_costs(ne_local, machine.device, net, n_gpus)
+    costs = work.step_costs(ne_local, machine.device, machine, n_gpus)
     phases = ("pressure", "velocity", "temperature", "advection")
     totals = {k: work.phase_total_us(costs[k]) for k in phases}
     grand = sum(totals.values())

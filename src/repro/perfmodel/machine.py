@@ -1,12 +1,104 @@
-"""Machine descriptions: Table 1 of the paper, plus derived quantities."""
+"""Machine descriptions: Table 1 of the paper, plus derived quantities.
+
+One record per platform: the accelerator (:class:`GpuModel`, which the
+Fig. 2 DES runs on) and the interconnect's alpha-beta model (which prices
+every message of Fig. 3/4, closed form and DES alike).  Device parameters
+are drawn from public device documentation and Table 1; timing constants
+(launch overhead, minimum kernel time) are the commonly measured
+microbenchmark values for the respective runtimes.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gpu.device import A100, MI250X_GCD, GpuModel
+import numpy as np
 
-__all__ = ["MachineSpec", "LUMI", "LEONARDO", "platform_table"]
+__all__ = [
+    "GpuModel",
+    "A100",
+    "MI250X_GCD",
+    "MachineSpec",
+    "LUMI",
+    "LEONARDO",
+    "platform_table",
+    "SOFTWARE_OVERHEAD_US",
+    "INTRA_ALPHA_FACTOR",
+    "INTRA_BW_FACTOR",
+]
+
+#: Per-message MPI-stack + GPU-aware staging cost; also one NIC message slot.
+SOFTWARE_OVERHEAD_US = 2.0
+#: Share of a rank's halo bytes that stays on node-local links.
+INTRA_NODE_FRACTION = 0.5
+#: Node-local links (NVLink / Infinity Fabric) relative to the NIC share:
+#: a quarter of the latency, ten times the bandwidth.
+INTRA_ALPHA_FACTOR = 0.25
+INTRA_BW_FACTOR = 10.0
+
+
+@dataclass(frozen=True)
+class GpuModel:
+    """Timing-relevant properties of one logical GPU.
+
+    Attributes
+    ----------
+    name:
+        Marketing name.
+    peak_bandwidth_gbs:
+        HBM bandwidth per logical GPU (Table 1: 1.55 TB/s for A100-64GB,
+        1.65 TB/s per MI250X GCD out of 3.3 TB/s per module).
+    peak_fp64_tflops:
+        Vector FP64 peak per logical GPU.
+    launch_overhead_us:
+        Host-side cost of one kernel launch (CUDA/HIP API call).
+    submit_delay_us:
+        Additional latency until the kernel is visible to the device
+        scheduler.
+    min_kernel_us:
+        Floor on device-side kernel duration (scheduling granularity).
+    requires_priority_for_concurrency:
+        The paper: "This is necessary on NVIDIA GPUs to allow small
+        coarse-solve kernels to progress even in the presence of already
+        executing larger kernels.  This is not a concern on AMD GPUs."
+    """
+
+    name: str
+    peak_bandwidth_gbs: float
+    peak_fp64_tflops: float
+    launch_overhead_us: float = 4.0
+    submit_delay_us: float = 1.0
+    min_kernel_us: float = 3.0
+    requires_priority_for_concurrency: bool = True
+
+    def kernel_duration_us(self, bytes_moved: float, flops: float = 0.0) -> float:
+        """Roofline duration of one kernel in microseconds."""
+        t_bw = bytes_moved / (self.peak_bandwidth_gbs * 1e9) * 1e6
+        t_fl = flops / (self.peak_fp64_tflops * 1e12) * 1e6 if flops else 0.0
+        return max(self.min_kernel_us, t_bw, t_fl)
+
+
+# Leonardo's accelerator (Table 1): custom A100 SXM, 64 GB HBM2e.
+A100 = GpuModel(
+    name="NVIDIA A100",
+    peak_bandwidth_gbs=1550.0,
+    peak_fp64_tflops=9.7,
+    launch_overhead_us=4.0,
+    submit_delay_us=1.0,
+    min_kernel_us=3.0,
+    requires_priority_for_concurrency=True,
+)
+
+# LUMI's logical GPU (Table 1): one Graphics Compute Die of an MI250X.
+MI250X_GCD = GpuModel(
+    name="AMD MI250X (GCD)",
+    peak_bandwidth_gbs=1650.0,  # 3300 GB/s per module, two GCDs
+    peak_fp64_tflops=23.95,  # 47.9 per module
+    launch_overhead_us=5.0,
+    submit_delay_us=1.5,
+    min_kernel_us=4.0,
+    requires_priority_for_concurrency=False,
+)
 
 
 @dataclass(frozen=True)
@@ -14,13 +106,17 @@ class MachineSpec:
     """One experimental platform (a row set of Table 1).
 
     ``n_logical_gpus`` counts scheduling units as the paper does: one GCD
-    on AMD MI250X, one full device on NVIDIA A100.
+    on AMD MI250X, one full device on NVIDIA A100.  ``dies_per_device`` is
+    how many of those units one Table 1 "device" holds.
+
+    The interconnect is an alpha-beta model: ``alpha`` is the per-message
+    latency, ``beta`` the inverse bandwidth of one GPU's share of the node
+    injection bandwidth.
     """
 
     name: str
     device: GpuModel
-    peak_tflops_table: float  # per *GPU* as printed in Table 1
-    peak_bw_table: float  # GB/s per GPU as printed
+    dies_per_device: int
     n_logical_gpus: int
     gpus_per_node: int
     interconnect: str
@@ -35,10 +131,6 @@ class MachineSpec:
     top500_rank_nov22: int
 
     @property
-    def n_nodes(self) -> int:
-        return self.n_logical_gpus // self.gpus_per_node
-
-    @property
     def injection_per_gpu_gbs(self) -> float:
         """NIC bandwidth share of one logical GPU."""
         return self.node_injection_gbs / self.gpus_per_node
@@ -48,15 +140,56 @@ class MachineSpec:
         """Memory bytes per FP64 flop at peak -- why SEM must be matrix-free."""
         return self.device.peak_bandwidth_gbs / (self.device.peak_fp64_tflops * 1e3)
 
+    # -- alpha-beta network model -----------------------------------------------
+
+    @property
+    def alpha_us(self) -> float:
+        return self.network_latency_us + SOFTWARE_OVERHEAD_US
+
+    @property
+    def beta_us_per_byte(self) -> float:
+        return 1.0 / (self.injection_per_gpu_gbs * 1e9) * 1e6
+
+    def halo_exchange_us(self, nbytes: float, n_neighbors: int = 6) -> float:
+        """Gather-scatter network phase: neighbor messages, overlapping.
+
+        Roughly half the shared faces live on intra-node links (NVLink /
+        Infinity Fabric) an order of magnitude faster than the NIC share;
+        the NIC-bound remainder serializes on the injection bandwidth.
+        """
+        if n_neighbors <= 0:
+            return 0.0
+        nic_bytes = nbytes * (1.0 - INTRA_NODE_FRACTION)
+        intra_bytes = nbytes * INTRA_NODE_FRACTION
+        beta = self.beta_us_per_byte
+        return (
+            self.alpha_us * np.log2(1 + n_neighbors)
+            + nic_bytes * beta
+            + intra_bytes * (beta / INTRA_BW_FACTOR)
+        )
+
+    def allreduce_us(self, n_ranks: int, nbytes: float = 8.0) -> float:
+        """Small allreduce over ``n_ranks``.
+
+        One software/staging overhead per call plus a hardware tree whose
+        per-hop latency is the switch traversal (a quarter of the end-to-
+        end message latency) -- matching the 10-20 us scale measured for
+        8-byte allreduces on Slingshot/HDR class fabrics at 10k+ ranks.
+        """
+        if n_ranks <= 1:
+            return 0.0
+        hop_us = self.network_latency_us / 4.0
+        hops = 2.0 * np.log2(n_ranks)
+        return SOFTWARE_OVERHEAD_US + hops * hop_us + 2.0 * nbytes * self.beta_us_per_byte
+
 
 # LUMI (CSC, Finland): HPE Cray EX, AMD MI250X, Slingshot 11.
 LUMI = MachineSpec(
     name="LUMI",
     device=MI250X_GCD,
-    peak_tflops_table=47.9,
-    peak_bw_table=3300.0,
     # Table 1 counts 10240 MI250X *modules*; each exposes two GCDs, and the
     # paper's "logical GPUs" are GCDs (16384 GCDs = 80% of the machine).
+    dies_per_device=2,
     n_logical_gpus=20480,
     gpus_per_node=8,  # 4 MI250X modules = 8 GCDs per node
     interconnect="HPE Slingshot 11",
@@ -75,8 +208,7 @@ LUMI = MachineSpec(
 LEONARDO = MachineSpec(
     name="Leonardo",
     device=A100,
-    peak_tflops_table=9.7,
-    peak_bw_table=1550.0,
+    dies_per_device=1,
     n_logical_gpus=13824,
     gpus_per_node=4,
     interconnect="Nvidia HDR",
@@ -97,9 +229,9 @@ def platform_table() -> str:
     rows = [
         ("System", lambda m: m.name),
         ("Computing device", lambda m: m.device.name.replace(" (GCD)", "")),
-        ("Peak TFlop FP64/s", lambda m: f"{m.peak_tflops_table:g}"),
-        ("Peak BW/s (GB)", lambda m: f"{m.peak_bw_table:g}"),
-        ("No. devices", lambda m: "10240" if m.name == "LUMI" else str(m.n_logical_gpus)),
+        ("Peak TFlop FP64/s", lambda m: f"{m.device.peak_fp64_tflops * m.dies_per_device:g}"),
+        ("Peak BW/s (GB)", lambda m: f"{m.device.peak_bandwidth_gbs * m.dies_per_device:g}"),
+        ("No. devices", lambda m: str(m.n_logical_gpus // m.dies_per_device)),
         ("Interconnect", lambda m: m.interconnect),
         ("NICs", lambda m: m.nic_description),
         ("MPI", lambda m: m.mpi),

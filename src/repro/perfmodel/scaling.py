@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.perfmodel.machine import MachineSpec
-from repro.perfmodel.network import NetworkModel
 from repro.perfmodel.workmodel import SEMWorkModel
 
 __all__ = ["ScalingPoint", "StrongScalingStudy"]
@@ -38,9 +37,10 @@ class StrongScalingStudy:
         """Modelled average time per step (seconds)."""
         if n_gpus < 1:
             raise ValueError("need at least one GPU")
-        net = NetworkModel(self.machine)
         ne_local = self.n_elements / n_gpus
-        return self.work.step_time_us(ne_local, self.machine.device, net, n_gpus) * 1e-6
+        return (
+            self.work.step_time_us(ne_local, self.machine.device, self.machine, n_gpus) * 1e-6
+        )
 
     def sweep(self, gpu_counts: list[int]) -> list[ScalingPoint]:
         """Series of scaling points with efficiencies relative to the first."""
@@ -61,27 +61,6 @@ class StrongScalingStudy:
                 )
             )
         return points
-
-    def efficiency_frontier(
-        self, target_efficiency: float = 0.95, max_gpus: int | None = None
-    ) -> int:
-        """Largest power-of-two GPU count keeping efficiency >= target.
-
-        The paper's headline: near-perfect efficiency down to < 7,000
-        elements per logical GPU.
-        """
-        limit = max_gpus or self.machine.n_logical_gpus
-        base = 256
-        t_base = self.time_per_step(base)
-        best = base
-        p = base
-        while p * 2 <= limit:
-            p *= 2
-            eff = (t_base * base) / (self.time_per_step(p) * p)
-            if eff < target_efficiency:
-                break
-            best = p
-        return best
 
     def paper_series(self) -> list[ScalingPoint]:
         """The GPU counts of Fig. 3 for this machine."""

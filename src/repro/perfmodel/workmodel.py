@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.gpu.device import GpuModel
-from repro.perfmodel.network import NetworkModel
+from repro.perfmodel.machine import GpuModel, MachineSpec
 
 __all__ = ["SEMWorkModel", "PhaseCost"]
 
@@ -105,14 +104,25 @@ class SEMWorkModel:
     def helmholtz_launches(self, iterations: int, components: int) -> int:
         return components * iterations * (1 + 2 + 1 + 6)
 
-    # -- reductions -----------------------------------------------------------------
+    # -- exchanges ------------------------------------------------------------------
 
-    def pressure_allreduces(self) -> tuple[int, int]:
-        """(GMRES-path, coarse-path) blocking allreduces per step."""
-        # GMRES: one norm per iteration plus Gram-Schmidt dots batched ~2.
-        main = self.pressure_iterations * 3
-        coarse = self.pressure_iterations * self.coarse_cg_iterations * 2
-        return main, coarse
+    def step_exchanges(self) -> dict[str, tuple[int, float, int]]:
+        """Per phase: (gather-scatters, size of each in fine halos, allreduces).
+
+        The one count of a step's communication: the closed-form step time
+        and the simulated campaign both price these.
+        """
+        p = self.pressure_iterations
+        v, t = self.velocity_iterations, self.temperature_iterations
+        return {
+            # ax + smoother; GMRES norm plus Gram-Schmidt dots batched ~2.
+            "pressure_main": (p * 2, 1.0, p * 3),
+            # tiny vertex halos; two dots per coarse CG iteration.
+            "pressure_coarse": (p, 0.1, p * self.coarse_cg_iterations * 2),
+            "velocity": (3 * v, 1.0, 3 * v * 2),
+            "temperature": (t, 1.0, t * 2),
+            "advection": (4, 1.0, 0),
+        }
 
     # -- assembled phase costs ----------------------------------------------------------
 
@@ -126,10 +136,13 @@ class SEMWorkModel:
         self,
         ne_local: float,
         device: GpuModel,
-        net: NetworkModel,
+        net: MachineSpec,
         n_ranks: int,
     ) -> dict[str, PhaseCost]:
-        """Phase costs of one step on one GPU of an ``n_ranks`` job."""
+        """Phase costs of one step on one GPU of an ``n_ranks`` job.
+
+        ``net`` is the machine whose alpha-beta model prices the exchanges.
+        """
         bw = device.peak_bandwidth_gbs * 1e9 * self.bandwidth_efficiency
 
         def us(nbytes: float) -> float:
@@ -137,25 +150,27 @@ class SEMWorkModel:
 
         halo_per_gs = net.halo_exchange_us(self.halo_bytes(ne_local))
         red = net.allreduce_us(n_ranks)
+        exchanges = self.step_exchanges()
+
+        def comm(phase: str) -> tuple[float, float]:
+            # This operand order reproduces the committed step times bit for bit.
+            n_gs, size, n_red = exchanges[phase]
+            return n_gs * halo_per_gs * size, n_red * red
 
         # Pressure.
         main_bytes, coarse_bytes = self.pressure_traffic(ne_local)
         main_l, coarse_l = self.pressure_launches()
-        main_r, coarse_r = self.pressure_allreduces()
-        gs_count = self.pressure_iterations * 2  # ax + smoother
         main = PhaseCost(
             "pressure_main",
             us(main_bytes),
             main_l * device.launch_overhead_us,
-            gs_count * halo_per_gs,
-            main_r * red,
+            *comm("pressure_main"),
         )
         coarse = PhaseCost(
             "pressure_coarse",
             us(coarse_bytes),
             coarse_l * device.launch_overhead_us,
-            self.pressure_iterations * halo_per_gs * 0.1,  # tiny vertex halos
-            coarse_r * red,
+            *comm("pressure_coarse"),
         )
         if self.overlap_preconditioner:
             pressure_total = max(main.total_us, coarse.total_us) + 0.05 * min(
@@ -177,22 +192,19 @@ class SEMWorkModel:
             "velocity",
             us(self.helmholtz_traffic(ne_local, self.velocity_iterations, 3)),
             self.helmholtz_launches(self.velocity_iterations, 3) * device.launch_overhead_us,
-            3 * self.velocity_iterations * halo_per_gs,
-            3 * self.velocity_iterations * 2 * red,
+            *comm("velocity"),
         )
         temp = PhaseCost(
             "temperature",
             us(self.helmholtz_traffic(ne_local, self.temperature_iterations, 1)),
             self.helmholtz_launches(self.temperature_iterations, 1) * device.launch_overhead_us,
-            self.temperature_iterations * halo_per_gs,
-            self.temperature_iterations * 2 * red,
+            *comm("temperature"),
         )
         adv = PhaseCost(
             "advection",
             us(self.advection_traffic(ne_local)),
             60 * device.launch_overhead_us,
-            4 * halo_per_gs,
-            0.0,
+            *comm("advection"),
         )
         return {
             "pressure": pressure,
@@ -212,7 +224,7 @@ class SEMWorkModel:
         self,
         ne_local: float,
         device: GpuModel,
-        net: NetworkModel,
+        net: MachineSpec,
         n_ranks: int,
     ) -> float:
         """Whole-step time on one GPU (all ranks are symmetric)."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.comm import CommCostModel, CommRound, NodeTopology, SimWorld
-from repro.perfmodel.machine import LEONARDO, LUMI
+from repro.perfmodel.machine import LEONARDO, LUMI, SOFTWARE_OVERHEAD_US
 
 
 def _round(src, dst, nbytes, phase="gs.request"):
@@ -42,15 +42,17 @@ class TestCommCostModel:
 
     def test_leader_edges_get_full_node_bandwidth(self):
         topo = NodeTopology(8, 4)
-        aggregated = CommCostModel(LUMI, topology=topo)
-        flat_nic = CommCostModel(LUMI, topology=topo, aggregate_leader_nic=False)
-        # Leader-to-leader edge (0 and 4 lead their nodes), big payload so
-        # the beta term dominates.
-        r = _round([0], [4], [10**6])
-        assert aggregated.edge_costs_us(r)[0] < flat_nic.edge_costs_us(r)[0]
-        # A non-leader edge is priced identically either way.
-        r2 = _round([1], [5], [10**6])
-        assert aggregated.edge_costs_us(r2)[0] == flat_nic.edge_costs_us(r2)[0]
+        model = CommCostModel(LUMI, topology=topo)
+        nbytes = 10**6
+        # Leader-to-leader edge (0 and 4 lead their nodes): the leader owns
+        # the whole node NIC, not a 1/ranks_per_node share of it.
+        leader = model.edge_costs_us(_round([0], [4], [nbytes]))[0]
+        assert leader == pytest.approx(
+            LUMI.alpha_us + nbytes * LUMI.beta_us_per_byte / topo.ranks_per_node
+        )
+        # A non-leader inter-node edge with the same bytes pays the share.
+        other = model.edge_costs_us(_round([1], [5], [nbytes]))[0]
+        assert leader < other
 
     def test_nic_message_rate_limits_small_message_floods(self):
         topo = NodeTopology(8, 4)
@@ -62,7 +64,7 @@ class TestCommCostModel:
         flood = _round(src, dst, np.full(16, 8))
         nic = model.node_nic_us(flood)
         assert nic[0] == pytest.approx(nic[1])
-        assert nic[0] >= 16 * model.nic_message_us
+        assert nic[0] >= 16 * SOFTWARE_OVERHEAD_US
         assert model.round_us(flood, 8) == pytest.approx(nic[0])
 
     def test_intra_only_round_skips_the_nic(self):
@@ -71,7 +73,7 @@ class TestCommCostModel:
         r = _round([0, 1], [2, 3], [64, 64])
         assert model.node_nic_us(r).max() == 0.0
 
-    def test_log_us_accumulates_per_phase(self):
+    def test_rank_log_us_sums_rounds_per_rank(self):
         topo = NodeTopology(4, 2)
         model = CommCostModel(LEONARDO, topology=topo)
         rounds = [
@@ -79,11 +81,11 @@ class TestCommCostModel:
             _round([2], [0], [128], phase="gs.reply"),
             _round([0], [2], [64], phase="gs.request"),
         ]
-        log = model.log_us(rounds, 4)
-        assert set(log) == {"total", "gs.request", "gs.reply"}
-        assert log["total"] == pytest.approx(log["gs.request"] + log["gs.reply"])
         per_rank = model.rank_log_us(rounds, 4)
         assert per_rank.shape == (4,)
+        np.testing.assert_array_equal(
+            per_rank, sum(model.rank_round_us(r, 4) for r in rounds)
+        )
         assert per_rank[1] == 0.0 and per_rank[0] > 0.0
 
     def test_empty_round_prices_to_zero(self):

@@ -1,11 +1,17 @@
 """Tests for the machine, network and scaling models."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from repro.comm import CommCostModel, CommRound, NodeTopology
 from repro.perfmodel import (
     LEONARDO,
     LUMI,
-    NetworkModel,
     SEMWorkModel,
     StrongScalingStudy,
     platform_table,
@@ -13,17 +19,46 @@ from repro.perfmodel import (
 )
 from repro.perfmodel.breakdown import render_breakdown
 
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Table 1 as the paper prints it: the peaks and device counts derived
+#: from the device record must reproduce it character for character.
+TABLE1 = "\n".join([
+    "                  | LUMI                      | Leonardo      ",
+    "--------------------------------------------------------------",
+    "System            | LUMI                      | Leonardo      ",
+    "Computing device  | AMD MI250X                | NVIDIA A100   ",
+    "Peak TFlop FP64/s | 47.9                      | 9.7           ",
+    "Peak BW/s (GB)    | 3300                      | 1550          ",
+    "No. devices       | 10240                     | 13824         ",
+    "Interconnect      | HPE Slingshot 11          | Nvidia HDR    ",
+    "NICs              | 200 GbE NICs (4x200 Gb/s) | 2x(2x100 Gb/s)",
+    "MPI               | Cray MPICH 8.1.18         | OpenMPI 4.1.4 ",
+    "Compiler          | CCE 14.0.2                | GCC 8.5.0     ",
+    "GPU Driver        | 5.16.9.22.20              | 520.61.05     ",
+    "CUDA/ROCm         | ROCm 5.2.3                | CUDA 11.8     ",
+])
+
+
+def _message_us(machine, nbytes):
+    """One non-leader inter-node message (ranks 1 -> 5 of two 4-rank nodes)."""
+    model = CommCostModel(machine, topology=NodeTopology(8, 4))
+    edge = CommRound("p2p", np.array([1]), np.array([5]), np.array([nbytes]))
+    return float(model.edge_costs_us(edge)[0])
+
 
 class TestMachineSpecs:
     def test_table1_values(self):
-        # Straight from the paper's Table 1.
-        assert LUMI.peak_tflops_table == 47.9
-        assert LUMI.peak_bw_table == 3300.0
+        # Straight from the paper's Table 1: per-device peaks are the
+        # logical GPU's times the dies it holds, exactly.
+        assert LUMI.device.peak_fp64_tflops * LUMI.dies_per_device == 47.9
+        assert LUMI.device.peak_bandwidth_gbs * LUMI.dies_per_device == 3300.0
+        assert LUMI.n_logical_gpus // LUMI.dies_per_device == 10240
         assert LUMI.interconnect == "HPE Slingshot 11"
         assert LUMI.mpi == "Cray MPICH 8.1.18"
         assert LUMI.runtime == "ROCm 5.2.3"
-        assert LEONARDO.peak_tflops_table == 9.7
-        assert LEONARDO.peak_bw_table == 1550.0
+        assert LEONARDO.device.peak_fp64_tflops * LEONARDO.dies_per_device == 9.7
+        assert LEONARDO.device.peak_bandwidth_gbs * LEONARDO.dies_per_device == 1550.0
         assert LEONARDO.n_logical_gpus == 13824
         assert LEONARDO.compiler == "GCC 8.5.0"
         assert LEONARDO.runtime == "CUDA 11.8"
@@ -51,39 +86,56 @@ class TestMachineSpecs:
         for token in ("LUMI", "Leonardo", "Slingshot", "Cray MPICH", "CUDA 11.8", "47.9"):
             assert token in txt
 
+    def test_platform_table_rendering_unchanged(self):
+        assert platform_table() == TABLE1
+
+    def test_machine_module_loads_no_simulator(self):
+        # The Table 1 record is a leaf: the DES and the rank engine import
+        # it, never the other way round.
+        code = (
+            "import sys, repro.perfmodel.machine; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('repro.gpu', 'repro.comm'))))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
 
 class TestNetworkModel:
+    """The alpha-beta network model of the machine record."""
+
     def test_message_latency_floor(self):
-        net = NetworkModel(LUMI)
-        assert net.message_us(0) == pytest.approx(net.alpha_us)
+        assert _message_us(LUMI, 0) == LUMI.alpha_us
 
     def test_message_bandwidth_term(self):
-        net = NetworkModel(LUMI)
-        t_small = net.message_us(1e3)
-        t_big = net.message_us(1e7)
+        t_small = _message_us(LUMI, 10**3)
+        t_big = _message_us(LUMI, 10**7)
         assert t_big > t_small * 10
 
     def test_allreduce_grows_logarithmically(self):
-        net = NetworkModel(LUMI)
-        t1k = net.allreduce_us(1024)
-        t16k = net.allreduce_us(16384)
+        t1k = LUMI.allreduce_us(1024)
+        t16k = LUMI.allreduce_us(16384)
         assert t16k > t1k
         # log growth: 16x more ranks adds a constant, not a factor.
         assert t16k < 2 * t1k
 
     def test_allreduce_magnitude(self):
         # 8-byte allreduce at 16k ranks on Slingshot: O(10-20 us).
-        net = NetworkModel(LUMI)
-        assert 5.0 < net.allreduce_us(16384) < 40.0
+        assert 5.0 < LUMI.allreduce_us(16384) < 40.0
 
     def test_single_rank_no_cost(self):
-        net = NetworkModel(LUMI)
-        assert net.allreduce_us(1) == 0.0
+        assert LUMI.allreduce_us(1) == 0.0
 
     def test_halo_intra_node_discount(self):
-        full_nic = NetworkModel(LUMI, intra_node_fraction=0.0)
-        blended = NetworkModel(LUMI)
-        assert blended.halo_exchange_us(1e6) < full_nic.halo_exchange_us(1e6)
+        # All bytes on the NIC share, six neighbors' latencies overlapping.
+        nic_only = LUMI.alpha_us * np.log2(7) + 1e6 * LUMI.beta_us_per_byte
+        assert LUMI.halo_exchange_us(1e6) < nic_only
 
 
 class TestWorkModel:
@@ -100,18 +152,16 @@ class TestWorkModel:
 
     def test_step_costs_structure(self):
         w = SEMWorkModel()
-        net = NetworkModel(LUMI)
-        costs = w.step_costs(7000, LUMI.device, net, 16384)
+        costs = w.step_costs(7000, LUMI.device, LUMI, 16384)
         assert set(costs) >= {"pressure", "velocity", "temperature", "advection"}
         for c in costs.values():
             assert c.compute_us >= 0 and c.halo_us >= 0
 
     def test_overlap_reduces_pressure_time(self):
-        net = NetworkModel(LUMI)
         w_on = SEMWorkModel(overlap_preconditioner=True)
         w_off = SEMWorkModel(overlap_preconditioner=False)
-        t_on = w_on.step_time_us(7000, LUMI.device, net, 16384)
-        t_off = w_off.step_time_us(7000, LUMI.device, net, 16384)
+        t_on = w_on.step_time_us(7000, LUMI.device, LUMI, 16384)
+        t_off = w_off.step_time_us(7000, LUMI.device, LUMI, 16384)
         assert t_on < t_off
 
 
