@@ -12,8 +12,7 @@ the network).  This package reproduces that structure in one process:
   and count-only ``exchange_batched`` rounds that scale campaigns to
   10^3..10^4 simulated ranks;
 * :mod:`repro.comm.partition` -- element partitioning (linear and
-  recursive coordinate bisection) with halo-quality metrics and
-  vectorized rank-neighbor discovery;
+  recursive coordinate bisection) with halo-quality metrics;
 * :class:`~repro.comm.topology.CopyIndex` -- the one gather--scatter
   index: every node copy sorted by (gid, holder rank);
 * :class:`~repro.comm.distributed_gs.DistributedGatherScatter` -- the
@@ -40,7 +39,6 @@ from repro.comm.costmodel import CommCostModel, CommRound
 from repro.comm.partition import (
     linear_partition,
     partition_quality,
-    rank_neighbors,
     rcb_from_centroids,
     rcb_partition,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "rcb_partition",
     "rcb_from_centroids",
     "partition_quality",
-    "rank_neighbors",
     "DistributedGatherScatter",
     "DistributedConjugateGradient",
     "BatchedGatherScatter",

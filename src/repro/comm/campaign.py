@@ -3,11 +3,11 @@
 The paper's Fig. 3 plots average time per step against GPU count on LUMI
 and Leonardo.  This module reproduces that experiment *in simulation*: a
 synthetic structured spectral-element mesh is partitioned over
-O(10^2..10^4) simulated ranks of a :class:`~repro.comm.simworld.SimWorld`,
-the topology-aware :class:`~repro.comm.topology.BatchedGatherScatter`
-replays its staged exchange rounds, and the
-:class:`~repro.comm.costmodel.CommCostModel` prices the logged traffic on
-the machine's interconnect (Table 1 parameters).  The "measured" curve is
+O(10^2..10^4) simulated ranks, the exchange rounds of its topology-aware
+gather--scatter are generated from the block geometry (its shared node
+classes, :func:`~repro.comm.topology.exchange_rounds`), and the
+:class:`~repro.comm.costmodel.CommCostModel` prices that traffic on the
+machine's interconnect (Table 1 parameters).  The "measured" curve is
 the discrete-event time of the simulated execution -- per-rank compute
 from the :class:`~repro.perfmodel.workmodel.SEMWorkModel` work counts at
 each rank's *actual* element load, plus the DES cost of every exchange
@@ -34,14 +34,20 @@ import argparse
 import json
 import platform
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from repro.comm.costmodel import CommCostModel
+from repro.comm.costmodel import CommCostModel, CommRound
 from repro.comm.partition import rcb_from_centroids
 from repro.comm.simworld import SimWorld
-from repro.comm.topology import BatchedGatherScatter, NodeTopology
+from repro.comm.topology import (
+    BatchedGatherScatter,
+    NodeTopology,
+    exchange_rounds,
+    traffic_summary,
+)
 from repro.perfmodel.machine import LEONARDO, LUMI, MachineSpec
 from repro.perfmodel.scaling import StrongScalingStudy
 from repro.perfmodel.workmodel import SEMWorkModel
@@ -92,16 +98,42 @@ def structured_global_ids(
         + gy[None, :, None, None, :, None] * nz
         + gz[None, None, :, None, None, :]
     )
-    cent = np.stack(
-        np.meshgrid(
-            np.arange(ex, dtype=np.float64) + 0.5,
-            np.arange(ey, dtype=np.float64) + 0.5,
-            np.arange(ez, dtype=np.float64) + 0.5,
-            indexing="ij",
-        ),
+    return ids.reshape(-1).astype(np.int64), _centroids(shape)
+
+
+def _centroids(shape: tuple[int, int, int]) -> np.ndarray:
+    """Element centroids of the unit-spaced ``ex x ey x ez`` grid, element order."""
+    return np.stack(
+        np.meshgrid(*(np.arange(n, dtype=np.float64) + 0.5 for n in shape), indexing="ij"),
         axis=-1,
     ).reshape(-1, 3)
-    return ids.reshape(-1).astype(np.int64), cent
+
+
+def _node_classes(shape: tuple[int, int, int], lx: int) -> tuple[np.ndarray, np.ndarray]:
+    """The structured grid's shared node classes: ``(elements (n, 8), nodes (n,))``.
+
+    Along each axis a node lies either in one element's interior run
+    (``lx - 2`` nodes) or on one of the planes between elements (one node,
+    two elements; a boundary plane touches one).  A class is one choice
+    per axis: every node of it is held by the same up-to-8 elements, so
+    it moves as ``nodes`` identical (gid, value) entries.  Elements are
+    listed with repeats; classes with one element or no node are dropped.
+    """
+    axes = []
+    for n in shape:
+        planes = np.arange(n + 1)
+        lo = np.concatenate((np.maximum(planes - 1, 0), np.arange(n)))
+        hi = np.concatenate((np.minimum(planes, n - 1), np.arange(n)))
+        nodes = np.concatenate((np.ones(n + 1, dtype=np.int64), np.full(n, lx - 2)))
+        axes.append((np.stack((lo, hi), axis=1), nodes))
+    (ax, nx), (ay, ny), (az, nz) = axes
+    elements = (
+        ax[:, None, None, :, None, None] * shape[1] + ay[None, :, None, None, :, None]
+    ) * shape[2] + az[None, None, :, None, None, :]
+    elements = elements.reshape(-1, 8)
+    nodes = (nx[:, None, None] * ny[None, :, None] * nz[None, None, :]).reshape(-1)
+    keep = (nodes > 0) & (elements != elements[:, :1]).any(axis=1)
+    return elements[keep], nodes[keep]
 
 
 @dataclass
@@ -130,7 +162,7 @@ class CampaignPoint:
 
 
 class ScalingCampaign:
-    """Strong-scaling sweep of the batched comm engine on one machine.
+    """Strong-scaling sweep of the simulated exchange on one machine.
 
     Parameters
     ----------
@@ -157,10 +189,16 @@ class ScalingCampaign:
         self.shape = tuple(shape)
         self.lx = lx
         self.work = work if work is not None else SEMWorkModel(lx=lx)
-        self.global_ids, self.centroids = structured_global_ids(self.shape, lx)
+        self.centroids = _centroids(self.shape)
         self.nelv = int(np.prod(self.shape))
         self.field_shape = (self.nelv, lx, lx, lx)
         self.study = StrongScalingStudy(machine, n_elements=self.nelv, work=self.work)
+        self._class_elements, self._class_nodes = _node_classes(self.shape, lx)
+
+    @cached_property
+    def global_ids(self) -> np.ndarray:
+        """The mesh's flat node numbering, which only :meth:`build_point` needs."""
+        return structured_global_ids(self.shape, self.lx)[0]
 
     def _exchanges_per_step(self) -> tuple[float, int]:
         """(gather-scatters in fine-halo units, allreduces) per step.
@@ -176,7 +214,7 @@ class ScalingCampaign:
     def build_point(
         self, n_ranks: int
     ) -> tuple[SimWorld, BatchedGatherScatter, CommCostModel]:
-        """Partition the mesh over ``n_ranks`` and wire the batched engine."""
+        """Partition over ``n_ranks`` and wire the batched engine for a functional ``add``."""
         owner = rcb_from_centroids(self.centroids, n_ranks)
         world = SimWorld(n_ranks)
         topology = NodeTopology.for_machine(self.machine, n_ranks)
@@ -186,9 +224,27 @@ class ScalingCampaign:
         cost = CommCostModel(self.machine, topology=topology)
         return world, gs, cost
 
-    def _rank_compute_us(self, gs: BatchedGatherScatter, n_ranks: int) -> np.ndarray:
+    def rounds(
+        self, owner: np.ndarray, topology: NodeTopology
+    ) -> tuple[list[CommRound], list[CommRound]]:
+        """The flat and staged dssum rounds of a partition, from block geometry.
+
+        The same rounds ``BatchedGatherScatter(...).rounds()`` replays, from
+        the shared node classes instead of every node copy: each rank
+        holding a class, other than its lowest holder (the owner), sends
+        the owner one entry per node of the class.
+        """
+        ranks = np.sort(np.asarray(owner, dtype=np.int64)[self._class_elements], axis=1)
+        holder = ranks[:, 1:]
+        moving = holder != ranks[:, :-1]
+        row = np.nonzero(moving)[0]
+        return exchange_rounds(
+            holder[moving], ranks[row, 0], self._class_nodes[row], topology.n_ranks, topology
+        )
+
+    def _rank_compute_us(self, owner: np.ndarray, n_ranks: int) -> np.ndarray:
         """Per-rank device time (compute/launch legs) at actual element loads."""
-        counts = gs.rank_element_counts()
+        counts = np.bincount(owner, minlength=n_ranks)
         out = np.zeros(n_ranks)
         for ne in np.unique(counts):
             if ne == 0:
@@ -209,12 +265,15 @@ class ScalingCampaign:
 
     def run_point(self, n_ranks: int) -> CampaignPoint:
         """Run one rank count: one dssum per algorithm, DES-price the step."""
-        world, gs, cost = self.build_point(n_ranks)
-        gs_topo = sum(cost.round_us(r, n_ranks) for r in gs.rounds("topology"))
-        gs_flat = sum(cost.round_us(r, n_ranks) for r in gs.rounds("flat"))
+        owner = rcb_from_centroids(self.centroids, n_ranks)
+        topology = NodeTopology.for_machine(self.machine, n_ranks)
+        flat, staged = self.rounds(owner, topology)
+        cost = CommCostModel(self.machine, topology=topology)
+        gs_topo = sum(cost.round_us(r, n_ranks) for r in staged)
+        gs_flat = sum(cost.round_us(r, n_ranks) for r in flat)
         red = cost.allreduce_us(n_ranks)
 
-        compute = self._rank_compute_us(gs, n_ranks)
+        compute = self._rank_compute_us(owner, n_ranks)
         n_gs, n_red = self._exchanges_per_step()
         step = float(compute.max()) + n_gs * gs_topo + n_red * red
         step_flat = float(compute.max()) + n_gs * gs_flat + n_red * red
@@ -223,7 +282,7 @@ class ScalingCampaign:
         return CampaignPoint(
             machine=self.machine.name,
             n_ranks=n_ranks,
-            n_nodes=NodeTopology.for_machine(self.machine, n_ranks).n_nodes,
+            n_nodes=topology.n_nodes,
             elements_per_rank=self.nelv / n_ranks,
             compute_us=float(compute.max()),
             gs_us_topology=gs_topo,
@@ -232,7 +291,7 @@ class ScalingCampaign:
             step_us=step,
             step_us_flat=step_flat,
             modeled_step_us=modeled,
-            traffic=gs.traffic_summary("topology"),
+            traffic=traffic_summary(staged, topology),
         )
 
     def sweep(self, rank_counts: tuple[int, ...] = DEFAULT_RANKS) -> list[CampaignPoint]:
@@ -260,10 +319,12 @@ class ScalingCampaign:
         """
         from repro.observability.fleet.imbalance import analyze_totals
 
-        _world, gs, cost = self.build_point(n_ranks)
-        compute_s = self._rank_compute_us(gs, n_ranks) * 1e-6
+        owner = rcb_from_centroids(self.centroids, n_ranks)
+        topology = NodeTopology.for_machine(self.machine, n_ranks)
+        cost = CommCostModel(self.machine, topology=topology)
+        compute_s = self._rank_compute_us(owner, n_ranks) * 1e-6
         n_gs, n_red = self._exchanges_per_step()
-        gs_s = cost.rank_log_us(gs.rounds("topology"), n_ranks) * n_gs * 1e-6
+        gs_s = cost.rank_log_us(self.rounds(owner, topology)[1], n_ranks) * n_gs * 1e-6
         allreduce_s = n_red * cost.allreduce_us(n_ranks) * 1e-6
         return analyze_totals(
             {

@@ -13,18 +13,15 @@ Two strategies, both deterministic:
 
 ``partition_quality`` reports balance and the shared-node halo sizes that
 drive the gather--scatter communication volume in the performance model,
-and ``rank_neighbors`` the rank adjacency the topology-aware exchange
-stages over.  Both are fully vectorized: the per-shared-node Python scan
-the original implementation carried was O(nodes) group objects -- at the
-campaign's 10^3..10^4 ranks (hundreds of thousands of shared nodes) it
-dominated setup, so shared-node counting now runs on sorted (gid, rank)
-runs with ``reduceat``-style boundary arithmetic.
+read from the (gid, rank) slots of the gather--scatter's
+:class:`~repro.comm.topology.CopyIndex`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.comm.topology import CopyIndex
 from repro.sem.mesh import HexMesh
 
 __all__ = [
@@ -32,7 +29,6 @@ __all__ = [
     "rcb_partition",
     "rcb_from_centroids",
     "partition_quality",
-    "rank_neighbors",
 ]
 
 
@@ -65,61 +61,45 @@ def rcb_partition(mesh: HexMesh, nranks: int) -> np.ndarray:
 
 
 def rcb_from_centroids(cent: np.ndarray, nranks: int) -> np.ndarray:
-    """RCB on a raw ``(nelv, ndim)`` centroid array; returns rank per element."""
+    """RCB on a raw ``(nelv, ndim)`` centroid array; returns rank per element.
+
+    Level-synchronous: every segment of one bisection level is sorted by
+    one ``lexsort((coordinate, segment))`` of the element permutation.
+    The sort is stable, so each segment orders its elements exactly as a
+    recursive per-segment stable ``argsort`` would.
+    """
     cent = np.asarray(cent, dtype=np.float64)
     nelv = cent.shape[0]
     if nranks < 1:
         raise ValueError("nranks must be >= 1")
     if nranks > nelv:
         raise ValueError(f"more ranks ({nranks}) than elements ({nelv})")
-    owner = np.zeros(nelv, dtype=np.int64)
-
-    def split(idx: np.ndarray, ranks: range) -> None:
-        if len(ranks) == 1:
-            owner[idx] = ranks.start
-            return
-        spans = cent[idx].max(axis=0) - cent[idx].min(axis=0)
-        axis = int(np.argmax(spans))
-        order = idx[np.argsort(cent[idx, axis], kind="stable")]
-        n_left_ranks = len(ranks) // 2
-        n_left = int(round(len(order) * n_left_ranks / len(ranks)))
-        n_left = min(max(n_left, n_left_ranks), len(order) - (len(ranks) - n_left_ranks))
-        split(order[:n_left], range(ranks.start, ranks.start + n_left_ranks))
-        split(order[n_left:], range(ranks.start + n_left_ranks, ranks.stop))
-
-    split(np.arange(nelv), range(nranks))
+    # Contiguous segments of `perm`: length, first rank, rank count.
+    perm = np.arange(nelv)
+    seg_len = np.array([nelv])
+    seg_rank = np.array([0])
+    seg_nr = np.array([nranks])
+    while (seg_nr > 1).any():
+        starts = np.cumsum(seg_len) - seg_len
+        seg = np.repeat(np.arange(seg_len.size), seg_len)
+        pts = cent[perm]
+        spans = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
+        axis = np.argmax(spans, axis=1)[seg]
+        perm = perm[np.lexsort((pts[np.arange(nelv), axis], seg))]
+        # Sides sized by their rank counts; np.round halves to even, like round().
+        n_left_ranks = seg_nr // 2
+        n_left = np.round(seg_len * n_left_ranks / seg_nr).astype(np.int64)
+        n_left = np.minimum(np.maximum(n_left, n_left_ranks), seg_len - (seg_nr - n_left_ranks))
+        n_left = np.where(seg_nr > 1, n_left, seg_len)
+        n_left_ranks = np.where(seg_nr > 1, n_left_ranks, seg_nr)
+        seg_len = np.stack([n_left, seg_len - n_left], axis=1).reshape(-1)
+        seg_rank = np.stack([seg_rank, seg_rank + n_left_ranks], axis=1).reshape(-1)
+        seg_nr = np.stack([n_left_ranks, seg_nr - n_left_ranks], axis=1).reshape(-1)
+        keep = seg_len > 0
+        seg_len, seg_rank, seg_nr = seg_len[keep], seg_rank[keep], seg_nr[keep]
+    owner = np.empty(nelv, dtype=np.int64)
+    owner[perm] = np.repeat(seg_rank, seg_len)
     return owner
-
-
-def _shared_node_runs(
-    owner: np.ndarray, global_ids: np.ndarray, points_per_element: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct (gid, rank) holder pairs and each gid's holder count.
-
-    Sorts every node copy by (gid, rank) once, collapses equal pairs, and
-    returns ``(pair_gid_run_id, pair_rank, holders_per_gid)`` -- the
-    vectorized core shared by :func:`partition_quality` and
-    :func:`rank_neighbors`.
-    """
-    flat = np.asarray(global_ids, dtype=np.int64).reshape(-1)
-    node_rank = np.repeat(np.asarray(owner, dtype=np.int64), points_per_element)
-    order = np.lexsort((node_rank, flat))
-    gid_sorted = flat[order]
-    rank_sorted = node_rank[order]
-    new_pair = np.empty(flat.size, dtype=bool)
-    new_pair[0] = True
-    new_pair[1:] = (gid_sorted[1:] != gid_sorted[:-1]) | (
-        rank_sorted[1:] != rank_sorted[:-1]
-    )
-    pair_starts = np.flatnonzero(new_pair)
-    pair_gid = gid_sorted[pair_starts]
-    pair_rank = rank_sorted[pair_starts]
-    new_gid = np.empty(pair_gid.size, dtype=bool)
-    new_gid[0] = True
-    new_gid[1:] = pair_gid[1:] != pair_gid[:-1]
-    gid_run = np.cumsum(new_gid) - 1
-    holders_per_gid = np.bincount(gid_run)
-    return gid_run, pair_rank, holders_per_gid
 
 
 def partition_quality(
@@ -134,61 +114,17 @@ def partition_quality(
     """
     nranks = int(owner.max()) + 1
     counts = np.bincount(owner, minlength=nranks)
-    gid_run, pair_rank, holders_per_gid = _shared_node_runs(
-        owner, global_ids, points_per_element
+    idx = CopyIndex(
+        np.asarray(global_ids, dtype=np.int64).reshape(-1),
+        np.repeat(np.asarray(owner, dtype=np.int64), points_per_element),
     )
-    shared_gid = holders_per_gid > 1
-    n_shared_global = int(shared_gid.sum())
-    shared_pairs = shared_gid[gid_run]
     shared_per_rank = np.bincount(
-        pair_rank[shared_pairs], minlength=nranks
+        idx.slot_rank[idx.shared_slot], minlength=nranks
     ).astype(np.float64)
     return {
         "n_ranks": float(nranks),
         "imbalance": float(counts.max() / counts.mean()),
-        "shared_nodes_global": float(n_shared_global),
+        "shared_nodes_global": float(idx.n_shared),
         "max_shared_per_rank": float(shared_per_rank.max()),
         "avg_shared_per_rank": float(shared_per_rank.mean()),
     }
-
-
-def rank_neighbors(
-    owner: np.ndarray, global_ids: np.ndarray, points_per_element: int
-) -> list[np.ndarray]:
-    """Per-rank sorted neighbor ranks (ranks sharing at least one node).
-
-    The halo adjacency the gather--scatter exchanges over, discovered in
-    one vectorized pass: for each shared gid, every ordered pair of its
-    holder ranks is a directed neighbor edge.  Holder counts per node are
-    tiny (a hex vertex touches <= 8 elements), so the pair expansion is
-    O(shared pairs), never O(ranks^2).
-    """
-    nranks = int(owner.max()) + 1
-    gid_run, pair_rank, holders_per_gid = _shared_node_runs(
-        owner, global_ids, points_per_element
-    )
-    shared = holders_per_gid[gid_run] > 1
-    ranks = pair_rank[shared]
-    if ranks.size == 0:
-        return [np.zeros(0, dtype=np.int64) for _ in range(nranks)]
-    # All ordered holder pairs per shared gid, by offset arithmetic: each
-    # holder entry e (run start s, run length h) pairs with the h entries
-    # of its run, so pair p of entry e maps to dst s + (p - first pair of e).
-    run = gid_run[shared]
-    boundary = np.empty(run.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = run[1:] != run[:-1]
-    run_of_elem = np.cumsum(boundary) - 1
-    lengths = np.bincount(run_of_elem)
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    h_of_elem = lengths[run_of_elem]
-    pair_elem = np.repeat(np.arange(ranks.size), h_of_elem)
-    pair_start = np.concatenate(([0], np.cumsum(h_of_elem)[:-1]))
-    local_j = np.arange(pair_elem.size) - pair_start[pair_elem]
-    dst_idx = starts[run_of_elem[pair_elem]] + local_j
-    keep = pair_elem != dst_idx
-    key = np.unique(ranks[pair_elem[keep]] * np.int64(nranks) + ranks[dst_idx[keep]])
-    src_of_key = key // nranks
-    dst_of_key = key % nranks
-    split_at = np.searchsorted(src_of_key, np.arange(1, nranks))
-    return list(np.split(dst_of_key, split_at))

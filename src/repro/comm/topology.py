@@ -4,9 +4,11 @@
 reduce on: every node copy sorted by (gid, holder rank), the partials one
 ``bincount`` over it.  :class:`BatchedGatherScatter` runs the paper's
 scaling-critical communication pattern on it as count-only exchange
-rounds, for campaigns of 10^3..10^4 simulated ranks; its per-rank sibling
+rounds; its per-rank sibling
 :class:`~repro.comm.distributed_gs.DistributedGatherScatter` moves the
-same entries as buffers through ``SimWorld.exchange``.
+same entries as buffers through ``SimWorld.exchange``.  One builder,
+:func:`exchange_rounds`, makes those rounds from (holder, owner) edges,
+whether they come from the index or from a campaign's block geometry.
 
 At 16,384 GCDs the flat gather--scatter sends one
 message per (holder, owner) rank pair, and the inter-node message count
@@ -43,7 +45,13 @@ import numpy as np
 from repro.comm.costmodel import CommRound
 from repro.comm.simworld import SimWorld
 
-__all__ = ["NodeTopology", "CopyIndex", "BatchedGatherScatter"]
+__all__ = [
+    "NodeTopology",
+    "exchange_rounds",
+    "traffic_summary",
+    "CopyIndex",
+    "BatchedGatherScatter",
+]
 
 #: Wire size of one staged (gid, partial) entry: int64 id + float64 value.
 ENTRY_BYTES = 16
@@ -77,20 +85,82 @@ class NodeTopology:
         return self.node_of(ranks) * self.ranks_per_node
 
 
-def _group_edges(
-    src: np.ndarray, dst: np.ndarray, n_ranks: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Aggregate per-entry edges into per-(src, dst) messages.
+def exchange_rounds(
+    src: np.ndarray,
+    dst: np.ndarray,
+    entries: np.ndarray,
+    n_ranks: int,
+    topology: NodeTopology | None = None,
+) -> tuple[list[CommRound], list[CommRound] | None]:
+    """The flat and the staged rounds of one dssum.
 
-    Returns ``(src, dst, nbytes)`` arrays with one row per distinct edge;
-    each message carries all of that edge's 16-byte (gid, value) entries.
+    ``(src, dst, entries)`` are (holder, owner) edges, each carrying
+    ``entries`` 16-byte (gid, value) entries; repeated edges are summed.
+    Flat: every holder messages every remote owner directly, owners
+    reply.  Staged (``None`` without a topology): entries whose owner
+    shares the holder's node go rank-to-rank on the node-local links;
+    remote entries climb to the holder's node leader (intra), travel
+    leader-to-leader in one aggregated message per destination node
+    (inter), and descend from the owner's leader (intra).  Replies mirror
+    the stages in reverse.  Payload is conserved -- leaders concatenate
+    entries, they never pre-reduce, which is what keeps the arithmetic
+    identical to the flat path.
     """
-    if src.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    key = src.astype(np.int64) * n_ranks + dst
-    uniq, counts = np.unique(key, return_counts=True)
-    return uniq // n_ranks, uniq % n_ranks, counts * ENTRY_BYTES
+
+    def messages(a, b, w):
+        """One row per distinct (a, b) edge, sorted, with its summed entries."""
+        uniq, inv = np.unique(a * n_ranks + b, return_inverse=True)
+        total = np.bincount(inv, weights=w, minlength=uniq.size).astype(np.int64)
+        return uniq // n_ranks, uniq % n_ranks, total
+
+    src, dst, entries = messages(
+        np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64), entries
+    )
+    nbytes = entries * ENTRY_BYTES
+    flat = [CommRound("gs.request", src, dst, nbytes), CommRound("gs.reply", dst, src, nbytes)]
+    if topology is None:
+        return flat, None
+    same = topology.node_of(src) == topology.node_of(dst)
+    r_src, r_dst, r_entries = src[~same], dst[~same], entries[~same]
+    lead_src = topology.leader_of(r_src)
+    lead_dst = topology.leader_of(r_dst)
+    up = r_src != lead_src
+    down = r_dst != lead_dst
+    stages = [
+        ("topo.intra", *messages(src[same], dst[same], entries[same])),
+        ("topo.stage_up", *messages(r_src[up], lead_src[up], r_entries[up])),
+        ("topo.stage_inter", *messages(lead_src, lead_dst, r_entries)),
+        ("topo.stage_down", *messages(lead_dst[down], r_dst[down], r_entries[down])),
+    ]
+    staged = [CommRound(phase, s, d, c * ENTRY_BYTES) for phase, s, d, c in stages]
+    staged += [
+        CommRound(phase.replace("topo.", "topo.reply_"), d, s, c * ENTRY_BYTES)
+        for phase, s, d, c in reversed(stages)
+    ]
+    return flat, staged
+
+
+def traffic_summary(rounds: list[CommRound], topology: NodeTopology | None) -> dict[str, int]:
+    """Messages/bytes of a round log, split intra/inter when a topology exists."""
+    out = {
+        "messages": sum(r.n_messages for r in rounds),
+        "bytes": sum(r.total_bytes for r in rounds),
+    }
+    if topology is not None:
+        intra_m = intra_b = inter_m = inter_b = 0
+        for r in rounds:
+            split = r.split_by_locality(topology)
+            intra_m += split["intra"][0]
+            intra_b += split["intra"][1]
+            inter_m += split["inter"][0]
+            inter_b += split["inter"][1]
+        out.update(
+            intra_messages=intra_m,
+            intra_bytes=intra_b,
+            inter_messages=inter_m,
+            inter_bytes=inter_b,
+        )
+    return out
 
 
 class CopyIndex:
@@ -114,11 +184,9 @@ class CopyIndex:
         new_slot[1:] = (gid_sorted[1:] != gid_sorted[:-1]) | (
             rank_sorted[1:] != rank_sorted[:-1]
         )
-        self.order = order
         slot_starts = np.flatnonzero(new_slot)
-        self.slot_of_sorted = np.cumsum(new_slot) - 1
         self.slot_of_copy = np.empty(ids.size, dtype=np.int64)
-        self.slot_of_copy[order] = self.slot_of_sorted
+        self.slot_of_copy[order] = np.cumsum(new_slot) - 1
         self.slot_rank = rank_sorted[slot_starts]
         self.slot_gid = gid_sorted[slot_starts]
 
@@ -137,9 +205,10 @@ class CopyIndex:
         """Per-slot partial sums of per-copy ``values``, in original copy order.
 
         ``bincount``, not ``reduceat``: it accumulates strictly sequentially
-        from 0.0 (``reduceat``'s slice reduction may reassociate).
+        from 0.0 (``reduceat``'s slice reduction may reassociate), each
+        slot's copies in input order -- the stable sort's order.
         """
-        return np.bincount(self.slot_of_sorted, weights=values[self.order])
+        return np.bincount(self.slot_of_copy, weights=values, minlength=self.slot_rank.size)
 
 
 class BatchedGatherScatter:
@@ -150,8 +219,7 @@ class BatchedGatherScatter:
     rank's chunk is the sub-array of its elements.  Setup is a single
     stable lexsort of all node copies by (gid, holder rank); every
     ``add`` is two ``bincount`` passes plus one gather -- O(copies), with
-    no per-rank Python objects, which is what lets a campaign run
-    O(10^3..10^4) simulated ranks in seconds.
+    no per-rank Python objects, at 10^3..10^4 simulated ranks.
 
     Parameters
     ----------
@@ -199,62 +267,18 @@ class BatchedGatherScatter:
             raise ValueError("global_ids must cover every point of every element")
         self.index = CopyIndex(ids, np.repeat(self.owner, pts))
 
-        self._rounds_flat = self._build_flat_rounds()
-        self._rounds_topology = (
-            self._build_topology_rounds() if topology is not None else None
+        # One staged entry per shared non-owner slot, collapsed to edges.
+        idx = self.index
+        moving = idx.shared_slot & (idx.slot_rank != idx.owner_of_slot)
+        n = world.size
+        edges, entries = np.unique(
+            idx.slot_rank[moving] * n + idx.owner_of_slot[moving], return_counts=True
+        )
+        self._rounds_flat, self._rounds_topology = exchange_rounds(
+            edges // n, edges % n, entries, n, topology
         )
 
     # -- traffic patterns (precomputed; replayed per add) -----------------------
-
-    def _shared_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """(holder, owner) per shared non-owner slot -- one staged entry each."""
-        idx = self.index
-        moving = idx.shared_slot & (idx.slot_rank != idx.owner_of_slot)
-        return idx.slot_rank[moving], idx.owner_of_slot[moving]
-
-    def _build_flat_rounds(self) -> list[CommRound]:
-        """Every holder messages every remote owner directly, owners reply."""
-        src, dst = self._shared_edges()
-        msrc, mdst, mbytes = _group_edges(src, dst, self.world.size)
-        return [
-            CommRound("gs.request", msrc, mdst, mbytes),
-            CommRound("gs.reply", mdst, msrc, mbytes),
-        ]
-
-    def _build_topology_rounds(self) -> list[CommRound]:
-        """Intra-node direct exchange + staged inter-node aggregation.
-
-        Entries whose owner shares the holder's node go rank-to-rank on
-        the node-local links.  Remote entries climb to the holder's node
-        leader (intra), travel leader-to-leader in one aggregated message
-        per destination node (inter), and descend from the owner's leader
-        (intra).  Replies mirror the three stages in reverse.  Payload is
-        conserved -- leaders concatenate entries, they never pre-reduce,
-        which is what keeps the arithmetic identical to the flat path.
-        """
-        topo = self.topology
-        n = self.world.size
-        src, dst = self._shared_edges()
-        same_node = topo.node_of(src) == topo.node_of(dst)
-        d_src, d_dst = src[same_node], dst[same_node]
-        r_src, r_dst = src[~same_node], dst[~same_node]
-        lead_src = topo.leader_of(r_src)
-        lead_dst = topo.leader_of(r_dst)
-        up = r_src != lead_src
-        down = r_dst != lead_dst
-
-        stages = [
-            ("topo.intra", *_group_edges(d_src, d_dst, n)),
-            ("topo.stage_up", *_group_edges(r_src[up], lead_src[up], n)),
-            ("topo.stage_inter", *_group_edges(lead_src, lead_dst, n)),
-            ("topo.stage_down", *_group_edges(lead_dst[down], r_dst[down], n)),
-        ]
-        rounds = [CommRound(phase, s, d, b) for phase, s, d, b in stages]
-        rounds += [
-            CommRound(phase.replace("topo.", "topo.reply_"), d, s, b)
-            for phase, s, d, b in reversed(stages)
-        ]
-        return rounds
 
     def rounds(self, algorithm: str = "topology") -> list[CommRound]:
         """The precomputed exchange rounds one ``add`` replays."""
@@ -268,26 +292,7 @@ class BatchedGatherScatter:
 
     def traffic_summary(self, algorithm: str = "topology") -> dict[str, int]:
         """Messages/bytes per add, split intra/inter when a topology exists."""
-        rounds = self.rounds(algorithm)
-        out = {
-            "messages": sum(r.n_messages for r in rounds),
-            "bytes": sum(r.total_bytes for r in rounds),
-        }
-        if self.topology is not None:
-            intra_m = intra_b = inter_m = inter_b = 0
-            for r in rounds:
-                split = r.split_by_locality(self.topology)
-                intra_m += split["intra"][0]
-                intra_b += split["intra"][1]
-                inter_m += split["inter"][0]
-                inter_b += split["inter"][1]
-            out.update(
-                intra_messages=intra_m,
-                intra_bytes=intra_b,
-                inter_messages=inter_m,
-                inter_bytes=inter_b,
-            )
-        return out
+        return traffic_summary(self.rounds(algorithm), self.topology)
 
     # -- the operation ----------------------------------------------------------
 
