@@ -313,11 +313,11 @@ class ScalingCampaign:
         """Per-rank DES imbalance of one step at one rank count.
 
         Hands the step's per-rank busy times (compute, gather--scatter,
-        allreduce) to :func:`~repro.observability.fleet.imbalance.analyze_totals`
+        allreduce) to :func:`~repro.observability.imbalance.analyze_totals`
         and returns its report -- the Fig. 4-style straggler view of the
         simulated campaign.
         """
-        from repro.observability.fleet.imbalance import analyze_totals
+        from repro.observability.imbalance import analyze_totals
 
         owner = rcb_from_centroids(self.centroids, n_ranks)
         topology = NodeTopology.for_machine(self.machine, n_ranks)

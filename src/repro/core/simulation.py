@@ -62,12 +62,7 @@ class StatSample:
 class Simulation:
     """A Boussinesq RBC simulation assembled from a :class:`CaseConfig`."""
 
-    def __init__(
-        self,
-        config: CaseConfig,
-        tracer=None,
-        flight=None,
-    ) -> None:
+    def __init__(self, config: CaseConfig, tracer=None) -> None:
         config.validate()
         self.config = config
         self.space = FunctionSpace(config.mesh, config.lx)
@@ -78,9 +73,6 @@ class Simulation:
         # Counts stay on the objects that keep them: ``history``, the
         # schemes' solver monitors, ``space.gs`` and the operator cache.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Optional crash flight recorder (repro.observability.fleet.flight);
-        # no-cost when absent.
-        self.flight = flight
         self.timers = RegionTimers(tracer=self.tracer)
         self.adaptive = config.adaptive_cfl is not None
         self.scheme = (
@@ -230,8 +222,6 @@ class Simulation:
                 break
             res = self.step()
             results.append(res)
-            if self.flight is not None:
-                self.flight.record_step(self, res)
             if stats_interval and self.step_count % stats_interval == 0:
                 with self.tracer.span(PHASE_STATISTICS, step=self.step_count):
                     self.sample_statistics()
@@ -250,17 +240,11 @@ class Simulation:
                     f"simulation diverged at step {res.step} (t = {res.time:.4f}): "
                     f"{quantity} is not finite; CFL was {res.cfl:.2f} -- reduce dt"
                 )
-                if self.flight is not None:
-                    # Dump the black box *before* raising: the exception may
-                    # be swallowed by a resilient driver that rolls back.
-                    self.flight.record_event(
-                        "flight.divergence",
-                        step=res.step,
-                        time=res.time,
-                        detail=message,
-                        quantity=quantity,
-                    )
-                    self.flight.dump(reason="divergence")
+                # Into the trace *before* raising: the exception may be
+                # swallowed by a resilient driver that rolls back.
+                self.tracer.event(
+                    "sim.divergence", step=res.step, quantity=quantity, detail=message
+                )
                 raise FloatingPointError(message)
         return results
 

@@ -1,4 +1,4 @@
-"""Observability: one span tracer, its exporters, and the flight recorder.
+"""Observability: one span tracer, its exporters, and rank-imbalance analytics.
 
 The measured counterpart of the paper's performance narrative: nested
 span traces (Fig. 2's kernel trace) and per-phase wall-time breakdowns
@@ -13,12 +13,7 @@ step.  Everything defaults to a no-op tracer so uninstrumented runs pay
 from repro.observability.export import text_report, to_chrome_trace, write_chrome_trace
 from repro.observability.phases import PHASES, SPAN_PREFIXES, is_registered_span
 from repro.observability.tracer import NULL_TRACER, NullTracer, Span, Tracer
-from repro.observability.fleet import (
-    FlightBundle,
-    FlightRecorder,
-    ImbalanceReport,
-    analyze_totals,
-)
+from repro.observability.imbalance import ImbalanceReport, analyze_totals
 
 __all__ = [
     "PHASES",
@@ -33,6 +28,4 @@ __all__ = [
     "text_report",
     "ImbalanceReport",
     "analyze_totals",
-    "FlightRecorder",
-    "FlightBundle",
 ]

@@ -3,8 +3,8 @@
 Python's ``json`` module happily emits ``NaN`` / ``Infinity`` literals,
 which are *not* JSON: a span counter or step result that saw a NaN (a
 diverging residual) silently produces a file ``jq``, browsers and most
-other parsers reject.  The Chrome-trace exporter and the flight recorder
-therefore funnel their payload through :func:`sanitize` before writing:
+other parsers reject.  The Chrome-trace exporter therefore funnels its
+payload through :func:`sanitize` before writing:
 
 * ``NaN`` becomes ``None`` (JSON ``null``) -- the value for "no data",
   matching how dashboards want to render a gap;
@@ -14,7 +14,7 @@ therefore funnel their payload through :func:`sanitize` before writing:
 * numpy scalars are coerced to their Python equivalents so a record built
   from array arithmetic serializes like one built from floats.
 
-:func:`dumps` / :func:`dump_line` apply the policy and serialize with
+:func:`dumps` applies the policy and serializes with
 ``allow_nan=False``, so a non-finite value that slipped past the
 sanitizer fails loudly instead of producing invalid output.
 """
@@ -25,7 +25,7 @@ import json
 import math
 from typing import Any
 
-__all__ = ["sanitize", "dumps", "dump_line", "POS_INF", "NEG_INF"]
+__all__ = ["sanitize", "dumps", "POS_INF", "NEG_INF"]
 
 #: Strict-JSON stand-ins for the signed infinities.
 POS_INF = "Infinity"
@@ -63,8 +63,3 @@ def sanitize(value: Any) -> Any:
 def dumps(value: Any, **kwargs: Any) -> str:
     """``json.dumps`` of the sanitized tree, strict (``allow_nan=False``)."""
     return json.dumps(sanitize(value), allow_nan=False, **kwargs)
-
-
-def dump_line(value: Any) -> str:
-    """One compact JSONL line (newline included) of the sanitized tree."""
-    return dumps(value, separators=(",", ":")) + "\n"

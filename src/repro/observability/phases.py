@@ -60,15 +60,16 @@ PHASES: tuple[str, ...] = (
 #: Registered dynamic families: a name is valid when it starts with one of
 #: these prefixes.  ``krylov.`` spans wrap each linear solve
 #: (``krylov.pressure``); ``sim.`` names the per-step counter samples
-#: (``sim.cfl``, ``sim.dt``); ``flight.`` marks the flight-recorder
-#: lifecycle events (divergence, exception, signal, retry budget);
+#: (``sim.cfl``, ``sim.dt``) and the divergence guard's ``sim.divergence``
+#: event; ``resilience.`` marks the resilience event log's instants
+#: (``resilience.rollback``, ``resilience.retry``, ...);
 #: ``verify.`` wraps the verification subsystem's convergence studies
 #: (``verify.study``, ``verify.case``); ``chaos.`` wraps the chaos-testing
 #: harness's scenario runs (``chaos.campaign``, ``chaos.scenario``).
 SPAN_PREFIXES: tuple[str, ...] = (
     "krylov.",
     "sim.",
-    "flight.",
+    "resilience.",
     "verify.",
     "chaos.",
 )

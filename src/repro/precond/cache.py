@@ -22,7 +22,7 @@ suite).  Builders are deterministic, so a cache hit returns operators
 bitwise identical to a cold build; entries are immutable (ndarray
 buffers are marked read-only) and eviction only drops the cache's own
 reference -- objects holding evicted entries keep working, which is what
-makes a capacity cap safe under in-flight solves.
+makes a capacity cap safe under solves still in progress.
 
 Observability: hits/misses/evictions/build seconds are counters on each
 cache, read directly or as the JSON-ready :meth:`OperatorCache.report`.

@@ -1,8 +1,10 @@
 """CLI: run the committed chaos campaign and print the survival report.
 
-``python -m repro.resilience.chaos`` runs the default 12-scenario
+``python -m repro.resilience.chaos`` runs the default 13-scenario
 campaign; exit status is nonzero when any scenario fails, so the command
-doubles as the CI ``chaos-smoke`` gate.
+doubles as the CI ``chaos-smoke`` gate.  ``--trace PATH`` writes the
+campaign's Chrome trace: one ``chaos.scenario`` span per scenario with its
+``resilience.*`` events inside.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
+from repro.observability.export import write_chrome_trace
 from repro.resilience.chaos.harness import ChaosHarness
 from repro.resilience.chaos.report import render_report, write_json_report
 from repro.resilience.chaos.scenarios import default_campaign
@@ -32,10 +35,10 @@ def main(argv: list[str] | None = None) -> int:
         "--json", metavar="PATH", default=None, help="also write the JSON report here"
     )
     parser.add_argument(
-        "--flight-dir",
-        metavar="DIR",
+        "--trace",
+        metavar="PATH",
         default=None,
-        help="dump flight-recorder bundles for failing scenarios into DIR",
+        help="also write the campaign's Chrome trace here",
     )
     parser.add_argument(
         "--only",
@@ -56,14 +59,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.steps != 6:
         scenarios = [replace(s, n_steps=args.steps) for s in scenarios]
 
-    harness = ChaosHarness(
-        seed=args.seed, n_steps=args.steps, tol=args.tol, flight_dir=args.flight_dir
-    )
+    harness = ChaosHarness(seed=args.seed, n_steps=args.steps, tol=args.tol)
     campaign = harness.run_campaign(scenarios)
     print(render_report(campaign))
     if args.json:
         path = write_json_report(campaign, args.json)
         print(f"json report: {path}")
+    if args.trace:
+        write_chrome_trace(args.trace, harness.tracer)
+        print(f"trace: {args.trace}")
     return 0 if campaign.all_survived else 1
 
 

@@ -13,28 +13,30 @@ time-to-repair of a rollback system (wall-clock MTTR would be noise at
 this scale; replayed work is the quantity the checkpoint-interval
 trade-off controls, and it is bit-reproducible).
 
-Observability: every scenario runs under a ``chaos.scenario`` span, its
-counts are the fields of its :class:`ScenarioResult` (campaign totals are
-properties of :class:`CampaignResult`), and a scenario that fails dumps
-its flight-recorder ring -- fed by the recovery event stream -- as a
-post-mortem bundle.  Each result also embeds the injector's replay log,
-so any campaign entry can be reproduced in isolation with
+Observability: every scenario runs under a ``chaos.scenario`` span of
+the harness tracer, and its recovery event log records onto that tracer,
+so each ``resilience.*`` event (fault detected, rollback, recovery) nests
+inside the span of the scenario that raised it; write the tracer out with
+:func:`~repro.observability.export.write_chrome_trace` for a post-mortem.
+A scenario's counts are the fields of its :class:`ScenarioResult`
+(campaign totals are properties of :class:`CampaignResult`).  Each result
+also embeds the injector's replay log, so any campaign entry can be
+reproduced in isolation with
 :meth:`~repro.resilience.faults.FaultInjector.from_replay`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 from repro.comm.reliable import RetryPolicy
-from repro.observability.fleet.flight import FlightRecorder
 from repro.observability.tracer import Tracer
 from repro.resilience.chaos.scenarios import ChaosScenario, default_campaign
 from repro.resilience.distributed.recovery import WorldRecovery
 from repro.resilience.distributed.shards import ShardedCheckpointStore
 from repro.resilience.distributed.workload import DistributedThermalWorkload
+from repro.resilience.events import EventLog
 from repro.resilience.faults import FaultInjector
 
 __all__ = ["ChaosHarness", "ScenarioResult", "CampaignResult"]
@@ -122,11 +124,9 @@ class ChaosHarness:
         Workload defaults; scenarios may override ``nranks``/``n_steps``.
     tol:
         Survival bar on ``|nu_faulted - nu_free|``.
-    flight_dir:
-        When set, a failing scenario dumps its flight-recorder ring as a
-        JSONL bundle into this directory (the CI artifact on red).
     tracer:
-        Receives the ``chaos.*`` spans; a fresh one is created when omitted.
+        Receives the ``chaos.*`` spans and, nested in them, each scenario's
+        ``resilience.*`` events; a fresh one is created when omitted.
     """
 
     def __init__(
@@ -138,7 +138,6 @@ class ChaosHarness:
         n_steps: int = 6,
         checkpoint_interval: int = 2,
         tol: float = DEFAULT_TOL,
-        flight_dir: "Path | str | None" = None,
         tracer: Tracer | None = None,
     ) -> None:
         self.seed = seed
@@ -148,7 +147,6 @@ class ChaosHarness:
         self.n_steps = n_steps
         self.checkpoint_interval = checkpoint_interval
         self.tol = tol
-        self.flight_dir = Path(flight_dir) if flight_dir is not None else None
         self.tracer = tracer if tracer is not None else Tracer()
         self._baselines: dict[tuple, float] = {}
 
@@ -201,10 +199,10 @@ class ChaosHarness:
             if scenario.retry
             else None
         )
-        flight = FlightRecorder(capacity=32, out_dir=self.flight_dir)
+        events = EventLog(self.tracer)
         store = ShardedCheckpointStore()
         recovery = WorldRecovery(
-            store, policy=scenario.policy, max_recoveries=8, flight=flight
+            store, policy=scenario.policy, max_recoveries=8, events=events
         )
         workload = self._workload(
             nranks=scenario.nranks,
@@ -214,7 +212,7 @@ class ChaosHarness:
             fault_injector=injector,
             retry=retry,
             verify_collectives=scenario.verify_collectives,
-            flight=flight,
+            events=events,
         )
 
         error = ""
@@ -254,8 +252,6 @@ class ChaosHarness:
             replay=injector.export_replay(),
             incidents=list(run.incidents),
         )
-        if not survived and self.flight_dir is not None:
-            flight.dump(reason=f"chaos_{result.name}")
         return result
 
     # -- campaigns ---------------------------------------------------------------

@@ -83,11 +83,7 @@ class WorldRecovery:
         that turns fault storms into clean failures instead of livelock.
     events:
         Structured :class:`~repro.resilience.events.EventLog`; every
-        recovery decision is recorded (and mirrored into ``flight``).
-    flight:
-        Optional :class:`~repro.observability.fleet.flight.FlightRecorder`
-        whose event ring mirrors the log; dumped by the chaos harness on
-        scenario failure.
+        recovery decision is recorded.
     """
 
     def __init__(
@@ -97,7 +93,6 @@ class WorldRecovery:
         min_size: int = 1,
         max_recoveries: int = 8,
         events: EventLog | None = None,
-        flight: Any = None,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown recovery policy {policy!r}; choose from {POLICIES}")
@@ -108,14 +103,8 @@ class WorldRecovery:
         self.min_size = min_size
         self.max_recoveries = max_recoveries
         self.events = events if events is not None else EventLog()
-        self.flight = flight
         self.recoveries = 0
         self.outcomes: list[RecoveryOutcome] = []
-
-    def _event(self, kind: str, step: int = -1, detail: str = "", **data: Any) -> None:
-        self.events.record(kind, step=step, detail=detail, **data)
-        if self.flight is not None:
-            self.flight.record_event(kind, step=step, detail=detail, **data)
 
     def recover(self, app: Any, failure: BaseException) -> RecoveryOutcome:
         """Roll ``app`` back to the last consistent epoch, elastically.
@@ -132,7 +121,7 @@ class WorldRecovery:
         failed_rank = int(getattr(failure, "rank", -1))
         old_size = app.world.size
         self.recoveries += 1
-        self._event(
+        self.events.record(
             "fault_detected",
             detail=str(failure),
             cause=cause,
@@ -147,7 +136,7 @@ class WorldRecovery:
 
         epoch, shards, skipped = self.store.restore_latest()
         for bad in skipped:
-            self._event(
+            self.events.record(
                 "corrupt_checkpoint",
                 step=bad,
                 detail=f"epoch {bad} failed shard verification; falling back",
@@ -179,7 +168,7 @@ class WorldRecovery:
             if failed_rank >= 0
             else f"rolled back to epoch {epoch}"
         )
-        self._event(
+        self.events.record(
             "recovery",
             step=epoch,
             detail=detail,

@@ -103,8 +103,9 @@ class DistributedThermalWorkload:
     partition:
         ``"rcb"`` or ``"linear"`` element partitioning, reapplied on
         every world rebuild.
-    flight:
-        Optional flight recorder mirroring the event stream.
+    events:
+        The :class:`~repro.resilience.events.EventLog` rollbacks and
+        checkpoints are recorded in (share it with ``recovery``).
     seed:
         Seeds the initial interior temperature perturbation.
     """
@@ -123,7 +124,6 @@ class DistributedThermalWorkload:
         retry: RetryPolicy | None = None,
         verify_collectives: bool = False,
         partition: str = "rcb",
-        flight: Any = None,
         events: EventLog | None = None,
         seed: int = 7,
         tol: float = 1e-10,
@@ -145,7 +145,6 @@ class DistributedThermalWorkload:
         self.retry = retry
         self.verify_collectives = verify_collectives
         self.partition = partition
-        self.flight = flight
         self.events = events if events is not None else EventLog()
         self.tol = tol
         self.maxiter = maxiter
@@ -250,7 +249,9 @@ class DistributedThermalWorkload:
         self.step = step
         self.time = time
         self.nu_history = [entry for entry in self.nu_history if entry[0] <= step]
-        self._event("rollback", step=step, detail=f"state restored at epoch {step}")
+        self.events.record(
+            "rollback", step=step, time=self.time, detail=f"state restored at epoch {step}"
+        )
 
     def shard_payloads(self) -> list[dict[str, np.ndarray]]:
         """The per-rank shard arrays a checkpoint of the current state writes."""
@@ -281,7 +282,9 @@ class DistributedThermalWorkload:
             writer.abort()
             raise
         writer.commit()
-        self._event("checkpoint", step=self.step, detail=f"epoch {self.step} committed")
+        self.events.record(
+            "checkpoint", step=self.step, time=self.time, detail=f"epoch {self.step} committed"
+        )
 
     # -- the physics -------------------------------------------------------------
 
@@ -324,13 +327,6 @@ class DistributedThermalWorkload:
         return self.world.allreduce_scalar(locals_) / self.volume
 
     # -- the run loop ------------------------------------------------------------
-
-    def _event(self, kind: str, step: int = -1, detail: str = "", **data: Any) -> None:
-        self.events.record(kind, step=step, time=self.time, detail=detail, **data)
-        if self.flight is not None:
-            self.flight.record_event(
-                kind, step=step, time=self.time, detail=detail, **data
-            )
 
     def run(self, n_steps: int) -> WorkloadResult:
         """Advance ``n_steps`` steps, surviving faults via the recovery policy."""

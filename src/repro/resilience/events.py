@@ -4,12 +4,17 @@ Production campaigns live or die by their operational record: which step
 diverged, which checkpoint was corrupt, how many retries a run needed.
 :class:`EventLog` is the single structured stream all resilience
 components append to; the :class:`ResilientRunner` returns it alongside
-the step results.
+the step results.  Each record is also a ``resilience.<kind>`` instant
+event on the log's tracer, so a Chrome trace of the run places the
+faults, rollbacks and retries among the step spans and the ``sim.cfl``
+lane that led up to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from repro.observability.tracer import NULL_TRACER
 
 __all__ = ["Event", "EventLog"]
 
@@ -33,16 +38,22 @@ class Event:
 
 
 class EventLog:
-    """Append-only list of :class:`Event` with small query helpers."""
+    """Append-only list of :class:`Event` with small query helpers.
 
-    def __init__(self) -> None:
+    ``tracer`` (default: the no-op tracer) receives every record as a
+    ``resilience.<kind>`` event nested under whatever span is open.
+    """
+
+    def __init__(self, tracer=None) -> None:
         self.events: list[Event] = []
+        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def record(
         self, kind: str, step: int = -1, time: float = 0.0, detail: str = "", **data
     ) -> Event:
         ev = Event(kind=kind, step=step, time=time, detail=detail, data=data)
         self.events.append(ev)
+        self.tracer.event(f"resilience.{kind}", step=step, time=time, detail=detail, **data)
         return ev
 
     def of_kind(self, kind: str) -> list[Event]:

@@ -17,8 +17,10 @@ loop:
    consecutive attempts per incident.
 
 Every decision lands in the structured :class:`EventLog` returned with
-the results.  Backoff sleeping goes through an injectable ``sleep``
-callable so tests run without wall-clock delays.
+the results; the default log is built on ``sim.tracer``, so each decision
+is also a ``resilience.<kind>`` event in the run's trace.  Backoff
+sleeping goes through an injectable ``sleep`` callable so tests run
+without wall-clock delays.
 """
 
 from __future__ import annotations
@@ -90,14 +92,6 @@ class ResilientRunner:
     fault_injector:
         Optional :class:`FaultInjector` whose scheduled SDC faults are
         applied between segments (each fires once -- the transient model).
-    flight:
-        Optional
-        :class:`~repro.observability.fleet.flight.FlightRecorder`.  Every
-        event recorded in the :class:`EventLog` is mirrored into its
-        bounded event ring, and the bundle is dumped to disk right before
-        :class:`RetryBudgetExceededError` propagates -- the black box of a
-        run that did not survive.  Defaults to ``sim.flight`` when the
-        simulation carries one.
     """
 
     def __init__(
@@ -114,7 +108,6 @@ class ResilientRunner:
         backoff_base: float = 2.0,
         sleep=_time.sleep,
         fault_injector: FaultInjector | None = None,
-        flight=None,
     ) -> None:
         if checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
@@ -122,7 +115,9 @@ class ResilientRunner:
         self.ring = ring if ring is not None else CheckpointRing(capacity=3)
         self.checkpoint_interval = checkpoint_interval
         self.health = health if health is not None else HealthCheck()
-        self.events = event_log if event_log is not None else EventLog()
+        self.events = (
+            event_log if event_log is not None else EventLog(getattr(sim, "tracer", None))
+        )
         self.max_retries = max_retries
         self.dt_factor = dt_factor
         self.reduce_dt_on_fault = reduce_dt_on_fault
@@ -130,17 +125,10 @@ class ResilientRunner:
         self.backoff_base = backoff_base
         self.sleep = sleep
         self.fault_injector = fault_injector
-        self.flight = flight if flight is not None else getattr(sim, "flight", None)
         # History/statistics lengths at each checkpointed step, so a
         # rollback can truncate the records the checkpoint itself does not
         # capture and the realized history stays consistent.
         self._lens: dict[int, tuple[int, int]] = {}
-
-    def _event(self, kind: str, step: int = -1, time: float = 0.0, detail: str = "", **data):
-        """Record into the event log, mirrored into the flight recorder."""
-        self.events.record(kind, step=step, time=time, detail=detail, **data)
-        if self.flight is not None:
-            self.flight.record_event(kind, step=step, time=time, detail=detail, **data)
 
     # -- checkpointing ----------------------------------------------------------
 
@@ -151,13 +139,13 @@ class ResilientRunner:
             len(getattr(sim, "history", ())),
             len(getattr(sim, "stat_samples", ())),
         )
-        self._event("checkpoint", step=entry.step, time=entry.time, detail="ring checkpoint")
+        self.events.record("checkpoint", step=entry.step, time=entry.time, detail="ring checkpoint")
 
     def _rollback(self) -> None:
         sim = self.sim
         entry, skipped = self.ring.restore_latest(sim)
         for bad in skipped:
-            self._event(
+            self.events.record(
                 "corrupt_checkpoint",
                 step=bad.step,
                 detail="ring entry failed verification; falling back",
@@ -168,7 +156,7 @@ class ResilientRunner:
         if hasattr(sim, "stat_samples"):
             del sim.stat_samples[n_stats:]
         self.health.reset()
-        self._event(
+        self.events.record(
             "rollback",
             step=entry.step,
             time=entry.time,
@@ -194,7 +182,7 @@ class ResilientRunner:
         sim.dt = new_dt
         sim.fluid.set_dt(new_dt)
         sim.scalar.set_dt(new_dt)
-        self._event(
+        self.events.record(
             "dt_reduction",
             step=sim.step_count,
             time=sim.time,
@@ -249,7 +237,7 @@ class ResilientRunner:
 
             if failure is None and self.fault_injector is not None:
                 for ev in self.fault_injector.apply_field_faults(sim):
-                    self._event(
+                    self.events.record(
                         "fault",
                         step=sim.step_count,
                         time=sim.time,
@@ -272,7 +260,7 @@ class ResilientRunner:
                 continue
 
             kind, message = failure
-            self._event(
+            self.events.record(
                 "fault_detected",
                 step=sim.step_count,
                 time=sim.time,
@@ -282,16 +270,14 @@ class ResilientRunner:
             attempts += 1
             retries_total += 1
             if attempts > self.max_retries:
-                if self.flight is not None:
-                    self._event(
-                        "flight.retry_budget",
-                        step=sim.step_count,
-                        time=sim.time,
-                        detail=f"retry budget exhausted: {message}",
-                        cause=kind,
-                        attempts=attempts - 1,
-                    )
-                    self.flight.dump(reason="retry_budget")
+                self.events.record(
+                    "retry_budget",
+                    step=sim.step_count,
+                    time=sim.time,
+                    detail=f"retry budget exhausted: {message}",
+                    cause=kind,
+                    attempts=attempts - 1,
+                )
                 raise RetryBudgetExceededError(
                     f"giving up after {attempts - 1} retries: {message}", self.events
                 )
@@ -305,7 +291,7 @@ class ResilientRunner:
             delay = self.backoff * self.backoff_base ** (attempts - 1)
             if delay > 0:
                 self.sleep(delay)
-            self._event(
+            self.events.record(
                 "retry",
                 step=sim.step_count,
                 time=sim.time,
@@ -320,7 +306,7 @@ class ResilientRunner:
             retries=retries_total,
             checkpoints=checkpoints,
         )
-        self._event(
+        self.events.record(
             "complete",
             step=sim.step_count,
             time=sim.time,

@@ -21,7 +21,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.observability.tracer import NULL_TRACER, TracerProtocol
-from repro.solvers.monitor import SolverMonitor
+from repro.solvers.monitor import SolverMonitor, traced_solve
 
 __all__ = ["ConjugateGradient"]
 
@@ -85,14 +85,7 @@ class ConjugateGradient:
         self, b: FloatArray, x0: FloatArray | None = None
     ) -> tuple[FloatArray, SolverMonitor]:
         """Solve ``A x = b``; returns the solution and a convergence monitor."""
-        if not self.tracer.enabled:
-            return self._solve(b, x0)
-        with self.tracer.span(f"krylov.{self.name}") as sp:
-            x, mon = self._solve(b, x0)
-            sp.add("iterations", mon.iterations)
-            sp.tags["converged"] = mon.converged
-            sp.tags["final_residual"] = mon.final_residual
-            return x, mon
+        return traced_solve(self.tracer, self.name, self._solve, b, x0)
 
     def _solve(
         self, b: FloatArray, x0: FloatArray | None = None

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-__all__ = ["SolverMonitor", "IterationStreakTracker"]
+import numpy as np
+import numpy.typing as npt
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.observability.tracer import TracerProtocol
+
+__all__ = ["SolverMonitor", "IterationStreakTracker", "traced_solve"]
+
+FloatArray = npt.NDArray[np.float64]
 
 
 @dataclass
@@ -74,17 +84,30 @@ class SolverMonitor:
             f"(tol {self.tol:.1e} of {self.reference:.3e})"
         )
 
-    def as_record(self) -> dict[str, object]:
-        """Flat JSON-ready digest (flight recorder, telemetry export)."""
-        return {
-            "name": self.name,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "initial_residual": self.initial_residual,
-            "final_residual": self.final_residual,
-            "reference": self.reference,
-            "tol": self.tol,
-        }
+
+def traced_solve(
+    tracer: TracerProtocol,
+    name: str,
+    solve: Callable[[FloatArray, FloatArray | None], tuple[FloatArray, SolverMonitor]],
+    b: FloatArray,
+    x0: FloatArray | None,
+) -> tuple[FloatArray, SolverMonitor]:
+    """Run ``solve(b, x0)`` inside a ``krylov.<name>`` span.
+
+    The span counts the solve's ``iterations`` and is tagged with whether it
+    ``converged`` and its ``initial_residual`` / ``final_residual``, so a
+    trace alone shows a solve starting from a worse residual or needing
+    more iterations.  Under the no-op tracer the solve runs bare.
+    """
+    if not tracer.enabled:
+        return solve(b, x0)
+    with tracer.span(f"krylov.{name}") as sp:
+        x, mon = solve(b, x0)
+        sp.add("iterations", mon.iterations)
+        sp.tags["converged"] = mon.converged
+        sp.tags["initial_residual"] = mon.initial_residual
+        sp.tags["final_residual"] = mon.final_residual
+        return x, mon
 
 
 @dataclass

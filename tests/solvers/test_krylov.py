@@ -279,6 +279,8 @@ class TestFlexibleCG:
         (span,) = tracer.spans_named("krylov.pressure")
         assert span.counters["iterations"] == mon.iterations
         assert span.tags["converged"] is True
+        assert span.tags["initial_residual"] == mon.initial_residual
+        assert span.tags["final_residual"] == mon.final_residual
 
 
 class TestGmres:

@@ -1,7 +1,7 @@
 """SolverMonitor and IterationStreakTracker edge cases.
 
-The monitors feed both the adaptive-timestep logic and the flight
-recorder, so their corner semantics (zero initial residual, iteration
+The monitors feed both the adaptive-timestep logic and the solver spans
+of the trace, so their corner semantics (zero initial residual, iteration
 exhaustion, streak resets) are load-bearing."""
 
 import math
@@ -37,7 +37,7 @@ class TestSolverMonitor:
         m.start(50.0, reference=100.0)
         assert m.step(2.0) is False
         assert m.step(0.9) is True
-        assert m.as_record()["reference"] == 100.0
+        assert m.reference == 100.0
         assert "of 1.000e+02" in m.summary()
         # Never below the initial residual: no solve gets stricter than
         # ``tol`` of what it started from, and a vanishing ``b`` is solvable.

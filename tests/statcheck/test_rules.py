@@ -44,9 +44,10 @@ class TestSpanHygiene:
         assert [f.line for f in findings] == [7]
         assert "made_up_phase" in findings[0].message
 
-    def test_flight_family_is_registered(self):
-        # The flight recorder's lifecycle names (flight.*) are part of the
-        # registry: a module using only them is clean.
+    def test_resilience_family_is_registered(self):
+        # The resilience event log's instants (resilience.*) and the
+        # divergence guard's sim.divergence are part of the registry: a
+        # module using only them is clean.
         findings = run_rule(
             "span-hygiene", FIXTURES / "src/repro/core/fleet_span_case.py"
         )
@@ -80,13 +81,13 @@ class TestSpanHygiene:
     def test_samples_and_events_share_the_span_registry(self, tmp_path):
         # One registry for every name a trace carries: a counter sample or
         # an event outside it is flagged like a span, and a family with no
-        # emitter left (resilience.*, cache.*) no longer passes.
+        # emitter left (flight.*, cache.*) no longer passes.
         path = tmp_path / "names.py"
         path.write_text(
             "def run(tracer):\n"
             "    tracer.sample('sim.cfl', 0.5)\n"
             "    tracer.sample('queue_depth', 3)\n"
-            "    tracer.event('resilience.rollback')\n"
+            "    tracer.event('flight.divergence')\n"
             "    tracer.event('cache.build')\n"
         )
         findings = run_rule("span-hygiene", path)
