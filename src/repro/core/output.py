@@ -19,11 +19,13 @@ import json
 import os
 import pathlib
 import zipfile
-from typing import IO, Mapping
+import zlib
+from typing import IO, TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.core.simulation import Simulation
+if TYPE_CHECKING:
+    from repro.core.simulation import Simulation
 
 __all__ = [
     "FieldWriter",
@@ -32,6 +34,8 @@ __all__ = [
     "load_checkpoint",
     "verify_checkpoint",
     "checkpoint_digest",
+    "pack_checkpoint",
+    "read_checkpoint",
     "load_snapshot",
 ]
 
@@ -115,49 +119,54 @@ def checkpoint_digest(arrays: Mapping[str, np.ndarray]) -> str:
     return h.hexdigest()
 
 
-def _checkpoint_payload(sim: Simulation) -> dict[str, np.ndarray]:
-    """Collect the complete multistep state as an array mapping."""
-    arrays: dict[str, np.ndarray] = {}
-    for i in range(3):
-        arrays[f"u{i}"] = sim.fluid.u[i]
-        arrays[f"v{i}"] = sim.fluid.v[i]
-        arrays[f"w{i}"] = sim.fluid.w[i]
-        arrays[f"t{i}"] = sim.scalar.t_hist[i]
-    for i, f in enumerate(sim.fluid.f_hist):
-        arrays[f"fx{i}"], arrays[f"fy{i}"], arrays[f"fz{i}"] = f
-    for i, f in enumerate(sim.scalar.f_hist):
-        arrays[f"ft{i}"] = f
-    if sim.fluid.pressure_projection is not None:
-        arrays.update(sim.fluid.pressure_projection.state_arrays())
-    scheme_dts = getattr(sim.scheme, "_dts", [])
-    arrays.update(
-        pressure=sim.fluid.p,
-        n_fluid_hist=np.asarray(len(sim.fluid.f_hist)),
-        n_scalar_hist=np.asarray(len(sim.scalar.f_hist)),
-        time=np.asarray(sim.time),
-        dt=np.asarray(sim.dt),
-        last_cfl=np.asarray(sim.last_cfl if sim.last_cfl is not None else [-1.0, -1.0]),
-        step_count=np.asarray(sim.step_count),
-        scheme_steps=np.asarray(sim.scheme.step_count),
-        scheme_dts=np.asarray(scheme_dts, dtype=np.float64),
-    )
-    return arrays
+def pack_checkpoint(arrays: Mapping[str, np.ndarray], fh: IO[bytes]) -> str:
+    """Write ``arrays`` plus their SHA-256 ``checksum`` entry as npz to ``fh``.
+
+    The one writer of the checkpoint format; returns the checksum.
+    """
+    named = {k: np.asarray(v) for k, v in arrays.items()}
+    digest = checkpoint_digest(named)
+    named["checksum"] = np.asarray(digest)
+    np.savez_compressed(fh, **named)
+    return digest
+
+
+def read_checkpoint(source: str | pathlib.Path | IO[bytes]) -> dict[str, np.ndarray]:
+    """Read and checksum-verify a checkpoint into a plain dict.
+
+    The one reader of the checkpoint format.  All decompression happens
+    here, before any simulation state is touched; every failure mode
+    (missing file, truncation, bad zip member, corrupt deflate data, no
+    or mismatched checksum) surfaces as :class:`CheckpointCorruptError`.
+    """
+    what = f"checkpoint {source}" if isinstance(source, (str, os.PathLike)) else "checkpoint"
+    try:
+        with np.load(source, allow_pickle=False) as data:
+            out = {k: np.asarray(data[k]) for k in data.files}
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
+        raise CheckpointCorruptError(f"unreadable {what}: {exc}") from exc
+    stored = str(out.get("checksum", ""))
+    actual = checkpoint_digest(out)
+    if stored != actual:
+        raise CheckpointCorruptError(
+            f"{what} failed checksum: stored {stored[:12]}..., computed {actual[:12]}..."
+        )
+    return out
 
 
 def write_checkpoint(sim: Simulation, path: str | pathlib.Path | IO[bytes]) -> None:
-    """Save the complete multistep state for exact restart.
+    """Save :meth:`Simulation.state_arrays` for exact restart.
 
     File targets are written atomically: the payload goes to a ``.tmp``
     sibling which is then renamed over the final path, so readers never
     observe a partially written checkpoint.  A SHA-256 checksum over the
     payload is stored alongside the arrays and verified by
     :func:`load_checkpoint`.  ``path`` may also be a writable binary
-    file object (used by the in-memory checkpoint ring).
+    file object.
     """
-    arrays = _checkpoint_payload(sim)
-    arrays["checksum"] = np.asarray(checkpoint_digest(arrays))
+    arrays = sim.state_arrays()
     if hasattr(path, "write"):
-        np.savez_compressed(path, **arrays)
+        pack_checkpoint(arrays, path)
         return
     path = pathlib.Path(path)
     if path.suffix != ".npz":  # mirror np.savez's implicit suffix
@@ -166,85 +175,32 @@ def write_checkpoint(sim: Simulation, path: str | pathlib.Path | IO[bytes]) -> N
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+            pack_checkpoint(arrays, fh)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def _read_checkpoint(path: str | pathlib.Path | IO[bytes]) -> dict[str, np.ndarray]:
-    """Read and checksum-verify a checkpoint into a plain dict.
-
-    All decompression happens here, before any simulation state is
-    touched; every failure mode (missing file, truncation, bad zip member,
-    checksum mismatch) surfaces as :class:`CheckpointCorruptError`.
-    """
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            out = {k: np.asarray(data[k]) for k in data.files}
-    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile) as exc:
-        raise CheckpointCorruptError(f"unreadable checkpoint {path}: {exc}") from exc
-    if "checksum" in out:  # absent only in pre-checksum legacy files
-        stored = str(out["checksum"])
-        actual = checkpoint_digest(out)
-        if stored != actual:
-            raise CheckpointCorruptError(
-                f"checkpoint {path} failed checksum: stored {stored[:12]}..., "
-                f"computed {actual[:12]}..."
-            )
-    return out
-
-
 def verify_checkpoint(path: str | pathlib.Path | IO[bytes]) -> dict:
     """Validate a checkpoint without touching any simulation.
 
-    Returns a small metadata dict (``step``, ``time``, ``dt``); raises
-    :class:`CheckpointCorruptError` if the file is damaged.
+    Returns a small metadata dict (``step``, ``time``, ``dt``, ``checksum``);
+    raises :class:`CheckpointCorruptError` if the file is damaged.
     """
-    data = _read_checkpoint(path)
+    data = read_checkpoint(path)
     return {
         "step": int(data["step_count"]),
         "time": float(data["time"]),
         "dt": float(data["dt"]) if "dt" in data else None,
-        "checksum": str(data["checksum"]) if "checksum" in data else None,
+        "checksum": str(data["checksum"]),
     }
 
 
 def load_checkpoint(sim: Simulation, path: str | pathlib.Path | IO[bytes]) -> None:
     """Restore a simulation's state from :func:`write_checkpoint` output.
 
-    The file is fully read and checksum-verified *before* the simulation
-    is mutated, so a corrupt checkpoint leaves ``sim`` untouched (and the
-    caller free to fall back to an older ring entry).
+    The file is fully read and checksum-verified *before*
+    :meth:`Simulation.load_state` mutates anything, so a corrupt
+    checkpoint leaves ``sim`` untouched.
     """
-    data = _read_checkpoint(path)
-    try:
-        for i in range(3):
-            sim.fluid.u[i][:] = data[f"u{i}"]
-            sim.fluid.v[i][:] = data[f"v{i}"]
-            sim.fluid.w[i][:] = data[f"w{i}"]
-            sim.scalar.t_hist[i][:] = data[f"t{i}"]
-        sim.fluid.p = data["pressure"].copy()
-        nf = int(data["n_fluid_hist"])
-        sim.fluid.f_hist = [
-            (data[f"fx{i}"].copy(), data[f"fy{i}"].copy(), data[f"fz{i}"].copy())
-            for i in range(nf)
-        ]
-        ns = int(data["n_scalar_hist"])
-        sim.scalar.f_hist = [data[f"ft{i}"].copy() for i in range(ns)]
-    except KeyError as exc:
-        raise CheckpointCorruptError(f"checkpoint {path} missing entry {exc}") from exc
-    if sim.fluid.pressure_projection is not None:
-        sim.fluid.pressure_projection.load_state(data)
-    sim.time = float(data["time"])
-    sim.step_count = int(data["step_count"])
-    sim.scheme.step_count = int(data["scheme_steps"])
-    if "dt" in data:
-        sim.dt = float(data["dt"])
-        sim.fluid.set_dt(sim.dt)
-        sim.scalar.set_dt(sim.dt)
-    if "last_cfl" in data:
-        cfl, dt_last = (float(v) for v in data["last_cfl"])
-        sim.last_cfl = None if dt_last < 0 else (cfl, dt_last)
-    if hasattr(sim.scheme, "_dts") and "scheme_dts" in data:
-        sim.scheme._dts = [float(v) for v in np.atleast_1d(data["scheme_dts"])]
+    sim.load_state(read_checkpoint(path))

@@ -9,13 +9,14 @@ hooks: compression, streaming POD, field output).
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.case import CaseConfig
 from repro.core.fluid import FluidScheme
+from repro.core.output import CheckpointCorruptError
 from repro.core.scalar import ScalarScheme
 from repro.core.statistics import NusseltNumbers, compute_nusselt, reynolds_number
 from repro.core.timers import RegionTimers
@@ -119,6 +120,69 @@ class Simulation:
     @property
     def pressure(self) -> np.ndarray:
         return self.fluid.p
+
+    # -- checkpoint state ------------------------------------------------------
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The complete multistep state as an array mapping, for exact restart."""
+        arrays: dict[str, np.ndarray] = {}
+        for i in range(3):
+            arrays[f"u{i}"] = self.fluid.u[i]
+            arrays[f"v{i}"] = self.fluid.v[i]
+            arrays[f"w{i}"] = self.fluid.w[i]
+            arrays[f"t{i}"] = self.scalar.t_hist[i]
+        for i, f in enumerate(self.fluid.f_hist):
+            arrays[f"fx{i}"], arrays[f"fy{i}"], arrays[f"fz{i}"] = f
+        for i, f in enumerate(self.scalar.f_hist):
+            arrays[f"ft{i}"] = f
+        if self.fluid.pressure_projection is not None:
+            arrays.update(self.fluid.pressure_projection.state_arrays())
+        scheme_dts = getattr(self.scheme, "_dts", [])
+        arrays.update(
+            pressure=self.fluid.p,
+            n_fluid_hist=np.asarray(len(self.fluid.f_hist)),
+            n_scalar_hist=np.asarray(len(self.scalar.f_hist)),
+            time=np.asarray(self.time),
+            dt=np.asarray(self.dt),
+            last_cfl=np.asarray(self.last_cfl if self.last_cfl is not None else [-1.0, -1.0]),
+            step_count=np.asarray(self.step_count),
+            scheme_steps=np.asarray(self.scheme.step_count),
+            scheme_dts=np.asarray(scheme_dts, dtype=np.float64),
+        )
+        return arrays
+
+    def load_state(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Restore the state saved by :meth:`state_arrays`."""
+        try:
+            for i in range(3):
+                self.fluid.u[i][:] = arrays[f"u{i}"]
+                self.fluid.v[i][:] = arrays[f"v{i}"]
+                self.fluid.w[i][:] = arrays[f"w{i}"]
+                self.scalar.t_hist[i][:] = arrays[f"t{i}"]
+            self.fluid.p = arrays["pressure"].copy()
+            nf = int(arrays["n_fluid_hist"])
+            self.fluid.f_hist = [
+                (arrays[f"fx{i}"].copy(), arrays[f"fy{i}"].copy(), arrays[f"fz{i}"].copy())
+                for i in range(nf)
+            ]
+            ns = int(arrays["n_scalar_hist"])
+            self.scalar.f_hist = [arrays[f"ft{i}"].copy() for i in range(ns)]
+        except KeyError as exc:
+            raise CheckpointCorruptError(f"checkpoint missing entry {exc}") from exc
+        if self.fluid.pressure_projection is not None:
+            self.fluid.pressure_projection.load_state(arrays)
+        self.time = float(arrays["time"])
+        self.step_count = int(arrays["step_count"])
+        self.scheme.step_count = int(arrays["scheme_steps"])
+        if "dt" in arrays:
+            self.dt = float(arrays["dt"])
+            self.fluid.set_dt(self.dt)
+            self.scalar.set_dt(self.dt)
+        if "last_cfl" in arrays:
+            cfl, dt_last = (float(v) for v in arrays["last_cfl"])
+            self.last_cfl = None if dt_last < 0 else (cfl, dt_last)
+        if hasattr(self.scheme, "_dts") and "scheme_dts" in arrays:
+            self.scheme._dts = [float(v) for v in np.atleast_1d(arrays["scheme_dts"])]
 
     # -- stepping ----------------------------------------------------------------
 

@@ -1,16 +1,15 @@
 """Distributed fault tolerance for the simulated rank world.
 
-The single-process resilience layer (checkpoint ring, rollback-and-retry)
-protects one :class:`~repro.core.simulation.Simulation`; the paper's
-production runs are SPMD jobs on thousands of GPUs, where the failure
-unit is a *rank* and the checkpoint unit is a *shard*.  This package adds
-the distributed half:
+The paper's production runs are SPMD jobs on thousands of GPUs, where
+the failure unit is a *rank* and the checkpoint unit is a *shard*.  This
+package holds the distributed half of the resilience layer:
 
 * :class:`~repro.resilience.distributed.shards.ShardedCheckpointStore` --
-  coordinated per-rank shard checkpoints with per-shard checksums and a
-  two-phase stage-then-commit epoch marker, so a crash mid-save can never
-  produce a mixed-epoch restore and a corrupt shard falls back to the
-  last globally consistent epoch;
+  the one checkpoint store (the serial runner saves one-shard epochs):
+  per-rank shards in the checksummed format of :mod:`repro.core.output`
+  and a two-phase stage-then-commit epoch marker, so a crash mid-save
+  can never produce a mixed-epoch restore and a corrupt shard falls back
+  to the last globally consistent epoch;
 * :class:`~repro.resilience.distributed.recovery.WorldRecovery` -- the
   elastic recovery policy that escalates
   :class:`~repro.resilience.faults.RankFailedError` (and the hardened

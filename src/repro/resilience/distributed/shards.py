@@ -8,8 +8,8 @@ mixes the two.  The classic answer -- and the one implemented here -- is
 a two-phase protocol:
 
 1. **stage**: every rank's shard is written into a staging area for the
-   epoch (``.staging_epoch_NNNNNNNN/`` on disk), each shard carrying a
-   SHA-256 checksum over its arrays;
+   epoch (``.staging_epoch_NNNNNNNN/`` on disk), each shard in the
+   checksummed npz format of :func:`repro.core.output.pack_checkpoint`;
 2. **commit**: only when *all* ``world_size`` shards are staged is the
    epoch manifest (shard checksums, world size, metadata) written and the
    staging area atomically renamed to the committed epoch directory.
@@ -22,7 +22,9 @@ corrupt shard fails the *whole epoch* over to the previous committed one
 is all-or-nothing, never per-shard.
 
 The store also runs fully in memory (``directory=None``) for the chaos
-campaign's many short scenarios.
+campaign's many short scenarios and the serial
+:class:`~repro.resilience.runner.ResilientRunner`, which saves one-shard
+epochs.
 """
 
 from __future__ import annotations
@@ -33,14 +35,12 @@ import os
 import pathlib
 import re
 import shutil
-import zipfile
-import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from repro.core.output import CheckpointCorruptError, checkpoint_digest
+from repro.core.output import CheckpointCorruptError, pack_checkpoint, read_checkpoint
 
 __all__ = [
     "ShardCorruptError",
@@ -85,31 +85,21 @@ class EpochManifest:
 
 
 def _pack_shard(arrays: Mapping[str, np.ndarray]) -> tuple[bytes, str]:
-    """Serialize one shard to npz bytes; returns (payload, checksum)."""
-    named = {k: np.asarray(v) for k, v in arrays.items()}
-    if "checksum" in named:
+    """Serialize one shard to checkpoint bytes; returns (payload, checksum)."""
+    if "checksum" in arrays:
         raise ValueError("'checksum' is a reserved shard entry name")
-    digest = checkpoint_digest(named)
-    named["checksum"] = np.asarray(digest)
     buf = io.BytesIO()
-    np.savez_compressed(buf, **named)
+    digest = pack_checkpoint(arrays, buf)
     return buf.getvalue(), digest
 
 
 def _unpack_shard(payload: bytes, expect: str, where: str) -> dict[str, np.ndarray]:
-    """Parse npz bytes, verifying embedded and manifest checksums."""
+    """Read checkpoint bytes, verifying embedded and manifest checksums."""
     try:
-        with np.load(io.BytesIO(payload), allow_pickle=False) as data:
-            out = {k: np.asarray(data[k]) for k in data.files}
-    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
-        raise ShardCorruptError(f"unreadable shard {where}: {exc}") from exc
-    stored = str(out.pop("checksum", ""))
-    actual = checkpoint_digest(out)
-    if stored != actual:
-        raise ShardCorruptError(
-            f"shard {where} failed embedded checksum: stored {stored[:12]}..., "
-            f"computed {actual[:12]}..."
-        )
+        out = read_checkpoint(io.BytesIO(payload))
+    except CheckpointCorruptError as exc:
+        raise ShardCorruptError(f"shard {where}: {exc}") from exc
+    actual = str(out.pop("checksum"))
     if actual != expect:
         raise ShardCorruptError(
             f"shard {where} disagrees with its epoch manifest: manifest "

@@ -10,15 +10,16 @@ loop:
 2. apply any scheduled injected faults (testing hook);
 3. run the :class:`~repro.resilience.health.HealthCheck` over the new
    state and step results;
-4. healthy: checkpoint into the :class:`CheckpointRing` and continue;
-   unhealthy (or the segment raised the divergence guard / a simulated
-   rank failure): roll back to the newest valid ring entry, optionally
-   reduce ``dt``, back off, and retry -- up to ``max_retries``
-   consecutive attempts per incident.
+4. healthy: save ``sim.state_arrays()`` as a one-shard epoch of a
+   :class:`~repro.resilience.distributed.shards.ShardedCheckpointStore`
+   and continue; unhealthy (or the segment raised the divergence guard /
+   a simulated rank failure): roll back to the newest valid epoch,
+   optionally reduce ``dt``, back off, and retry -- up to
+   ``max_retries`` consecutive attempts per incident.
 
 Every decision lands in the structured :class:`EventLog` returned with
-the results; the default log is built on ``sim.tracer``, so each decision
-is also a ``resilience.<kind>`` event in the run's trace.  Backoff
+the results; the log is built on ``sim.tracer``, so each decision is also
+a ``resilience.<kind>`` event in the run's trace.  Backoff
 sleeping goes through an injectable ``sleep`` callable so tests run
 without wall-clock delays.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field
 
-from repro.resilience.checkpoint_ring import CheckpointRing
+from repro.resilience.distributed.shards import ShardedCheckpointStore
 from repro.resilience.events import EventLog
 from repro.resilience.faults import FaultInjector, RankFailedError
 from repro.resilience.health import HealthCheck
@@ -65,11 +66,13 @@ class ResilientRunner:
     ----------
     sim:
         A :class:`~repro.core.simulation.Simulation` (or any duck-typed
-        equivalent exposing ``run``, ``step_count``, ``time``, ``dt``,
-        ``history`` and ``stat_samples``).
-    ring:
-        Checkpoint storage; defaults to an in-memory
-        :class:`CheckpointRing` of capacity 3.
+        equivalent exposing ``run``, ``state_arrays``, ``load_state``,
+        ``step_count``, ``time``, ``dt``, ``history`` and
+        ``stat_samples``).
+    store:
+        Checkpoint storage, one one-shard epoch per checkpoint keyed by
+        ``sim.step_count``; defaults to an in-memory store of capacity 3.
+        A fresh store over the same directory restarts a killed run.
     checkpoint_interval:
         Steps per segment between checkpoints/health checks.
     health:
@@ -81,10 +84,10 @@ class ResilientRunner:
         counter.
     dt_factor:
         Step-size reduction applied when retrying after a *divergence*
-        or *CFL-ceiling* failure (and, with ``reduce_dt_on_fault=True``,
-        after any failure).  Adaptive runs scale their CFL target and ``dt_max``
-        instead, since the controller would otherwise regrow ``dt``
-        immediately.
+        or *CFL-ceiling* failure; transient faults (SDC, rank death)
+        replay at the checkpoint's ``dt``.  Adaptive runs also scale their
+        CFL target and ``dt_max``, since the controller would otherwise
+        regrow ``dt`` immediately.
     backoff, backoff_base, sleep:
         Retry ``n`` sleeps ``backoff * backoff_base**(n-1)`` seconds via
         the injectable ``sleep`` callable (tests pass a recorder; the
@@ -97,13 +100,11 @@ class ResilientRunner:
     def __init__(
         self,
         sim,
-        ring: CheckpointRing | None = None,
+        store: ShardedCheckpointStore | None = None,
         checkpoint_interval: int = 10,
         health: HealthCheck | None = None,
-        event_log: EventLog | None = None,
         max_retries: int = 3,
         dt_factor: float = 0.5,
-        reduce_dt_on_fault: bool = False,
         backoff: float = 0.0,
         backoff_base: float = 2.0,
         sleep=_time.sleep,
@@ -112,15 +113,12 @@ class ResilientRunner:
         if checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
         self.sim = sim
-        self.ring = ring if ring is not None else CheckpointRing(capacity=3)
+        self.store = store if store is not None else ShardedCheckpointStore(capacity=3)
         self.checkpoint_interval = checkpoint_interval
         self.health = health if health is not None else HealthCheck()
-        self.events = (
-            event_log if event_log is not None else EventLog(getattr(sim, "tracer", None))
-        )
+        self.events = EventLog(getattr(sim, "tracer", None))
         self.max_retries = max_retries
         self.dt_factor = dt_factor
-        self.reduce_dt_on_fault = reduce_dt_on_fault
         self.backoff = backoff
         self.backoff_base = backoff_base
         self.sleep = sleep
@@ -134,23 +132,24 @@ class ResilientRunner:
 
     def _save(self) -> None:
         sim = self.sim
-        entry = self.ring.save(sim)
-        self._lens[entry.step] = (
+        self.store.save_epoch(sim.step_count, [sim.state_arrays()])
+        self._lens[sim.step_count] = (
             len(getattr(sim, "history", ())),
             len(getattr(sim, "stat_samples", ())),
         )
-        self.events.record("checkpoint", step=entry.step, time=entry.time, detail="ring checkpoint")
+        self.events.record("checkpoint", step=sim.step_count, time=sim.time, detail="epoch saved")
 
     def _rollback(self) -> None:
         sim = self.sim
-        entry, skipped = self.ring.restore_latest(sim)
+        epoch, (arrays,), skipped = self.store.restore_latest()
+        sim.load_state(arrays)
         for bad in skipped:
             self.events.record(
                 "corrupt_checkpoint",
-                step=bad.step,
-                detail="ring entry failed verification; falling back",
+                step=bad,
+                detail=f"epoch {bad} failed verification; falling back",
             )
-        n_hist, n_stats = self._lens.get(entry.step, (0, 0))
+        n_hist, n_stats = self._lens.get(epoch, (0, 0))
         if hasattr(sim, "history"):
             del sim.history[n_hist:]
         if hasattr(sim, "stat_samples"):
@@ -158,10 +157,10 @@ class ResilientRunner:
         self.health.reset()
         self.events.record(
             "rollback",
-            step=entry.step,
-            time=entry.time,
-            detail=f"restored checkpoint at step {entry.step}",
-            skipped=[b.step for b in skipped],
+            step=epoch,
+            time=sim.time,
+            detail=f"restored checkpoint at step {epoch}",
+            skipped=skipped,
         )
 
     def _reduce_dt(self, power: int = 1) -> None:
@@ -285,8 +284,8 @@ class ResilientRunner:
             # Divergence and CFL-ceiling failures are the "dt too large"
             # class: replaying them at the same dt fails deterministically,
             # so the retry must shrink the step.  Transient faults (SDC,
-            # rank death) replay cleanly and keep dt unless asked.
-            if kind in ("divergence", "cfl") or self.reduce_dt_on_fault:
+            # rank death) replay cleanly and keep dt.
+            if kind in ("divergence", "cfl"):
                 self._reduce_dt(attempts)
             delay = self.backoff * self.backoff_base ** (attempts - 1)
             if delay > 0:
@@ -320,8 +319,8 @@ class ResilientRunner:
         Everything up to the newest checkpoint passed its check; only the
         steps after it are new.
         """
-        latest = self.ring.latest
+        latest = self.store.latest
         if latest is None:
             return start_hist
-        n_hist, _ = self._lens.get(latest.step, (start_hist, 0))
+        n_hist, _ = self._lens.get(latest, (start_hist, 0))
         return n_hist

@@ -1,7 +1,7 @@
 """determinism: no unseeded randomness, no wall-clock reads in numerics.
 
 Reproducible DNS means a run is a pure function of its configuration:
-the same case file must produce the same trajectory, checkpoint ring and
+the same case file must produce the same trajectory, checkpoints and
 statistics.  Two things silently break that:
 
 * **unseeded randomness** -- the legacy ``np.random.*`` module functions

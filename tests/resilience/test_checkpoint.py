@@ -1,6 +1,9 @@
-"""Checkpoint integrity, the bounded ring, and kill-and-restart recovery."""
+"""Checkpoint integrity, one-shard epochs of a real simulation, and
+adaptive-dt restart."""
 
 import io
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from repro.core import (
     verify_checkpoint,
     write_checkpoint,
 )
-from repro.resilience import CheckpointRing
+from repro.resilience.distributed import ShardedCheckpointStore
 
 
 def small_case(**overrides):
@@ -21,6 +24,16 @@ def small_case(**overrides):
                   perturbation_amplitude=0.1, adaptive_cfl=0.3)
     kwargs.update(overrides)
     return rbc_box_case(2e4, **kwargs)
+
+
+def flip_member_byte(raw, member, offset):
+    """``raw`` zip bytes with one byte flipped ``offset`` bytes into the
+    compressed data of ``member``."""
+    h = zipfile.ZipFile(io.BytesIO(raw)).getinfo(member).header_offset
+    name_len, extra_len = struct.unpack("<HH", raw[h + 26 : h + 30])
+    out = bytearray(raw)
+    out[h + 30 + name_len + extra_len + offset] ^= 0xFF
+    return bytes(out)
 
 
 @pytest.fixture(scope="module")
@@ -49,16 +62,19 @@ class TestCheckpointIntegrity:
         path = tmp_path / "ck.npz"
         write_checkpoint(warm_sim, path)
         raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(CheckpointCorruptError):
-            verify_checkpoint(path)
-        sim2 = Simulation(small_case())
-        before = sim2.temperature.copy()
-        with pytest.raises(CheckpointCorruptError):
-            load_checkpoint(sim2, path)
-        # A failed load leaves the simulation untouched.
-        assert np.array_equal(sim2.temperature, before)
-        assert sim2.step_count == 0
+        # A truncated file, and a flip that breaks the deflate stream of
+        # one member (zlib raises before the zip CRC check could).
+        for damaged in (raw[: len(raw) // 2], flip_member_byte(raw, "fx0.npy", 8)):
+            path.write_bytes(damaged)
+            with pytest.raises(CheckpointCorruptError):
+                verify_checkpoint(path)
+            sim2 = Simulation(small_case())
+            before = sim2.temperature.copy()
+            with pytest.raises(CheckpointCorruptError):
+                load_checkpoint(sim2, path)
+            # A failed load leaves the simulation untouched.
+            assert np.array_equal(sim2.temperature, before)
+            assert sim2.step_count == 0
 
     def test_tampered_payload_fails_checksum(self, warm_sim, tmp_path):
         path = tmp_path / "ck.npz"
@@ -84,131 +100,35 @@ class TestCheckpointIntegrity:
         assert sim2.step_count == warm_sim.step_count
         assert np.array_equal(sim2.temperature, warm_sim.temperature)
 
-    def test_legacy_checkpoint_without_checksum_loads(self, warm_sim, tmp_path):
-        from repro.core.output import _checkpoint_payload
-
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(path, **_checkpoint_payload(warm_sim))
+    def test_checkpoint_without_checksum_rejected(self, warm_sim, tmp_path):
+        path = tmp_path / "unchecked.npz"
+        np.savez_compressed(path, **warm_sim.state_arrays())
         sim2 = Simulation(small_case())
-        load_checkpoint(sim2, path)
-        assert sim2.step_count == warm_sim.step_count
+        with pytest.raises(CheckpointCorruptError, match="checksum"):
+            load_checkpoint(sim2, path)
+        assert sim2.step_count == 0
 
 
-class TestCheckpointRing:
-    def test_capacity_eviction(self, tmp_path):
-        ring = CheckpointRing(tmp_path, capacity=2)
-        sim = Simulation(small_case())
-        for _ in range(4):
-            sim.run(n_steps=1)
-            ring.save(sim)
-        assert len(ring) == 2
-        assert [e.step for e in ring.entries] == [3, 4]
-        assert len(list(tmp_path.glob("ck*.npz"))) == 2
+class TestSimulationShards:
+    """A real simulation's state saved as a one-shard epoch of the store."""
 
-    def test_in_memory_ring_roundtrip(self):
-        ring = CheckpointRing(capacity=3)
-        sim = Simulation(small_case())
-        sim.run(n_steps=3)
-        ring.save(sim)
-        ref = sim.temperature.copy()
-        sim.run(n_steps=2)
-        entry, skipped = ring.restore_latest(sim)
-        assert entry.step == 3 and skipped == []
-        assert np.array_equal(sim.temperature, ref)
-        assert sim.step_count == 3
-
-    def test_fallback_skips_truncated_newest(self, tmp_path):
-        ring = CheckpointRing(tmp_path, capacity=3)
-        sim = Simulation(small_case())
-        sim.run(n_steps=2)
-        ring.save(sim)
-        sim.run(n_steps=2)
-        newest = ring.save(sim)
-        raw = newest.path.read_bytes()
-        newest.path.write_bytes(raw[: len(raw) // 3])
-        entry, skipped = ring.restore_latest(sim)
-        assert entry.step == 2
-        assert [e.step for e in skipped] == [4]
-        # The corrupt entry is evicted from ring and disk.
-        assert not newest.path.exists()
-        assert [e.step for e in ring.entries] == [2]
-
-    def test_all_corrupt_raises(self, tmp_path):
-        ring = CheckpointRing(tmp_path, capacity=2)
+    def test_verify_epoch_accepts_good_shard(self, tmp_path):
+        store = ShardedCheckpointStore(tmp_path, capacity=2)
         sim = Simulation(small_case())
         sim.run(n_steps=1)
-        entry = ring.save(sim)
-        entry.path.write_bytes(b"garbage")
+        store.save_epoch(sim.step_count, [sim.state_arrays()])
+        assert store.verify_epoch(1).world_size == 1
+
+    def test_verify_epoch_catches_torn_shard(self, tmp_path):
+        store = ShardedCheckpointStore(tmp_path, capacity=2)
+        sim = Simulation(small_case())
+        sim.run(n_steps=1)
+        store.save_epoch(sim.step_count, [sim.state_arrays()])
+        shard = tmp_path / "epoch_00000001" / "shard_0000.npz"
+        raw = shard.read_bytes()
+        shard.write_bytes(raw[: len(raw) // 2])  # a torn write
         with pytest.raises(CheckpointCorruptError):
-            ring.restore_latest(sim)
-
-    def test_rescan_adopts_existing_files(self, tmp_path):
-        ring = CheckpointRing(tmp_path, capacity=3)
-        sim = Simulation(small_case())
-        sim.run(n_steps=2)
-        ring.save(sim)
-        sim.run(n_steps=2)
-        ring.save(sim)
-        # A fresh process building a ring over the same directory sees both.
-        ring2 = CheckpointRing(tmp_path, capacity=3)
-        assert [e.step for e in ring2.entries] == [2, 4]
-
-    def test_restore_entry_targets_exact_step(self, tmp_path):
-        ring = CheckpointRing(tmp_path, capacity=3)
-        sim = Simulation(small_case())
-        refs = {}
-        for _ in range(3):
-            sim.run(n_steps=1)
-            ring.save(sim)
-            refs[sim.step_count] = sim.temperature.copy()
-        assert ring.steps == [1, 2, 3]
-        entry = ring.restore_entry(sim, 2)
-        assert entry.step == 2
-        assert sim.step_count == 2
-        assert np.array_equal(sim.temperature, refs[2])
-
-    def test_restore_entry_unknown_step_raises_keyerror(self, tmp_path):
-        ring = CheckpointRing(tmp_path, capacity=3)
-        sim = Simulation(small_case())
-        sim.run(n_steps=1)
-        ring.save(sim)
-        with pytest.raises(KeyError, match="no ring entry at step 9"):
-            ring.restore_entry(sim, 9)
-
-    def test_restore_entry_corrupt_evicts_and_raises(self, tmp_path):
-        ring = CheckpointRing(tmp_path, capacity=3)
-        sim = Simulation(small_case())
-        sim.run(n_steps=1)
-        entry = ring.save(sim)
-        entry.path.write_bytes(b"garbage")
-        with pytest.raises(CheckpointCorruptError):
-            ring.restore_entry(sim, 1)
-        assert ring.steps == []
-        assert not entry.path.exists()
-
-    def test_verify_on_save_accepts_good_writes(self, tmp_path):
-        ring = CheckpointRing(tmp_path, capacity=2, verify_on_save=True)
-        sim = Simulation(small_case())
-        sim.run(n_steps=1)
-        ring.save(sim)
-        assert ring.steps == [1]
-
-    def test_verify_on_save_catches_torn_write(self, tmp_path):
-        def torn_write(sim, target):
-            write_checkpoint(sim, target)
-            raw = target.read_bytes()
-            target.write_bytes(raw[: len(raw) // 2])
-
-        ring = CheckpointRing(
-            tmp_path, capacity=2, write_fn=torn_write, verify_on_save=True
-        )
-        sim = Simulation(small_case())
-        sim.run(n_steps=1)
-        with pytest.raises(CheckpointCorruptError):
-            ring.save(sim)
-        # The damaged entry never enters the ring and its file is gone.
-        assert ring.steps == []
-        assert list(tmp_path.glob("ck*.npz")) == []
+            store.verify_epoch(1)
 
 
 class TestAdaptiveDtRestart:

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from repro.core import Simulation, rbc_box_case
-from repro.core.output import _read_checkpoint, checkpoint_digest
 from repro.insitu import InSituPipeline, Processor
 from repro.resilience import (
-    CheckpointRing,
     Fault,
     FaultInjector,
     HealthCheck,
@@ -18,6 +16,7 @@ from repro.resilience import (
     ResilientRunner,
     RetryBudgetExceededError,
 )
+from repro.resilience.distributed import ShardedCheckpointStore
 
 # -- a minimal duck-typed simulation ------------------------------------------
 
@@ -55,6 +54,21 @@ class FakeSim:
     def pressure(self):
         return self.state
 
+    # Checkpoint surface.
+    def state_arrays(self):
+        return {
+            "state": self.state,
+            "step_count": np.asarray(self.step_count),
+            "time": np.asarray(self.time),
+            "dt": np.asarray(self.dt),
+        }
+
+    def load_state(self, arrays):
+        self.state = arrays["state"].copy()
+        self.step_count = int(arrays["step_count"])
+        self.time = float(arrays["time"])
+        self.dt = float(arrays["dt"])
+
     def run(self, n_steps=None, end_time=None, **kw):
         for _ in range(n_steps):
             if end_time is not None and self.time >= end_time - 1e-12:
@@ -78,36 +92,10 @@ class FakeSim:
             )
 
 
-def fake_write(sim, target):
-    arrays = {
-        "state": sim.state,
-        "step_count": np.asarray(sim.step_count),
-        "time": np.asarray(sim.time),
-        "dt": np.asarray(sim.dt),
-    }
-    arrays["checksum"] = np.asarray(checkpoint_digest(arrays))
-    if hasattr(target, "write"):
-        np.savez_compressed(target, **arrays)
-    else:
-        np.savez_compressed(open(target, "wb"), **arrays)
-
-
-def fake_load(sim, source):
-    data = _read_checkpoint(source)
-    sim.state = data["state"].copy()
-    sim.step_count = int(data["step_count"])
-    sim.time = float(data["time"])
-    sim.dt = float(data["dt"])
-
-
-def fake_ring(**kw):
-    return CheckpointRing(write_fn=fake_write, load_fn=fake_load, **kw)
-
-
 class TestRunnerUnit:
     def test_clean_run_checkpoints_and_no_retries(self):
         sim = FakeSim()
-        runner = ResilientRunner(sim, ring=fake_ring(), checkpoint_interval=5)
+        runner = ResilientRunner(sim, checkpoint_interval=5)
         result = runner.run(n_steps=20)
         assert sim.step_count == 20
         assert result.retries == 0
@@ -122,9 +110,7 @@ class TestRunnerUnit:
                 return FloatingPointError("simulation diverged: kinetic energy")
 
         sim = FakeSim(dt=0.1, fail_if=fail)
-        runner = ResilientRunner(
-            sim, ring=fake_ring(), checkpoint_interval=5, max_retries=3, dt_factor=0.5
-        )
+        runner = ResilientRunner(sim, checkpoint_interval=5, max_retries=3, dt_factor=0.5)
         result = runner.run(n_steps=20)
         assert sim.step_count == 20
         assert result.retries == 1
@@ -144,7 +130,7 @@ class TestRunnerUnit:
                 return RankFailedError(3, "allreduce")
 
         sim = FakeSim(fail_if=fail)
-        runner = ResilientRunner(sim, ring=fake_ring(), checkpoint_interval=4)
+        runner = ResilientRunner(sim, checkpoint_interval=4)
         result = runner.run(n_steps=12)
         assert sim.step_count == 12
         assert result.retries == 1
@@ -153,9 +139,7 @@ class TestRunnerUnit:
 
     def test_retry_budget_exhaustion_raises(self):
         sim = FakeSim(fail_if=lambda s: FloatingPointError("always diverges"))
-        runner = ResilientRunner(
-            sim, ring=fake_ring(), checkpoint_interval=5, max_retries=2
-        )
+        runner = ResilientRunner(sim, checkpoint_interval=5, max_retries=2)
         with pytest.raises(RetryBudgetExceededError) as exc_info:
             runner.run(n_steps=10)
         assert exc_info.value.events.count("retry") == 2
@@ -176,7 +160,6 @@ class TestRunnerUnit:
 
         runner = ResilientRunner(
             sim,
-            ring=fake_ring(),
             checkpoint_interval=5,
             max_retries=5,
             backoff=1.0,
@@ -202,7 +185,6 @@ class TestRunnerUnit:
         sim = FakeSim()
         runner = ResilientRunner(
             sim,
-            ring=fake_ring(),
             checkpoint_interval=3,
             health=HealthCheck(),
             fault_injector=PokingInjector(),
@@ -216,11 +198,11 @@ class TestRunnerUnit:
 
     def test_requires_step_target(self):
         with pytest.raises(ValueError):
-            ResilientRunner(FakeSim(), ring=fake_ring()).run()
+            ResilientRunner(FakeSim()).run()
 
     def test_end_time_target(self):
         sim = FakeSim(dt=0.1)
-        ResilientRunner(sim, ring=fake_ring(), checkpoint_interval=4).run(end_time=1.0)
+        ResilientRunner(sim, checkpoint_interval=4).run(end_time=1.0)
         assert sim.time == pytest.approx(1.0, abs=0.15)
 
 
@@ -279,7 +261,7 @@ class TestEndToEndRecovery:
         )
         runner = ResilientRunner(
             sim,
-            ring=CheckpointRing(tmp_path, capacity=3),
+            store=ShardedCheckpointStore(tmp_path, capacity=3),
             checkpoint_interval=4,
             fault_injector=injector,
             max_retries=2,
@@ -314,7 +296,7 @@ class TestEndToEndRecovery:
         )
         runner = ResilientRunner(
             sim,
-            ring=CheckpointRing(tmp_path, capacity=2),
+            store=ShardedCheckpointStore(tmp_path, capacity=2),
             checkpoint_interval=4,
             fault_injector=injector,
         )
@@ -324,8 +306,9 @@ class TestEndToEndRecovery:
 
 
 class TestKillAndRestart:
-    """Acceptance: restart from the newest valid ring entry reproduces the
-    uninterrupted run's remaining StepResult sequence bit-for-bit."""
+    """Acceptance: restart from the newest valid epoch of the store
+    reproduces the uninterrupted run's remaining StepResult sequence
+    bit-for-bit."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -333,13 +316,24 @@ class TestKillAndRestart:
         ref.run(n_steps=18)
         return ref
 
-    def _interrupted_ring(self, tmp_path):
+    def _interrupted_store(self, tmp_path):
         sim1 = Simulation(adaptive_case())
         runner = ResilientRunner(
-            sim1, ring=CheckpointRing(tmp_path, capacity=3), checkpoint_interval=3
+            sim1,
+            store=ShardedCheckpointStore(tmp_path, capacity=3),
+            checkpoint_interval=3,
         )
         runner.run(n_steps=12)
         return sim1  # "killed" here: the process state is abandoned
+
+    def _restart(self, tmp_path):
+        """A fresh process: new simulation, store rescanned from disk."""
+        sim2 = Simulation(adaptive_case())
+        epoch, (arrays,), skipped = ShardedCheckpointStore(
+            tmp_path, capacity=3
+        ).restore_latest()
+        sim2.load_state(arrays)
+        return sim2, epoch, skipped
 
     def _assert_tail_matches(self, sim2, results, reference, start):
         ref_tail = reference.history[start:]
@@ -355,26 +349,19 @@ class TestKillAndRestart:
         assert np.array_equal(uz1, uz2)
 
     def test_restart_from_newest_checkpoint(self, tmp_path, reference):
-        self._interrupted_ring(tmp_path)
-        # A fresh process: new simulation, ring rescanned from disk.
-        sim2 = Simulation(adaptive_case())
-        ring = CheckpointRing(tmp_path, capacity=3)
-        entry, skipped = ring.restore_latest(sim2)
-        assert entry.step == 12 and skipped == []
+        self._interrupted_store(tmp_path)
+        sim2, epoch, skipped = self._restart(tmp_path)
+        assert epoch == 12 and skipped == []
         results = sim2.run(n_steps=6)
         self._assert_tail_matches(sim2, results, reference, start=12)
 
     def test_restart_with_truncated_newest_checkpoint(self, tmp_path, reference):
-        self._interrupted_ring(tmp_path)
-        ring = CheckpointRing(tmp_path, capacity=3)
-        newest = ring.entries[-1]
-        raw = newest.path.read_bytes()
-        newest.path.write_bytes(raw[: len(raw) // 2])  # deliberate truncation
+        self._interrupted_store(tmp_path)
+        shard = tmp_path / "epoch_00000012" / "shard_0000.npz"
+        raw = shard.read_bytes()
+        shard.write_bytes(raw[: len(raw) // 2])  # deliberate truncation
 
-        sim2 = Simulation(adaptive_case())
-        ring2 = CheckpointRing(tmp_path, capacity=3)
-        entry, skipped = ring2.restore_latest(sim2)
-        assert entry.step == 9
-        assert [e.step for e in skipped] == [12]
+        sim2, epoch, skipped = self._restart(tmp_path)
+        assert epoch == 9 and skipped == [12]
         results = sim2.run(n_steps=9)
         self._assert_tail_matches(sim2, results, reference, start=9)

@@ -8,6 +8,7 @@ from repro.resilience.distributed import (
     ShardCorruptError,
     ShardedCheckpointStore,
 )
+from tests.resilience.test_checkpoint import flip_member_byte
 
 
 def shards_for(epoch, world_size=3, n=5):
@@ -98,6 +99,22 @@ class TestShardVerification:
         # shard is skipped whole and evicted.
         assert epoch == 1 and skipped == [2]
         assert store.epochs() == [1]
+
+    def test_corrupt_deflate_stream_falls_back(self, tmp_path):
+        store = ShardedCheckpointStore(tmp_path, capacity=3)
+        store.save_epoch(1, shards_for(1, world_size=1))
+        store.save_epoch(2, shards_for(2, world_size=1))
+        # One flipped byte that breaks the deflate stream of the newest
+        # epoch's only shard: zlib raises, not the zip CRC check.
+        victim = tmp_path / "epoch_00000002" / "shard_0000.npz"
+        victim.write_bytes(flip_member_byte(victim.read_bytes(), "temperature.npy", 0))
+
+        with pytest.raises(ShardCorruptError, match="decompressing"):
+            store.verify_epoch(2)
+        epoch, shards, skipped = store.restore_latest()
+        assert epoch == 1 and skipped == [2]
+        (want,) = shards_for(1, world_size=1)
+        assert np.array_equal(shards[0]["temperature"], want["temperature"])
 
     def test_manifest_mismatch_detected(self, tmp_path):
         store = ShardedCheckpointStore(tmp_path)
