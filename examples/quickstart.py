@@ -3,8 +3,8 @@
 
 Runs a laptop-scale DNS at Ra = 1e5 (Pr = 1) in a doubly-periodic box with
 the full production configuration of the framework -- P_N-P_N splitting,
-BDF3/EXT3, 3/2-rule dealiasing, GMRES + hybrid Schwarz multigrid pressure
-solve -- and prints the Nusselt-number estimators, the wall-time
+BDF3/EXT3, 3/2-rule dealiasing, flexible CG + hybrid Schwarz multigrid
+pressure solve -- and prints the Nusselt-number estimators, the wall-time
 distribution over solver phases and the boundary-layer thickness.
 
 Run:  python examples/quickstart.py [--steps N]

@@ -92,29 +92,19 @@ def _lagrange_matrices_on_nodes(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 @functools.lru_cache(maxsize=None)
-def extended_grid_operators(lx: int, overlap: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def extended_grid_operators(lx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigen-setup of the extended reference grid for ``lx`` GLL points.
 
     Returns ``(S, lam, nodes)`` where the columns of ``S`` are generalized
     eigenvectors of the Dirichlet-reduced extended (stiffness, mass) pair
-    normalized so ``S^T M S = I``, and ``lam`` the eigenvalues.
-
-    With ``overlap=False`` the grid is the element's GLL points plus one
-    ghost point per side carrying the homogeneous Dirichlet cap; the reduced
-    system has ``lx`` dofs.  With ``overlap=True`` the local domain extends
-    one point *into* the neighbours (those points carry real residual data
-    gathered by the smoother) and the Dirichlet caps sit one further gap out;
-    the reduced system has ``lx + 2`` dofs.
+    normalized so ``S^T M S = I``, and ``lam`` the eigenvalues.  The grid is
+    the element's GLL points plus one ghost point per side carrying the
+    homogeneous Dirichlet cap; the reduced system has ``lx`` dofs.
     """
     x, _ = gll_points_weights(lx)
     x = np.asarray(x)
     gap = x[1] - x[0]
-    if overlap:
-        nodes = np.concatenate(
-            [[x[0] - 2 * gap, x[0] - gap], x, [x[-1] + gap, x[-1] + 2 * gap]]
-        )
-    else:
-        nodes = np.concatenate([[x[0] - gap], x, [x[-1] + gap]])
+    nodes = np.concatenate([[x[0] - gap], x, [x[-1] + gap]])
     stiff, mass = _lagrange_matrices_on_nodes(nodes)
     # Homogeneous Dirichlet at the two cap points: drop first/last row+col.
     k_red = stiff[1:-1, 1:-1]
@@ -147,13 +137,13 @@ def _element_lengths(space: FunctionSpace) -> tuple[np.ndarray, np.ndarray, np.n
 class FastDiagonalization:
     """Batched per-element FDM solve ``u_e = A3_e^{-1} r_e``.
 
-    With ``overlap=True`` the solve acts on extended ``(lx+2)^3`` arrays
-    whose ghost layer carries neighbour residual data (the true one-layer
-    overlapping Schwarz); otherwise on plain ``lx^3`` element arrays with
-    zero Dirichlet ghost caps.
+    Acts on plain ``lx^3`` element arrays with zero Dirichlet ghost caps.
+    This is the local solve of :class:`~repro.precond.schwarz.SchwarzSmoother`,
+    which adds the counting weights and the gather--scatter that make it a
+    preconditioner.
 
-    The ``(S, S^T, inv_d3)`` setup is a pure function of the mesh geometry
-    and ``overlap``, so it is shared through the process-wide
+    The ``(S, S^T, inv_d3)`` setup is a pure function of the mesh geometry,
+    so it is shared through the process-wide
     :class:`~repro.precond.cache.OperatorCache` (``cache=None``); pass
     ``cache=False`` to force a private cold build.
     """
@@ -161,21 +151,17 @@ class FastDiagonalization:
     def __init__(
         self,
         space: FunctionSpace,
-        overlap: bool = False,
         cache: OperatorCache | bool | None = None,
     ) -> None:
-        self.space = space
-        self.overlap = overlap
-        key = CacheKey.for_space(space, f"fdm[overlap={overlap}]")
+        key = CacheKey.for_space(space, "fdm")
         self.s, self.st, self.inv_d3 = resolve_cache(cache).get_or_build(
-            key, lambda: self._build(space, overlap)
+            key, lambda: self._build(space)
         )
-        self._inv_counts: np.ndarray | None = None
 
     @staticmethod
-    def _build(space: FunctionSpace, overlap: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _build(space: FunctionSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lx = space.lx
-        s, lam, _ = extended_grid_operators(lx, overlap=overlap)
+        s, lam, _ = extended_grid_operators(lx)
         lr, ls, lt = _element_lengths(space)
 
         # Eigenvalue tensor D3[e, k, j, i] of the separable operator with
@@ -207,20 +193,3 @@ class FastDiagonalization:
         v = self._tensor_apply(r, self.st)
         v *= self.inv_d3
         return self._tensor_apply(v, self.s)
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Preconditioner interface: local solves + counting-weighted average.
-
-        Element-local inverses break interelement continuity; a Krylov
-        direction with a discontinuous component picks up the assembled
-        operator's null space (small residual, wrong field), so standalone
-        use must restore continuity.  This is the classic additive Schwarz
-        with counting weights; the full ghost-exchange variant lives in
-        :class:`~repro.precond.schwarz.SchwarzSmoother`.  Still asymmetric
-        with respect to the gather--scatter inner product -> pair with
-        GMRES, not CG.
-        """
-        if self._inv_counts is None:
-            gs = self.space.gs
-            self._inv_counts = 1.0 / gs.add(np.ones(self.space.shape))
-        return self.space.gs.add(self.solve(r)) * self._inv_counts

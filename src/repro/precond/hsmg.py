@@ -56,13 +56,11 @@ class HybridSchwarzMultigrid:
         mask: np.ndarray | None = None,
         coarse_iterations: int = 10,
         mid_orders: tuple[int, ...] = (),
-        overlap: bool = False,
         coarse_method: str = "direct",
         cache: OperatorCache | bool | None = None,
     ) -> None:
         self.space = space
         self.mask = mask
-        self.overlap = overlap
         self.coarse = CoarseGridSolver(
             space,
             iterations=coarse_iterations,
@@ -70,7 +68,7 @@ class HybridSchwarzMultigrid:
             method=coarse_method,
             cache=cache,
         )
-        self.schwarz = SchwarzSmoother(space, mask=mask, overlap=overlap, cache=cache)
+        self.schwarz = SchwarzSmoother(space, mask=mask, cache=cache)
         # (space, smoother, mid->fine interpolation, its transpose)
         self.mid_levels: list[tuple[FunctionSpace, SchwarzSmoother, np.ndarray, np.ndarray]] = []
         fine_pts, _ = gll_points_weights(space.lx)
@@ -103,7 +101,10 @@ class HybridSchwarzMultigrid:
         """``sum_k R_k^T A~_k^{-1} R_k r`` -- the bandwidth-bound smoothers."""
         z = self.schwarz(r)
         for mid_space, smoother, j_m2f, j_f2m in self.mid_levels:
-            rm = mid_space.gs.add(interp3(r, j_f2m))
+            # Weight the assembled residual by the fine counting weight so
+            # the restriction is the transpose of the prolongation in the
+            # gather--scatter inner product (the level stays symmetric).
+            rm = mid_space.gs.add(interp3(r * self.space.gs.inv_multiplicity, j_f2m))
             zm = smoother(rm)
             z += interp3(mid_space.gs.average(zm), j_m2f)
         return z

@@ -3,17 +3,15 @@
 Conjugate gradients with block-Jacobi preconditioning for the velocity and
 temperature Helmholtz solves; flexible CG with the (symmetric) hybrid
 Schwarz-multigrid preconditioner behind a previous-solutions projection for
-the pressure Poisson equation; GMRES -- the paper's pressure solver -- for
-the preconditioner variants that are not symmetric.  All are implemented
-matrix-free against a user-supplied operator callable and a user-supplied
-inner product (so that duplicated SEM storage and, in the distributed case,
-allreduce-based dots plug in unchanged).
+the pressure Poisson equation, where the paper runs GMRES.  Both are
+implemented matrix-free against a user-supplied operator callable and a
+user-supplied inner product (so that duplicated SEM storage and, in the
+distributed case, allreduce-based dots plug in unchanged).
 """
 
 from repro.solvers.monitor import SolverMonitor
 from repro.solvers.cg import ConjugateGradient
 from repro.solvers.fcg import FlexibleCG
-from repro.solvers.gmres import Gmres
 from repro.solvers.projection import MeanProjector
 from repro.solvers.solution_projection import SolutionProjection
 
@@ -21,7 +19,6 @@ __all__ = [
     "SolverMonitor",
     "ConjugateGradient",
     "FlexibleCG",
-    "Gmres",
     "MeanProjector",
     "SolutionProjection",
 ]

@@ -13,8 +13,8 @@ The *flexible* (Polak--Ribiere) direction update
 ``beta = <z_new, r_new - r_old> / <z_old, r_old>`` keeps the iteration
 convergent when the preconditioner is only approximately a fixed symmetric
 operator: the fixed-iteration coarse CG (defect 6e-6 to 8e-3) is admissible.
-The one-layer overlap smoother (1e-2 to 1.7e-1) and the raw FDM (5e-3 to
-1.0) are not; they stay GMRES material (:mod:`repro.solvers.gmres`).
+Every preconditioner in :mod:`repro.precond` runs under it, so the repo keeps
+no second Krylov family for preconditioners that are not symmetric.
 
 The iteration stops on the recurrence residual and is closed by one
 evaluation of the true residual ``b - A x``; if that misses the target the

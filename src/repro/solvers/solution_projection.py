@@ -140,7 +140,7 @@ class SolutionProjection:
         """Deflate, solve the remainder, update the space.
 
         ``solver`` must expose ``solve(b, x0=None) -> (x, monitor)`` (the
-        CG/GMRES interface); one that also exposes ``closing_ax`` (``A dx``
+        Krylov solver interface); one that also exposes ``closing_ax`` (``A dx``
         from its closing true residual, as :class:`~repro.solvers.fcg.FlexibleCG`
         does) saves the operator application of the update.  Returns
         ``(x, monitor)`` for the *full* problem.  The solver's absolute floor

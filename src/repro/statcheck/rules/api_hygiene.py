@@ -1,11 +1,10 @@
-"""api-hygiene: mutable defaults, shadowed builtins, unreachable code.
+"""api-hygiene: shadowed builtins, unreachable code.
 
 Classic Python footguns that are cheap to catch statically and expensive
-to debug in a numerics codebase: a mutable default aliases state across
-calls (deadly for anything holding field history), a parameter named
-``max`` turns the next ``max(...)`` three lines down into a type error,
-and statements after an unconditional ``return``/``raise`` are dead
-weight that reads as live logic.
+to debug in a numerics codebase: a parameter named ``max`` turns the next
+``max(...)`` three lines down into a type error, and statements after an
+unconditional ``return``/``raise`` are dead weight that reads as live
+logic.  Mutable default arguments are ruff's B006.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ SHADOWED_BUILTINS = {
     "object", "print", "open", "slice",
 }
 
-_MUTABLE_CALLS = {"list", "dict", "set"}
 _TERMINATORS = (ast.Return, ast.Raise, ast.Break, ast.Continue)
 
 
@@ -37,34 +35,15 @@ class ApiHygieneRule(Rule):
     name = "api-hygiene"
     severity = Severity.WARNING
     description = (
-        "no mutable default arguments, shadowed builtins in function scope, "
-        "or unreachable statements after return/raise"
+        "no shadowed builtins in function scope or unreachable statements "
+        "after return/raise"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_defaults(ctx, node)
                 yield from self._check_shadowing(ctx, node)
             yield from self._check_unreachable(ctx, node)
-
-    # -- mutable defaults ----------------------------------------------------
-
-    def _check_defaults(self, ctx: ModuleContext, fn) -> Iterator[Finding]:
-        defaults = list(fn.args.defaults) + [d for d in fn.args.kw_defaults if d]
-        for d in defaults:
-            if isinstance(d, (ast.List, ast.Dict, ast.Set)) or (
-                isinstance(d, ast.Call)
-                and isinstance(d.func, ast.Name)
-                and d.func.id in _MUTABLE_CALLS
-            ):
-                yield ctx.finding(
-                    self,
-                    d,
-                    f"mutable default argument in `{fn.name}()` is shared "
-                    f"across calls; default to None and construct inside",
-                    severity=Severity.ERROR,
-                )
 
     # -- shadowed builtins ---------------------------------------------------
 

@@ -1,16 +1,16 @@
-"""resource-discipline: context-managed resources, no bare excepts.
+"""resource-discipline: context-managed resources.
 
 The in-situ pipeline and the resilience subsystem are the two places
 where this codebase touches the outside world (files, worker threads,
 queues, locks) *and* where errors are deliberately survived.  That
-combination makes leaked handles and swallowed exceptions expensive:
+combination makes leaked handles expensive:
 
 * an ``open()`` outside a ``with`` leaks its descriptor on the error
   paths the resilience layer exists to exercise;
 * a ``lock.acquire()`` outside ``with`` deadlocks the pipeline when the
-  guarded block raises;
-* a bare ``except:`` catches ``KeyboardInterrupt`` / ``SystemExit`` and
-  turns an operator's Ctrl-C into a hung drain loop.
+  guarded block raises.
+
+Bare ``except:`` clauses are ruff's E722.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class ResourceDisciplineRule(Rule):
     severity = Severity.WARNING
     description = (
         "files and locks in repro.insitu / repro.resilience / repro.core must "
-        "use context managers; no bare `except:`"
+        "use context managers"
     )
 
     def applies(self, ctx: ModuleContext) -> bool:
@@ -42,37 +42,22 @@ class ResourceDisciplineRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         with_exprs = _with_context_exprs(ctx.tree)
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
+            if not isinstance(node, ast.Call) or id(node) in with_exprs:
+                continue
+            if isinstance(node.func, ast.Name) and node.func.id == "open":
                 yield ctx.finding(
                     self,
                     node,
-                    "bare `except:` catches KeyboardInterrupt/SystemExit; "
-                    "catch `Exception` (or narrower) instead",
-                    severity=Severity.ERROR,
+                    "`open()` outside a `with` block leaks the descriptor "
+                    "on error paths; use `with open(...) as f:`",
                 )
-            elif isinstance(node, ast.Call):
-                if (
-                    isinstance(node.func, ast.Name)
-                    and node.func.id == "open"
-                    and id(node) not in with_exprs
-                ):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        "`open()` outside a `with` block leaks the descriptor "
-                        "on error paths; use `with open(...) as f:`",
-                    )
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "acquire"
-                    and id(node) not in with_exprs
-                ):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        "explicit `.acquire()`: prefer `with lock:` so the lock "
-                        "is released when the guarded block raises",
-                    )
+            elif isinstance(node.func, ast.Attribute) and node.func.attr == "acquire":
+                yield ctx.finding(
+                    self,
+                    node,
+                    "explicit `.acquire()`: prefer `with lock:` so the lock "
+                    "is released when the guarded block raises",
+                )
 
 
 def _with_context_exprs(tree: ast.AST) -> set[int]:

@@ -7,10 +7,8 @@ This module turns the closed-form fields of
   box) shared by the convergence studies and the regression tests;
 * elliptic MMS solves with inhomogeneous Dirichlet data handled by lifting
   (solve the homogeneous correction, add the boundary interpolant back);
-* a preconditioner factory pairing each preconditioner with the Krylov
-  method its iteration bands were pinned with -- GMRES for the FDM/Schwarz
-  family (the raw FDM is not symmetric with respect to the gather--scatter
-  inner product and needs it), CG for Jacobi;
+* a preconditioner factory, each entry run under flexible CG (every
+  preconditioner is symmetric in the gather--scatter inner product);
 * temporal MMS problems for the scalar advection--diffusion equation and
   the coupled Boussinesq step, with the multistep history primed from the
   exact solution so the BDFk/EXTk design order is observable from the very
@@ -32,7 +30,6 @@ import numpy as np
 from repro.core.case import CaseConfig
 from repro.core.fluid import FluidScheme
 from repro.core.scalar import ScalarScheme
-from repro.precond.fdm import FastDiagonalization
 from repro.precond.hsmg import HybridSchwarzMultigrid
 from repro.precond.jacobi import JacobiPrecond
 from repro.precond.schwarz import SchwarzSmoother
@@ -41,7 +38,7 @@ from repro.sem.mesh import HexMesh, box_mesh
 from repro.sem.operators import ax_helmholtz, ax_poisson, convective_term_collocated
 from repro.sem.space import FunctionSpace
 from repro.solvers.cg import ConjugateGradient
-from repro.solvers.gmres import Gmres
+from repro.solvers.fcg import FlexibleCG
 from repro.solvers.monitor import SolverMonitor
 from repro.verify.manufactured import (
     BoussinesqMMS,
@@ -194,36 +191,14 @@ def solve_helmholtz_mms(
 
 # -- preconditioner factory --------------------------------------------------
 
-#: Preconditioner names accepted by :func:`make_preconditioner`, each paired
-#: with the Krylov method its iteration bands were pinned with.
-PRECONDITIONERS: tuple[str, ...] = ("none", "jacobi", "fdm", "schwarz", "hsmg")
+#: Preconditioner names accepted by :func:`make_preconditioner`.
+PRECONDITIONERS: tuple[str, ...] = ("none", "jacobi", "schwarz", "hsmg")
 
 
 def make_preconditioner(
     name: str, space: FunctionSpace, mask: Array
-) -> tuple[Callable[[Array], Array] | None, str]:
-    """Build preconditioner ``name``; returns ``(apply, recommended_solver)``.
-
-    ``recommended_solver`` is ``"cg"`` for identity and Jacobi and
-    ``"gmres"`` for the FDM/Schwarz family.  Only the raw FDM needs it: its
-    unweighted element-local solves are not symmetric in the gather--scatter
-    inner product (observed on the MMS box: classic CG 2000 iterations
-    without convergence, flexible CG 115, GMRES 57).  Measured symmetry defect
-    ``|<M r1, r2> - <r1, M r2>| / |<M r1, r2>|`` (box / deformed meshes):
-
-    ======================================  ==============
-    additive Schwarz, symmetric weights     0 -- 1e-14
-    HSMG, direct coarse solve (production)  5e-15
-    HSMG, fixed-iteration coarse CG         6e-6 -- 8e-3
-    HSMG / Schwarz, one-layer overlap       1e-2 -- 1.7e-1
-    raw FDM                                 5e-3 -- 1.0
-    ======================================  ==============
-
-    The first three rows are CG material -- the production pressure solve
-    runs flexible CG on the second (:mod:`repro.solvers.fcg`) -- and stay
-    paired with GMRES here only because the pinned iteration bands in
-    ``tests/precond`` were taken with it.
-    """
+) -> Callable[[Array], Array] | None:
+    """Build preconditioner ``name`` (``None`` for the identity)."""
 
     def masked(apply: Callable[[Array], Array]) -> Callable[[Array], Array]:
         def wrapped(r: Array) -> Array:
@@ -232,24 +207,17 @@ def make_preconditioner(
         return wrapped
 
     if name == "none":
-        return None, "cg"
+        return None
     if name == "jacobi":
-        return JacobiPrecond(space, 1.0, 0.0, mask=mask), "cg"
-    if name == "fdm":
-        return masked(FastDiagonalization(space)), "gmres"
+        return JacobiPrecond(space, 1.0, 0.0, mask=mask)
     if name == "schwarz":
-        return masked(SchwarzSmoother(space, mask=mask)), "gmres"
+        return masked(SchwarzSmoother(space, mask=mask))
     if name == "hsmg":
         # Pin the paper's configuration (10-iteration CG coarse solve):
         # the iteration-count regression bands reference this variant, not
         # the production direct-coarse fast path.
-        return (
-            masked(
-                HybridSchwarzMultigrid(
-                    space, mask=mask, coarse_iterations=10, coarse_method="cg"
-                )
-            ),
-            "gmres",
+        return masked(
+            HybridSchwarzMultigrid(space, mask=mask, coarse_iterations=10, coarse_method="cg")
         )
     raise ValueError(f"unknown preconditioner {name!r}; options: {PRECONDITIONERS}")
 
@@ -261,11 +229,11 @@ def solve_poisson_mms_preconditioned(
     tol: float = 1e-10,
     maxiter: int = 2000,
 ) -> EllipticSolveResult:
-    """Poisson MMS solve through :func:`make_preconditioner`.
+    """Poisson MMS solve under flexible CG with :func:`make_preconditioner`.
 
-    Used by the iteration-count regression tests and the CLI: the error
-    assertion proves the preconditioned solve converges to the *right*
-    answer, the iteration count pins the preconditioner's strength.
+    Used by the iteration-count regression tests: the error assertion
+    proves the preconditioned solve converges to the *right* answer, the
+    iteration count pins the preconditioner's strength.
     """
     bc = DirichletBC(space, space.mesh.boundary_labels(), mms.solution)
     mask, lift = bc.mask, bc.values
@@ -277,13 +245,13 @@ def solve_poisson_mms_preconditioned(
     def amul(u: Array) -> Array:
         return space.gs.add(ax_poisson(u, space.coef, space.dx)) * mask
 
-    pre, method = make_preconditioner(precond, space, mask)
-    if method == "cg":
-        solver: ConjugateGradient | Gmres = ConjugateGradient(
-            amul, space.gs.dot, precond=pre, tol=tol, maxiter=maxiter
-        )
-    else:
-        solver = Gmres(amul, space.gs.dot, precond=pre, tol=tol, maxiter=maxiter)
+    solver = FlexibleCG(
+        amul,
+        space.gs.inv_multiplicity,
+        precond=make_preconditioner(precond, space, mask),
+        tol=tol,
+        maxiter=maxiter,
+    )
     u0, mon = solver.solve(rhs)
     u = u0 + lift
     exact = space.interpolate(mms.solution)

@@ -2,22 +2,16 @@
 
 Preconditioner strength regresses silently: the solve still converges,
 just slower, and nothing fails until someone profiles.  These tests pin
-the Krylov iteration counts of every preconditioner on a fixed
+the flexible-CG iteration counts of every preconditioner on a fixed
 deformed-mesh Poisson problem (seeded geometry, fixed tolerance) inside
 +-15% tolerance bands.
 
 Reference counts on the fixed problem
 (deformed 3^3 box, lx = 6, amplitude 0.08, seed 42, tol 1e-10):
 
-    none(CG) 131,  jacobi(CG) 108,  fdm(GMRES) 78,
-    schwarz(GMRES) 64,  hsmg(GMRES) 56
+    none 131,  jacobi 108,  schwarz 63,  hsmg 55
 
-The schwarz/hsmg counts were re-pinned when the Schwarz counting weight
-became symmetric (W^{1/2} on both sides of the local solves instead of a
-one-sided post-weighting): the smoother got strictly stronger (78 -> 64,
-71 -> 56) at identical MMS error.
-
-The ordering none > jacobi > schwarz-family > hsmg is itself asserted --
+The ordering none > jacobi > schwarz >= hsmg is itself asserted --
 that hierarchy is the entire point of the preconditioner stack.
 """
 
@@ -33,9 +27,8 @@ from repro.verify.problems import (
 REFERENCE_ITERATIONS = {
     "none": 131,
     "jacobi": 108,
-    "fdm": 78,
-    "schwarz": 64,
-    "hsmg": 56,
+    "schwarz": 63,
+    "hsmg": 55,
 }
 BAND = 0.15
 TOL = 1e-10
@@ -74,4 +67,3 @@ class TestIterationRegression:
         assert it["jacobi"] < it["none"]
         assert it["schwarz"] < it["jacobi"]
         assert it["hsmg"] <= it["schwarz"]
-        assert it["fdm"] <= it["jacobi"]

@@ -1,10 +1,10 @@
-"""Tests for CG, flexible CG and GMRES against dense references and SEM operators."""
+"""Tests for CG and flexible CG against dense references and SEM operators."""
 
 import numpy as np
 import pytest
 
 from repro.observability.tracer import Tracer
-from repro.solvers import ConjugateGradient, FlexibleCG, Gmres, MeanProjector, SolverMonitor
+from repro.solvers import ConjugateGradient, FlexibleCG, MeanProjector, SolverMonitor
 
 
 def dense_dot(a, b):
@@ -281,69 +281,6 @@ class TestFlexibleCG:
         assert span.tags["converged"] is True
         assert span.tags["initial_residual"] == mon.initial_residual
         assert span.tags["final_residual"] == mon.final_residual
-
-
-class TestGmres:
-    def test_identity(self):
-        b = np.ones(8)
-        g = Gmres(lambda u: u.copy(), dense_dot)
-        x, mon = g.solve(b)
-        assert np.allclose(x, b)
-        assert mon.converged
-
-    def test_nonsymmetric_system(self):
-        rng = np.random.default_rng(6)
-        a = np.eye(30) + 0.3 * rng.normal(size=(30, 30))
-        b = rng.normal(size=30)
-        g = Gmres(lambda u: a @ u, dense_dot, tol=1e-11, maxiter=200, restart=30)
-        x, mon = g.solve(b)
-        assert mon.converged
-        assert np.allclose(a @ x, b, atol=1e-8)
-
-    def test_restart_still_converges(self):
-        rng = np.random.default_rng(7)
-        a = np.eye(50) + 0.05 * rng.normal(size=(50, 50))
-        b = rng.normal(size=50)
-        g = Gmres(lambda u: a @ u, dense_dot, tol=1e-10, maxiter=500, restart=7)
-        x, mon = g.solve(b)
-        assert mon.converged
-        assert np.allclose(a @ x, b, atol=1e-7)
-        # restart=0 would spin forever (no iteration ever counted).
-        with pytest.raises(ValueError):
-            Gmres(lambda u: a @ u, dense_dot, restart=0)
-
-    def test_right_preconditioning_exact(self):
-        a = make_spd(25, seed=8, cond=1e5)
-        ainv = np.linalg.inv(a)
-        b = np.ones(25)
-        g = Gmres(lambda u: a @ u, dense_dot, precond=lambda r: ainv @ r, tol=1e-12)
-        x, mon = g.solve(b)
-        assert mon.converged
-        assert mon.iterations <= 3
-
-    def test_singular_consistent_with_projection(self):
-        # A = Laplacian-like singular matrix (constant null space); solve the
-        # projected problem.
-        n = 12
-        a = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        a[0, 0] = a[-1, -1] = 1.0  # pure Neumann 1-D Laplacian
-        proj = MeanProjector(np.ones(n))
-        rng = np.random.default_rng(9)
-        b = proj(rng.normal(size=n))
-        g = Gmres(lambda u: a @ u, dense_dot, tol=1e-11, project_out=proj, maxiter=100)
-        x, mon = g.solve(b)
-        assert mon.converged
-        assert np.allclose(a @ x, b, atol=1e-8)
-        assert abs(np.mean(x)) < 1e-10
-
-    def test_nonzero_initial_guess(self):
-        rng = np.random.default_rng(10)
-        a = np.eye(20) + 0.1 * rng.normal(size=(20, 20))
-        xe = rng.normal(size=20)
-        b = a @ xe
-        g = Gmres(lambda u: a @ u, dense_dot, tol=1e-12)
-        x, mon = g.solve(b, x0=xe * 0.99)
-        assert np.allclose(x, xe, atol=1e-8)
 
 
 class TestMeanProjector:

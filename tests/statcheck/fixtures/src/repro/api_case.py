@@ -1,11 +1,6 @@
 """Fixture: api-hygiene violations.  Linted by tests, never imported."""
 
 
-def bad_default(x, acc=[]):  # finding: mutable default argument
-    acc.append(x)
-    return acc
-
-
 def shadowing(values, list=None):  # finding: parameter shadows builtin
     sum = 0.0  # finding: assignment shadows builtin
     for v in values:

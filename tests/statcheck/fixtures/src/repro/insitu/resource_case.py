@@ -3,10 +3,7 @@
 
 def read_header(path):
     f = open(path)  # finding: open() outside a with-statement
-    try:
-        return f.readline()
-    except:  # noqa: E722  -- finding: bare except
-        return ""
+    return f.readline()
 
 
 def read_safe(path):

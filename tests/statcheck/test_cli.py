@@ -17,7 +17,7 @@ class TestExitCodes:
     def test_fixture_tree_without_baseline_fails(self, capsys):
         assert main([str(FIXTURES)]) == 1
         out = capsys.readouterr().out
-        assert "13 finding(s)" in out and "[span-hygiene]" in out
+        assert "11 finding(s)" in out and "[span-hygiene]" in out
 
     def test_new_violation_breaks_the_gate(self, tmp_path, capsys):
         """The acceptance criterion: a fresh violation in a clean tree
@@ -58,7 +58,7 @@ class TestOutput:
     def test_json_format(self, capsys):
         assert main([str(FIXTURES), "--format", "json"]) == 1
         data = json.loads(capsys.readouterr().out)
-        assert data["failing"] == len(data["findings"]) == 13
+        assert data["failing"] == len(data["findings"]) == 11
         sample = data["findings"][0]
         assert {"rule", "path", "line", "severity", "message"} <= set(sample)
 

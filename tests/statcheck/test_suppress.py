@@ -74,7 +74,7 @@ class TestEngineIntegration:
 
 class TestDecoratorForwarding:
     """A suppression on a decorator line must cover the decorated def:
-    findings (mutable defaults, shadowed params, ...) are reported at the
+    findings (shadowed params, ...) are reported at the
     ``def`` line, not the ``@`` line the author annotated."""
 
     def test_forward_copies_the_entry(self):
@@ -93,8 +93,8 @@ class TestDecoratorForwarding:
         mod = tmp_path / "deco.py"
         mod.write_text(
             "@register  # statcheck: ignore[api-hygiene] -- fixture: intentional\n"
-            "def f(history=[]):\n"
-            "    return history\n"
+            "def f(list=None):\n"
+            "    return list\n"
         )
         findings, errors = check_paths([mod], get_rules(["api-hygiene"]))
         assert errors == []
@@ -110,8 +110,8 @@ class TestDecoratorForwarding:
             "@inner(\n"
             "    option=1,\n"
             ")\n"
-            "def f(history=[]):\n"
-            "    return history\n"
+            "def f(list=None):\n"
+            "    return list\n"
         )
         findings, errors = check_paths([mod], get_rules(["api-hygiene"]))
         assert errors == []
@@ -120,8 +120,8 @@ class TestDecoratorForwarding:
     def test_undecorated_def_is_still_reported(self, tmp_path):
         mod = tmp_path / "plain.py"
         mod.write_text(
-            "def f(history=[]):\n"
-            "    return history\n"
+            "def f(list=None):\n"
+            "    return list\n"
         )
         findings, _ = check_paths([mod], get_rules(["api-hygiene"]))
         assert [f.line for f in findings] == [1]
@@ -130,8 +130,8 @@ class TestDecoratorForwarding:
         mod = tmp_path / "deco_plain.py"
         mod.write_text(
             "@register\n"
-            "def f(history=[]):\n"
-            "    return history\n"
+            "def f(list=None):\n"
+            "    return list\n"
         )
         findings, _ = check_paths([mod], get_rules(["api-hygiene"]))
         assert [f.line for f in findings] == [2]
