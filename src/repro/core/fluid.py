@@ -27,10 +27,13 @@ modest Ra accessible here are insensitive to this.
 
 from __future__ import annotations
 
+from concurrent.futures import wait
+
 import numpy as np
 
 from repro.core.case import CaseConfig
 from repro.core.helmholtz import HelmholtzSolver
+from repro.core.overlap import INLINE, InlineExecutor, WorkerExecutor
 from repro.core.timers import RegionTimers
 from repro.observability.phases import (
     PHASE_ADVECTION,
@@ -207,12 +210,14 @@ class FluidScheme:
         self,
         forcing_weak: tuple[np.ndarray, np.ndarray, np.ndarray],
         c_fine: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        executor: InlineExecutor | WorkerExecutor = INLINE,
     ) -> dict[str, SolverMonitor]:
         """Advance the velocity/pressure one time step.
 
         ``forcing_weak`` is the mass-weighted explicit body force at the
         *current* time level (for RBC: buoyancy ``B * T^n e_z``); it is
-        extrapolated together with the advection term.
+        extrapolated together with the advection term.  ``executor`` runs
+        the v-component velocity solve (:mod:`repro.core.overlap`).
         """
         space = self.space
         b0, bs = self.scheme.bdf
@@ -262,24 +267,33 @@ class FluidScheme:
 
         with self.timers.region(PHASE_VELOCITY):
             px, py, pz = physical_grad(self.p, space.coef, space.dx)
-            b = space.coef.mass
-            mons = []
-            for comp, (r, gp, hist) in enumerate(
-                ((rhs[0], px, self.u), (rhs[1], py, self.v), (rhs[2], pz, self.w))
-            ):
-                guess = sum(aq * lev for aq, lev in zip(ext, hist))
-                sol, mon = self.velocity_solver.solve(r - b * gp, guess)
-                mons.append(mon)
+            # The v solve runs beside the u and w solves; the histories
+            # change only once all three are done.
+            task_v = executor.submit(self._solve_velocity, rhs[1], py, self.v)
+            try:
+                sol_u, mon_u = self._solve_velocity(rhs[0], px, self.u)
+                sol_w, mon_w = self._solve_velocity(rhs[2], pz, self.w)
+            finally:
+                wait([task_v])
+            sol_v, mon_v = task_v.result()
+            for hist, sol in ((self.u, sol_u), (self.v, sol_v), (self.w, sol_w)):
                 hist.insert(0, sol)
                 del hist[3:]
 
         self.monitors = {
             "pressure": mon_p,
-            "velocity_x": mons[0],
-            "velocity_y": mons[1],
-            "velocity_z": mons[2],
+            "velocity_x": mon_u,
+            "velocity_y": mon_v,
+            "velocity_z": mon_w,
         }
         return self.monitors
+
+    def _solve_velocity(
+        self, rhs: np.ndarray, grad_p: np.ndarray, hist: list[np.ndarray]
+    ) -> tuple[np.ndarray, SolverMonitor]:
+        """One component's Helmholtz solve, from the EXT-k guess of its history."""
+        guess = sum(aq * lev for aq, lev in zip(self.scheme.ext, hist))
+        return self.velocity_solver.solve(rhs - self.space.coef.mass * grad_p, guess)
 
     # -- diagnostics -----------------------------------------------------------
 

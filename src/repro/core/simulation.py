@@ -9,7 +9,9 @@ hooks: compression, streaming POD, field output).
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable, Mapping
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from repro.core.case import CaseConfig
 from repro.core.fluid import FluidScheme
 from repro.core.output import CheckpointCorruptError
+from repro.core.overlap import step_executor
 from repro.core.scalar import ScalarScheme
 from repro.core.statistics import NusseltNumbers, compute_nusselt, reynolds_number
 from repro.core.timers import RegionTimers
@@ -87,6 +90,11 @@ class Simulation:
         self.scalar = ScalarScheme(
             self.space, config, self.scheme, self.timers, dealiaser=self.fluid.dealiaser
         )
+        # Runs the temperature step and one velocity solve beside the rest
+        # of each step; a worker thread only for fields large enough to gain
+        # (repro.core.overlap), shut down when this simulation is collected.
+        self.executor = step_executor(int(np.prod(self.space.shape)), self.tracer)
+        weakref.finalize(self, self.executor.shutdown)
         self.time = 0.0
         self.step_count = 0
         # (cfl, dt) of the last completed step; drives adaptation and is
@@ -218,9 +226,15 @@ class Simulation:
             buoy = (zeros, zeros, b * self.scalar.temperature)
 
             c_fine = self.fluid.fine_velocity()
-            vel_now = self.velocity
-            self.scalar.step(vel_now, c_fine=c_fine)
-            mons = self.fluid.step(buoy, c_fine=c_fine)
+            # The temperature step reads u^n, c_fine and nothing the fluid
+            # step writes: it runs beside it, and is joined before the step
+            # goes on, also when the fluid step raises.
+            scalar_task = self.executor.submit(self.scalar.step, self.velocity, c_fine)
+            try:
+                mons = self.fluid.step(buoy, c_fine=c_fine, executor=self.executor)
+            finally:
+                wait([scalar_task])
+            scalar_task.result()
 
             self.scheme.advance()
             self.step_count += 1

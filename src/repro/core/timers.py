@@ -14,6 +14,7 @@ within a branch of the original code.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 
@@ -27,13 +28,16 @@ class RegionTimers:
 
     Regions may nest and re-enter: each entry is timed independently and
     accumulated under its own name (nested time is counted in both the
-    outer and the inner region, as with MPI region timers).
+    outer and the inner region, as with MPI region timers).  Regions on
+    two threads (a step's worker, :mod:`repro.core.overlap`) accumulate
+    under a lock, and their times add up even where they overlapped.
     """
 
     def __init__(self, tracer=None) -> None:
         self.totals: dict[str, float] = {}
         self.counts: dict[str, int] = {}
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self._lock = threading.Lock()
 
     @contextmanager
     def region(self, name: str):
@@ -46,8 +50,9 @@ class RegionTimers:
             yield
         finally:
             dt = time.perf_counter() - t0
-            self.totals[name] = self.totals.get(name, 0.0) + dt
-            self.counts[name] = self.counts.get(name, 0) + 1
+            with self._lock:
+                self.totals[name] = self.totals.get(name, 0.0) + dt
+                self.counts[name] = self.counts.get(name, 0) + 1
             if span_cm is not None:
                 span_cm.__exit__(None, None, None)
 

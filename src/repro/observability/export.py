@@ -45,7 +45,9 @@ def to_chrome_trace(
     Spans become ``"X"`` (complete) events with microsecond timestamps;
     instant events become ``"i"`` events; counter samples
     (:meth:`~repro.observability.tracer.Tracer.sample`) become ``"C"``
-    events that render as lanes.
+    events that render as lanes.  A span's thread lane becomes its
+    ``tid`` (offset by ``tid``), so work a step ran on its worker thread
+    renders as a second row.
     """
     events: list[dict] = [
         {
@@ -63,7 +65,7 @@ def to_chrome_trace(
             "name": span.name,
             "cat": str(span.tags.get("cat", "sim")),
             "pid": pid,
-            "tid": tid,
+            "tid": tid + span.lane,
             "ts": span.start * 1e6,
         }
         if span.sample:

@@ -15,15 +15,22 @@ wrapped per call -- spans sit at the phase/solve level, matching the MPI
 region timers of the production code, so the overhead of a live tracer is
 a handful of microseconds per time step.
 
-Tracers are single-threaded by design (one per simulation loop, like one
-per MPI rank); asynchronous components (the in-situ pipeline worker)
-report through their own stats objects (``PipelineStats``).
+A tracer follows the threads of one simulation loop: each thread keeps its
+own stack of open spans, and a task handed to another thread opens its
+spans under the span open where it was handed over (:meth:`Tracer.within`),
+so the step's worker thread (:mod:`repro.core.overlap`) nests its temperature
+step under ``step``.  Each span records the *lane* (thread) it ran on; the
+Chrome trace draws one row per lane, the two-stream picture of Fig. 2.
+Other asynchronous components (the in-situ pipeline worker) report through
+their own stats objects (``PipelineStats``).
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ContextManager, Iterator, Protocol
 
@@ -41,7 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
         enabled: bool
 
+        @property
+        def current(self) -> Any: ...
+
         def span(self, name: str, **tags: Any) -> ContextManager[Any]: ...
+
+        def within(self, parent: Any) -> ContextManager[Any]: ...
 
         def event(self, name: str, **tags: Any) -> Any: ...
 
@@ -86,6 +98,8 @@ class Span:
     #: value meant to be rendered as a lane chart (Chrome-trace ``"C"``
     #: events), not as a point on the span timeline.
     sample: bool = False
+    #: The thread the span ran on, numbered per tracer in order of first use.
+    lane: int = 0
 
     @property
     def duration(self) -> float:
@@ -135,7 +149,8 @@ class Tracer:
         self._clock = clock
         self._origin = clock()
         self.roots: list[Span] = []
-        self._stack: list[Span] = []
+        self._threads = threading.local()
+        self._lanes = itertools.count()
 
     # -- span lifecycle ------------------------------------------------------
 
@@ -143,18 +158,31 @@ class Tracer:
         return self._clock() - self._origin
 
     @property
+    def _stack(self) -> list[Span]:
+        """This thread's open spans, innermost last."""
+        local = self._threads
+        if not hasattr(local, "stack"):
+            local.stack = []
+            local.lane = next(self._lanes)
+        return local.stack
+
+    @property
     def current(self) -> Span | None:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
+        """The innermost open span of the calling thread, if any."""
+        stack = self._stack
+        return stack[-1] if stack else None
+
+    def _place(self, sp: Span) -> Span:
+        """Make ``sp`` a child of the current span (a root at top level)."""
+        sp.parent = self.current
+        sp.lane = self._threads.lane
+        (sp.parent.children if sp.parent is not None else self.roots).append(sp)
+        return sp
 
     @contextmanager
     def span(self, name: str, **tags: Any) -> Iterator[Span]:
         """Open a child span of the current span (a root span at top level)."""
-        sp = Span(name=name, start=self._now(), parent=self.current, tags=tags)
-        if sp.parent is not None:
-            sp.parent.children.append(sp)
-        else:
-            self.roots.append(sp)
+        sp = self._place(Span(name=name, start=self._now(), tags=tags))
         self._stack.append(sp)
         try:
             yield sp
@@ -162,17 +190,27 @@ class Tracer:
             sp.end = self._now()
             self._stack.pop()
 
+    @contextmanager
+    def within(self, parent: Span | None) -> Iterator[None]:
+        """Open this thread's spans under ``parent``, a span of another thread.
+
+        A task handed to a worker thread enters this with the submitting
+        thread's :attr:`current` span, so what the task traces nests where
+        the serial code would have traced it.
+        """
+        stack = self._stack
+        if parent is not None:
+            stack.append(parent)
+        try:
+            yield
+        finally:
+            if parent is not None:
+                stack.pop()
+
     def event(self, name: str, **tags: Any) -> Span:
         """Record a zero-duration instant event at the current position."""
         now = self._now()
-        sp = Span(
-            name=name, start=now, end=now, parent=self.current, tags=tags, instant=True
-        )
-        if sp.parent is not None:
-            sp.parent.children.append(sp)
-        else:
-            self.roots.append(sp)
-        return sp
+        return self._place(Span(name=name, start=now, end=now, tags=tags, instant=True))
 
     def sample(self, name: str, value: float, **tags: Any) -> Span:
         """Record one timestamped counter sample (a point of a metric lane).
@@ -184,21 +222,17 @@ class Tracer:
         at phase/step granularity.
         """
         now = self._now()
-        sp = Span(
-            name=name,
-            start=now,
-            end=now,
-            parent=self.current,
-            tags=tags,
-            counters={"value": float(value)},
-            instant=True,
-            sample=True,
+        return self._place(
+            Span(
+                name=name,
+                start=now,
+                end=now,
+                tags=tags,
+                counters={"value": float(value)},
+                instant=True,
+                sample=True,
+            )
         )
-        if sp.parent is not None:
-            sp.parent.children.append(sp)
-        else:
-            self.roots.append(sp)
-        return sp
 
     def record_span(
         self, name: str, duration: float, counters: dict[str, float] | None = None, **tags: Any
@@ -210,19 +244,15 @@ class Tracer:
         the span is placed so that it ends at the current time.
         """
         now = self._now()
-        sp = Span(
-            name=name,
-            start=now - max(duration, 0.0),
-            end=now,
-            parent=self.current,
-            tags=tags,
-            counters=dict(counters or {}),
+        return self._place(
+            Span(
+                name=name,
+                start=now - max(duration, 0.0),
+                end=now,
+                tags=tags,
+                counters=dict(counters or {}),
+            )
         )
-        if sp.parent is not None:
-            sp.parent.children.append(sp)
-        else:
-            self.roots.append(sp)
-        return sp
 
     def add(self, counter: str, value: float = 1.0) -> None:
         """Accumulate a counter on the innermost open span (no-op at top level)."""
@@ -305,6 +335,9 @@ class NullTracer:
     @contextmanager
     def span(self, name: str, **tags: Any) -> Iterator[_NullSpan]:
         yield _NULL_SPAN
+
+    def within(self, parent: Any) -> ContextManager[None]:
+        return nullcontext()
 
     def event(self, name: str, **tags: Any) -> _NullSpan:
         return _NULL_SPAN

@@ -16,6 +16,7 @@ bandwidth-bound, matching the character of the real kernel.  The two-phase
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable
 from time import perf_counter
 
@@ -96,10 +97,12 @@ class GatherScatter:
         self.n_shared = int(np.count_nonzero(mult > 1))
         # Traffic accounting (read by the observability layer): dssum call
         # count, bytes moved (gather + scatter) and accumulated wall time.
-        # Plain scalar updates -- negligible next to the bincount itself.
+        # Updated under a lock: a step's worker thread (repro.core.overlap)
+        # adds beside the caller, and each update is a read-modify-write.
         self.calls = 0
         self.bytes_moved = 0
         self.seconds = 0.0
+        self._lock = threading.Lock()
 
     # -- core operations ---------------------------------------------------
 
@@ -111,9 +114,11 @@ class GatherScatter:
         if out is None:
             out = np.empty_like(u)
         out.reshape(-1)[:] = acc[self.global_ids]
-        self.calls += 1
-        self.bytes_moved += 2 * u.nbytes
-        self.seconds += perf_counter() - t0
+        elapsed = perf_counter() - t0
+        with self._lock:
+            self.calls += 1
+            self.bytes_moved += 2 * u.nbytes
+            self.seconds += elapsed
         return out
 
     def min(self, u: np.ndarray) -> np.ndarray:

@@ -129,33 +129,38 @@ class TestTracerCoupling:
 
     def test_noop_tracer_overhead_under_2_percent(self):
         # The acceptance criterion for the observability layer: a region on
-        # the default NULL_TRACER around the ax kernel costs < 2 %.  Timing
-        # noise can spoil one measurement; best-of-three attempts must land
-        # under the bound.
+        # the default NULL_TRACER costs < 2 % of the ax kernel it wraps.
+        # Timing the kernel with and without the region resolves a few
+        # microseconds as the difference of two ~2 ms times; on a loaded
+        # host, where the kernel's BLAS threads get preempted, that
+        # difference is noise and the check flaked.  So the two parts are
+        # timed apart, each as its fastest of 15 interleaved repeats: load
+        # only ever adds time, and what it adds to the kernel only makes
+        # the ratio smaller.
         sp = FunctionSpace(box_mesh((6, 6, 6)), 8)
         u = np.random.default_rng(0).normal(size=sp.shape)
         timers = RegionTimers()
 
-        def bare():
+        def kernel():
             ax_helmholtz(u, sp.coef, sp.dx, 1.0, 10.0)
 
-        def traced():
+        def region():
             with timers.region("ax"):
-                ax_helmholtz(u, sp.coef, sp.dx, 1.0, 10.0)
+                pass
 
-        def seconds(fn):
+        def per_call(fn, calls):
             t0 = time.perf_counter()
-            for _ in range(8):
+            for _ in range(calls):
                 fn()
-            return time.perf_counter() - t0
+            return (time.perf_counter() - t0) / calls
 
-        def overhead():
-            # Legs interleaved per repeat so host drift cannot bias one.
-            t_bare = t_traced = float("inf")
-            for _ in range(5):
-                t_bare = min(t_bare, seconds(bare))
-                t_traced = min(t_traced, seconds(traced))
-            return t_traced / t_bare - 1.0
-
-        bare()  # warm caches and page faults
-        assert any(overhead() < 0.02 for _ in range(3)), "no-op tracer overhead >= 2%"
+        kernel()  # warm caches and page faults
+        t_kernel = t_region = float("inf")
+        for _ in range(15):
+            t_kernel = min(t_kernel, per_call(kernel, 8))
+            t_region = min(t_region, per_call(region, 1000))
+        overhead = t_region / t_kernel
+        assert overhead < 0.02, (
+            f"no-op region costs {1e6 * t_region:.1f} us, {overhead:.2%} "
+            f"of the {1e3 * t_kernel:.2f} ms ax kernel"
+        )

@@ -5,11 +5,20 @@ Chrome trace containing nested spans for every Fig. 4 phase.
 """
 
 import json
+import os
+from collections import defaultdict
 
 import pytest
 
 from repro.core import Simulation, rbc_box_case
-from repro.observability import Tracer, is_registered_span, text_report, write_chrome_trace
+from repro.core.overlap import WorkerExecutor
+from repro.observability import (
+    Tracer,
+    is_registered_span,
+    text_report,
+    to_chrome_trace,
+    write_chrome_trace,
+)
 
 # The Fig. 4 wall-time taxonomy (see EXPERIMENTS.md, "Observability").
 FIG4_PHASES = {
@@ -22,14 +31,18 @@ FIG4_PHASES = {
 }
 
 
-@pytest.fixture(scope="module")
-def instrumented_run():
+def _instrumented(n, lx):
     tracer = Tracer()
-    config = rbc_box_case(1e4, n=(2, 2, 2), lx=4, aspect=1.0, perturbation_amplitude=0.1)
+    config = rbc_box_case(1e4, n=n, lx=lx, aspect=1.0, perturbation_amplitude=0.1)
     sim = Simulation(config, tracer=tracer)
     sim.callbacks.append(lambda s: None)
     sim.run(n_steps=3, callback_interval=1, stats_interval=2)
     return sim, tracer
+
+
+@pytest.fixture(scope="module")
+def instrumented_run():
+    return _instrumented((2, 2, 2), 4)
 
 
 class TestInstrumentedRun:
@@ -54,6 +67,34 @@ class TestInstrumentedRun:
         # Krylov solve spans nest under their phase region.
         (pressure_solve,) = {s.parent.name for s in tracer.spans_named("krylov.pressure")}
         assert pressure_solve == "pressure"
+
+    def test_worker_spans_nest_where_serial_ones_do(self, instrumented_run):
+        _, tracer = instrumented_run
+
+        def parents(name):
+            return {s.parent.name for s in tracer.spans_named(name)}
+
+        assert parents("temperature") == {"step"}
+        assert parents("krylov.temperature") == {"temperature"}
+        assert parents("krylov.velocity") == {"velocity"}
+
+    def test_each_lane_nests(self, instrumented_run):
+        # Chrome draws one row per tid; its "X" events must nest there.
+        sim, tracer = instrumented_run
+        lanes = defaultdict(list)
+        for e in to_chrome_trace(tracer)["traceEvents"]:
+            # gather_scatter is an aggregate of many calls placed to end at
+            # the step's close, not one interval of the lane.
+            if e["ph"] == "X" and e["name"] != "gather_scatter":
+                lanes[e["tid"]].append((e["ts"], e["ts"] + e["dur"]))
+        for intervals in lanes.values():
+            open_ends: list[float] = []
+            for start, end in sorted(intervals, key=lambda iv: (iv[0], -iv[1])):
+                while open_ends and open_ends[-1] <= start:
+                    open_ends.pop()
+                assert not open_ends or end <= open_ends[-1]
+                open_ends.append(end)
+        assert len(lanes) == (2 if isinstance(sim.executor, WorkerExecutor) else 1)
 
     def test_every_recorded_name_is_registered(self, instrumented_run):
         # One name registry covers spans, events and counter samples alike.
@@ -89,3 +130,17 @@ class TestInstrumentedRun:
         assert list(sim.tracer.walk()) == []
         # The step record still accumulates: it is the run's own history.
         assert len(sim.history) == 1
+
+
+class TestInstrumentedWorkerRun(TestInstrumentedRun):
+    """The same checks on a box at the worker-thread threshold.
+
+    16,384 points per field (``repro.core.overlap``), on two cores: the
+    temperature step and the v velocity solve trace from the worker thread.
+    """
+
+    @pytest.fixture(scope="class")
+    def instrumented_run(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            return _instrumented((4, 4, 2), 8)

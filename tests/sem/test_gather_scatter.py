@@ -1,10 +1,14 @@
 """Tests for the gather--scatter operation and global numbering."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sem import gather_scatter
 from repro.sem.gather_scatter import GatherScatter, build_global_numbering
 from repro.sem.mesh import box_mesh, cylinder_mesh
 
@@ -130,3 +134,45 @@ def test_average_is_projection(seed):
     once = gs.average(u)
     twice = gs.average(once)
     assert np.allclose(once, twice, atol=1e-12)
+
+
+def test_counters_exact_under_concurrent_adds(monkeypatch):
+    """Threads adding at once lose no counter update.
+
+    A step's worker thread calls ``add`` beside the stepping thread; each
+    counter update is a read-modify-write.  A very short switch interval
+    makes the interpreter switch threads inside an unguarded update.  The
+    clock advances 1 s per read on each thread, so every add lasts exactly
+    1 s and ``seconds`` is exact too.
+    """
+    local = threading.local()
+
+    def clock():
+        local.now = getattr(local, "now", 0.0) + 1.0
+        return local.now
+
+    monkeypatch.setattr(gather_scatter, "perf_counter", clock)
+    gs = make_gs(box_mesh((1, 1, 1)), 2)
+    u = np.ones(gs.shape)
+    n_threads, n_adds = 8, 2_000
+    start = threading.Barrier(n_threads)
+
+    def worker():
+        start.wait(timeout=30)
+        for _ in range(n_adds):
+            gs.add(u)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert gs.calls == n_threads * n_adds
+    assert gs.bytes_moved == n_threads * n_adds * 2 * u.nbytes
+    assert gs.seconds == n_threads * n_adds
