@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint ruff mypy statcheck test verify spine
+.PHONY: lint ruff mypy statcheck test verify spine ab
 
 lint: ruff mypy statcheck
 
@@ -28,3 +28,10 @@ verify:
 spine:
 	$(PYTHON) -m pytest benchmarks/spine/tests -q
 	python3 benchmarks/spine/run.py --quick
+
+# Alternating spine pairs of one workload: BASE (a git revision) against the
+# working tree, e.g. `make ab WORKLOAD=rbc_cyl_p7 PAIRS=7 BASE=HEAD`.
+PAIRS ?= 7
+BASE ?= HEAD
+ab:
+	$(PYTHON) -m benchmarks.ab_pairs --workload $(WORKLOAD) --pairs $(PAIRS) --base $(BASE)

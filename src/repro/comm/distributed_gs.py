@@ -31,22 +31,19 @@ from repro.comm.simworld import SimWorld
 from repro.comm.topology import CopyIndex
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sem.coef import Coefficients
+    from repro.sem.coef import Coefficients, SparseMetric
 
 __all__ = ["DistributedGatherScatter"]
 
 
 class _RankCoef:
-    """One rank's slice of what the ``ax_*`` kernels read: ``g_stack()``, ``mass``."""
+    """One rank's slice of what the ``ax_*`` kernels read: ``g`` and ``mass``."""
 
-    __slots__ = ("_g", "mass")
+    __slots__ = ("g", "mass")
 
-    def __init__(self, g: np.ndarray, mass: np.ndarray) -> None:
-        self._g = g
+    def __init__(self, g: SparseMetric, mass: np.ndarray) -> None:
+        self.g = g
         self.mass = mass
-
-    def g_stack(self) -> np.ndarray:
-        return self._g
 
 
 class _Messages:
@@ -158,17 +155,18 @@ class DistributedGatherScatter:
         return out
 
     def scatter_coef(self, coef: Coefficients) -> list[_RankCoef]:
-        """Per-rank slices of the stacked metric and the mass.
+        """Per-rank slices of the sparse metric G and the mass.
 
         Each carries what the ``ax_*`` kernels read from a
-        :class:`~repro.sem.coef.Coefficients` -- ``g_stack()`` and ``mass``
-        -- so a rank-local operator is ``ax_helmholtz(chunk, coefs[rank], ...)``.
+        :class:`~repro.sem.coef.Coefficients` -- ``g`` and ``mass`` -- so a
+        rank-local operator is ``ax_helmholtz(chunk, coefs[rank], ...)``.
         """
-        g = coef.g_stack()
-        # The metric stack is (..., npts); view it per element to slice ranks.
-        g_elements = g.reshape(g.shape[:-1] + (self.shape[0], -1))
+
+        def rank_g(elements: np.ndarray) -> SparseMetric:
+            return coef.g.map(lambda m: m[..., elements, :, :, :])
+
         return [
-            _RankCoef(g_elements[..., elements, :].reshape(g.shape[:-1] + (-1,)), mass)
+            _RankCoef(rank_g(elements), mass)
             for elements, mass in zip(self.rank_elements, self.scatter_field(coef.mass))
         ]
 

@@ -15,10 +15,13 @@ and without the worker.
 NumPy releases the interpreter lock inside ``matmul``, ``einsum`` and its
 ufunc loops, so the two threads overlap when the arrays are large.  On
 small fields the lock changes hands between many tiny NumPy calls, and the
-hand-offs cost more than the overlap saves.  :func:`step_executor` therefore
+hand-offs cost more than the overlap saves.  The worker also needs a core
+of its own: BLAS runs its own threads inside ``matmul``, and a worker that
+competes with them makes the step slower.  :func:`step_executor` therefore
 gives a simulation a worker thread only when one field has at least
-:data:`MIN_OVERLAP_POINTS` points and the process may run on two cores;
-otherwise every task runs inline, when it is submitted.
+:data:`MIN_OVERLAP_POINTS` points and the process may run on at least one
+core more than BLAS uses; otherwise every task runs inline, when it is
+submitted.
 """
 
 from __future__ import annotations
@@ -32,10 +35,12 @@ from repro.observability.tracer import NULL_TRACER, TracerProtocol
 
 __all__ = [
     "MIN_OVERLAP_POINTS",
+    "BLAS_THREAD_VARS",
     "INLINE",
     "InlineExecutor",
     "WorkerExecutor",
     "usable_cores",
+    "blas_threads",
     "step_executor",
 ]
 
@@ -102,10 +107,25 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+#: The variables a BLAS library reads its thread count from, in the order
+#: :func:`blas_threads` consults them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_threads() -> int:
+    """Threads BLAS runs ``matmul`` on: the first of :data:`BLAS_THREAD_VARS`
+    that is set, else the usable cores (OpenBLAS's default)."""
+    for name in BLAS_THREAD_VARS:
+        value = os.environ.get(name, "").split(",")[0].strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return usable_cores()
+
+
 def step_executor(
     points: int, tracer: TracerProtocol = NULL_TRACER
 ) -> InlineExecutor | WorkerExecutor:
     """The executor for a simulation whose fields have ``points`` points each."""
-    if points >= MIN_OVERLAP_POINTS and usable_cores() >= 2:
+    if points >= MIN_OVERLAP_POINTS and usable_cores() >= blas_threads() + 1:
         return WorkerExecutor(tracer)
     return InlineExecutor()

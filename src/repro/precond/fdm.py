@@ -183,7 +183,7 @@ class FastDiagonalization:
 
     def _tensor_apply(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
         nelv, lz, ly, lx = u.shape
-        v = u @ m.T
+        v = (u.reshape(-1, lx) @ m.T).reshape(u.shape)  # r: one 2-D GEMM
         v = np.matmul(m, v)
         v = np.matmul(m, v.reshape(nelv, lz, ly * lx)).reshape(u.shape)
         return v

@@ -11,24 +11,28 @@ which are what the matrix-free Laplacian kernel contracts against.  These
 arrays are exactly the ``drdx``/``jac``/``B``/``G`` fields a spectral-element
 code keeps resident on the device for the whole run.
 
-The geometry also decides the contraction.  When every element's reference
-axes are the physical axes -- every forward-Jacobian off-diagonal is zero to
-round-off, as on any box mesh -- ``G`` and the inverse map are diagonal, and
-:attr:`Coefficients.axis_aligned` makes :meth:`Coefficients.g_stack` hand the
-kernels ``(g11, g22, g33)`` alone: three multiplies per point instead of a
-3x3 contraction.  The flag is computed from the coordinates, never passed.
+The geometry also decides what the contractions multiply.  G and the
+inverse map are each kept as one :class:`SparseMetric`: the three diagonal
+entries stacked, plus the off-diagonal entries that are more than round-off
+(above ``1e-12`` of the tensor's largest entry).  On a box no off-diagonal
+survives and a contraction is one stacked multiply; on the extruded
+cylinder G keeps its ``(r, s)`` pair and the inverse map its ``x/y x r/s``
+block, five products of nine.  :meth:`SparseMetric.apply` is the one
+contraction every kernel uses, and which entries it multiplies is a property
+of the coordinates, never an option.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Coefficients", "stack_metric", "tensor_derivatives"]
+__all__ = ["Coefficients", "SparseMetric", "tensor_derivatives"]
 
-#: Largest forward-Jacobian off-diagonal, relative to the largest diagonal
-#: entry, that still counts as an axis-aligned mesh (round-off of the map).
+#: Largest off-diagonal metric entry, relative to the largest entry of its
+#: tensor, that is dropped as round-off of the map (see SparseMetric.keep).
 AXIS_ALIGNED_RTOL = 1e-12
 
 
@@ -63,23 +67,54 @@ def tensor_derivatives(u: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.nd
     return ur, us, ut
 
 
-def stack_metric(
-    g11: np.ndarray,
-    g22: np.ndarray,
-    g33: np.ndarray,
-    g12: np.ndarray,
-    g13: np.ndarray,
-    g23: np.ndarray,
-) -> np.ndarray:
-    """The six symmetric components as one full ``(3, 3, npts)`` array."""
-    g = np.empty((3, 3, g11.size))
-    for (a, b), comp in (
-        ((0, 0), g11), ((1, 1), g22), ((2, 2), g33),
-        ((0, 1), g12), ((0, 2), g13), ((1, 2), g23),
-    ):
-        g[a, b] = comp.reshape(-1)
-        g[b, a] = g[a, b]
-    return g
+@dataclass(frozen=True)
+class SparseMetric:
+    """A pointwise 3x3 tensor ``M[i, a]`` with its structural zeros dropped.
+
+    ``diag`` stacks the three diagonal entries, ``(3, *field_shape)``;
+    ``off`` lists the kept off-diagonal entries as ``(i, a, values)``; a
+    symmetric pair from :meth:`keep` is listed twice with one shared array.
+    """
+
+    diag: np.ndarray
+    off: tuple[tuple[int, int, np.ndarray], ...] = ()
+
+    @classmethod
+    def keep(cls, rows: list[list[np.ndarray]]) -> "SparseMetric":
+        """The entries of ``rows[i][a]`` that are more than round-off.
+
+        An off-diagonal entry is kept when its largest magnitude exceeds
+        :data:`AXIS_ALIGNED_RTOL` times the largest magnitude of the tensor.
+        """
+        cut = AXIS_ALIGNED_RTOL * max(float(np.abs(m).max()) for row in rows for m in row)
+        off = tuple((i, a, rows[i][a]) for i in range(3) for a in range(3)
+                    if i != a and np.abs(rows[i][a]).max() > cut)
+        return cls(np.stack([rows[0][0], rows[1][1], rows[2][2]]), off)
+
+    @property
+    def T(self) -> "SparseMetric":
+        """The transposed tensor ``M[a, i]`` (shares the arrays)."""
+        return SparseMetric(self.diag, tuple((a, i, m) for i, a, m in self.off))
+
+    def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "SparseMetric":
+        """The same entries, each passed through ``fn`` (which takes
+        ``(..., *field_shape)`` arrays: the stacked diagonal and one entry)."""
+        return SparseMetric(fn(self.diag), tuple((i, a, fn(m)) for i, a, m in self.off))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``x[i] <- sum_a M[i, a] x[a]`` in place on stacked ``(3, *field_shape)`` rows.
+
+        One stacked multiply for the diagonal, one multiply-add per kept
+        off-diagonal entry; the off-diagonal terms are formed first, from
+        the rows as they were.
+        """
+        terms: dict[int, np.ndarray] = {}
+        for i, a, m in self.off:
+            terms[i] = terms[i] + m * x[a] if i in terms else m * x[a]
+        x *= self.diag
+        for i, term in terms.items():
+            x[i] += term
+        return x
 
 
 @dataclass
@@ -118,30 +153,16 @@ class Coefficients:
     g13: np.ndarray
     g23: np.ndarray
     volume: float
-    # Every element's reference axes are the physical axes (see build()).
-    axis_aligned: bool = False
-    # Lazily built stacked view of the symmetric G tensor (see g_stack()).
-    _g_stack: np.ndarray | None = None
+    # G and the inverse map dr_a/dx_i (row i physical, column a reference),
+    # their diagonals stacked; the components above are views into them.
+    g: SparseMetric
+    inverse_map: SparseMetric
 
-    def g_stack(self) -> np.ndarray:
-        """Symmetric geometric factors, stacked for the ``ax_*`` kernels.
-
-        ``(3, npts)`` ``[g11, g22, g33]`` on an axis-aligned mesh (the
-        off-diagonals are round-off there), otherwise the full
-        ``(3, 3, npts)`` tensor for one fused ``einsum`` contraction.  The
-        kernels dispatch on ``ndim``.  Built on first use and reused for the
-        lifetime of the coefficients (G is immutable after construction).
-        """
-        if self._g_stack is None:
-            if self.axis_aligned:
-                self._g_stack = np.stack(
-                    [self.g11.reshape(-1), self.g22.reshape(-1), self.g33.reshape(-1)]
-                )
-            else:
-                self._g_stack = stack_metric(
-                    self.g11, self.g22, self.g33, self.g12, self.g13, self.g23
-                )
-        return self._g_stack
+    @property
+    def axis_aligned(self) -> bool:
+        """Every element's reference axes are the physical axes (no
+        off-diagonal inverse-map entry above round-off)."""
+        return not self.inverse_map.off
 
     @classmethod
     def build(
@@ -166,12 +187,6 @@ class Coefficients:
         dxdr, dxds, dxdt = tensor_derivatives(x, dx)
         dydr, dyds, dydt = tensor_derivatives(y, dx)
         dzdr, dzds, dzdt = tensor_derivatives(z, dx)
-        diagonal = max(float(np.abs(d).max()) for d in (dxdr, dyds, dzdt))
-        off_diagonal = max(
-            float(np.abs(d).max()) for d in (dxds, dxdt, dydr, dydt, dzdr, dzds)
-        )
-        axis_aligned = off_diagonal <= AXIS_ALIGNED_RTOL * diagonal
-
         jac = (
             dxdr * (dyds * dzdt - dydt * dzds)
             - dxds * (dydr * dzdt - dydt * dzdr)
@@ -205,6 +220,12 @@ class Coefficients:
         g12 = wj * (drdx * dsdx + drdy * dsdy + drdz * dsdz)
         g13 = wj * (drdx * dtdx + drdy * dtdy + drdz * dtdz)
         g23 = wj * (dsdx * dtdx + dsdy * dtdy + dsdz * dtdz)
+        g = SparseMetric.keep([[g11, g12, g13], [g12, g22, g23], [g13, g23, g33]])
+        inverse_map = SparseMetric.keep(
+            [[drdx, dsdx, dtdx], [drdy, dsdy, dtdy], [drdz, dsdz, dtdz]]
+        )
+        drdx, dsdy, dtdz = inverse_map.diag
+        g11, g22, g33 = g.diag
 
         return cls(
             dxdr=dxdr, dxds=dxds, dxdt=dxdt,
@@ -216,5 +237,6 @@ class Coefficients:
             jac=jac, mass=mass,
             g11=g11, g22=g22, g33=g33, g12=g12, g13=g13, g23=g23,
             volume=float(np.sum(mass)),
-            axis_aligned=axis_aligned,
+            g=g,
+            inverse_map=inverse_map,
         )

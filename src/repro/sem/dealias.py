@@ -7,15 +7,15 @@ removes the aliasing errors that destabilize marginally-resolved turbulence
 according to the 3/2-rule").
 
 The interpolation operators and the fine-grid inverse metric are
-precomputed once per space and reused every step.  The metric is one stacked
-array with the fine mass ``B_d`` folded in: ``(3, npts_d)`` entries
-``B_d (r_x, s_y, t_z)`` on an axis-aligned mesh
-(:attr:`~repro.sem.coef.Coefficients.axis_aligned`), the full
-``(3, 3, npts_d)`` ``B_d dr_a/dx_i`` otherwise.  One convection is then one
-stacked pass: three coarse reference derivatives, one stacked interpolation
-of all three, a contraction with the metric and the convecting velocity
-(three multiplies, or one fused ``einsum`` on deformed elements) and one
-projection back through the cached transposed interpolation matrix.
+precomputed once per space and reused every step.  The metric is the
+coarse inverse map's :class:`~repro.sem.coef.SparseMetric` interpolated
+entry by entry, with the fine mass ``B_d`` folded in: the stacked diagonal
+``B_d (r_x, s_y, t_z)`` plus ``B_d`` times each off-diagonal entry the
+coarse map kept (none on a box, ``s_x`` and ``r_y`` on the cylinder).  One
+convection is then one stacked pass: three coarse reference derivatives,
+one stacked interpolation of all three, :meth:`SparseMetric.apply` and the
+convecting velocity, and one projection back through the cached transposed
+interpolation matrix.
 """
 
 from __future__ import annotations
@@ -77,24 +77,12 @@ class Dealiaser:
         self.interp = lagrange_interpolation_matrix(np.asarray(fine_pts), lx)
         self.interp_t = np.ascontiguousarray(self.interp.T)
 
-        coef = space.coef
-        # Inverse-map metric dr_a/dx_i on the coarse grid, row i physical,
-        # column a reference; the diagonal alone when the mesh is
-        # axis-aligned.  Interpolating the coarse metric is exact for affine
-        # elements and spectrally accurate for the blended cylinder maps.
-        if coef.axis_aligned:
-            metric = np.stack([coef.drdx, coef.dsdy, coef.dtdz])
-        else:
-            metric = np.stack([
-                [coef.drdx, coef.dsdx, coef.dtdx],
-                [coef.drdy, coef.dsdy, coef.dtdy],
-                [coef.drdz, coef.dsdz, coef.dtdz],
-            ])
-        metric_d = interp3(metric, self.interp)
+        # Interpolating the coarse metric is exact for affine elements and
+        # spectrally accurate for the blended cylinder maps; B_d is folded in.
         w = np.asarray(fine_w)
         w3 = w[None, :, None, None] * w[None, None, :, None] * w[None, None, None, :]
-        metric_d *= w3 * interp3(coef.jac, self.interp)  # fold in B_d once
-        self.metric_d = metric_d.reshape(metric.shape[:-4] + (-1,))
+        mass_d = w3 * interp3(space.coef.jac, self.interp)
+        self.metric_d = space.coef.inverse_map.map(lambda m: interp3(m, self.interp) * mass_d)
 
     def to_fine(self, u: np.ndarray) -> np.ndarray:
         """Interpolate a coarse nodal field to the fine grid."""
@@ -123,12 +111,8 @@ class Dealiaser:
             c_fine = (self.to_fine(cx), self.to_fine(cy), self.to_fine(cz))
         du = np.empty((3,) + u.shape)
         tensor_derivatives_stacked(u, self.space.dx, du)
-        flux = interp3(du, self.interp).reshape(3, -1)
-        if self.metric_d.ndim == 2:
-            flux *= self.metric_d  # B_d r_x u_r, B_d s_y u_s, B_d t_z u_t
-        else:
-            flux = np.einsum("ian,an->in", self.metric_d, flux)  # B_d du/dx_i
-        flux = flux.reshape((3,) + c_fine[0].shape)
+        flux = interp3(du, self.interp)
+        self.metric_d.apply(flux)  # B_d du/dx_i
         adv = flux[0]
         adv *= c_fine[0]
         for i in (1, 2):

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.sem.coef import (
     Coefficients,
-    stack_metric,
+    SparseMetric,
     tensor_derivatives,
     tensor_derivatives_stacked,
 )
@@ -55,39 +55,28 @@ def physical_grad(
     u: np.ndarray, coef: Coefficients, dx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pointwise physical gradient ``(du/dx, du/dy, du/dz)``."""
-    ur, us, ut = tensor_derivatives(u, dx)
-    dudx = ur * coef.drdx + us * coef.dsdx + ut * coef.dtdx
-    dudy = ur * coef.drdy + us * coef.dsdy + ut * coef.dtdy
-    dudz = ur * coef.drdz + us * coef.dsdz + ut * coef.dtdz
-    return dudx, dudy, dudz
+    du = np.empty((3,) + u.shape)
+    gx, gy, gz = coef.inverse_map.apply(tensor_derivatives_stacked(u, dx, du))
+    return gx, gy, gz
 
 
-def _metric(coef: Coefficients) -> np.ndarray:
-    """The stacked geometric factors the ``ax_*`` kernels contract against.
+def _metric(coef: Coefficients) -> SparseMetric:
+    """The sparse G the ``ax_*`` kernels contract against.
 
     Per-rank stand-ins that carry only the six components (the SPMD solve of
-    ``benchmarks/spine/campaign.py``) get the full tensor stacked per call.
+    ``benchmarks/spine/campaign.py``) get it derived per call, by the rule
+    of :meth:`SparseMetric.keep`.
     """
-    g_stack = getattr(coef, "g_stack", None)
-    if g_stack is None:
-        return stack_metric(coef.g11, coef.g22, coef.g33, coef.g12, coef.g13, coef.g23)
-    return g_stack()
+    if hasattr(coef, "g"):
+        return coef.g
+    c = coef
+    return SparseMetric.keep([[c.g11, c.g12, c.g13], [c.g12, c.g22, c.g23], [c.g13, c.g23, c.g33]])
 
 
-def _stiffness_flux(u: np.ndarray, g: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Stacked ``G (D u)``: reference derivatives contracted with the metric.
-
-    A diagonal ``(3, npts)`` metric (axis-aligned mesh) scales the stacked
-    derivatives in place; the full ``(3, 3, npts)`` one runs as one fused
-    ``einsum``.  This is the only fork in the stiffness kernels.
-    """
+def _stiffness_flux(u: np.ndarray, g: SparseMetric, dx: np.ndarray) -> np.ndarray:
+    """Stacked ``G (D u)``: reference derivatives contracted with the metric."""
     du = np.empty((3,) + u.shape)
-    tensor_derivatives_stacked(u, dx, du)
-    flat = du.reshape(3, u.size)
-    if g.ndim == 2:
-        flat *= g
-        return du
-    return np.einsum("abn,bn->an", g, flat).reshape(du.shape)
+    return g.apply(tensor_derivatives_stacked(u, dx, du))
 
 
 def ax_poisson(u: np.ndarray, coef: Coefficients, dx: np.ndarray) -> np.ndarray:
@@ -96,10 +85,9 @@ def ax_poisson(u: np.ndarray, coef: Coefficients, dx: np.ndarray) -> np.ndarray:
     The weak Laplacian ``(grad v, grad u)`` evaluated with the geometric
     factors ``G``: differentiate, contract with ``G``, apply the transposed
     derivatives.  ~``12 lx`` flops per point for the tensor sweeps; the
-    resident arrays are u, the output and the metric -- three diagonal
-    factors on an axis-aligned mesh, the nine-entry stack on a deformed
-    one -- the bandwidth-bound profile the roofline model in
-    ``repro.perfmodel`` assumes.
+    resident arrays are u, the output and G's kept entries -- three on a
+    box, four on the cylinder -- the bandwidth-bound profile the roofline
+    model in ``repro.perfmodel`` assumes.
     """
     w = _stiffness_flux(u, _metric(coef), dx)
     return local_grad_transpose(w[0], w[1], w[2], dx)
@@ -127,18 +115,10 @@ def ax_helmholtz(
 def divergence(
     ux: np.ndarray, uy: np.ndarray, uz: np.ndarray, coef: Coefficients, dx: np.ndarray
 ) -> np.ndarray:
-    """Pointwise (strong) divergence of a vector field.
-
-    Forms only the diagonal of the velocity gradient -- ``du/dx``, ``dv/dy``,
-    ``dw/dz`` -- rather than taking it from three full :func:`physical_grad`
-    calls (nine derivatives, six of them discarded).
-    """
-    ur, us, ut = tensor_derivatives(ux, dx)
-    div = ur * coef.drdx + us * coef.dsdx + ut * coef.dtdx
-    ur, us, ut = tensor_derivatives(uy, dx)
-    div += ur * coef.drdy + us * coef.dsdy + ut * coef.dtdy
-    ur, us, ut = tensor_derivatives(uz, dx)
-    div += ur * coef.drdz + us * coef.dsdz + ut * coef.dtdz
+    """Pointwise (strong) divergence: the trace of the velocity gradient."""
+    div = physical_grad(ux, coef, dx)[0].copy()
+    div += physical_grad(uy, coef, dx)[1]
+    div += physical_grad(uz, coef, dx)[2]
     return div
 
 
@@ -176,11 +156,9 @@ def weak_gradient_transpose(
     the pressure right-hand side builds the boundary condition into the
     discretization instead of differentiating across the wall.
     """
-    b = coef.mass
-    wr = b * (coef.drdx * vx + coef.drdy * vy + coef.drdz * vz)
-    ws = b * (coef.dsdx * vx + coef.dsdy * vy + coef.dsdz * vz)
-    wt = b * (coef.dtdx * vx + coef.dtdy * vy + coef.dtdz * vz)
-    return local_grad_transpose(wr, ws, wt, dx)
+    w = coef.inverse_map.T.apply(np.stack([vx, vy, vz]))
+    w *= coef.mass
+    return local_grad_transpose(w[0], w[1], w[2], dx)
 
 
 def curl(

@@ -45,10 +45,7 @@ def courant_number(
     element size and deformation.
     """
     space.check_fields("courant_number", ux=ux, uy=uy, uz=uz)
-    c = space.coef
-    ur = np.abs(ux * c.drdx + uy * c.drdy + uz * c.drdz)
-    us = np.abs(ux * c.dsdx + uy * c.dsdy + uz * c.dsdz)
-    ut = np.abs(ux * c.dtdx + uy * c.dtdy + uz * c.dtdz)
+    ur, us, ut = np.abs(space.coef.inverse_map.T.apply(np.stack([ux, uy, uz])))
     d = _reference_spacings(space.lx)
     cfl_r = ur / d[None, None, None, :]
     cfl_s = us / d[None, None, :, None]

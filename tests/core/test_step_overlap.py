@@ -10,16 +10,23 @@ import pytest
 
 from repro.core import Simulation, rbc_box_case
 from repro.core.overlap import (
+    BLAS_THREAD_VARS,
     MIN_OVERLAP_POINTS,
     InlineExecutor,
     WorkerExecutor,
+    blas_threads,
     step_executor,
 )
 from repro.resilience import ResilientRunner
 
 
-def _two_cores(monkeypatch):
+def _two_cores(monkeypatch, blas="1"):
+    """Two usable cores, BLAS on ``blas`` threads (unset when ``None``)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    if blas is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
 
 
 def _box(n, lx):
@@ -64,6 +71,25 @@ class TestPolicy:
         assert isinstance(step_executor(MIN_OVERLAP_POINTS - 1), InlineExecutor)
         assert isinstance(step_executor(MIN_OVERLAP_POINTS), WorkerExecutor)
         assert isinstance(step_executor(40_960), WorkerExecutor)  # rbc_cyl_p7
+
+    def test_the_worker_needs_a_core_beside_blas(self, monkeypatch):
+        _two_cores(monkeypatch, blas="2")
+        assert isinstance(step_executor(40_960), InlineExecutor)
+        _two_cores(monkeypatch, blas=None)  # OpenBLAS's default: every core
+        assert blas_threads() == 2
+        assert isinstance(step_executor(40_960), InlineExecutor)
+        monkeypatch.setenv("MKL_NUM_THREADS", "1")
+        assert isinstance(step_executor(40_960), WorkerExecutor)
+
+    def test_blas_threads_reads_the_first_variable_set(self, monkeypatch):
+        _two_cores(monkeypatch, blas=None)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setenv("MKL_NUM_THREADS", "4")
+        assert blas_threads() == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert blas_threads() == 3
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")  # empty counts as unset
+        assert blas_threads() == 1
 
 
 class _FailingFluidStep:

@@ -135,12 +135,16 @@ class TestInstrumentedRun:
 class TestInstrumentedWorkerRun(TestInstrumentedRun):
     """The same checks on a box at the worker-thread threshold.
 
-    16,384 points per field (``repro.core.overlap``), on two cores: the
-    temperature step and the v velocity solve trace from the worker thread.
+    16,384 points per field (``repro.core.overlap``), on two cores with one
+    BLAS thread: the temperature step and the v velocity solve trace from
+    the worker thread.
     """
 
     @pytest.fixture(scope="class")
     def instrumented_run(self):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-            return _instrumented((4, 4, 2), 8)
+            mp.setenv("OPENBLAS_NUM_THREADS", "1")
+            sim, tracer = _instrumented((4, 4, 2), 8)
+        assert isinstance(sim.executor, WorkerExecutor)
+        return sim, tracer

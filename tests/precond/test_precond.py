@@ -143,6 +143,21 @@ class TestFDM:
         r = rng.normal(size=sp.shape)
         assert np.sum(r * fdm.solve(r)) > 0
 
+    @pytest.mark.parametrize(
+        "mesh", [box_mesh((2, 2, 2)), cylinder_mesh(n_square=2, n_ring=2, n_z=2)]
+    )
+    def test_tensor_apply_r_gemm_equals_batched_matmul(self, mesh):
+        """The r direction as one 2-D GEMM is bit-identical to the batched
+        4-D ``matmul`` (one small GEMM per element plane)."""
+        space = FunctionSpace(mesh, 6)
+        fdm = FastDiagonalization(space)
+        u = np.random.default_rng(4).normal(size=space.shape)
+        nelv, lz, ly, lx = u.shape
+        for m in (fdm.st, fdm.s):
+            v = np.matmul(m, u @ m.T)
+            ref = np.matmul(m, v.reshape(nelv, lz, ly * lx)).reshape(u.shape)
+            np.testing.assert_array_equal(fdm._tensor_apply(u, m), ref)
+
 
 class TestSchwarz:
     def test_linearity(self, sp):

@@ -128,8 +128,8 @@ def test_weak_divergence_is_mass_weighted_divergence(seed, amplitude):
 @settings(max_examples=10, deadline=None)
 @given(**deformations)
 def test_divergence_is_the_trace_of_the_physical_gradient(seed, amplitude):
-    """``divergence`` forms three derivatives; the nine-derivative
-    composition of ``physical_grad`` is its reference."""
+    """``divergence`` is the trace of the nine-derivative physical
+    gradient on random deformed meshes."""
     space = deformed_space(seed, amplitude)
     rng = np.random.default_rng(seed ^ 0x7ACE)
     vx, vy, vz = (random_field(space, rng) for _ in range(3))
@@ -180,16 +180,22 @@ def test_ax_poisson_positive_semidefinite_on_deformed_mesh():
 
 # -- contraction oracle and probe identities -----------------------------------
 #
-# The kernels contract with batched matmul and one fused geometric-factor
-# einsum; the per-axis einsum form below is the independent reference they
-# are pinned to on random deformed meshes.  Probe evaluation rides the same
-# batched contraction structure, so its polynomial-reproduction identities
-# live here too.
+# The kernels contract with batched matmul and the sparse metric's
+# ``apply``; the per-axis einsum forms with all nine metric terms below are
+# the independent references they are pinned to on every mesh kind.  Probe
+# evaluation rides the same batched contraction structure, so its
+# polynomial-reproduction identities live here too.
 
-from repro.sem.coef import tensor_derivatives, tensor_derivatives_stacked  # noqa: E402
+from repro.sem.coef import (  # noqa: E402
+    SparseMetric,
+    tensor_derivatives,
+    tensor_derivatives_stacked,
+)
 from repro.sem.operators import ax_helmholtz  # noqa: E402
 from repro.sem.basis import lagrange_interpolation_matrix  # noqa: E402
-from repro.sem.dealias import Dealiaser  # noqa: E402
+from repro.sem.dealias import Dealiaser, interp3  # noqa: E402
+from repro.sem.operators import curl  # noqa: E402
+from repro.timeint.cfl import courant_number  # noqa: E402
 from repro.sem.probes import FieldProbes  # noqa: E402
 from repro.sem.quadrature import gll_points_weights  # noqa: E402
 
@@ -204,7 +210,7 @@ def per_axis_derivatives(u, dx):
 
 def per_axis_helmholtz(u, coef, dx, h1, h2):
     """``h1 A u + h2 B u`` with all nine G terms, one axis at a time (the
-    oracle: it never looks at ``axis_aligned`` or ``g_stack``)."""
+    oracle: it never looks at ``axis_aligned`` or the sparse metric)."""
     ur, us, ut = per_axis_derivatives(u, dx)
     wr = h1 * (coef.g11 * ur + coef.g12 * us + coef.g13 * ut)
     ws = h1 * (coef.g12 * ur + coef.g22 * us + coef.g23 * ut)
@@ -239,7 +245,7 @@ def nine_metric_convection(cx, cy, cz, u, space, lxd):
 @settings(max_examples=10, deadline=None)
 @given(**deformations)
 def test_contraction_variants_agree_on_ax_poisson(seed, amplitude):
-    """Batched (fused einsum) and per-axis forms produce the same A u."""
+    """Sparse-metric and per-axis nine-term forms produce the same A u."""
     space = deformed_space(seed, amplitude)
     rng = np.random.default_rng(seed ^ 0xC0DE)
     u = random_field(space, rng)
@@ -272,28 +278,23 @@ def test_tensor_derivatives_stacked_matches_tuple_form():
     np.testing.assert_array_equal(out[2], ut)
 
 
-def test_g_stack_mirrors_components():
-    """The fused G matrix is exactly the six symmetric components; on an
-    axis-aligned box it is the diagonal alone."""
-    space = deformed_space(11, 0.04)
-    assert not space.coef.axis_aligned
-    g = space.coef.g_stack().reshape(3, 3, *space.shape)
-    np.testing.assert_array_equal(g[0, 0], space.coef.g11)
-    np.testing.assert_array_equal(g[1, 1], space.coef.g22)
-    np.testing.assert_array_equal(g[2, 2], space.coef.g33)
-    np.testing.assert_array_equal(g[0, 1], space.coef.g12)
-    np.testing.assert_array_equal(g[1, 0], space.coef.g12)
-    np.testing.assert_array_equal(g[0, 2], space.coef.g13)
-    np.testing.assert_array_equal(g[1, 2], space.coef.g23)
-    # And it is cached: same object on repeated access.
-    assert space.coef.g_stack() is space.coef.g_stack()
-
+def test_sparse_g_mirrors_components():
+    """The sparse G holds the six symmetric components themselves: its
+    stacked diagonal is what ``g11``/``g22``/``g33`` view, and a kept pair is
+    one shared array.  On an axis-aligned box it is the diagonal alone."""
+    bent = deformed_space(11, 0.04)
     box = FunctionSpace(box_mesh((2, 2, 2), lengths=(1.0, 2.0, 0.5)), 4)
-    g = box.coef.g_stack()
-    assert g.shape == (3, box.coef.g11.size)
-    np.testing.assert_array_equal(g[0], box.coef.g11.reshape(-1))
-    np.testing.assert_array_equal(g[1], box.coef.g22.reshape(-1))
-    np.testing.assert_array_equal(g[2], box.coef.g33.reshape(-1))
+    for space in (bent, box):
+        c = space.coef
+        assert c.g.diag.shape == (3,) + space.shape
+        for k, comp in enumerate((c.g11, c.g22, c.g33)):
+            np.testing.assert_array_equal(c.g.diag[k], comp)
+            assert np.shares_memory(c.g.diag, comp)
+        components = {(0, 1): c.g12, (0, 2): c.g13, (1, 2): c.g23}
+        for i, a, m in c.g.off:
+            assert m is components[min(i, a), max(i, a)]
+    assert len(bent.coef.g.off) == 6
+    assert box.coef.g.off == ()
 
 
 # -- axis-aligned meshes: the diagonal metric --------------------------------
@@ -363,7 +364,7 @@ def test_diagonal_metric_matches_nine_term_oracle(lengths, grading, seed):
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(**deformations)
 def test_full_metric_convection_matches_nine_term_oracle(seed, amplitude):
-    """The stacked ``einsum`` path of ``convect_weak`` on deformed meshes."""
+    """``convect_weak`` with every fine-metric entry kept (deformed meshes)."""
     space = deformed_space(seed, amplitude)
     rng = np.random.default_rng(seed ^ 0xC0417)
     u, cx, cy, cz = (random_field(space, rng) for _ in range(4))
@@ -371,6 +372,162 @@ def test_full_metric_convection_matches_nine_term_oracle(seed, amplitude):
     ref = nine_metric_convection(cx, cy, cz, u, space, dl.lxd)
     got = dl.convect_weak(cx, cy, cz, u)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+# -- the sparse metric: kept entries and nine-term oracles ---------------------
+
+ALL_OFF = {(i, a) for i in range(3) for a in range(3) if i != a}
+XY_RS = {(0, 1), (1, 0)}
+
+SPARSE_MESHES = {
+    "box": lambda: FunctionSpace(box_mesh((2, 2, 2)), 4),
+    "cylinder": lambda: FunctionSpace(cylinder_mesh(n_square=2, n_ring=2, n_z=2), 4),
+    "deformed": lambda: deformed_space(3, 0.03),
+    "rotated": lambda: rotated_box_space(30.0),
+    "stretched": lambda: stretched_box_space((2.0, 0.5, 1.3), (0.0, 1.5, 0.8)),
+}
+
+# (G, inverse map) off-diagonal entries each mesh keeps; the inverse map's
+# row is the physical and its column the reference direction.
+KEPT = {
+    "box": (set(), set()),
+    "cylinder": (XY_RS, XY_RS),
+    "deformed": (ALL_OFF, ALL_OFF),
+    "rotated": (set(), XY_RS),
+    "stretched": (set(), set()),
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(KEPT))
+def test_sparse_metric_keeps_exactly_the_structural_nonzeros(mesh):
+    coef = SPARSE_MESHES[mesh]().coef
+    kept_g, kept_inverse = KEPT[mesh]
+    assert {(i, a) for i, a, _ in coef.g.off} == kept_g
+    assert {(i, a) for i, a, _ in coef.inverse_map.off} == kept_inverse
+    assert coef.axis_aligned == (not kept_inverse)
+
+
+def test_keep_drops_entries_at_round_off_of_the_largest():
+    """The rule itself: an off-diagonal entry survives only above 1e-12 of
+    the tensor's largest magnitude, wherever that largest entry sits."""
+    def const(v):
+        return np.full((2, 3, 3, 3), v)
+
+    eye = [[const(2.0 if i == a else 0.0) for a in range(3)] for i in range(3)]
+    eye[0][1], eye[2][0], eye[1][2] = const(-1e-11), const(4e-12), const(1e-13)
+    eye[1][0] = const(-5.0)  # the largest magnitude is off the diagonal
+    sparse = SparseMetric.keep(eye)
+    assert [(i, a) for i, a, _ in sparse.off] == [(0, 1), (1, 0)]
+    np.testing.assert_array_equal(sparse.diag, np.full((3, 2, 3, 3, 3), 2.0))
+    assert [(i, a) for i, a, _ in sparse.T.off] == [(1, 0), (0, 1)]
+
+
+def nine_term_grad(u, coef, dx):
+    """``(du/dx, du/dy, du/dz)`` with all nine inverse-map terms."""
+    ur, us, ut = per_axis_derivatives(u, dx)
+    c = coef
+    return (
+        ur * c.drdx + us * c.dsdx + ut * c.dtdx,
+        ur * c.drdy + us * c.dsdy + ut * c.dtdy,
+        ur * c.drdz + us * c.dsdz + ut * c.dtdz,
+    )
+
+
+def nine_term_divergence(ux, uy, uz, coef, dx):
+    return (
+        nine_term_grad(ux, coef, dx)[0]
+        + nine_term_grad(uy, coef, dx)[1]
+        + nine_term_grad(uz, coef, dx)[2]
+    )
+
+
+def nine_term_curl(ux, uy, uz, coef, dx):
+    gx, gy, gz = (nine_term_grad(f, coef, dx) for f in (ux, uy, uz))
+    return gz[1] - gy[2], gx[2] - gz[0], gy[0] - gx[1]
+
+
+def nine_term_cdtp(vx, vy, vz, coef, dx):
+    """``(grad phi, v)`` with all nine inverse-map terms, one axis at a time."""
+    c = coef
+    wr = c.mass * (c.drdx * vx + c.drdy * vy + c.drdz * vz)
+    ws = c.mass * (c.dsdx * vx + c.dsdy * vy + c.dsdz * vz)
+    wt = c.mass * (c.dtdx * vx + c.dtdy * vy + c.dtdz * vz)
+    out = np.einsum("ekjl,li->ekji", wr, dx)
+    out += np.einsum("lj,ekli->ekji", dx, ws)
+    out += np.einsum("lk,elji->ekji", dx, wt)
+    return out
+
+
+def nine_term_courant(space, ux, uy, uz, dt):
+    """The reference-space Courant number with all nine inverse-map terms."""
+    c = space.coef
+    ur = np.abs(ux * c.drdx + uy * c.drdy + uz * c.drdz)
+    us = np.abs(ux * c.dsdx + uy * c.dsdy + uz * c.dsdz)
+    ut = np.abs(ux * c.dtdx + uy * c.dtdy + uz * c.dtdz)
+    x = np.asarray(gll_points_weights(space.lx)[0])
+    gaps = np.diff(x)
+    d = np.minimum(np.r_[gaps, np.inf], np.r_[np.inf, gaps])  # nearest neighbour
+    return dt * np.max(ur / d + us / d[:, None] + ut / d[:, None, None])
+
+
+@pytest.mark.parametrize("mesh", ["cylinder", "deformed", "rotated", "stretched"])
+def test_sparse_contractions_match_nine_term_oracles(mesh):
+    """Every contraction through the sparse metric equals its nine-term
+    per-axis oracle to 1e-12 of the result."""
+    space = SPARSE_MESHES[mesh]()
+    coef, dx = space.coef, space.dx
+    rng = np.random.default_rng(sorted(KEPT).index(mesh))
+    u, vx, vy, vz = (random_field(space, rng) for _ in range(4))
+
+    def check(got, ref):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    check(ax_poisson(u, coef, dx), per_axis_helmholtz(u, coef, dx, 1.0, 0.0))
+    check(ax_helmholtz(u, coef, dx, 0.7, 3.0), per_axis_helmholtz(u, coef, dx, 0.7, 3.0))
+    for got, ref in zip(physical_grad(u, coef, dx), nine_term_grad(u, coef, dx)):
+        check(got, ref)
+    check(divergence(vx, vy, vz, coef, dx), nine_term_divergence(vx, vy, vz, coef, dx))
+    check(
+        weak_gradient_transpose(vx, vy, vz, coef, dx), nine_term_cdtp(vx, vy, vz, coef, dx)
+    )
+    for got, ref in zip(curl(vx, vy, vz, coef, dx), nine_term_curl(vx, vy, vz, coef, dx)):
+        check(got, ref)
+    dl = Dealiaser(space)
+    check(dl.convect_weak(vx, vy, vz, u), nine_metric_convection(vx, vy, vz, u, space, dl.lxd))
+    assert courant_number(space, vx, vy, vz, 0.1) == pytest.approx(
+        nine_term_courant(space, vx, vy, vz, 0.1), rel=1e-12, abs=0.0
+    )
+
+
+def test_diagonal_path_is_the_stacked_product():
+    """On a box every contraction is one stacked multiply by the diagonal,
+    bit for bit the explicit product (the dealiased one with the fine mass
+    folded into the interpolated diagonal)."""
+    space = stretched_box_space((2.0, 0.5, 1.3), (0.0, 1.5, 0.8))
+    c, dx = space.coef, space.dx
+    rng = np.random.default_rng(17)
+    u, cx, cy, cz = (random_field(space, rng) for _ in range(4))
+    du = np.empty((3,) + u.shape)
+    tensor_derivatives_stacked(u, dx, du)
+
+    flux = du * np.stack([c.g11, c.g22, c.g33])
+    np.testing.assert_array_equal(ax_poisson(u, c, dx), local_grad_transpose(*flux, dx))
+    grad = du * np.stack([c.drdx, c.dsdy, c.dtdz])
+    for got, ref in zip(physical_grad(u, c, dx), grad):
+        np.testing.assert_array_equal(got, ref)
+
+    dl = Dealiaser(space)
+    j = dl.interp
+    pts_w = np.asarray(gll_points_weights(dl.lxd)[1])
+    w3 = np.einsum("k,j,i->kji", pts_w, pts_w, pts_w)
+    metric_d = interp3(np.stack([c.drdx, c.dsdy, c.dtdz]), j)
+    metric_d *= w3 * interp3(c.jac, j)
+    flux_d = interp3(du, j) * metric_d
+    c_fine = tuple(dl.to_fine(f) for f in (cx, cy, cz))
+    adv = flux_d[0] * c_fine[0] + flux_d[1] * c_fine[1] + flux_d[2] * c_fine[2]
+    np.testing.assert_array_equal(
+        dl.convect_weak(cx, cy, cz, u, c_fine), interp3(adv, dl.interp_t)
+    )
 
 
 @settings(max_examples=8, deadline=None)
