@@ -27,7 +27,7 @@ verify:
 # The measurement spine's own tests plus a quick pass of its workloads.
 spine:
 	$(PYTHON) -m pytest benchmarks/spine/tests -q
-	python3 benchmarks/spine/run.py --quick
+	$(PYTHON) benchmarks/spine/run.py --quick
 
 # Alternating spine pairs of one workload: BASE (a git revision) against the
 # working tree, e.g. `make ab WORKLOAD=rbc_cyl_p7 PAIRS=7 BASE=HEAD`.

@@ -52,8 +52,6 @@ class CaseConfig:
         for velocity and temperature) shorten the solves without moving
         their targets.  The pressure right-hand side is that of the
         *increment* equation.
-    coarse_iterations:
-        Fixed iteration count of the coarse-grid CG (paper: ~10).
     pressure_projection_dim:
         Size of the previous-solutions projection space accelerating the
         pressure solve (0 disables); a full space restarts from the
@@ -69,9 +67,6 @@ class CaseConfig:
         ``[dt_min, dt_max]``.
     dealias:
         Apply 3/2-rule overintegration to advection (paper: yes).
-    coarse_method:
-        Coarse-grid solve strategy: ``"direct"`` (cached sparse LU, the
-        fast path) or ``"cg"`` (the paper's fixed-iteration Jacobi-CG).
     """
 
     mesh: HexMesh
@@ -83,17 +78,14 @@ class CaseConfig:
     no_slip_labels: tuple[str, ...] = ()
     temperature_bcs: dict[str, float] = field(default_factory=dict)
     initial_temperature: object | None = None
-    initial_velocity: object | None = None
     pressure_tol: float = 1.0e-5
     velocity_tol: float = 1.0e-9
     temperature_tol: float = 1.0e-9
-    coarse_iterations: int = 10
     pressure_projection_dim: int = 20
     adaptive_cfl: float | None = None
     dt_min: float = 1.0e-6
     dt_max: float = 5.0e-2
     dealias: bool = True
-    coarse_method: str = "direct"
     name: str = "rbc"
 
     @property
@@ -118,16 +110,12 @@ class CaseConfig:
             raise ValueError(f"time_order must be 1, 2 or 3, got {self.time_order}")
         if min(self.pressure_tol, self.velocity_tol, self.temperature_tol) <= 0:
             raise ValueError("solver tolerances must be positive")
-        if self.coarse_iterations < 1:
-            raise ValueError("coarse_iterations must be >= 1")
         if self.pressure_projection_dim < 0:
             raise ValueError("pressure_projection_dim must be >= 0")
         if self.adaptive_cfl is not None and self.adaptive_cfl <= 0:
             raise ValueError("adaptive_cfl must be positive")
         if self.dt_min > self.dt_max:
             raise ValueError(f"dt_min {self.dt_min} exceeds dt_max {self.dt_max}")
-        if self.coarse_method not in ("cg", "direct"):
-            raise ValueError(f"coarse_method must be 'cg' or 'direct', got {self.coarse_method!r}")
         known = set(self.mesh.boundary_labels())
         for lab in self.no_slip_labels:
             if lab not in known:

@@ -95,15 +95,8 @@ class FluidScheme:
         self.p = space.zeros()
 
         # Pressure solver: flexible CG + hybrid Schwarz multigrid, singular
-        # (pure-Neumann) with the counting null-space projector.  Either
-        # coarse method keeps the preconditioner symmetric enough for the
-        # flexible recurrence.
-        self.hsmg = HybridSchwarzMultigrid(
-            space,
-            mask=None,
-            coarse_iterations=config.coarse_iterations,
-            coarse_method=config.coarse_method,
-        )
+        # (pure-Neumann) with the counting null-space projector.
+        self.hsmg = HybridSchwarzMultigrid(space, mask=None)
         self._pressure_project = MeanProjector.counting(space.gs)
 
         def p_amul(u: np.ndarray) -> np.ndarray:
@@ -170,12 +163,6 @@ class FluidScheme:
         return (d.to_fine(self.u[0]), d.to_fine(self.v[0]), d.to_fine(self.w[0]))
 
     # -- stepping ------------------------------------------------------------
-
-    def set_velocity(self, ux: np.ndarray, uy: np.ndarray, uz: np.ndarray) -> None:
-        """Initialize all history levels with the given field."""
-        for hist, val in ((self.u, ux), (self.v, uy), (self.w, uz)):
-            for lev in hist:
-                lev[:] = val
 
     def prime_history(
         self,

@@ -107,13 +107,6 @@ class Simulation:
         # Initial conditions.
         if config.initial_temperature is not None:
             self.scalar.set_temperature(self.space.interpolate(config.initial_temperature))
-        if config.initial_velocity is not None:
-            ux, uy, uz = config.initial_velocity(self.space.x, self.space.y, self.space.z)
-            self.fluid.set_velocity(
-                np.asarray(ux, dtype=np.float64) * np.ones(self.space.shape),
-                np.asarray(uy, dtype=np.float64) * np.ones(self.space.shape),
-                np.asarray(uz, dtype=np.float64) * np.ones(self.space.shape),
-            )
 
     # -- accessors -------------------------------------------------------------
 

@@ -6,7 +6,7 @@ multigrid (eq. (3)):
     M0^{-1} = R0^T A0^{-1} R0  +  sum_k Rk^T  Ak^{-1} Rk
 
 * the coarse term restricts to the element-vertex (Q1) space and solves
-  with a fixed-iteration Jacobi-preconditioned CG (``coarse.py``);
+  there exactly with a cached sparse factorization (``coarse.py``);
 * the fine term solves a separable local Poisson problem on every element
   with the fast diagonalization method on a one-ghost-point extended grid
   (``fdm.py``), combined additively with counting weights (``schwarz.py``);

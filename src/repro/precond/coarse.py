@@ -9,17 +9,12 @@ Galerkin-consistent operator matters: an under-integrated vertex Laplacian
 over-corrects smooth modes and can push eigenvalues of ``M^{-1} A``
 negative.
 
-Two solve strategies are provided.  ``method="cg"`` (the class default,
-and the paper's configuration) runs a Jacobi-preconditioned CG for a fixed
-number of iterations (~10): cheap, allreduce-heavy and latency-dominated --
-which is why the task-overlap schedule of Section 5.3 runs it concurrently
-with the fine smoother.  ``method="direct"`` factorizes the sparse coarse
-operator once (``splu``; the singular pure-Neumann case is regularized by
-pinning vertex 0, which is exact for consistent right-hand sides) and
-back-substitutes per application -- on a single-process run this replaces
-~10 Python-level CG iterations with one triangular solve and is the
-production fast path used by the HSMG preconditioner.  Assembly and
-factorization are shared through the operator cache.
+The solve factorizes the sparse coarse operator once (``splu``; the
+singular pure-Neumann case is regularized by pinning vertex 0, which is exact
+for consistent right-hand sides) and back-substitutes per application.
+Assembly and factorization are shared through the operator cache.  The
+paper's GPU runs use ~10 Jacobi-CG iterations here instead; that variant is
+priced by :mod:`repro.gpu.schwarz`, not run.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ from repro.sem.basis import lagrange_interpolation_matrix
 from repro.sem.dealias import interp3
 from repro.sem.quadrature import gll_points_weights
 from repro.sem.space import FunctionSpace
-from repro.solvers.cg import ConjugateGradient
 
 __all__ = ["CoarseGridSolver", "q1_element_stiffness"]
 
@@ -103,22 +97,17 @@ def q1_element_stiffness(corner_coords: np.ndarray) -> np.ndarray:
 
 
 class CoarseGridSolver:
-    """Approximate inverse of the Galerkin vertex-space Poisson operator.
+    """Exact inverse of the Galerkin vertex-space Poisson operator.
+
+    In the singular case the inverse is exact on mean-free vectors.
 
     Parameters
     ----------
     fine_space:
         The pressure space of the fine level.
-    iterations:
-        Fixed CG iteration count (paper: approximately 10); ignored by the
-        direct method.
     mask:
         Optional fine-level Dirichlet mask; when ``None`` the problem is
         singular (pure Neumann) and the constant mode is projected out.
-    method:
-        ``"cg"`` (fixed-iteration Jacobi-CG, the paper's configuration and
-        the class default) or ``"direct"`` (cached sparse LU, the
-        production fast path).
     cache:
         Operator-cache handle for the assembly/factorization (``None`` =
         process-wide cache, ``False`` = private cold build).
@@ -127,15 +116,10 @@ class CoarseGridSolver:
     def __init__(
         self,
         fine_space: FunctionSpace,
-        iterations: int = 10,
         mask: np.ndarray | None = None,
-        method: str = "cg",
         cache: OperatorCache | bool | None = None,
     ) -> None:
-        if method not in ("cg", "direct"):
-            raise ValueError(f"unknown coarse method: {method!r}")
         self.fine = fine_space
-        self.method = method
         self.coarse = FunctionSpace(fine_space.mesh, 2)
         fine_pts, _ = gll_points_weights(fine_space.lx)
         # Prolongation J: Q1 nodal values -> degree-N nodal values, and the
@@ -148,42 +132,17 @@ class CoarseGridSolver:
         self.singular = mask is None
         self._mask = mask
 
-        key = CacheKey.for_space(
-            fine_space, f"coarse[{method};mask={mask_fingerprint(mask)}]"
-        )
+        key = CacheKey.for_space(fine_space, f"coarse[mask={mask_fingerprint(mask)}]")
         self._free, self.a0, self._lu, self._ainv = resolve_cache(cache).get_or_build(
             key, self._build_operator
         )
         self._all_free = bool(self._free.all())
         self._inv_mult = 1.0 / fine_space.gs.multiplicity
 
-        self.cg: ConjugateGradient | None = None
-        self.iterations = iterations
-        if method == "cg":
-            diag = self.a0.diagonal()
-            if np.any(diag <= 0):
-                raise RuntimeError("coarse operator has non-positive diagonal")
-            inv_diag = 1.0 / diag
-            a0 = self.a0
-
-            def amul(u: np.ndarray) -> np.ndarray:
-                return a0 @ u
-
-            def dot(u: np.ndarray, v: np.ndarray) -> float:
-                return float(np.dot(u, v))
-
-            self.cg = ConjugateGradient(
-                amul,
-                dot=dot,
-                precond=lambda r: inv_diag * r,
-                fixed_iterations=iterations,
-                name="coarse-cg",
-            )
-
     def _build_operator(
         self,
     ) -> tuple[np.ndarray, scipy.sparse.csr_matrix, Any, np.ndarray | None]:
-        """Assemble the Galerkin coarse operator (and factorize it, if direct)."""
+        """Assemble the Galerkin coarse operator and factorize it."""
         gs = self.coarse.gs
         mask = self._mask
         free = np.ones(self.n_vertices, dtype=bool)
@@ -210,27 +169,22 @@ class CoarseGridSolver:
             d = scipy.sparse.diags(freef)
             a0 = d @ a0 @ d + scipy.sparse.diags(1.0 - freef)
 
-        lu: Any = None
+        if self.singular:
+            # Pin vertex 0 (identity row/column).  For a consistent
+            # right-hand side (sum == 0, guaranteed by the mean projection)
+            # the solve with ``rhs[0] = 0`` is *exact*: the dropped row is
+            # minus the sum of the others.
+            pin = np.ones(self.n_vertices)
+            pin[0] = 0.0
+            d = scipy.sparse.diags(pin)
+            e00 = scipy.sparse.coo_matrix(([1.0], ([0], [0])), shape=a0.shape)
+            ap = (d @ a0 @ d + e00).tocsc()
+        else:
+            ap = a0.tocsc()
+        lu = scipy.sparse.linalg.splu(ap)
         ainv: np.ndarray | None = None
-        if self.method == "direct":
-            ap = a0
-            if self.singular:
-                # Pin vertex 0 (identity row/column).  For a consistent
-                # right-hand side (sum == 0, guaranteed by the mean
-                # projection) the solve with ``rhs[0] = 0`` is *exact*: the
-                # dropped row is minus the sum of the others.
-                pin = np.ones(self.n_vertices)
-                pin[0] = 0.0
-                d = scipy.sparse.diags(pin)
-                e00 = scipy.sparse.coo_matrix(
-                    ([1.0], ([0], [0])), shape=a0.shape
-                )
-                ap = (d @ a0 @ d + e00).tocsc()
-            else:
-                ap = a0.tocsc()
-            lu = scipy.sparse.linalg.splu(ap)
-            if self.n_vertices <= _DENSE_INVERSE_MAX_VERTICES:
-                ainv = np.ascontiguousarray(lu.solve(np.eye(self.n_vertices)))
+        if self.n_vertices <= _DENSE_INVERSE_MAX_VERTICES:
+            ainv = np.ascontiguousarray(lu.solve(np.eye(self.n_vertices)))
         return free, a0, lu, ainv
 
     # -- transfer operators --------------------------------------------------
@@ -266,15 +220,10 @@ class CoarseGridSolver:
         rc = self.restrict(r)
         if self.singular:
             self._project(rc)
+            rc[0] = 0.0
         else:
             rc[~self._free] = 0.0
-        if self._lu is not None:
-            if self.singular:
-                rc[0] = 0.0
-            uc = self._ainv @ rc if self._ainv is not None else self._lu.solve(rc)
-        else:
-            assert self.cg is not None
-            uc, _ = self.cg.solve(rc)
+        uc = self._ainv @ rc if self._ainv is not None else self._lu.solve(rc)
         if self.singular:
             self._project(uc)
         return self.prolong(uc)
@@ -282,26 +231,14 @@ class CoarseGridSolver:
     def kernel_inventory(self, n_elements: int | None = None) -> list[tuple[str, int]]:
         """Kernel launch sequence for the GPU simulator (per application).
 
-        The coarse solve is many *small* kernels plus global reductions --
-        the launch-latency-dominated profile the paper overlaps away.
+        Restriction, one gather plus two triangular solves, prolongation.
+        The solve's work is the host factor's ``nnz``, scaled to
+        ``n_elements`` (vertex count, and so ``nnz``, grows with elements).
         """
-        ne = self.fine.mesh.nelv if n_elements is None else n_elements
-        seq: list[tuple[str, int]] = [("coarse_restrict", ne * 8 * self.fine.lx)]
-        if self.method == "direct":
-            # One gather + two triangular solves; nnz scales with vertices.
-            seq.append(("coarse_direct_solve", int(getattr(self.a0, "nnz", ne * 27))))
-        else:
-            assert self.cg is not None
-            iters = self.cg.fixed_iterations or 10
-            for _ in range(iters):
-                seq += [
-                    ("coarse_ax", ne * 8 * 8),
-                    ("coarse_gs", ne * 8),
-                    ("allreduce_dot", 1),
-                    ("coarse_axpy", ne * 8),
-                    ("coarse_jacobi", ne * 8),
-                    ("allreduce_dot", 1),
-                    ("coarse_axpy2", ne * 8),
-                ]
-        seq.append(("coarse_prolong", ne * 8 * self.fine.lx))
-        return seq
+        nelv = self.fine.mesh.nelv
+        ne = nelv if n_elements is None else n_elements
+        return [
+            ("coarse_restrict", ne * 8 * self.fine.lx),
+            ("coarse_direct_solve", round(self.a0.nnz * ne / nelv)),
+            ("coarse_prolong", ne * 8 * self.fine.lx),
+        ]

@@ -36,15 +36,10 @@ class HybridSchwarzMultigrid:
     mask:
         Optional Dirichlet mask on the pressure (``None`` for the standard
         pure-Neumann pressure problem).
-    coarse_iterations:
-        Fixed CG iteration count of the coarse solve (``coarse_method="cg"``).
     mid_orders:
         Optional intermediate polynomial orders (``lx`` values) inserted
         between the fine level and the vertex space, each contributing an
         additional additive Schwarz term (the general k-level form).
-    coarse_method:
-        ``"direct"`` (cached sparse LU, the production default here) or
-        ``"cg"`` (the paper's fixed-iteration configuration).
     cache:
         Operator-cache handle shared by all level setups (``None`` =
         process-wide cache).
@@ -54,20 +49,12 @@ class HybridSchwarzMultigrid:
         self,
         space: FunctionSpace,
         mask: np.ndarray | None = None,
-        coarse_iterations: int = 10,
         mid_orders: tuple[int, ...] = (),
-        coarse_method: str = "direct",
         cache: OperatorCache | bool | None = None,
     ) -> None:
         self.space = space
         self.mask = mask
-        self.coarse = CoarseGridSolver(
-            space,
-            iterations=coarse_iterations,
-            mask=mask,
-            method=coarse_method,
-            cache=cache,
-        )
+        self.coarse = CoarseGridSolver(space, mask=mask, cache=cache)
         self.schwarz = SchwarzSmoother(space, mask=mask, cache=cache)
         # (space, smoother, mid->fine interpolation, its transpose)
         self.mid_levels: list[tuple[FunctionSpace, SchwarzSmoother, np.ndarray, np.ndarray]] = []

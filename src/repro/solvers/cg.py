@@ -52,11 +52,6 @@ class ConjugateGradient:
         ``tol * ||r_0||``; with one, the ``||r_0||`` term only matters when
         the guess is worse than none (or ``b`` vanishes), and keeps such a
         solve no stricter than ``tol`` of its own starting residual.
-    fixed_iterations:
-        When set, run exactly this many iterations with *no* convergence
-        test -- the mode the paper uses for the coarse-grid solve ("a fixed
-        number of iterations (~10)"), which avoids the extra allreduce of a
-        residual norm per iteration.
     """
 
     def __init__(
@@ -66,7 +61,6 @@ class ConjugateGradient:
         precond: Operator | None = None,
         tol: float = 1e-8,
         maxiter: int = 500,
-        fixed_iterations: int | None = None,
         atol: float = 1e-30,
         name: str = "cg",
         tracer: TracerProtocol | None = None,
@@ -77,7 +71,6 @@ class ConjugateGradient:
         self.tol = tol
         self.atol = atol
         self.maxiter = maxiter
-        self.fixed_iterations = fixed_iterations
         self.name = name
         self.tracer: TracerProtocol = tracer if tracer is not None else NULL_TRACER
 
@@ -99,12 +92,11 @@ class ConjugateGradient:
         rnorm = float(np.sqrt(max(self.dot(r, r), 0.0)))
         bnorm = rnorm if x0 is None else float(np.sqrt(max(self.dot(b, b), 0.0)))
 
-        if mon.start(rnorm, reference=bnorm) and self.fixed_iterations is None:
+        if mon.start(rnorm, reference=bnorm):
             return x, mon
 
         p = z.copy()
-        niter = self.fixed_iterations if self.fixed_iterations is not None else self.maxiter
-        for _ in range(niter):
+        for _ in range(self.maxiter):
             ap = self.amul(p)
             pap = self.dot(p, ap)
             if pap <= 0.0:
@@ -114,10 +106,9 @@ class ConjugateGradient:
             alpha = rho / pap
             x += alpha * p
             r -= alpha * ap
-            if self.fixed_iterations is None:
-                rnorm = float(np.sqrt(max(self.dot(r, r), 0.0)))
-                if mon.step(rnorm):
-                    break
+            rnorm = float(np.sqrt(max(self.dot(r, r), 0.0)))
+            if mon.step(rnorm):
+                break
             z = self.precond(r)
             rho_new = self.dot(r, z)
             beta = rho_new / rho
@@ -126,7 +117,4 @@ class ConjugateGradient:
             # to z + beta*p and reuses p's buffer instead of allocating.
             p *= beta
             p += z
-        if self.fixed_iterations is not None:
-            rnorm = float(np.sqrt(max(self.dot(r, r), 0.0)))
-            mon.step(rnorm)
         return x, mon

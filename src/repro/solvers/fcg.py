@@ -12,8 +12,7 @@ NekRS configuration (arXiv:2104.05829).
 The *flexible* (Polak--Ribiere) direction update
 ``beta = <z_new, r_new - r_old> / <z_old, r_old>`` keeps the iteration
 convergent when the preconditioner is only approximately a fixed symmetric
-operator: the fixed-iteration coarse CG (defect 6e-6 to 8e-3) is admissible.
-Every preconditioner in :mod:`repro.precond` runs under it, so the repo keeps
+operator.  Every preconditioner in :mod:`repro.precond` runs under it, so the repo keeps
 no second Krylov family for preconditioners that are not symmetric.
 
 The iteration stops on the recurrence residual and is closed by one

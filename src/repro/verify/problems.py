@@ -213,12 +213,7 @@ def make_preconditioner(
     if name == "schwarz":
         return masked(SchwarzSmoother(space, mask=mask))
     if name == "hsmg":
-        # Pin the paper's configuration (10-iteration CG coarse solve):
-        # the iteration-count regression bands reference this variant, not
-        # the production direct-coarse fast path.
-        return masked(
-            HybridSchwarzMultigrid(space, mask=mask, coarse_iterations=10, coarse_method="cg")
-        )
+        return masked(HybridSchwarzMultigrid(space, mask=mask))
     raise ValueError(f"unknown preconditioner {name!r}; options: {PRECONDITIONERS}")
 
 

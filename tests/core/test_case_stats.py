@@ -43,7 +43,6 @@ class TestCaseConfig:
         for bad in (
             {"rayleigh": -1.0},
             {"dt": 0.0},
-            {"coarse_iterations": 0},
             {"pressure_projection_dim": -1},
             {"pressure_tol": 0.0},
             {"velocity_tol": -1e-9},

@@ -75,8 +75,8 @@ def test_cache_hit_equals_cold_build_through_a_solve():
 def test_coarse_direct_cache_hit_reuses_factorization():
     space = make_space()
     cache = OperatorCache()
-    a = CoarseGridSolver(space, method="direct", cache=cache)
-    b = CoarseGridSolver(space, method="direct", cache=cache)
+    a = CoarseGridSolver(space, cache=cache)
+    b = CoarseGridSolver(space, cache=cache)
     assert cache.hits >= 1
     assert a._lu is b._lu
     rng = np.random.default_rng(1)

@@ -228,7 +228,7 @@ class TestCoarse:
         from repro.sem.operators import ax_poisson
 
         sp4 = FunctionSpace(box_mesh((4, 4, 4)), 5)
-        cg = CoarseGridSolver(sp4, iterations=50)
+        cg = CoarseGridSolver(sp4)
         u = np.cos(np.pi * sp4.x)
         r = sp4.gs.add(ax_poisson(u, sp4.coef, sp4.dx))
         z = cg(r)
@@ -245,11 +245,39 @@ class TestCoarse:
         assert z.shape == sp.shape
         assert np.isfinite(z).all()
 
-    def test_kernel_inventory_scaling(self, sp):
-        cg = CoarseGridSolver(sp, iterations=10)
-        inv = cg.kernel_inventory()
-        dots = [k for k, _ in inv if k == "allreduce_dot"]
-        assert len(dots) == 20  # two reductions per CG iteration
+    def test_kernel_inventory(self, sp):
+        cg = CoarseGridSolver(sp)
+        inv = dict(cg.kernel_inventory())
+        assert list(inv) == ["coarse_restrict", "coarse_direct_solve", "coarse_prolong"]
+        assert all(n > 0 for n in inv.values())
+        # Every entry, the factor's work included, grows with the mesh.
+        big = dict(cg.kernel_inventory(n_elements=10**6))
+        assert all(big[k] > inv[k] for k in inv)
+        assert big["coarse_direct_solve"] == pytest.approx(
+            inv["coarse_direct_solve"] * 10**6 / sp.mesh.nelv, rel=1e-6
+        )
+
+    @pytest.mark.parametrize("n, lx", [((3, 3, 3), 6), ((2, 3, 2), 8)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_inverts_a0_on_the_q1_space(self, n, lx, masked):
+        # The correction is R0^T A0^{-1} R0, and R0 A prolong = A0: a fine
+        # residual of a prolonged vertex field comes back as that field.
+        space = FunctionSpace(box_mesh(n), lx)
+        mask = None
+        if masked:
+            mask = DirichletBC(space, ["bottom", "top"]).mask
+        cg = CoarseGridSolver(space, mask=mask, cache=False)
+        uv = np.random.default_rng(61).normal(size=cg.n_vertices)
+        if masked:
+            uv[~cg._free] = 0.0
+        else:
+            uv -= uv.mean()
+        uf = cg.prolong(uv)
+        r = space.gs.add(ax_poisson(uf, space.coef, space.dx))
+        if masked:
+            r *= mask
+        err = np.abs(cg(r) - uf).max() / np.abs(uf).max()
+        assert err < 1e-12
 
 
 class TestHSMG:

@@ -140,16 +140,6 @@ class TestCG:
         x, mon = cg.solve(1e-300 * np.ones(30), x0=rng.normal(size=30))
         assert mon.converged and np.linalg.norm(x) <= 1e-9
 
-    def test_fixed_iterations_mode(self):
-        a = make_spd(30, seed=4)
-        b = np.ones(30)
-        cg = ConjugateGradient(lambda u: a @ u, dense_dot, fixed_iterations=10)
-        x, mon = cg.solve(b)
-        assert mon.iterations >= 1
-        r = b - a @ x
-        # 10 iterations must reduce the residual substantially.
-        assert np.linalg.norm(r) < 0.5 * np.linalg.norm(b)
-
     def test_exact_in_n_iterations(self):
         # CG terminates in at most n iterations in exact arithmetic.
         a = make_spd(15, seed=5, cond=10.0)
