@@ -62,7 +62,7 @@ class CaseConfig:
         direction).
     adaptive_cfl:
         When set, the time step adapts to hold the Courant number near
-        this target (variable-step BDF/EXT coefficients are used);
+        this target (the BDF/EXT coefficients follow the steps taken);
         ``dt`` then only sets the initial step, bounded by
         ``[dt_min, dt_max]``.
     dealias:

@@ -138,7 +138,7 @@ class FluidScheme:
     # -- operators -----------------------------------------------------------
 
     def set_dt(self, dt: float) -> None:
-        """Change the step size (adaptive stepping); the next step applies it."""
+        """Change the step size; the next step applies it."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.dt = dt
@@ -191,7 +191,7 @@ class FluidScheme:
         if pressure is not None:
             self.p = pressure.copy()
             self._pressure_project(self.p)
-        self.scheme.jump_start()
+        self.scheme.jump_start([dt] * (self.scheme.target_order - 1))
 
     def step(
         self,
@@ -207,10 +207,8 @@ class FluidScheme:
         the v-component velocity solve (:mod:`repro.core.overlap`).
         """
         space = self.space
-        b0, bs = self.scheme.bdf
-        ext = self.scheme.ext
         dt = self.dt
-        self.velocity_solver.set_h2(b0 / dt)
+        self.velocity_solver.set_h2(self.scheme.bdf[0] / dt)
 
         with self.timers.region(PHASE_ADVECTION):
             fx = -self.convective_weak(self.u[0], c_fine) + forcing_weak[0]
@@ -219,15 +217,12 @@ class FluidScheme:
             self.f_hist.insert(0, (fx, fy, fz))
             del self.f_hist[3:]
 
-            rhs = []
-            for comp, hist in enumerate((self.u, self.v, self.w)):
-                r = np.zeros(space.shape)
-                for q, aq in enumerate(ext):
-                    if q < len(self.f_hist):
-                        r += aq * self.f_hist[q][comp]
-                for j, bj in enumerate(bs):
-                    r += (bj / dt) * space.coef.mass * hist[j]
-                rhs.append(r)
+            rhs = [
+                self.scheme.history_rhs(
+                    [f[comp] for f in self.f_hist], hist, space.coef.mass, dt
+                )
+                for comp, hist in enumerate((self.u, self.v, self.w))
+            ]
 
         with self.timers.region(PHASE_PRESSURE):
             # Incremental pressure correction: the predictor carries the
@@ -279,7 +274,7 @@ class FluidScheme:
         self, rhs: np.ndarray, grad_p: np.ndarray, hist: list[np.ndarray]
     ) -> tuple[np.ndarray, SolverMonitor]:
         """One component's Helmholtz solve, from the EXT-k guess of its history."""
-        guess = sum(aq * lev for aq, lev in zip(self.scheme.ext, hist))
+        guess = self.scheme.extrapolate(hist)
         return self.velocity_solver.solve(rhs - self.space.coef.mass * grad_p, guess)
 
     # -- diagnostics -----------------------------------------------------------

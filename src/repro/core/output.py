@@ -191,7 +191,7 @@ def verify_checkpoint(path: str | pathlib.Path | IO[bytes]) -> dict:
     return {
         "step": int(data["step_count"]),
         "time": float(data["time"]),
-        "dt": float(data["dt"]) if "dt" in data else None,
+        "dt": float(data["dt"]),
         "checksum": str(data["checksum"]),
     }
 

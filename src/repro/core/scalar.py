@@ -106,10 +106,10 @@ class ScalarScheme:
             weak_forcing_at(t0 - j * dt)
             for j in range(1, self.scheme.target_order)
         ]
-        self.scheme.jump_start()
+        self.scheme.jump_start([dt] * (self.scheme.target_order - 1))
 
     def set_dt(self, dt: float) -> None:
-        """Change the step size (adaptive stepping); the next step applies it."""
+        """Change the step size; the next step applies it."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.dt = dt
@@ -122,10 +122,7 @@ class ScalarScheme:
     ) -> dict[str, SolverMonitor]:
         """Advance the temperature one step, advected by ``velocity``."""
         space = self.space
-        b0, bs = self.scheme.bdf
-        ext = self.scheme.ext
-        dt = self.dt
-        self.solver.set_h2(b0 / dt)
+        self.solver.set_h2(self.scheme.bdf[0] / self.dt)
 
         with self.timers.region(PHASE_TEMPERATURE):
             cx, cy, cz = velocity
@@ -142,15 +139,8 @@ class ScalarScheme:
             self.f_hist.insert(0, f)
             del self.f_hist[3:]
 
-            rhs = np.zeros(space.shape)
-            for q, aq in enumerate(ext):
-                if q < len(self.f_hist):
-                    rhs += aq * self.f_hist[q]
-            for j, bj in enumerate(bs):
-                rhs += (bj / dt) * space.coef.mass * self.t_hist[j]
-
-            guess = sum(aq * lev for aq, lev in zip(ext, self.t_hist))
-            t_new, mon = self.solver.solve(rhs, guess)
+            rhs = self.scheme.history_rhs(self.f_hist, self.t_hist, space.coef.mass, self.dt)
+            t_new, mon = self.solver.solve(rhs, self.scheme.extrapolate(self.t_hist))
             self.t_hist.insert(0, t_new)
             del self.t_hist[3:]
 

@@ -33,7 +33,6 @@ from repro.observability.tracer import NULL_TRACER
 from repro.sem.space import FunctionSpace
 from repro.timeint.bdf_ext import TimeScheme
 from repro.timeint.cfl import courant_number
-from repro.timeint.variable import VariableTimeScheme
 
 __all__ = ["Simulation", "StepResult"]
 
@@ -78,12 +77,10 @@ class Simulation:
         # schemes' solver monitors, ``space.gs`` and the operator cache.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.timers = RegionTimers(tracer=self.tracer)
+        # ``dt`` is the one step size: adaptation, restarts and retries set
+        # it, and each step hands it to the scheme and both integrators.
         self.adaptive = config.adaptive_cfl is not None
-        self.scheme = (
-            VariableTimeScheme(config.time_order)
-            if self.adaptive
-            else TimeScheme(config.time_order)
-        )
+        self.scheme = TimeScheme(config.time_order)
         self.dt = config.dt
 
         self.fluid = FluidScheme(self.space, config, self.scheme, self.timers)
@@ -138,7 +135,6 @@ class Simulation:
             arrays[f"ft{i}"] = f
         if self.fluid.pressure_projection is not None:
             arrays.update(self.fluid.pressure_projection.state_arrays())
-        scheme_dts = getattr(self.scheme, "_dts", [])
         arrays.update(
             pressure=self.fluid.p,
             n_fluid_hist=np.asarray(len(self.fluid.f_hist)),
@@ -148,42 +144,44 @@ class Simulation:
             last_cfl=np.asarray(self.last_cfl if self.last_cfl is not None else [-1.0, -1.0]),
             step_count=np.asarray(self.step_count),
             scheme_steps=np.asarray(self.scheme.step_count),
-            scheme_dts=np.asarray(scheme_dts, dtype=np.float64),
+            scheme_dts=np.asarray(self.scheme.dts, dtype=np.float64),
         )
         return arrays
 
     def load_state(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Restore the state saved by :meth:`state_arrays`."""
+        """Restore the state saved by :meth:`state_arrays`.
+
+        Every entry is read before any state is written: a checkpoint that
+        lacks one raises :class:`CheckpointCorruptError` and leaves the
+        simulation as it was.
+        """
+        fluid, scalar = self.fluid, self.scalar
         try:
-            for i in range(3):
-                self.fluid.u[i][:] = arrays[f"u{i}"]
-                self.fluid.v[i][:] = arrays[f"v{i}"]
-                self.fluid.w[i][:] = arrays[f"w{i}"]
-                self.scalar.t_hist[i][:] = arrays[f"t{i}"]
-            self.fluid.p = arrays["pressure"].copy()
-            nf = int(arrays["n_fluid_hist"])
-            self.fluid.f_hist = [
+            levels = [[arrays[f"{c}{i}"] for i in range(3)] for c in "uvwt"]
+            pressure = arrays["pressure"].copy()
+            f_fluid = [
                 (arrays[f"fx{i}"].copy(), arrays[f"fy{i}"].copy(), arrays[f"fz{i}"].copy())
-                for i in range(nf)
+                for i in range(int(arrays["n_fluid_hist"]))
             ]
-            ns = int(arrays["n_scalar_hist"])
-            self.scalar.f_hist = [arrays[f"ft{i}"].copy() for i in range(ns)]
+            f_scalar = [arrays[f"ft{i}"].copy() for i in range(int(arrays["n_scalar_hist"]))]
+            sim_time, step_count, dt = arrays["time"], arrays["step_count"], arrays["dt"]
+            cfl, dt_last = (float(v) for v in arrays["last_cfl"])
+            scheme_steps, scheme_dts = arrays["scheme_steps"], arrays["scheme_dts"]
+            # Reads its whole basis before it replaces the stored one.
+            if fluid.pressure_projection is not None:
+                fluid.pressure_projection.load_state(arrays)
         except KeyError as exc:
             raise CheckpointCorruptError(f"checkpoint missing entry {exc}") from exc
-        if self.fluid.pressure_projection is not None:
-            self.fluid.pressure_projection.load_state(arrays)
-        self.time = float(arrays["time"])
-        self.step_count = int(arrays["step_count"])
-        self.scheme.step_count = int(arrays["scheme_steps"])
-        if "dt" in arrays:
-            self.dt = float(arrays["dt"])
-            self.fluid.set_dt(self.dt)
-            self.scalar.set_dt(self.dt)
-        if "last_cfl" in arrays:
-            cfl, dt_last = (float(v) for v in arrays["last_cfl"])
-            self.last_cfl = None if dt_last < 0 else (cfl, dt_last)
-        if hasattr(self.scheme, "_dts") and "scheme_dts" in arrays:
-            self.scheme._dts = [float(v) for v in np.atleast_1d(arrays["scheme_dts"])]
+        for hist, saved in zip((fluid.u, fluid.v, fluid.w, scalar.t_hist), levels):
+            for level, value in zip(hist, saved):
+                level[:] = value
+        fluid.p, fluid.f_hist, scalar.f_hist = pressure, f_fluid, f_scalar
+        self.time = float(sim_time)
+        self.step_count = int(step_count)
+        self.dt = float(dt)
+        self.last_cfl = None if dt_last < 0 else (cfl, dt_last)
+        self.scheme.step_count = int(scheme_steps)
+        self.scheme.dts = [float(v) for v in np.atleast_1d(scheme_dts)]
 
     # -- stepping ----------------------------------------------------------------
 
@@ -201,14 +199,14 @@ class Simulation:
             new_dt = float(np.clip(ideal, 0.75 * self.dt, 1.2 * self.dt))
             new_dt = float(np.clip(new_dt, self.config.dt_min, self.config.dt_max))
         self.dt = new_dt
-        self.fluid.set_dt(new_dt)
-        self.scalar.set_dt(new_dt)
 
     def step(self) -> StepResult:
         """Advance the coupled system one time step."""
         if self.adaptive:
             self._adapt_dt()
-            self.scheme.set_step(self.dt)
+        self.scheme.set_step(self.dt)
+        self.fluid.set_dt(self.dt)
+        self.scalar.set_dt(self.dt)
 
         gs = self.space.gs
         gs_calls, gs_bytes, gs_seconds = gs.calls, gs.bytes_moved, gs.seconds

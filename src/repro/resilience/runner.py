@@ -179,8 +179,6 @@ class ResilientRunner:
             sim.dt * self.dt_factor**power, getattr(sim.config, "dt_min", 0.0)
         )
         sim.dt = new_dt
-        sim.fluid.set_dt(new_dt)
-        sim.scalar.set_dt(new_dt)
         self.events.record(
             "dt_reduction",
             step=sim.step_count,

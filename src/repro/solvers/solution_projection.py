@@ -175,11 +175,13 @@ class SolutionProjection:
         return out
 
     def load_state(self, arrays: dict[str, FloatArray]) -> None:
-        """Restore the basis saved by :meth:`state_arrays`."""
-        self.clear()
-        i = 0
-        while f"proj_x{i}" in arrays:
-            # Copies: the basis must own its arrays, not views of the checkpoint.
-            self._x.append(np.array(arrays[f"proj_x{i}"], copy=True))
-            self._ax.append(np.array(arrays[f"proj_ax{i}"], copy=True))
-            i += 1
+        """Restore the basis saved by :meth:`state_arrays`.
+
+        A basis vector saved without its image raises ``KeyError`` before
+        the stored basis changes.
+        """
+        n = sum(key.startswith("proj_x") for key in arrays)
+        # Copies: the basis must own its arrays, not views of the checkpoint.
+        xs = [np.array(arrays[f"proj_x{i}"], copy=True) for i in range(n)]
+        axs = [np.array(arrays[f"proj_ax{i}"], copy=True) for i in range(n)]
+        self._x, self._ax = xs, axs

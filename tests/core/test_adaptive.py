@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import Simulation, load_checkpoint, rbc_box_case, write_checkpoint
-from repro.timeint.variable import VariableTimeScheme
 
 
 @pytest.fixture(scope="module")
@@ -17,8 +16,10 @@ def adaptive_sim():
 
 
 class TestAdaptiveStepping:
-    def test_uses_variable_scheme(self, adaptive_sim):
-        assert isinstance(adaptive_sim.scheme, VariableTimeScheme)
+    def test_scheme_spans_the_steps_taken(self, adaptive_sim):
+        taken = [r.dt for r in adaptive_sim.history]
+        assert adaptive_sim.scheme.dts == taken[::-1][:2]
+        assert adaptive_sim.scheme.dts[0] == adaptive_sim.dt
 
     def test_dt_grows_when_quiescent(self, adaptive_sim):
         # Early steps (tiny velocities) must ramp dt up from the initial 5e-3.

@@ -154,14 +154,16 @@ def test_resilient_runner_restores_after_the_join():
 
 
 def test_worker_thread_ends_with_the_simulation(monkeypatch):
+    # Follows the one thread this simulation started, not the process's
+    # thread count, which other libraries may change meanwhile.
     _two_cores(monkeypatch)
-    before = threading.active_count()
+    before = set(threading.enumerate())
     sim = Simulation(_box((4, 4, 2), 8))
     sim.step()
-    assert threading.active_count() == before + 1
+    (worker,) = [
+        t for t in set(threading.enumerate()) - before if t.name.startswith("repro-step")
+    ]
     del sim
     gc.collect()
-    deadline = time.monotonic() + 10.0
-    while threading.active_count() > before and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert threading.active_count() == before
+    worker.join(timeout=10.0)
+    assert not worker.is_alive()

@@ -16,6 +16,7 @@ from repro.core import (
     verify_checkpoint,
     write_checkpoint,
 )
+from repro.core.output import pack_checkpoint
 from repro.resilience.distributed import ShardedCheckpointStore
 
 
@@ -86,6 +87,27 @@ class TestCheckpointIntegrity:
             np.savez_compressed(fh, **arrays)
         with pytest.raises(CheckpointCorruptError, match="checksum"):
             verify_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "entry", ["pressure", "dt", "last_cfl", "scheme_dts", "ft0", "proj_ax0"]
+    )
+    def test_missing_entry_rejected_before_any_state_changes(self, warm_sim, entry):
+        # A checksum-valid checkpoint that lacks one entry.
+        arrays = warm_sim.state_arrays()
+        assert entry in arrays
+        del arrays[entry]
+        buf = io.BytesIO()
+        pack_checkpoint(arrays, buf)
+        buf.seek(0)
+        sim2 = Simulation(small_case(dt=2e-3))
+        sim2.run(n_steps=1)
+        before = {k: np.copy(v) for k, v in sim2.state_arrays().items()}
+        with pytest.raises(CheckpointCorruptError, match=entry):
+            load_checkpoint(sim2, buf)
+        after = sim2.state_arrays()
+        assert before.keys() == after.keys()
+        for key, value in before.items():
+            assert np.array_equal(after[key], value), key
 
     def test_missing_file_raises_corrupt_error(self, tmp_path):
         with pytest.raises(CheckpointCorruptError):

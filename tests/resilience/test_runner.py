@@ -1,6 +1,7 @@
 """Rollback-and-retry runner: unit tests on a stand-in simulation plus the
 end-to-end acceptance scenarios (seeded fault recovery, kill-and-restart)."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,8 +37,6 @@ class FakeSim:
         self.stat_samples = []
         self.adaptive = False
         self.config = SimpleNamespace(dt_min=1e-4, dt_max=1.0, adaptive_cfl=None)
-        self.fluid = SimpleNamespace(set_dt=lambda dt: None)
-        self.scalar = SimpleNamespace(set_dt=lambda dt: None)
         self.state = np.zeros(4)
         self.fail_if = fail_if or (lambda sim: None)
 
@@ -303,6 +302,41 @@ class TestEndToEndRecovery:
         result = runner.run(n_steps=8)
         text = result.events.summary()
         assert "[fault]" in text and "[rollback]" in text and "[retry]" in text
+
+
+class TestReducedDtRetry:
+    """A retry at a smaller dt steps over history levels spaced by the old one."""
+
+    def test_halved_step_keeps_the_scheme_order(self):
+        def run(dt, n_steps):
+            sim = Simulation(rbc_box_case(2e4, n=(2, 2, 2), lx=4, dt=dt))
+            sim.run(n_steps=n_steps)
+            return sim
+
+        ref = run(2.5e-3, 136)
+        uniform = run(5e-3, 68)
+        sim = run(1e-2, 30)
+        sim.dt = 5e-3  # what the runner's dt reduction sets
+        sim.run(n_steps=8)
+        assert sim.time == pytest.approx(ref.time)
+
+        def err(s):
+            return np.max(np.abs(s.velocity[2] - ref.velocity[2]))
+
+        # Constant-step coefficients over the unequal levels cost ~10x.
+        assert err(sim) <= 1.5 * err(uniform)
+
+    def test_halving_recovers_a_diverging_run(self):
+        case = rbc_box_case(
+            1e6, n=(2, 2, 2), lx=4, aspect=2.0, dt=1.0, perturbation_amplitude=0.5
+        )
+        sim = Simulation(case)
+        runner = ResilientRunner(sim, checkpoint_interval=2, max_retries=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = runner.run(n_steps=20)
+        assert sim.step_count == 20
+        assert result.events.count("dt_reduction") == result.retries > 0
 
 
 class TestKillAndRestart:

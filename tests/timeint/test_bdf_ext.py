@@ -77,6 +77,28 @@ class TestTimeScheme:
         assert ts.bdf == BDF_COEFFS[2]
         assert ts.ext == EXT_COEFFS[2]
 
+    @pytest.mark.parametrize("steps", [[0.1, 0.1, 0.1], [0.05, 0.1, 0.2]])
+    def test_multistep_sums(self, steps):
+        # The right-hand side a_q f^{n+1-q} + (b_j / dt) B u^{n+1-j} and the
+        # EXT guess, summed in the order the integrators have always used.
+        rng = np.random.default_rng(0)
+        ts = TimeScheme(3)
+        ts.jump_start(steps[1:])
+        ts.set_step(steps[0])
+        b0, bs = ts.bdf
+        ext = ts.ext
+        mass, dt = rng.uniform(0.5, 1.0, 8), steps[0]
+        levels = [rng.standard_normal(8) for _ in range(3)]
+        forcing = [rng.standard_normal(8) for _ in range(2)]  # one short
+        rhs = np.zeros(8)
+        for q, aq in enumerate(ext[:2]):
+            rhs += aq * forcing[q]
+        for j, bj in enumerate(bs):
+            rhs += (bj / dt) * mass * levels[j]
+        assert np.array_equal(ts.history_rhs(forcing, levels, mass, dt), rhs)
+        guess = sum(aq * lev for aq, lev in zip(ext, levels))
+        assert np.array_equal(ts.extrapolate(levels), guess)
+
 
 class TestCFL:
     @pytest.fixture(scope="class")

@@ -1,12 +1,11 @@
-"""Tests for variable-step BDF/EXT coefficients."""
+"""Tests for variable-step BDF/EXT coefficients and the scheme that uses them."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.timeint.bdf_ext import BDF_COEFFS, EXT_COEFFS
-from repro.timeint.variable import VariableTimeScheme, variable_bdf, variable_ext
+from repro.timeint.bdf_ext import BDF_COEFFS, EXT_COEFFS, TimeScheme, variable_bdf, variable_ext
 
 
 class TestVariableCoefficients:
@@ -54,16 +53,52 @@ class TestVariableCoefficients:
             assert extrap == pytest.approx(0.0**m if m > 0 else 1.0, abs=1e-10)
 
 
-class TestVariableTimeScheme:
-    def test_requires_set_step(self):
-        ts = VariableTimeScheme(3)
-        with pytest.raises(RuntimeError):
-            _ = ts.bdf
-        with pytest.raises(RuntimeError):
+class TestTimeSchemeOverSteps:
+    def test_without_set_step_uses_the_tables(self):
+        ts = TimeScheme(3)
+        for order in (1, 2, 3, 3):
+            assert ts.bdf == BDF_COEFFS[order]
+            assert ts.ext == EXT_COEFFS[order]
+            ts.advance()
+        assert ts.dts == []
+
+    def test_equal_steps_use_the_tables_exactly(self):
+        ts = TimeScheme(3)
+        for order in (1, 2, 3, 3):
+            ts.set_step(0.1)
+            assert ts.bdf == BDF_COEFFS[order]
+            assert ts.ext == EXT_COEFFS[order]
             ts.advance()
 
+    def test_history_keeps_the_spanned_steps_newest_first(self):
+        ts = TimeScheme(3)
+        for dt in (0.1, 0.2, 0.3):
+            ts.set_step(dt)
+            ts.advance()
+        assert ts.dts == [0.3, 0.2]
+        ts.advance()  # the step size holds until set again
+        assert ts.dts == [0.3, 0.3]
+
+    def test_reduced_step_rebuilds_then_returns_to_the_tables(self):
+        # A retry at half the step: the levels stay spaced by the old dt
+        # until two reduced steps have been taken.
+        ts = TimeScheme(3)
+        ts.jump_start([0.1, 0.1])
+        ts.set_step(0.05)
+        assert ts.bdf == variable_bdf([0.05, 0.1, 0.1])
+        assert ts.ext == variable_ext([0.05, 0.1, 0.1])
+        ts.advance()
+        assert ts.bdf == variable_bdf([0.05, 0.05, 0.1])
+        ts.advance()
+        assert ts.bdf == BDF_COEFFS[3]
+        assert ts.ext == EXT_COEFFS[3]
+
+    def test_set_step_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            TimeScheme(3).set_step(0.0)
+
     def test_order_ramp(self):
-        ts = VariableTimeScheme(3)
+        ts = TimeScheme(3)
         ts.set_step(0.1)
         assert ts.order == 1
         b0, bs = ts.bdf
@@ -78,7 +113,7 @@ class TestVariableTimeScheme:
         assert b0 == pytest.approx(BDF_COEFFS[3][0])
 
     def test_changing_steps(self):
-        ts = VariableTimeScheme(2)
+        ts = TimeScheme(2)
         ts.set_step(0.1)
         ts.advance()
         ts.set_step(0.2)  # doubled step
@@ -95,7 +130,7 @@ class TestVariableTimeScheme:
             for n in (60, 120):
                 steps = rng.uniform(0.5, 1.5, size=n)
                 steps = steps / steps.sum()  # total time 1
-                ts = VariableTimeScheme(order)
+                ts = TimeScheme(order)
                 hist = [1.0]  # y(0), newest first
                 t = 0.0
                 for dt in steps:

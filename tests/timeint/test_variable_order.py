@@ -1,4 +1,4 @@
-"""Design-order verification of the variable-step BDF/EXT scheme.
+"""Design-order verification of BDF/EXT over variable steps.
 
 Complements ``test_variable.py`` (coefficient algebra, implicit-only ODE
 ramp) with the two properties the verification subsystem needs:
@@ -17,8 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.timeint.bdf_ext import BDF_COEFFS, EXT_COEFFS, TimeScheme
-from repro.timeint.variable import VariableTimeScheme, variable_bdf, variable_ext
+from repro.timeint.bdf_ext import BDF_COEFFS, EXT_COEFFS, TimeScheme, variable_bdf, variable_ext
 
 
 @settings(max_examples=40, deadline=None)
@@ -40,7 +39,7 @@ class TestJumpStart:
     def test_fixed_scheme_skips_the_ramp(self):
         ts = TimeScheme(3)
         assert ts.order == 1
-        ts.jump_start()
+        ts.jump_start([0.1, 0.1])
         assert ts.order == 3
         ts.advance()
         assert ts.order == 3
@@ -49,18 +48,18 @@ class TestJumpStart:
         ts = TimeScheme(2)
         for _ in range(5):
             ts.advance()
-        ts.jump_start()
+        ts.jump_start([0.1])
         assert ts.step_count == 5
 
     def test_variable_scheme_requires_enough_history(self):
-        ts = VariableTimeScheme(3)
+        ts = TimeScheme(3)
         with pytest.raises(ValueError, match="completed steps"):
             ts.jump_start([0.1])
         with pytest.raises(ValueError, match="positive"):
             ts.jump_start([0.1, -0.1])
 
     def test_variable_scheme_uses_supplied_history(self):
-        ts = VariableTimeScheme(3)
+        ts = TimeScheme(3)
         ts.jump_start([0.1, 0.2])
         assert ts.order == 3
         ts.set_step(0.05)
@@ -98,7 +97,7 @@ def integrate_imex(order: int, dts: np.ndarray) -> float:
     def f_expl(y, t):
         return -0.5 * y * y + s(t)
 
-    ts = VariableTimeScheme(order)
+    ts = TimeScheme(order)
     # Exact history at constant pre-steps dts[0]: y and f levels newest first.
     dt0 = float(dts[0])
     pre = [dt0] * (order - 1)
