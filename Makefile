@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint ruff mypy statcheck test verify spine ab
+.PHONY: lint ruff mypy statcheck test verify spine chaos ab
 
 lint: ruff mypy statcheck
 
@@ -28,6 +28,15 @@ verify:
 spine:
 	$(PYTHON) -m pytest benchmarks/spine/tests -q
 	$(PYTHON) benchmarks/spine/run.py --quick
+
+# The seeded chaos campaign within 60 s, then a rerun whose JSON report
+# must be byte-identical to the first.
+chaos:
+	mkdir -p chaos_out
+	timeout 60 $(PYTHON) -m repro.resilience.chaos \
+		--json chaos_out/chaos_report.json --trace chaos_out/chaos_trace.json
+	timeout 60 $(PYTHON) -m repro.resilience.chaos --json chaos_out/chaos_rerun.json
+	cmp chaos_out/chaos_report.json chaos_out/chaos_rerun.json
 
 # Alternating spine pairs of one workload: BASE (a git revision) against the
 # working tree, e.g. `make ab WORKLOAD=rbc_cyl_p7 PAIRS=7 BASE=HEAD`.

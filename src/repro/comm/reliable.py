@@ -10,10 +10,10 @@ collectives.  This module is the simulated equivalent for
   per-edge **sequence number** and a CRC32 **payload checksum**, so the
   receiver can tell a genuine delivery from a dropped (zeroed), corrupted
   (bit-flipped) or stale (delayed) one;
-* failed deliveries are **retransmitted** under a :class:`RetryPolicy`
-  with exponential, seeded-jitter backoff, up to a bounded attempt
-  budget -- exhaustion raises :class:`CommTimeoutError` instead of
-  hanging, the property the chaos campaign asserts;
+* failed deliveries are **retransmitted** under a :class:`RetryPolicy`,
+  up to a bounded attempt budget -- exhaustion raises
+  :class:`CommTimeoutError` instead of hanging, the property the chaos
+  campaign asserts;
 * retried deliveries are **idempotent for the traffic statistics**: the
   sequence number dedupes them, so ``TrafficStats.p2p_messages`` counts
   logical messages once while ``retransmissions`` counts the extra wire
@@ -24,16 +24,15 @@ collectives.  This module is the simulated equivalent for
   escalates to :class:`CollectiveIntegrityError` after bounded retries --
   the rollback trigger.
 
-Backoff sleeping goes through an injectable ``sleep`` callable (the
-default policy never sleeps), and the jitter draws from a seeded
-generator, so hardened runs stay bit-for-bit reproducible.
+The simulated world has no clock, so a retry is immediate: there is no
+backoff for a sleep to spend, and hardened runs stay bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "CommTimeoutError",
     "CollectiveIntegrityError",
     "RetryPolicy",
-    "Envelope",
     "payload_checksum",
 ]
 
@@ -85,22 +83,9 @@ def payload_checksum(buf: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(buf).tobytes())
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """Delivery metadata accompanying one point-to-point buffer."""
-
-    src: int
-    dst: int
-    seq: int
-    checksum: int
-
-    def matches(self, buf: np.ndarray) -> bool:
-        return payload_checksum(buf) == self.checksum
-
-
 @dataclass
 class RetryPolicy:
-    """Bounded retransmission with exponential, seeded-jitter backoff.
+    """Bounded retransmission budget.
 
     Parameters
     ----------
@@ -108,48 +93,10 @@ class RetryPolicy:
         Retransmissions allowed per message (so up to ``max_retries + 1``
         delivery attempts) and re-runs allowed per integrity-checked
         collective.
-    backoff, backoff_base:
-        Attempt ``n`` (1-based) waits ``backoff * backoff_base**(n-1)``
-        seconds before retrying; the default ``backoff=0`` never sleeps.
-    jitter:
-        Fractional jitter applied to each delay (``0.25`` means up to
-        +-25 %), drawn from the seeded generator so delays are
-        reproducible.
-    seed:
-        Seeds the jitter generator.
-    sleep:
-        Injectable sleep callable; tests pass a recorder.  Only invoked
-        for strictly positive delays.
     """
 
     max_retries: int = 3
-    backoff: float = 0.0
-    backoff_base: float = 2.0
-    jitter: float = 0.0
-    seed: int = 0
-    sleep: Callable[[float], None] = field(default=lambda _s: None, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
-        if self.backoff < 0.0:
-            raise ValueError("backoff must be >= 0")
-        self._rng = np.random.default_rng(self.seed)
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (1-based), jittered."""
-        base = self.backoff * self.backoff_base ** (attempt - 1)
-        if base <= 0.0:
-            return 0.0
-        if self.jitter > 0.0:
-            base *= 1.0 + self.jitter * float(self._rng.uniform(-1.0, 1.0))
-        return base
-
-    def wait(self, attempt: int) -> float:
-        """Sleep for :meth:`delay` via the injectable callable; returns it."""
-        d = self.delay(attempt)
-        if d > 0.0:
-            self.sleep(d)
-        return d

@@ -28,10 +28,10 @@ merely suffering them:
 
 * ``retry=RetryPolicy(...)`` turns :meth:`exchange` into a reliable
   channel: buffers travel with per-edge sequence numbers and CRC32
-  checksums, failed deliveries are retransmitted with jittered backoff,
-  and the sequence numbers keep :class:`TrafficStats` idempotent under
-  retries (logical messages count once; ``retransmissions`` counts the
-  extra wire traffic).  Exhausting the budget raises
+  checksums, failed deliveries are retransmitted, and the sequence
+  numbers keep :class:`TrafficStats` idempotent under retries (logical
+  messages count once; ``retransmissions`` counts the extra wire
+  traffic).  Exhausting the budget raises
   :class:`~repro.comm.reliable.CommTimeoutError` -- never a hang.
 * ``verify_collectives=True`` replicates every allreduce and compares the
   replicas' checksums, catching silent data corruption planted in a
@@ -195,8 +195,6 @@ class SimWorld:
             self.stats.integrity_failures += 1
             if attempts > budget:
                 raise CollectiveIntegrityError(op, attempts)
-            if self.retry is not None:
-                self.retry.wait(attempts)
 
     # -- collectives ----------------------------------------------------------
 
@@ -301,7 +299,6 @@ class SimWorld:
                 self.stats.timeouts += 1
                 raise CommTimeoutError(src, dst, attempts, "checksum never validated")
             self.stats.retransmissions += 1
-            self.retry.wait(attempts)
 
     def exchange_batched(
         self,

@@ -27,22 +27,12 @@ from repro.core.statistics import (
     reynolds_number,
 )
 from repro.core.rbc import rbc_box_case, rbc_cylinder_case
-from repro.core.output import (
-    CheckpointCorruptError,
-    FieldWriter,
-    load_checkpoint,
-    load_snapshot,
-    verify_checkpoint,
-    write_checkpoint,
-)
+from repro.core.output import CheckpointCorruptError, FieldWriter, load_snapshot
 
 __all__ = [
     "CheckpointCorruptError",
     "FieldWriter",
-    "verify_checkpoint",
-    "load_checkpoint",
     "load_snapshot",
-    "write_checkpoint",
     "CaseConfig",
     "RegionTimers",
     "FluidScheme",

@@ -5,11 +5,14 @@ Neko's ``.fld``/ADIOS2 output); checkpoints capture the full multistep
 state so a run restarts bit-for-bit.  The lossy-compressed alternative
 lives in :mod:`repro.compression`.
 
-Checkpoints are production-grade: written atomically (tmp file + rename,
-so a crash mid-write can never leave a half-checkpoint under the final
-name), carry a SHA-256 checksum over the payload arrays, and are verified
-on load -- a truncated or bit-flipped file raises
-:class:`CheckpointCorruptError` *before* any simulation state is mutated.
+A checkpoint is :meth:`Simulation.state_arrays` in one format with one
+writer (:func:`pack_checkpoint`) and one reader (:func:`read_checkpoint`):
+a SHA-256 checksum over the payload arrays is stored beside them and
+verified on read, so a truncated or bit-flipped checkpoint raises
+:class:`CheckpointCorruptError` before ``sim.load_state`` mutates
+anything.  Files on disk are epochs of
+:class:`~repro.resilience.distributed.shards.ShardedCheckpointStore`,
+which writes them atomically (fsync + rename).
 """
 
 from __future__ import annotations
@@ -30,9 +33,6 @@ if TYPE_CHECKING:
 __all__ = [
     "FieldWriter",
     "CheckpointCorruptError",
-    "write_checkpoint",
-    "load_checkpoint",
-    "verify_checkpoint",
     "checkpoint_digest",
     "pack_checkpoint",
     "read_checkpoint",
@@ -152,55 +152,3 @@ def read_checkpoint(source: str | pathlib.Path | IO[bytes]) -> dict[str, np.ndar
             f"{what} failed checksum: stored {stored[:12]}..., computed {actual[:12]}..."
         )
     return out
-
-
-def write_checkpoint(sim: Simulation, path: str | pathlib.Path | IO[bytes]) -> None:
-    """Save :meth:`Simulation.state_arrays` for exact restart.
-
-    File targets are written atomically: the payload goes to a ``.tmp``
-    sibling which is then renamed over the final path, so readers never
-    observe a partially written checkpoint.  A SHA-256 checksum over the
-    payload is stored alongside the arrays and verified by
-    :func:`load_checkpoint`.  ``path`` may also be a writable binary
-    file object.
-    """
-    arrays = sim.state_arrays()
-    if hasattr(path, "write"):
-        pack_checkpoint(arrays, path)
-        return
-    path = pathlib.Path(path)
-    if path.suffix != ".npz":  # mirror np.savez's implicit suffix
-        path = path.with_name(path.name + ".npz")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            pack_checkpoint(arrays, fh)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def verify_checkpoint(path: str | pathlib.Path | IO[bytes]) -> dict:
-    """Validate a checkpoint without touching any simulation.
-
-    Returns a small metadata dict (``step``, ``time``, ``dt``, ``checksum``);
-    raises :class:`CheckpointCorruptError` if the file is damaged.
-    """
-    data = read_checkpoint(path)
-    return {
-        "step": int(data["step_count"]),
-        "time": float(data["time"]),
-        "dt": float(data["dt"]),
-        "checksum": str(data["checksum"]),
-    }
-
-
-def load_checkpoint(sim: Simulation, path: str | pathlib.Path | IO[bytes]) -> None:
-    """Restore a simulation's state from :func:`write_checkpoint` output.
-
-    The file is fully read and checksum-verified *before*
-    :meth:`Simulation.load_state` mutates anything, so a corrupt
-    checkpoint leaves ``sim`` untouched.
-    """
-    sim.load_state(read_checkpoint(path))

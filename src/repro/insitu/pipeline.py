@@ -12,8 +12,8 @@ Design goals copied from the paper's workflow:
 
 Degradation is graceful, because at scale a post-processing routine *will*
 eventually throw and the solver must not care: a failing processor is
-retried with (injectable-clock) backoff, quarantined after repeated
-failures while the healthy processors keep receiving data, and the worker
+retried, quarantined after repeated failures while the healthy
+processors keep receiving data, and the worker
 always keeps draining the queue -- a processor error can never leave the
 producer blocked on a full queue.  Errors are reported at :meth:`close`
 (``strict=True``, the default) or just recorded in the stats
@@ -84,10 +84,6 @@ class InSituPipeline:
         instead discards, emulating a best-effort engine).
     retries:
         Extra attempts per processor per snapshot after a failure.
-    backoff, backoff_base, sleep:
-        Retry ``n`` waits ``backoff * backoff_base**n`` seconds before
-        re-attempting, via the injectable ``sleep`` callable (tests pass a
-        recorder; the default ``backoff=0`` never sleeps).
     quarantine_after:
         Consecutive failed *snapshots* (retries exhausted) after which a
         processor is quarantined: it stops receiving data and its
@@ -109,9 +105,6 @@ class InSituPipeline:
         max_queue: int = 8,
         drop_on_full: bool = False,
         retries: int = 0,
-        backoff: float = 0.0,
-        backoff_base: float = 2.0,
-        sleep=time.sleep,
         quarantine_after: int = 3,
         strict: bool = True,
     ) -> None:
@@ -119,9 +112,6 @@ class InSituPipeline:
         self.queue: queue.Queue = queue.Queue(maxsize=max_queue)
         self.drop_on_full = drop_on_full
         self.retries = retries
-        self.backoff = backoff
-        self.backoff_base = backoff_base
-        self.sleep = sleep
         self.quarantine_after = quarantine_after
         self.strict = strict
         self.stats = PipelineStats()
@@ -239,7 +229,7 @@ class InSituPipeline:
                 self.stats.dropped += 1
 
     def _process_one(self, p: Processor, tag, array, sim_time) -> bool:
-        """One snapshot through one processor, with retry + backoff."""
+        """One snapshot through one processor, with retries."""
         for attempt in range(self.retries + 1):
             t0 = time.perf_counter()
             try:
@@ -253,9 +243,6 @@ class InSituPipeline:
                 )
                 if attempt < self.retries:
                     self.stats.retries += 1
-                    delay = self.backoff * self.backoff_base**attempt
-                    if delay > 0:
-                        self.sleep(delay)
             finally:
                 dt = time.perf_counter() - t0
                 self.stats.processor_time[p.name] = (

@@ -11,11 +11,11 @@ solver.  This package reproduces that operational layer:
   traffic, one-shot rank failures, silent-data-corruption bit flips into
   field arrays) so every recovery path is testable;
 * :class:`~repro.resilience.health.HealthCheck` -- per-step finite-field
-  scan, CFL ceiling and pressure-iteration streak detection;
+  scan and CFL ceiling;
 * :class:`~repro.resilience.runner.ResilientRunner` -- wraps
   :meth:`Simulation.run` in segments: checkpoint, health-check, and on
   failure roll back to the newest valid checkpoint, reduce ``dt`` after a
-  divergence, back off, and retry within a bounded attempt budget.  Each
+  divergence, and retry within a bounded attempt budget.  Each
   checkpoint is a one-shard epoch of the
   :class:`~repro.resilience.distributed.shards.ShardedCheckpointStore`,
   so a serial run restarts through the same store as a distributed one.
@@ -25,12 +25,11 @@ solver.  This package reproduces that operational layer:
 Two subpackages extend this to the simulated multi-rank fleet:
 
 * :mod:`repro.resilience.distributed` -- the one checkpoint store
-  (checksummed per-rank shards, two-phase epoch commit), elastic rank
-  recovery (warm replacement or shrink-and-repartition) and the reference
-  recoverable workload;
+  (checksummed per-rank shards, two-phase epoch commit), rank recovery by
+  warm replacement and the reference recoverable workload;
 * :mod:`repro.resilience.chaos` -- seeded chaos campaigns (rank kills,
-  message storms, SDC bit flips) with survival/MTTR reporting, runnable
-  as ``python -m repro.resilience.chaos``.
+  message storms, SDC bit flips) with a survival report, runnable as
+  ``python -m repro.resilience.chaos``.
 """
 
 from repro.resilience.events import Event, EventLog

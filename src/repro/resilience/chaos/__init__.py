@@ -3,8 +3,8 @@
 Seeded fault campaigns against the reference distributed workload: kill
 rank *k* at step *s*, drop up to 20% of messages, flip a bit in an
 exchange buffer or an allreduce result -- then assert the run survives
-and converges to the fault-free answer.  The harness emits a
-survival/MTTR report, and its tracer holds each scenario's recovery
+and converges to the fault-free answer.  The harness emits a survival
+report, and its tracer holds each scenario's recovery
 events for post-mortems.
 
 Run the committed campaign with ``python -m repro.resilience.chaos``.

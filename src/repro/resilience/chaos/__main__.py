@@ -1,6 +1,6 @@
 """CLI: run the committed chaos campaign and print the survival report.
 
-``python -m repro.resilience.chaos`` runs the default 13-scenario
+``python -m repro.resilience.chaos`` runs the default 8-scenario
 campaign; exit status is nonzero when any scenario fails, so the command
 doubles as the CI ``chaos-smoke`` gate.  ``--trace PATH`` writes the
 campaign's Chrome trace: one ``chaos.scenario`` span per scenario with its
@@ -26,7 +26,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=2026, help="campaign master seed")
     parser.add_argument(
-        "--steps", type=int, default=6, help="time steps per scenario run"
+        "--steps",
+        type=int,
+        default=None,
+        help="time steps per scenario run (default: each scenario's own)",
     )
     parser.add_argument(
         "--tol", type=float, default=1.0e-8, help="|nu - nu_free| survival bar"
@@ -56,10 +59,10 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown scenario(s): {', '.join(sorted(unknown))}")
         scenarios = [s for s in scenarios if s.name in wanted]
-    if args.steps != 6:
+    if args.steps is not None:
         scenarios = [replace(s, n_steps=args.steps) for s in scenarios]
 
-    harness = ChaosHarness(seed=args.seed, n_steps=args.steps, tol=args.tol)
+    harness = ChaosHarness(seed=args.seed, tol=args.tol)
     campaign = harness.run_campaign(scenarios)
     print(render_report(campaign))
     if args.json:

@@ -1,4 +1,4 @@
-"""The chaos harness: run scenario campaigns, measure survival and MTTR.
+"""The chaos harness: run scenario campaigns, measure survival and replay.
 
 For each :class:`~repro.resilience.chaos.scenarios.ChaosScenario` the
 harness runs the reference workload twice -- once fault-free (cached per
@@ -9,9 +9,9 @@ the expected number of recoveries, and lands within tolerance of the
 fault-free functional.
 
 Recovery cost is reported as *steps replayed*: the deterministic
-time-to-repair of a rollback system (wall-clock MTTR would be noise at
-this scale; replayed work is the quantity the checkpoint-interval
-trade-off controls, and it is bit-reproducible).
+time-to-repair of a rollback system (wall-clock repair time would be
+noise at this scale; replayed work is the quantity the
+checkpoint-interval trade-off controls, and it is bit-reproducible).
 
 Observability: every scenario runs under a ``chaos.scenario`` span of
 the harness tracer, and its recovery event log records onto that tracer,
@@ -42,9 +42,8 @@ from repro.resilience.faults import FaultInjector
 __all__ = ["ChaosHarness", "ScenarioResult", "CampaignResult"]
 
 #: Default |nu_faulted - nu_free| bar: recovery restores committed state
-#: bit-for-bit and the reductions are rank-order deterministic, so even
-#: shrink recoveries land at round-off; the bar leaves headroom only for
-#: the repartitioned reduction order.
+#: bit-for-bit and the reductions are rank-order deterministic, so a
+#: recovered run lands on the fault-free answer; the bar is headroom.
 DEFAULT_TOL = 1.0e-8
 
 
@@ -65,16 +64,10 @@ class ScenarioResult:
     duplicates: int
     timeouts: int
     integrity_failures: int
-    final_world_size: int
     fault_kinds: tuple[str, ...] = ()
     error: str = ""
     replay: dict = field(default_factory=dict)
     incidents: list[dict] = field(default_factory=list)
-
-    @property
-    def mttr_steps(self) -> float:
-        """Mean steps replayed per recovery (0 when nothing rolled back)."""
-        return self.steps_replayed / self.recoveries if self.recoveries else 0.0
 
 
 @dataclass
@@ -104,12 +97,6 @@ class CampaignResult:
     def total_steps_replayed(self) -> int:
         return sum(r.steps_replayed for r in self.results)
 
-    @property
-    def mttr_steps(self) -> float:
-        """Campaign MTTR: mean steps replayed per recovery incident."""
-        n = self.total_recoveries
-        return self.total_steps_replayed / n if n else 0.0
-
 
 class ChaosHarness:
     """Runs chaos campaigns over the distributed thermal workload.
@@ -120,8 +107,10 @@ class ChaosHarness:
         Campaign master seed; scenario ``i`` gets injector seed
         ``seed + i`` and the workload initial condition uses ``seed``
         (identical between the fault-free baseline and the faulted run).
-    shape, order, nranks, n_steps:
-        Workload defaults; scenarios may override ``nranks``/``n_steps``.
+    shape, order:
+        Workload mesh defaults; scenarios may override them.
+    checkpoint_interval:
+        Steps between committed epochs of every workload.
     tol:
         Survival bar on ``|nu_faulted - nu_free|``.
     tracer:
@@ -134,8 +123,6 @@ class ChaosHarness:
         seed: int = 2026,
         shape: tuple[int, int, int] = (2, 2, 2),
         order: int = 4,
-        nranks: int = 4,
-        n_steps: int = 6,
         checkpoint_interval: int = 2,
         tol: float = DEFAULT_TOL,
         tracer: Tracer | None = None,
@@ -143,8 +130,6 @@ class ChaosHarness:
         self.seed = seed
         self.shape = shape
         self.order = order
-        self.nranks = nranks
-        self.n_steps = n_steps
         self.checkpoint_interval = checkpoint_interval
         self.tol = tol
         self.tracer = tracer if tracer is not None else Tracer()
@@ -194,16 +179,10 @@ class ChaosHarness:
             corrupt_rate=scenario.corrupt_rate,
             delay_rate=scenario.delay_rate,
         )
-        retry = (
-            RetryPolicy(max_retries=scenario.max_retries, seed=self.seed + index)
-            if scenario.retry
-            else None
-        )
+        retry = RetryPolicy(max_retries=scenario.max_retries) if scenario.retry else None
         events = EventLog(self.tracer)
         store = ShardedCheckpointStore()
-        recovery = WorldRecovery(
-            store, policy=scenario.policy, max_recoveries=8, events=events
-        )
+        recovery = WorldRecovery(store, max_recoveries=8, events=events)
         workload = self._workload(
             nranks=scenario.nranks,
             scenario=scenario,
@@ -216,9 +195,7 @@ class ChaosHarness:
         )
 
         error = ""
-        with self.tracer.span(
-            "chaos.scenario", scenario=scenario.name, policy=scenario.policy
-        ):
+        with self.tracer.span("chaos.scenario", scenario=scenario.name):
             try:
                 run = workload.run(n_steps)
             except Exception as exc:  # chaos runs must never take the harness down
@@ -246,7 +223,6 @@ class ChaosHarness:
             duplicates=run.stats.duplicates,
             timeouts=run.stats.timeouts,
             integrity_failures=run.stats.integrity_failures,
-            final_world_size=run.world_size,
             fault_kinds=scenario.fault_kinds(),
             error=error,
             replay=injector.export_replay(),

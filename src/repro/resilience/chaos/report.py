@@ -1,4 +1,4 @@
-"""Survival/MTTR reporting for chaos campaigns.
+"""Survival reporting for chaos campaigns.
 
 Renders a :class:`~repro.resilience.chaos.harness.CampaignResult` as a
 fixed-width text table (what ``python -m repro.resilience.chaos`` prints
@@ -23,7 +23,6 @@ _COLUMNS = (
     ("recov", 6),
     ("replay", 7),
     ("retx", 5),
-    ("world", 6),
     ("nu_err", 10),
 )
 
@@ -36,13 +35,12 @@ def _row(r: ScenarioResult) -> tuple[str, ...]:
         str(r.recoveries),
         str(r.steps_replayed),
         str(r.retransmissions + r.duplicates),
-        str(r.final_world_size),
         f"{r.nu_error:.2e}",
     )
 
 
 def render_report(campaign: CampaignResult) -> str:
-    """Human-readable survival/MTTR table plus campaign summary lines."""
+    """Human-readable survival table plus campaign summary lines."""
     header = tuple(name for name, _ in _COLUMNS)
     widths = [w for _, w in _COLUMNS]
     rows = [_row(r) for r in campaign.results]
@@ -64,8 +62,7 @@ def render_report(campaign: CampaignResult) -> str:
     lines.append("")
     lines.append(
         f"recoveries: {campaign.total_recoveries}   "
-        f"steps replayed: {campaign.total_steps_replayed}   "
-        f"MTTR: {campaign.mttr_steps:.2f} steps/recovery"
+        f"steps replayed: {campaign.total_steps_replayed}"
     )
     for r in campaign.failed:
         lines.append(f"FAILED {r.name}: {r.error or f'nu_error={r.nu_error:.3e}'}")
@@ -81,7 +78,6 @@ def campaign_to_dict(campaign: CampaignResult) -> dict:
         "all_survived": campaign.all_survived,
         "total_recoveries": campaign.total_recoveries,
         "total_steps_replayed": campaign.total_steps_replayed,
-        "mttr_steps": campaign.mttr_steps,
         "results": [
             {
                 "name": r.name,
@@ -92,13 +88,11 @@ def campaign_to_dict(campaign: CampaignResult) -> dict:
                 "nu_error": r.nu_error,
                 "recoveries": r.recoveries,
                 "steps_replayed": r.steps_replayed,
-                "mttr_steps": r.mttr_steps,
                 "faults_fired": r.faults_fired,
                 "retransmissions": r.retransmissions,
                 "duplicates": r.duplicates,
                 "timeouts": r.timeouts,
                 "integrity_failures": r.integrity_failures,
-                "final_world_size": r.final_world_size,
                 "fault_kinds": list(r.fault_kinds),
                 "error": r.error,
                 "incidents": r.incidents,

@@ -11,11 +11,10 @@ package holds the distributed half of the resilience layer:
   can never produce a mixed-epoch restore and a corrupt shard falls back
   to the last globally consistent epoch;
 * :class:`~repro.resilience.distributed.recovery.WorldRecovery` -- the
-  elastic recovery policy that escalates
+  recovery that escalates
   :class:`~repro.resilience.faults.RankFailedError` (and the hardened
-  channel's timeout/integrity errors) into either a *warm replacement* of
-  the dead rank from its shard or a *shrink* of the world with
-  repartitioning of the surviving elements;
+  channel's timeout/integrity errors) into a *warm replacement*: a fresh
+  world of the same size, every rank reloaded from its shard;
 * :class:`~repro.resilience.distributed.workload.DistributedThermalWorkload`
   -- the reference recoverable application (implicit heat conduction
   solved step-by-step with

@@ -12,10 +12,8 @@ over an element partition of the SEM mesh.
 
 Every ``checkpoint_interval`` steps the per-rank temperature chunks are
 saved as a two-phase committed epoch in a
-:class:`~repro.resilience.distributed.shards.ShardedCheckpointStore`
-(each shard also records which elements the rank owned, so a shrunken
-world can reassemble the global field without the dead rank's help).
-Failures escalate to the attached
+:class:`~repro.resilience.distributed.shards.ShardedCheckpointStore`,
+shard r holding rank r's chunk.  Failures escalate to the attached
 :class:`~repro.resilience.distributed.recovery.WorldRecovery`, and the
 run resumes from the last consistent epoch with the CG warm-started from
 the restored state.
@@ -56,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["DistributedThermalWorkload", "WorkloadResult"]
 
-#: The failures the run loop escalates to the recovery policy.
+#: The failures the run loop escalates to ``recovery``.
 RECOVERABLE = (RankFailedError, CommTimeoutError, CollectiveIntegrityError)
 
 
@@ -70,12 +68,11 @@ class WorkloadResult:
     nu_history: list[tuple[int, float]] = field(default_factory=list)
     recoveries: int = 0
     incidents: list[dict] = field(default_factory=list)
-    world_size: int = 0
     stats: TrafficStats = field(default_factory=TrafficStats)
 
     @property
     def steps_replayed(self) -> int:
-        """Total steps re-run due to rollbacks (the MTTR numerator)."""
+        """Total steps re-run due to rollbacks."""
         return sum(int(i["steps_replayed"]) for i in self.incidents)
 
 
@@ -87,7 +84,8 @@ class DistributedThermalWorkload:
     shape, order:
         The SEM box mesh (elements per axis) and polynomial order.
     nranks:
-        Initial world size.
+        World size; a recovery rebuilds a world of the same size.  The
+        elements are RCB-partitioned when ``nranks > 1``.
     kappa, dt:
         Diffusivity and time step of the implicit Euler update
         ``(B/dt + kappa A) T_new = B T_old / dt``.
@@ -100,9 +98,6 @@ class DistributedThermalWorkload:
         Passed to every :class:`~repro.comm.simworld.SimWorld` this
         workload builds (the injector is *kept* across rebuilds so global
         fault schedules keep counting).
-    partition:
-        ``"rcb"`` or ``"linear"`` element partitioning, reapplied on
-        every world rebuild.
     events:
         The :class:`~repro.resilience.events.EventLog` rollbacks and
         checkpoints are recorded in (share it with ``recovery``).
@@ -123,7 +118,6 @@ class DistributedThermalWorkload:
         fault_injector: FaultInjector | None = None,
         retry: RetryPolicy | None = None,
         verify_collectives: bool = False,
-        partition: str = "rcb",
         events: EventLog | None = None,
         seed: int = 7,
         tol: float = 1e-10,
@@ -131,8 +125,6 @@ class DistributedThermalWorkload:
     ) -> None:
         if checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
-        if partition not in ("rcb", "linear"):
-            raise ValueError(f"unknown partition {partition!r}")
         self.space = FunctionSpace(box_mesh(shape), order)
         self.kappa = kappa
         self.dt = dt
@@ -144,7 +136,6 @@ class DistributedThermalWorkload:
         self.fault_injector = fault_injector
         self.retry = retry
         self.verify_collectives = verify_collectives
-        self.partition = partition
         self.events = events if events is not None else EventLog()
         self.tol = tol
         self.maxiter = maxiter
@@ -168,27 +159,28 @@ class DistributedThermalWorkload:
         self.incidents: list[dict] = []
         self._prior_stats = TrafficStats()
 
-        self._build(nranks)
+        self.nranks = nranks
+        if nranks > 1:
+            self.owner = rcb_partition(sp.mesh, nranks)
+        else:
+            self.owner = linear_partition(sp.mesh.nelv, nranks)
+        self._build()
         self.t_chunks = self.dgs.scatter_field(t0)
 
     # -- world construction ------------------------------------------------------
 
-    def _build(self, nranks: int) -> None:
-        """(Re)build world, partition, gather--scatter and solver at ``nranks``."""
+    def _build(self) -> None:
+        """(Re)build world, gather--scatter and solver over the partition."""
         sp = self.space
         old_world = getattr(self, "world", None)
         if old_world is not None:
             self._prior_stats.absorb(old_world.stats)
         self.world = SimWorld(
-            nranks,
+            self.nranks,
             fault_injector=self.fault_injector,
             retry=self.retry,
             verify_collectives=self.verify_collectives,
         )
-        if self.partition == "rcb" and nranks > 1:
-            self.owner = rcb_partition(sp.mesh, nranks)
-        else:
-            self.owner = linear_partition(sp.mesh.nelv, nranks)
         self.dgs = DistributedGatherScatter(
             sp.gs.global_ids, self.owner, sp.shape, self.world
         )
@@ -218,36 +210,24 @@ class DistributedThermalWorkload:
 
     # -- recoverable-app protocol ------------------------------------------------
 
-    def rebuild(self, new_size: int) -> None:
-        """Rebuild the communication layer at ``new_size`` ranks."""
-        self._build(new_size)
+    def rebuild(self) -> None:
+        """Replace the world with a fresh one of the same size."""
+        self._build()
 
     def restore_shards(self, shards: list[dict[str, np.ndarray]]) -> None:
-        """Install a committed epoch's state onto the *current* partition.
+        """Install a committed epoch's state: shard r onto rank r.
 
-        Shards carry their own element ownership, so the reassembly works
-        whether the epoch was written by this world, a larger one (shrink
-        recovery) or a restarted process.  Restoring the same epoch twice
-        is a no-op -- the idempotence the property tests pin down.
+        The shards come from disk, so an epoch written by a world of
+        another size raises ``ValueError``.  Restoring the same epoch
+        twice is a no-op -- the idempotence the property tests pin down.
         """
-        sp = self.space
-        full = np.zeros(sp.shape)
-        seen = np.zeros(sp.mesh.nelv, dtype=bool)
-        step = 0
-        time = 0.0
-        for shard in shards:
-            elements = np.asarray(shard["elements"], dtype=np.int64)
-            full[elements] = shard["temperature"]
-            seen[elements] = True
-            step = int(shard["step"])
-            time = float(shard["time"])
-        if not seen.all():
-            missing = int((~seen).sum())
-            raise ValueError(f"epoch shards cover {sp.mesh.nelv - missing} of "
-                             f"{sp.mesh.nelv} elements")
-        self.t_chunks = self.dgs.scatter_field(full)
-        self.step = step
-        self.time = time
+        if len(shards) != self.world.size:
+            raise ValueError(
+                f"epoch has {len(shards)} shards for a world of {self.world.size} ranks"
+            )
+        self.t_chunks = [np.array(shard["temperature"]) for shard in shards]
+        self.step = step = int(shards[0]["step"])
+        self.time = float(shards[0]["time"])
         self.nu_history = [entry for entry in self.nu_history if entry[0] <= step]
         self.events.record(
             "rollback", step=step, time=self.time, detail=f"state restored at epoch {step}"
@@ -258,13 +238,8 @@ class DistributedThermalWorkload:
         step = np.asarray(self.step)
         time = np.asarray(self.time)
         return [
-            {
-                "temperature": self.t_chunks[r],
-                "elements": self.dgs.rank_elements[r],
-                "step": step,
-                "time": time,
-            }
-            for r in range(self.world.size)
+            {"temperature": chunk, "step": step, "time": time}
+            for chunk in self.t_chunks
         ]
 
     # -- checkpointing -----------------------------------------------------------
@@ -329,7 +304,7 @@ class DistributedThermalWorkload:
     # -- the run loop ------------------------------------------------------------
 
     def run(self, n_steps: int) -> WorkloadResult:
-        """Advance ``n_steps`` steps, surviving faults via the recovery policy."""
+        """Advance ``n_steps`` steps, surviving faults via ``recovery``."""
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         target = self.step + n_steps
@@ -345,17 +320,15 @@ class DistributedThermalWorkload:
                 if self.recovery is None:
                     raise
                 outcome = self.recovery.recover(self, exc)
-                incident = {
-                    "cause": outcome.cause,
-                    "policy": outcome.policy,
-                    "detected_step": step_before,
-                    "epoch": outcome.epoch,
-                    "steps_replayed": step_before - outcome.epoch,
-                    "failed_rank": outcome.failed_rank,
-                    "old_size": outcome.old_size,
-                    "new_size": outcome.new_size,
-                }
-                self.incidents.append(incident)
+                self.incidents.append(
+                    {
+                        "cause": outcome.cause,
+                        "detected_step": step_before,
+                        "epoch": outcome.epoch,
+                        "steps_replayed": step_before - outcome.epoch,
+                        "failed_rank": outcome.failed_rank,
+                    }
+                )
         return self.result()
 
     def result(self) -> WorkloadResult:
@@ -370,6 +343,5 @@ class DistributedThermalWorkload:
             nu_history=list(self.nu_history),
             recoveries=len(self.incidents),
             incidents=list(self.incidents),
-            world_size=self.world.size,
             stats=stats,
         )

@@ -12,10 +12,10 @@ three hook surfaces:
 * **rank failures** -- :meth:`on_collective` is called at the top of every
   :class:`SimWorld` collective and raises :class:`RankFailedError` when a
   scheduled one-shot failure fires (modelling a failed-then-respawned
-  rank, as in shrink/recover MPI practice);
+  rank, as in ULFM-style MPI practice);
 * **silent data corruption** -- :meth:`apply_field_faults` flips bits (or
-  plants NaN / huge values) directly into a simulation's field arrays at
-  scheduled step numbers, the classic SDC scenario.
+  plants NaN) directly into a simulation's field arrays at scheduled step
+  numbers, the classic SDC scenario.
 
 Scheduled faults fire exactly once, so a rollback that replays the same
 steps does not re-trigger them -- the transient-fault model.
@@ -23,9 +23,9 @@ steps does not re-trigger them -- the transient-fault model.
 Two additions serve the chaos harness (:mod:`repro.resilience.chaos`):
 
 * **targeted collective faults** -- a ``rank_failure`` (or
-  ``collective_sdc``) entry with ``op="allreduce"`` indexes the Nth
-  *allreduce* rather than the Nth collective of any kind, so "kill rank 2
-  at its 5th allreduce" is expressible independent of how many barriers
+  ``collective_sdc``) entry names its collective family, and
+  ``op="allreduce"`` indexes the Nth *allreduce*, so "kill rank 2 at its
+  5th allreduce" is expressible independent of how many barriers
   interleave;
 * **replay logs** -- :meth:`FaultInjector.export_replay` captures the
   seed, rates, schedule and every fired event as a JSON-able dict, and
@@ -71,13 +71,12 @@ class Fault:
 
     ``at_call`` indexes the injector's own per-surface call counters
     (p2p messages for drop/corrupt/delay, collective entries for
-    rank_failure, collective results for collective_sdc).  For the two
-    collective kinds, ``op`` narrows the counter to one collective family
-    (``"allreduce"``, ``"barrier"``, ``"gather"``): ``op="allreduce",
-    at_call=4`` fires at the fifth *allreduce* regardless of interleaved
-    barriers, while ``op=None`` keeps the legacy any-collective indexing.
-    ``mode`` applies to sdc/collective_sdc: ``"bitflip"`` (seeded XOR of
-    one bit in one element), ``"nan"`` or ``"huge"``.
+    rank_failure, collective results for collective_sdc).  The two
+    collective kinds must name ``op``, the collective family whose calls
+    ``at_call`` counts (``"allreduce"``, ``"barrier"``, ``"gather"``):
+    ``op="allreduce", at_call=4`` fires at the fifth *allreduce* regardless
+    of interleaved barriers.  ``mode`` applies to sdc/collective_sdc: ``"bitflip"``
+    (seeded XOR of one bit in one element) or ``"nan"``.
     """
 
     kind: str
@@ -87,6 +86,10 @@ class Fault:
     rank: int = 0
     mode: str = "bitflip"
     op: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind in ("rank_failure", "collective_sdc") and self.op is None:
+            raise ValueError(f"a {self.kind} fault must name its collective op")
 
 
 @dataclass
@@ -132,11 +135,8 @@ class FaultInjector:
         self.events: list[FaultEvent] = []
         self._fired: set[int] = set()
         self._p2p_calls = 0
-        self._collective_calls = 0
-        self._result_calls = 0
-        # Per-family collective counters ("allreduce", "barrier", "gather")
-        # for op-targeted faults; separate entry/result counters mirror the
-        # two hook surfaces.
+        # Per-family collective counters ("allreduce", "barrier", "gather");
+        # separate entry/result counters mirror the two hook surfaces.
         self._op_calls: dict[str, int] = {}
         self._op_result_calls: dict[str, int] = {}
         # Last buffer seen per (src, dst) edge, for stale ("delayed") delivery.
@@ -169,25 +169,14 @@ class FaultInjector:
         """Collective family of an op name: ``allreduce_scalar`` -> ``allreduce``."""
         return op.split("_", 1)[0]
 
-    def _take_collective(
-        self, kinds: tuple[str, ...], idx: int, family: str, op_idx: int
-    ) -> Fault | None:
-        """Pop the first pending collective fault matching this call.
-
-        ``op=None`` entries match against the any-collective counter
-        ``idx`` (legacy semantics); op-targeted entries match against the
-        per-family counter ``op_idx``.
-        """
+    def _take_collective(self, kind: str, family: str, op_idx: int) -> Fault | None:
+        """Pop the first pending ``kind`` fault at call ``op_idx`` of ``family``."""
         for i, f in enumerate(self.schedule):
-            if i in self._fired or f.kind not in kinds:
+            if i in self._fired or f.kind != kind:
                 continue
-            if f.op is None:
-                if f.at_call != idx:
-                    continue
-            elif f.op != family or f.at_call != op_idx:
-                continue
-            self._fired.add(i)
-            return f
+            if f.op == family and f.at_call == op_idx:
+                self._fired.add(i)
+                return f
         return None
 
     # -- collective hook (SimWorld.allreduce_* / barrier / gather) -------------
@@ -195,15 +184,16 @@ class FaultInjector:
     def on_collective(self, op: str) -> None:
         """Raise :class:`RankFailedError` if a scheduled rank failure fires."""
         family = self._op_family(op)
-        idx = self._collective_calls
         op_idx = self._op_calls.get(family, 0)
-        self._collective_calls += 1
         self._op_calls[family] = op_idx + 1
-        f = self._take_collective(("rank_failure",), idx, family, op_idx)
+        f = self._take_collective("rank_failure", family, op_idx)
         if f is not None:
-            where = f"{op}" if f.op is None else f"{family} #{op_idx}"
             self._record(
-                "rank_failure", idx, f"rank {f.rank} died in {where}", rank=f.rank, op=op
+                "rank_failure",
+                op_idx,
+                f"rank {f.rank} died in {family} #{op_idx}",
+                rank=f.rank,
+                op=op,
             )
             raise RankFailedError(f.rank, op)
 
@@ -218,18 +208,14 @@ class FaultInjector:
         index it names, so the replicated-checksum comparison detects it.
         """
         family = self._op_family(op)
-        idx = self._result_calls
         op_idx = self._op_result_calls.get(family, 0)
-        self._result_calls += 1
         self._op_result_calls[family] = op_idx + 1
-        f = self._take_collective(("collective_sdc",), idx, family, op_idx)
+        f = self._take_collective("collective_sdc", family, op_idx)
         if f is None:
             return result
         out = np.array(result, copy=True)
         detail = self._flip_bit(out, mode=f.mode)
-        self._record(
-            "collective_sdc", idx, f"SDC in {op} result", op=op, **detail
-        )
+        self._record("collective_sdc", op_idx, f"SDC in {op} result", op=op, **detail)
         return out
 
     # -- point-to-point hook (SimWorld.exchange) -------------------------------
@@ -278,8 +264,6 @@ class FaultInjector:
         old = float(flat[idx])
         if mode == "nan":
             flat[idx] = np.nan
-        elif mode == "huge":
-            flat[idx] = np.copysign(1.0e300, old if old != 0 else 1.0)
         else:
             # Flip one of the top exponent bits so the corruption is
             # catastrophic (scale changed by >= 2^16, possibly inf/nan)

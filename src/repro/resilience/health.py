@@ -1,13 +1,11 @@
-"""Per-step health monitoring: finite fields, CFL ceiling, solver streaks.
+"""Per-step health monitoring: finite fields and a CFL ceiling.
 
 The divergence guard inside :meth:`Simulation.run` catches a run that has
 already blown up; :class:`HealthCheck` is the earlier tripwire the
 :class:`~repro.resilience.runner.ResilientRunner` consults between run
-segments.  It scans the *state* (every field finite, temperature inside
-physical bounds) and the *trajectory* (CFL under a ceiling, pressure
-iterations not pinned at the ceiling for several consecutive steps, via
-:class:`~repro.solvers.monitor.IterationStreakTracker`), and returns
-structured :class:`HealthIssue` records the runner turns into rollbacks.
+segments.  It scans the *state* (every field finite) and the *trajectory*
+(CFL under a ceiling), and returns structured :class:`HealthIssue`
+records the runner turns into rollbacks.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.solvers.monitor import IterationStreakTracker
-
 __all__ = ["HealthCheck", "HealthIssue"]
 
 
@@ -25,120 +21,60 @@ __all__ = ["HealthCheck", "HealthIssue"]
 class HealthIssue:
     """One detected problem: what quantity, where, and why it trips."""
 
-    kind: str  # "nonfinite" | "bounds" | "cfl" | "solver_streak"
+    kind: str  # "nonfinite" | "cfl"
     quantity: str
     message: str
     step: int = -1
 
 
 class HealthCheck:
-    """Configurable per-segment health scan.
+    """Per-segment health scan.
+
+    Every check scans each prognostic field for NaN/Inf (the SDC
+    detector).
 
     Parameters
     ----------
     cfl_max:
         Trip when a step's Courant number exceeds this (``None`` disables).
-    pressure_iteration_limit, streak:
-        Trip when ``streak`` consecutive steps spend at least
-        ``pressure_iteration_limit`` pressure iterations (``None``
-        disables) -- the non-convergence-streak detector.
-    temperature_bounds:
-        ``(lo, hi)`` physical bounds for the temperature field; Boussinesq
-        RBC cannot exceed its plate temperatures, so values outside the
-        range indicate corruption long before NaNs appear.
-    scan_fields:
-        Scan every prognostic field for NaN/Inf each check (on by default;
-        this is the SDC detector).
     """
 
-    def __init__(
-        self,
-        cfl_max: float | None = 10.0,
-        pressure_iteration_limit: int | None = None,
-        streak: int = 3,
-        temperature_bounds: tuple[float, float] | None = None,
-        scan_fields: bool = True,
-    ) -> None:
+    def __init__(self, cfl_max: float | None = 10.0) -> None:
         self.cfl_max = cfl_max
-        self.temperature_bounds = temperature_bounds
-        self.scan_fields = scan_fields
-        self.streak_tracker = (
-            IterationStreakTracker(limit=pressure_iteration_limit, streak=streak)
-            if pressure_iteration_limit is not None
-            else None
-        )
-
-    def reset(self) -> None:
-        """Forget streak state (call after a rollback)."""
-        if self.streak_tracker is not None:
-            self.streak_tracker.reset()
 
     # -- scans ------------------------------------------------------------------
 
     def check_state(self, sim) -> list[HealthIssue]:
         """Scan the simulation's current fields."""
-        issues: list[HealthIssue] = []
         step = int(getattr(sim, "step_count", -1))
-        if self.scan_fields:
-            ux, uy, uz = sim.velocity
-            fields = {
-                "ux": ux,
-                "uy": uy,
-                "uz": uz,
-                "temperature": sim.temperature,
-                "pressure": sim.pressure,
-            }
-            for name, arr in fields.items():
-                if not np.all(np.isfinite(arr)):
-                    issues.append(
-                        HealthIssue(
-                            "nonfinite", name, f"{name} contains NaN/Inf", step=step
-                        )
-                    )
-        if self.temperature_bounds is not None:
-            lo, hi = self.temperature_bounds
-            t = sim.temperature
-            # NaN comparisons are False, so also require finiteness above.
-            tmin, tmax = float(np.nanmin(t)), float(np.nanmax(t))
-            if tmin < lo or tmax > hi:
-                issues.append(
-                    HealthIssue(
-                        "bounds",
-                        "temperature",
-                        f"temperature [{tmin:.3g}, {tmax:.3g}] outside [{lo}, {hi}]",
-                        step=step,
-                    )
-                )
-        return issues
+        ux, uy, uz = sim.velocity
+        fields = {
+            "ux": ux,
+            "uy": uy,
+            "uz": uz,
+            "temperature": sim.temperature,
+            "pressure": sim.pressure,
+        }
+        return [
+            HealthIssue("nonfinite", name, f"{name} contains NaN/Inf", step=step)
+            for name, arr in fields.items()
+            if not np.all(np.isfinite(arr))
+        ]
 
     def check_results(self, results) -> list[HealthIssue]:
         """Scan newly produced :class:`StepResult` records."""
-        issues: list[HealthIssue] = []
-        for res in results:
-            if self.cfl_max is not None and (
-                not np.isfinite(res.cfl) or res.cfl > self.cfl_max
-            ):
-                issues.append(
-                    HealthIssue(
-                        "cfl",
-                        "cfl",
-                        f"CFL {res.cfl:.3g} exceeds ceiling {self.cfl_max}",
-                        step=res.step,
-                    )
-                )
-            if self.streak_tracker is not None and self.streak_tracker.observe(
-                res.pressure_iterations
-            ):
-                issues.append(
-                    HealthIssue(
-                        "solver_streak",
-                        "pressure_iterations",
-                        f"pressure solve at >= {self.streak_tracker.limit} iterations "
-                        f"for {self.streak_tracker.count} consecutive steps",
-                        step=res.step,
-                    )
-                )
-        return issues
+        if self.cfl_max is None:
+            return []
+        return [
+            HealthIssue(
+                "cfl",
+                "cfl",
+                f"CFL {res.cfl:.3g} exceeds ceiling {self.cfl_max}",
+                step=res.step,
+            )
+            for res in results
+            if not np.isfinite(res.cfl) or res.cfl > self.cfl_max
+        ]
 
     def check(self, sim, new_results=()) -> list[HealthIssue]:
         """Full check: state scan plus trajectory scan of ``new_results``."""

@@ -14,19 +14,16 @@ loop:
    :class:`~repro.resilience.distributed.shards.ShardedCheckpointStore`
    and continue; unhealthy (or the segment raised the divergence guard /
    a simulated rank failure): roll back to the newest valid epoch,
-   optionally reduce ``dt``, back off, and retry -- up to
-   ``max_retries`` consecutive attempts per incident.
+   optionally reduce ``dt``, and retry -- up to ``max_retries``
+   consecutive attempts per incident.
 
 Every decision lands in the structured :class:`EventLog` returned with
 the results; the log is built on ``sim.tracer``, so each decision is also
-a ``resilience.<kind>`` event in the run's trace.  Backoff
-sleeping goes through an injectable ``sleep`` callable so tests run
-without wall-clock delays.
+a ``resilience.<kind>`` event in the run's trace.
 """
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 
 from repro.resilience.distributed.shards import ShardedCheckpointStore
@@ -88,10 +85,6 @@ class ResilientRunner:
         replay at the checkpoint's ``dt``.  Adaptive runs also scale their
         CFL target and ``dt_max``, since the controller would otherwise
         regrow ``dt`` immediately.
-    backoff, backoff_base, sleep:
-        Retry ``n`` sleeps ``backoff * backoff_base**(n-1)`` seconds via
-        the injectable ``sleep`` callable (tests pass a recorder; the
-        default ``backoff=0`` never sleeps).
     fault_injector:
         Optional :class:`FaultInjector` whose scheduled SDC faults are
         applied between segments (each fires once -- the transient model).
@@ -105,9 +98,6 @@ class ResilientRunner:
         health: HealthCheck | None = None,
         max_retries: int = 3,
         dt_factor: float = 0.5,
-        backoff: float = 0.0,
-        backoff_base: float = 2.0,
-        sleep=_time.sleep,
         fault_injector: FaultInjector | None = None,
     ) -> None:
         if checkpoint_interval < 1:
@@ -119,9 +109,6 @@ class ResilientRunner:
         self.events = EventLog(getattr(sim, "tracer", None))
         self.max_retries = max_retries
         self.dt_factor = dt_factor
-        self.backoff = backoff
-        self.backoff_base = backoff_base
-        self.sleep = sleep
         self.fault_injector = fault_injector
         # History/statistics lengths at each checkpointed step, so a
         # rollback can truncate the records the checkpoint itself does not
@@ -154,7 +141,6 @@ class ResilientRunner:
             del sim.history[n_hist:]
         if hasattr(sim, "stat_samples"):
             del sim.stat_samples[n_stats:]
-        self.health.reset()
         self.events.record(
             "rollback",
             step=epoch,
@@ -285,16 +271,12 @@ class ResilientRunner:
             # rank death) replay cleanly and keep dt.
             if kind in ("divergence", "cfl"):
                 self._reduce_dt(attempts)
-            delay = self.backoff * self.backoff_base ** (attempts - 1)
-            if delay > 0:
-                self.sleep(delay)
             self.events.record(
                 "retry",
                 step=sim.step_count,
                 time=sim.time,
-                detail=f"attempt {attempts}/{self.max_retries} (backoff {delay:.3g}s)",
+                detail=f"attempt {attempts}/{self.max_retries}",
                 attempt=attempts,
-                backoff=delay,
             )
 
         result = ResilientResult(

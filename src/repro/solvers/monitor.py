@@ -12,7 +12,7 @@ import numpy.typing as npt
 if TYPE_CHECKING:  # pragma: no cover
     from repro.observability.tracer import TracerProtocol
 
-__all__ = ["SolverMonitor", "IterationStreakTracker", "traced_solve"]
+__all__ = ["SolverMonitor", "traced_solve"]
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -108,33 +108,3 @@ def traced_solve(
         sp.tags["initial_residual"] = mon.initial_residual
         sp.tags["final_residual"] = mon.final_residual
         return x, mon
-
-
-@dataclass
-class IterationStreakTracker:
-    """Detects sustained solver distress across consecutive solves.
-
-    One bad solve is noise; ``streak`` consecutive solves that either hit
-    the iteration ceiling ``limit`` or fail to converge signal a run
-    heading for divergence -- the pattern production monitoring watches in
-    the pressure solve.  Feed it :class:`SolverMonitor` instances (or raw
-    iteration counts) with :meth:`observe`; it returns ``True`` once the
-    streak is reached.
-    """
-
-    limit: int
-    streak: int = 3
-    count: int = 0
-
-    def observe(self, solve: "SolverMonitor | int", converged: bool = True) -> bool:
-        """Record one solve; returns True when the distress streak trips."""
-        if isinstance(solve, SolverMonitor):
-            iterations, converged = solve.iterations, solve.converged
-        else:
-            iterations = int(solve)
-        struggling = (not converged) or iterations >= self.limit
-        self.count = self.count + 1 if struggling else 0
-        return self.count >= self.streak
-
-    def reset(self) -> None:
-        self.count = 0

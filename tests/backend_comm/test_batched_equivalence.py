@@ -155,7 +155,7 @@ class TestDistributedAddMatchesReference:
                 fault_injector=FaultInjector(
                     seed=seed, drop_rate=drop, corrupt_rate=corrupt, delay_rate=delay
                 ),
-                retry=RetryPolicy(seed=seed, max_retries=max_retries),
+                retry=RetryPolicy(max_retries=max_retries),
             )
 
         _assert_matches_reference(shape, lx, nranks, seed, make_world)

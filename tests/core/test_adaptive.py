@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import Simulation, load_checkpoint, rbc_box_case, write_checkpoint
+from repro.core import Simulation, rbc_box_case
+from repro.resilience.distributed import ShardedCheckpointStore
 
 
 @pytest.fixture(scope="module")
@@ -58,13 +59,14 @@ class TestAdaptiveStepping:
                            perturbation_amplitude=0.1, adaptive_cfl=0.3)
         sim1 = Simulation(cfg)
         sim1.run(n_steps=6)
-        write_checkpoint(sim1, tmp_path / "ck.npz")
+        ShardedCheckpointStore(tmp_path).save_epoch(6, [sim1.state_arrays()])
         sim1.run(n_steps=4)
 
         cfg2 = rbc_box_case(2e4, n=(2, 2, 2), lx=4, aspect=2.0, dt=5e-3,
                             perturbation_amplitude=0.1, adaptive_cfl=0.3)
         sim2 = Simulation(cfg2)
-        load_checkpoint(sim2, tmp_path / "ck.npz")
+        _, (arrays,), _ = ShardedCheckpointStore(tmp_path).restore_latest()
+        sim2.load_state(arrays)
         sim2.run(n_steps=4)
         assert np.array_equal(sim1.temperature, sim2.temperature)
         assert sim1.dt == pytest.approx(sim2.dt)

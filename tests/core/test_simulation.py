@@ -8,9 +8,10 @@ consistency) are the standard validation battery for RBC codes.
 import numpy as np
 import pytest
 
-from repro.core import Simulation, load_checkpoint, load_snapshot, write_checkpoint
+from repro.core import Simulation, load_snapshot
 from repro.core.output import FieldWriter
 from repro.core.rbc import rbc_box_case, rbc_cylinder_case
+from repro.resilience.distributed import ShardedCheckpointStore
 
 
 @pytest.fixture(scope="module")
@@ -204,12 +205,13 @@ class TestOutputCheckpoint:
         cfg = rbc_box_case(2e4, n=(2, 2, 2), lx=4, aspect=2.0, dt=1e-2)
         sim1 = Simulation(cfg)
         sim1.run(n_steps=4)
-        write_checkpoint(sim1, tmp_path / "ck.npz")
+        ShardedCheckpointStore(tmp_path).save_epoch(4, [sim1.state_arrays()])
         sim1.run(n_steps=3)
 
         cfg2 = rbc_box_case(2e4, n=(2, 2, 2), lx=4, aspect=2.0, dt=1e-2)
         sim2 = Simulation(cfg2)
-        load_checkpoint(sim2, tmp_path / "ck.npz")
+        _, (arrays,), _ = ShardedCheckpointStore(tmp_path).restore_latest()
+        sim2.load_state(arrays)
         assert sim2.step_count == 4
         sim2.run(n_steps=3)
         assert np.array_equal(sim1.temperature, sim2.temperature)

@@ -32,9 +32,25 @@ class TestCampaignCatalogue:
         assert {"rank_failure", "drop", "delay", "collective_sdc"} <= kinds
         assert "corrupt" in kinds  # p2p SDC flavour too
 
-    def test_both_recovery_policies_exercised(self):
-        policies = {s.policy for s in default_campaign() if s.expect_recoveries}
-        assert policies == {"warm_replace", "shrink"}
+    def test_every_recovery_path_exercised(self):
+        campaign = default_campaign()
+
+        def scenarios(kind, recovered):
+            return [
+                s
+                for s in campaign
+                if kind in s.fault_kinds() and bool(s.expect_recoveries) == recovered
+            ]
+
+        # Warm replacement mid-CG and inside the checkpoint commit barrier.
+        ops = {f.op for s in scenarios("rank_failure", True) for f in s.schedule}
+        assert ops == {"allreduce", "barrier"}
+        # A corrupted allreduce both rolled back and healed by recompute.
+        assert scenarios("collective_sdc", True) and scenarios("collective_sdc", False)
+        # Drops, stale duplicates and bit flips absorbed by retransmission.
+        for kind in ("drop", "delay", "corrupt"):
+            assert all(s.retry for s in scenarios(kind, False))
+            assert scenarios(kind, False)
 
 
 class TestScenarioRuns:
@@ -121,10 +137,9 @@ class TestCampaign:
                 n_steps=4,
             ),
             ChaosScenario(
-                name="kill-shrink",
-                description="rank death, shrink",
-                schedule=(Fault("rank_failure", rank=1, at_call=40, op="allreduce"),),
-                policy="shrink",
+                name="kill-barrier",
+                description="rank death in the checkpoint commit barrier",
+                schedule=(Fault("rank_failure", rank=1, at_call=1, op="barrier"),),
                 expect_recoveries=1,
                 n_steps=4,
             ),
@@ -135,18 +150,18 @@ class TestCampaign:
         assert small_campaign.all_survived
         assert small_campaign.survived == 3
 
-    def test_mttr_aggregation(self, small_campaign):
+    def test_recovery_totals_aggregate(self, small_campaign):
         assert small_campaign.total_recoveries == 2
-        assert small_campaign.mttr_steps == (
-            small_campaign.total_steps_replayed / small_campaign.total_recoveries
+        assert small_campaign.total_steps_replayed == sum(
+            r.steps_replayed for r in small_campaign.results
         )
 
     def test_report_renders_every_scenario(self, small_campaign):
         text = render_report(small_campaign)
-        for name in ("kill-warm", "drop-storm", "kill-shrink"):
+        for name in ("kill-warm", "drop-storm", "kill-barrier"):
             assert name in text
         assert "3/3 scenarios survived" in text
-        assert "MTTR" in text
+        assert "steps replayed" in text
 
     def test_json_report_round_trips(self, small_campaign, tmp_path):
         path = write_json_report(small_campaign, tmp_path / "campaign.json")
@@ -170,7 +185,7 @@ class TestCli:
         code = chaos_main(
             [
                 "--only",
-                "targeted-drop",
+                "exchange-bitflip",
                 "--steps",
                 "3",
                 "--json",
@@ -181,6 +196,17 @@ class TestCli:
         assert code == 0
         assert "1/1 scenarios survived" in out
         assert (tmp_path / "report.json").exists()
+
+    def test_steps_flag_overrides_every_scenario(self, tmp_path, monkeypatch, capsys):
+        import repro.resilience.chaos.__main__ as cli
+
+        short = ChaosScenario(name="short", description="fault-free", n_steps=2)
+        monkeypatch.setattr(cli, "default_campaign", lambda: [short])
+        path = tmp_path / "report.json"
+        assert chaos_main(["--steps", "6", "--json", str(path)]) == 0
+        capsys.readouterr()
+        (row,) = json.loads(path.read_text())["results"]
+        assert row["steps"] == 6
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):

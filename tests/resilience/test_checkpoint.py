@@ -8,15 +8,8 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.core import (
-    CheckpointCorruptError,
-    Simulation,
-    load_checkpoint,
-    rbc_box_case,
-    verify_checkpoint,
-    write_checkpoint,
-)
-from repro.core.output import pack_checkpoint
+from repro.core import CheckpointCorruptError, Simulation, rbc_box_case
+from repro.core.output import pack_checkpoint, read_checkpoint
 from repro.resilience.distributed import ShardedCheckpointStore
 
 
@@ -44,49 +37,55 @@ def warm_sim():
     return sim
 
 
+def saved_shard(sim, directory):
+    """Save ``sim`` as a one-shard epoch under ``directory``; the shard's path."""
+    ShardedCheckpointStore(directory).save_epoch(sim.step_count, [sim.state_arrays()])
+    return directory / f"epoch_{sim.step_count:08d}" / "shard_0000.npz"
+
+
 class TestCheckpointIntegrity:
     def test_write_is_atomic_no_tmp_left(self, warm_sim, tmp_path):
-        path = tmp_path / "ck.npz"
-        write_checkpoint(warm_sim, path)
+        path = saved_shard(warm_sim, tmp_path)
         assert path.exists()
-        assert list(tmp_path.glob("*.tmp")) == []
+        assert (path.parent / "manifest.json").exists()
+        # The staging area was renamed into place, not left behind.
+        assert [p.name for p in tmp_path.iterdir()] == [path.parent.name]
 
     def test_verify_reports_metadata(self, warm_sim, tmp_path):
-        path = tmp_path / "ck.npz"
-        write_checkpoint(warm_sim, path)
-        meta = verify_checkpoint(path)
-        assert meta["step"] == warm_sim.step_count
-        assert meta["time"] == pytest.approx(warm_sim.time)
-        assert meta["checksum"] is not None
+        path = saved_shard(warm_sim, tmp_path)
+        manifest = ShardedCheckpointStore(tmp_path).verify_epoch(warm_sim.step_count)
+        assert manifest.world_size == 1
+        data = read_checkpoint(path)
+        assert int(data["step_count"]) == warm_sim.step_count
+        assert float(data["time"]) == pytest.approx(warm_sim.time)
+        assert str(data["checksum"]) == manifest.checksums[0]
 
     def test_truncated_file_detected(self, warm_sim, tmp_path):
-        path = tmp_path / "ck.npz"
-        write_checkpoint(warm_sim, path)
+        path = saved_shard(warm_sim, tmp_path)
         raw = path.read_bytes()
         # A truncated file, and a flip that breaks the deflate stream of
         # one member (zlib raises before the zip CRC check could).
         for damaged in (raw[: len(raw) // 2], flip_member_byte(raw, "fx0.npy", 8)):
             path.write_bytes(damaged)
             with pytest.raises(CheckpointCorruptError):
-                verify_checkpoint(path)
+                ShardedCheckpointStore(tmp_path).verify_epoch(warm_sim.step_count)
             sim2 = Simulation(small_case())
             before = sim2.temperature.copy()
             with pytest.raises(CheckpointCorruptError):
-                load_checkpoint(sim2, path)
+                sim2.load_state(read_checkpoint(path))
             # A failed load leaves the simulation untouched.
             assert np.array_equal(sim2.temperature, before)
             assert sim2.step_count == 0
 
     def test_tampered_payload_fails_checksum(self, warm_sim, tmp_path):
-        path = tmp_path / "ck.npz"
-        write_checkpoint(warm_sim, path)
+        path = saved_shard(warm_sim, tmp_path)
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: np.asarray(data[k]).copy() for k in data.files}
         arrays["pressure"].flat[0] += 1.0  # silent corruption, stale checksum
         with open(path, "wb") as fh:
             np.savez_compressed(fh, **arrays)
         with pytest.raises(CheckpointCorruptError, match="checksum"):
-            verify_checkpoint(path)
+            read_checkpoint(path)
 
     @pytest.mark.parametrize(
         "entry", ["pressure", "dt", "last_cfl", "scheme_dts", "ft0", "proj_ax0"]
@@ -103,7 +102,7 @@ class TestCheckpointIntegrity:
         sim2.run(n_steps=1)
         before = {k: np.copy(v) for k, v in sim2.state_arrays().items()}
         with pytest.raises(CheckpointCorruptError, match=entry):
-            load_checkpoint(sim2, buf)
+            sim2.load_state(read_checkpoint(buf))
         after = sim2.state_arrays()
         assert before.keys() == after.keys()
         for key, value in before.items():
@@ -111,14 +110,14 @@ class TestCheckpointIntegrity:
 
     def test_missing_file_raises_corrupt_error(self, tmp_path):
         with pytest.raises(CheckpointCorruptError):
-            verify_checkpoint(tmp_path / "nope.npz")
+            read_checkpoint(tmp_path / "nope.npz")
 
     def test_roundtrip_via_file_object(self, warm_sim):
         buf = io.BytesIO()
-        write_checkpoint(warm_sim, buf)
+        pack_checkpoint(warm_sim.state_arrays(), buf)
         buf.seek(0)
         sim2 = Simulation(small_case())
-        load_checkpoint(sim2, buf)
+        sim2.load_state(read_checkpoint(buf))
         assert sim2.step_count == warm_sim.step_count
         assert np.array_equal(sim2.temperature, warm_sim.temperature)
 
@@ -127,7 +126,7 @@ class TestCheckpointIntegrity:
         np.savez_compressed(path, **warm_sim.state_arrays())
         sim2 = Simulation(small_case())
         with pytest.raises(CheckpointCorruptError, match="checksum"):
-            load_checkpoint(sim2, path)
+            sim2.load_state(read_checkpoint(path))
         assert sim2.step_count == 0
 
 
@@ -159,12 +158,13 @@ class TestAdaptiveDtRestart:
     def test_dt_sequence_reproduced_exactly(self, tmp_path):
         sim1 = Simulation(small_case())
         sim1.run(n_steps=8)
-        write_checkpoint(sim1, tmp_path / "mid.npz")
+        ShardedCheckpointStore(tmp_path).save_epoch(8, [sim1.state_arrays()])
         sim1.run(n_steps=7)
         ref_tail = sim1.history[8:]
 
         sim2 = Simulation(small_case())
-        load_checkpoint(sim2, tmp_path / "mid.npz")
+        _, (arrays,), _ = ShardedCheckpointStore(tmp_path).restore_latest()
+        sim2.load_state(arrays)
         results = sim2.run(n_steps=7)
         assert [r.dt for r in results] == [r.dt for r in ref_tail]
         assert [r.time for r in results] == [r.time for r in ref_tail]

@@ -60,17 +60,24 @@ class TestMessageFaults:
 
 class TestRankFailure:
     def test_scheduled_collective_failure(self):
-        inj = FaultInjector(schedule=[Fault("rank_failure", at_call=2, rank=1)])
+        inj = FaultInjector(
+            schedule=[Fault("rank_failure", at_call=1, rank=1, op="allreduce")]
+        )
         w = SimWorld(3, fault_injector=inj)
         vals = [1.0, 2.0, 3.0]
-        assert w.allreduce_scalar(vals) == 6.0  # call 0
-        w.barrier()  # call 1
+        assert w.allreduce_scalar(vals) == 6.0  # allreduce 0
+        w.barrier()  # barrier 0
         with pytest.raises(RankFailedError) as exc_info:
-            w.allreduce_scalar(vals)  # call 2
+            w.allreduce_scalar(vals)  # allreduce 1
         assert exc_info.value.rank == 1
 
+    def test_collective_fault_must_name_its_op(self):
+        for kind in ("rank_failure", "collective_sdc"):
+            with pytest.raises(ValueError, match="op"):
+                Fault(kind, at_call=0)
+
     def test_rank_failure_is_one_shot(self):
-        inj = FaultInjector(schedule=[Fault("rank_failure", at_call=0)])
+        inj = FaultInjector(schedule=[Fault("rank_failure", at_call=0, op="allreduce")])
         w = SimWorld(2, fault_injector=inj)
         with pytest.raises(RankFailedError):
             w.allreduce_scalar([1.0, 2.0])
@@ -78,7 +85,7 @@ class TestRankFailure:
         assert w.allreduce_scalar([1.0, 2.0]) == 3.0
 
     def test_gather_checks_for_failures(self):
-        inj = FaultInjector(schedule=[Fault("rank_failure", at_call=0)])
+        inj = FaultInjector(schedule=[Fault("rank_failure", at_call=0, op="gather")])
         w = SimWorld(2, fault_injector=inj)
         with pytest.raises(RankFailedError):
             w.gather([1.0, 2.0])

@@ -134,42 +134,13 @@ class TestQuarantine:
 class TestRetryBackoff:
     def test_retry_recovers_transient_failure(self):
         flaky = FailsFirstN(1)
-        sleeps = []
-        pipe = InSituPipeline(
-            [flaky], retries=2, backoff=0.5, sleep=sleeps.append, strict=False
-        ).open()
+        pipe = InSituPipeline([flaky], retries=2, strict=False).open()
         pipe.put("x", np.ones(3))
         stats = pipe.close()
         assert flaky.processed == 1  # second attempt succeeded
         assert stats.retries == 1
-        assert sleeps == [0.5]
         assert stats.dropped == 0
         assert stats.quarantined == []
-
-    def test_backoff_is_exponential_with_injected_clock(self):
-        flaky = FailsFirstN(3)
-        sleeps = []
-        pipe = InSituPipeline(
-            [flaky],
-            retries=3,
-            backoff=0.1,
-            backoff_base=2.0,
-            sleep=sleeps.append,
-            strict=False,
-        ).open()
-        pipe.put("x", np.ones(1))
-        pipe.close()
-        assert sleeps == pytest.approx([0.1, 0.2, 0.4])
-        assert flaky.processed == 1
-
-    def test_zero_backoff_never_sleeps(self):
-        sleeps = []
-        pipe = InSituPipeline(
-            [FailsFirstN(1)], retries=1, sleep=sleeps.append, strict=False
-        ).open()
-        pipe.put("x", np.ones(1))
-        pipe.close()
-        assert sleeps == []
 
 
 class TestStatsAccounting:

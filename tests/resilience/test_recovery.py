@@ -1,6 +1,5 @@
-"""Elastic rank recovery over the distributed thermal workload."""
+"""Warm-replacement recovery over the distributed thermal workload."""
 
-import numpy as np
 import pytest
 
 from repro.comm import CollectiveIntegrityError, RetryPolicy
@@ -20,9 +19,9 @@ def fault_free():
     return DistributedThermalWorkload(nranks=4, seed=3).run(N_STEPS)
 
 
-def faulted_workload(schedule, policy="warm_replace", nranks=4, **kwargs):
+def faulted_workload(schedule, nranks=4, **kwargs):
     store = ShardedCheckpointStore()
-    recovery = WorldRecovery(store, policy=policy)
+    recovery = WorldRecovery(store)
     injector = FaultInjector(seed=5, schedule=list(schedule))
     return DistributedThermalWorkload(
         nranks=nranks,
@@ -45,10 +44,10 @@ class TestWarmReplace:
         result = w.run(N_STEPS)
         assert result.steps == N_STEPS
         assert result.recoveries == 1
-        assert result.world_size == 4
+        assert w.world.size == 4
         assert result.nu_final == pytest.approx(fault_free.nu_final, abs=1e-10)
         incident = result.incidents[0]
-        assert incident["policy"] == "warm_replace"
+        assert incident["cause"] == "RankFailedError"
         assert incident["failed_rank"] == 2
 
     def test_nu_history_consistent_after_rollback(self, fault_free):
@@ -63,51 +62,17 @@ class TestWarmReplace:
             assert nu == pytest.approx(ref, abs=1e-10)
 
 
-class TestShrink:
-    def test_world_shrinks_and_repartitions(self, fault_free):
-        w = faulted_workload(
-            [Fault("rank_failure", rank=1, at_call=40, op="allreduce")],
-            policy="shrink",
-        )
-        result = w.run(N_STEPS)
-        assert result.world_size == 3
-        assert w.world.size == 3
-        assert len(w.t_chunks) == 3
-        # Repartitioned surviving ranks own every element exactly once.
-        owned = np.concatenate([w.dgs.rank_elements[r] for r in range(3)])
-        assert sorted(owned.tolist()) == list(range(w.space.mesh.nelv))
-        assert result.nu_final == pytest.approx(fault_free.nu_final, abs=1e-8)
-
-    def test_double_failure_shrinks_twice(self, fault_free):
-        w = faulted_workload(
-            [
-                Fault("rank_failure", rank=2, at_call=40, op="allreduce"),
-                Fault("rank_failure", rank=0, at_call=260, op="allreduce"),
-            ],
-            policy="shrink",
-        )
-        result = w.run(N_STEPS)
-        assert result.world_size == 2
-        assert result.recoveries == 2
-        assert result.nu_final == pytest.approx(fault_free.nu_final, abs=1e-8)
-
-    def test_shrink_respects_min_size(self):
-        store = ShardedCheckpointStore()
-        recovery = WorldRecovery(store, policy="shrink", min_size=2)
-        injector = FaultInjector(
-            seed=5,
-            schedule=[
-                Fault("rank_failure", rank=0, at_call=40, op="allreduce"),
-                Fault("rank_failure", rank=1, at_call=260, op="allreduce"),
-            ],
-        )
-        w = DistributedThermalWorkload(
-            nranks=3, seed=3, store=store, recovery=recovery, fault_injector=injector
-        )
-        result = w.run(N_STEPS)
-        # 3 -> 2, then the floor holds: the second failure warm-replaces.
-        assert result.world_size == 2
-        assert [o.policy for o in recovery.outcomes] == ["shrink", "warm_replace"]
+class TestRestoreShards:
+    def test_epoch_of_another_world_size_is_rejected(self):
+        # Shards come from disk: an epoch written by 3 ranks cannot be
+        # installed shard-for-rank on a world of 4.
+        small = DistributedThermalWorkload(nranks=3, seed=3)
+        small.run(2)
+        _, shards, _ = small.store.restore_latest()
+        w = DistributedThermalWorkload(nranks=4, seed=3)
+        with pytest.raises(ValueError, match="3 shards for a world of 4"):
+            w.restore_shards(shards)
+        assert w.step == 0
 
 
 class TestEscalation:
@@ -151,7 +116,7 @@ class TestEscalation:
 
     def test_recovery_budget_exhausts_cleanly(self):
         store = ShardedCheckpointStore()
-        recovery = WorldRecovery(store, policy="warm_replace", max_recoveries=2)
+        recovery = WorldRecovery(store, max_recoveries=2)
         schedule = [
             Fault("rank_failure", rank=0, at_call=i, op="allreduce")
             for i in range(0, 600, 3)
@@ -168,7 +133,7 @@ class TestEscalation:
         # Drop the same logical message past the retry budget: the channel
         # raises CommTimeoutError (never hangs) and recovery rolls back.
         store = ShardedCheckpointStore()
-        recovery = WorldRecovery(store, policy="warm_replace")
+        recovery = WorldRecovery(store)
         schedule = [Fault("drop", at_call=i) for i in range(40, 48)]
         injector = FaultInjector(seed=5, schedule=schedule)
         w = DistributedThermalWorkload(

@@ -27,9 +27,10 @@ class FakeSim:
 
     ``fail_if(sim)`` is consulted every step; returning an exception class
     makes the step raise it (once per step index, like a real transient).
+    ``cfl(sim)`` gives each step's Courant number.
     """
 
-    def __init__(self, dt=0.1, fail_if=None):
+    def __init__(self, dt=0.1, fail_if=None, cfl=None):
         self.step_count = 0
         self.time = 0.0
         self.dt = dt
@@ -39,6 +40,7 @@ class FakeSim:
         self.config = SimpleNamespace(dt_min=1e-4, dt_max=1.0, adaptive_cfl=None)
         self.state = np.zeros(4)
         self.fail_if = fail_if or (lambda sim: None)
+        self.cfl = cfl or (lambda sim: 0.1)
 
     # Health-check surface.
     @property
@@ -83,7 +85,7 @@ class FakeSim:
                     step=self.step_count,
                     time=self.time,
                     dt=self.dt,
-                    cfl=0.1,
+                    cfl=self.cfl(self),
                     pressure_iterations=2,
                     kinetic_energy=1.0,
                     divergence=1e-8,
@@ -143,31 +145,25 @@ class TestRunnerUnit:
             runner.run(n_steps=10)
         assert exc_info.value.events.count("retry") == 2
 
-    def test_backoff_uses_injectable_clock(self):
-        calls = []
-
-        def fail(sim):
-            if sim.step_count == 3 and len(calls) < 2:
-                return FloatingPointError("diverged")
-
-        sim = FakeSim(fail_if=fail)
-        sleeps = []
-
-        def fake_sleep(s):
-            sleeps.append(s)
-            calls.append(True)
-
+    def test_cfl_ceiling_rolls_back_and_reduces_dt(self):
+        # The Courant number scales with dt and doubles after step 5, so
+        # the second segment breaks the ceiling until dt is halved.
+        sim = FakeSim(dt=0.1, cfl=lambda s: s.dt * (5.0 if s.step_count <= 5 else 15.0))
         runner = ResilientRunner(
-            sim,
-            checkpoint_interval=5,
-            max_retries=5,
-            backoff=1.0,
-            backoff_base=2.0,
-            sleep=fake_sleep,
-            dt_factor=1.0,  # keep failing on the same condition
+            sim, checkpoint_interval=5, health=HealthCheck(cfl_max=1.0), dt_factor=0.5
         )
-        runner.run(n_steps=6)
-        assert sleeps == pytest.approx([1.0, 2.0])
+        result = runner.run(n_steps=20)
+        assert sim.step_count == 20
+        assert result.retries == 1
+        (detected,) = result.events.of_kind("fault_detected")
+        assert detected.data["cause"] == "cfl"
+        assert "exceeds ceiling" in detected.detail
+        assert result.events.count("rollback") == 1
+        assert result.events.count("dt_reduction") == 1
+        assert sim.dt == pytest.approx(0.05)
+        assert max(r.cfl for r in result.results) <= 1.0
+        # The rolled-back steps are gone: the realized history is contiguous.
+        assert [r.step for r in result.results] == list(range(1, 21))
 
     def test_health_check_triggers_rollback_on_nonfinite_state(self):
         poked = []

@@ -1,14 +1,14 @@
-"""SolverMonitor and IterationStreakTracker edge cases.
+"""SolverMonitor edge cases.
 
 The monitors feed both the adaptive-timestep logic and the solver spans
 of the trace, so their corner semantics (zero initial residual, iteration
-exhaustion, streak resets) are load-bearing."""
+exhaustion) are load-bearing."""
 
 import math
 
 import pytest
 
-from repro.solvers.monitor import IterationStreakTracker, SolverMonitor
+from repro.solvers.monitor import SolverMonitor
 
 
 class TestSolverMonitor:
@@ -84,40 +84,3 @@ class TestSolverMonitor:
         mon.step(1e-3)
         assert mon.summary().startswith("temperature: converged in 1 iters")
 
-
-class TestIterationStreakTracker:
-    def test_trips_after_streak_of_exhausted_solves(self):
-        tracker = IterationStreakTracker(limit=10, streak=3)
-        assert tracker.observe(10) is False
-        assert tracker.observe(11) is False
-        assert tracker.observe(10) is True
-
-    def test_healthy_solve_resets_the_streak(self):
-        tracker = IterationStreakTracker(limit=10, streak=2)
-        assert tracker.observe(10) is False
-        assert tracker.observe(3) is False
-        assert tracker.observe(10) is False  # streak restarted
-        assert tracker.observe(10) is True
-
-    def test_unconverged_monitor_counts_as_struggling(self):
-        tracker = IterationStreakTracker(limit=100, streak=2)
-        mon = SolverMonitor(tol=1e-12)
-        mon.start(1.0)
-        mon.step(0.9)  # 1 iteration, far from the limit, but unconverged
-        assert tracker.observe(mon) is False
-        assert tracker.observe(mon) is True
-
-    def test_converged_monitor_resets(self):
-        tracker = IterationStreakTracker(limit=5, streak=2)
-        tracker.observe(5)
-        good = SolverMonitor(tol=1e-1)
-        good.start(1.0)
-        good.step(1e-3)
-        assert tracker.observe(good) is False
-        assert tracker.count == 0
-
-    def test_reset(self):
-        tracker = IterationStreakTracker(limit=1, streak=5)
-        tracker.observe(1)
-        tracker.reset()
-        assert tracker.count == 0
