@@ -40,7 +40,12 @@ chaos:
 
 # Alternating spine pairs of one workload: BASE (a git revision) against the
 # working tree, e.g. `make ab WORKLOAD=rbc_cyl_p7 PAIRS=7 BASE=HEAD`.
+# AB_SECONDS is each run's loop length (15 s, the contract's, by default).
+# `setup_s` is measured before the loop and does not depend on it, so a
+# set-up-only comparison can pass e.g. AB_SECONDS=1.
 PAIRS ?= 7
 BASE ?= HEAD
+AB_SECONDS ?= 15
 ab:
-	$(PYTHON) -m benchmarks.ab_pairs --workload $(WORKLOAD) --pairs $(PAIRS) --base $(BASE)
+	$(PYTHON) -m benchmarks.ab_pairs --workload $(WORKLOAD) --pairs $(PAIRS) --base $(BASE) \
+		--seconds $(AB_SECONDS)

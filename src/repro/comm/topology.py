@@ -28,7 +28,7 @@ byte-identical fields and differ only in their logged traffic, which is
 exactly the contract the equivalence property suite pins down to 0 ulp.
 
 The per-(gid, rank) partial sums are sequential ``bincount``
-accumulations in original copy order (over a stable lexsort), and the
+accumulations in original copy order (over a stable sort), and the
 owner reduction adds holder partials in ascending rank order from 0.0 --
 the same arithmetic the per-rank
 :class:`~repro.comm.distributed_gs.DistributedGatherScatter` performs on
@@ -166,17 +166,19 @@ def traffic_summary(rounds: list[CommRound], topology: NodeTopology | None) -> d
 class CopyIndex:
     """Every node copy sorted by (gid, holder rank): the gather--scatter index.
 
-    One stable lexsort of the copies.  Runs of equal (gid, rank) are the
+    One stable sort of the copies by the fused integer key
+    ``gid * n_ranks + rank`` -- the order of ``lexsort((copy_rank, ids))``
+    at the cost of one 8-byte key.  Runs of equal (gid, rank) are the
     per-rank partial-sum *slots*, runs of equal gid the *holder groups*.
-    Stability keeps the copies of one slot in input order, so the
-    ``bincount`` of :meth:`partials` accumulates each slot exactly as a
-    rank-local ``bincount`` over that rank's copies would.  Both
+    The ``bincount`` of :meth:`partials` walks the copies in input order,
+    so it accumulates each slot exactly as a rank-local ``bincount`` over
+    that rank's copies would.  Both
     :class:`BatchedGatherScatter` and
     :class:`~repro.comm.distributed_gs.DistributedGatherScatter` reduce on it.
     """
 
     def __init__(self, ids: np.ndarray, copy_rank: np.ndarray) -> None:
-        order = np.lexsort((copy_rank, ids))
+        order = _copy_order(ids, copy_rank)
         gid_sorted = ids[order]
         rank_sorted = copy_rank[order]
         new_slot = np.empty(ids.size, dtype=bool)
@@ -211,13 +213,19 @@ class CopyIndex:
         return np.bincount(self.slot_of_copy, weights=values, minlength=self.slot_rank.size)
 
 
+def _copy_order(ids: np.ndarray, copy_rank: np.ndarray) -> np.ndarray:
+    """``lexsort((copy_rank, ids))`` as one stable sort of an int64 key."""
+    n_ranks = int(copy_rank.max()) + 1
+    return np.argsort(ids * n_ranks + copy_rank, kind="stable")
+
+
 class BatchedGatherScatter:
     """Distributed dssum computed as batched index operations.
 
     Per-rank fields live stacked in one elementwise array (the
     "rank-batched state"): element ``e`` belongs to ``owner[e]``, and a
     rank's chunk is the sub-array of its elements.  Setup is a single
-    stable lexsort of all node copies by (gid, holder rank); every
+    stable sort of all node copies by (gid, holder rank); every
     ``add`` is two ``bincount`` passes plus one gather -- O(copies), with
     no per-rank Python objects, at 10^3..10^4 simulated ranks.
 

@@ -92,7 +92,10 @@ def default_campaign() -> list[ChaosScenario]:
     One per recovery path: warm replacement mid-CG (1) and at 256-rank
     width (8), an aborted checkpoint commit (2), retransmission of drops
     (3), stale-duplicate dedup (4) and a CRC-caught bit flip (5), and a
-    corrupted allreduce rolled back (6) or healed by recompute (7).
+    corrupted allreduce rolled back (6) or healed by recompute (7).  No
+    scenario exhausts the retry budget, so the ``CommTimeoutError``
+    rollback is gated by
+    ``tests/resilience/test_recovery.py::TestEscalation::test_comm_timeout_recovers_via_rollback``.
     """
     return [
         ChaosScenario(
@@ -110,8 +113,8 @@ def default_campaign() -> list[ChaosScenario]:
         ),
         ChaosScenario(
             name="message-drop-storm",
-            description="every p2p message dropped with p=0.15; CRC detects, "
-            "retransmission recovers (timeout falls back to rollback)",
+            description="every p2p message dropped with p=0.15; "
+            "retransmission recovers every drop within the retry budget",
             drop_rate=0.15,
         ),
         ChaosScenario(

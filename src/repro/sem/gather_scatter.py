@@ -40,13 +40,37 @@ def build_global_numbering(
         Optional canonicalization applied before matching (implements
         periodic directions by wrapping one side onto the other).
     tol:
-        Coordinates closer than ``tol`` are considered identical.  By default
-        a tolerance is derived from the smallest nonzero nodal spacing.
+        Quantum of the match: two nodes share an id exactly when every
+        coordinate rounds to the same multiple of ``tol``.  By default it is
+        10^-4 of the smallest nonzero gap between coordinate values along
+        any axis (at least 1e-12), so distinct nodes, at least 10^4 ``tol``
+        apart, never merge.
 
     Returns
     -------
     (global_ids, n_global)
+        Ids number the distinct quantised coordinates in lexicographic order
+        (x first) -- the numbering ``np.unique(quant, axis=0,
+        return_inverse=True)`` gives, from one ``lexsort`` of the three
+        integer columns.
     """
+    quant = _quantised(coords, periodic_image, tol)
+    order = np.lexsort((quant[:, 2], quant[:, 1], quant[:, 0]))
+    ordered = quant[order]
+    new_node = np.empty(len(order), dtype=bool)
+    new_node[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new_node[1:])
+    global_ids = np.empty(len(order), dtype=np.int64)
+    global_ids[order] = np.cumsum(new_node) - 1
+    return global_ids, int(global_ids[order[-1]]) + 1
+
+
+def _quantised(
+    coords: np.ndarray,
+    periodic_image: Callable[[np.ndarray], np.ndarray] | None,
+    tol: float | None,
+) -> np.ndarray:
+    """The ``(n, 3)`` integer multiples of ``tol`` that :func:`build_global_numbering` sorts."""
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
     if periodic_image is not None:
         coords = periodic_image(coords)
@@ -61,10 +85,7 @@ def build_global_numbering(
         if not np.isfinite(spacing):
             spacing = 1.0
         tol = max(spacing * 1e-4, 1e-12)
-
-    quant = np.round(coords / tol).astype(np.int64)
-    _, inverse = np.unique(quant, axis=0, return_inverse=True)
-    return inverse.astype(np.int64), int(inverse.max()) + 1
+    return np.round(coords / tol).astype(np.int64)
 
 
 class GatherScatter:
@@ -106,14 +127,12 @@ class GatherScatter:
 
     # -- core operations ---------------------------------------------------
 
-    def add(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def add(self, u: np.ndarray) -> np.ndarray:
         """Direct-stiffness summation: sum duplicated dofs, redistribute."""
         t0 = perf_counter()
         flat = u.reshape(-1)
         acc = np.bincount(self.global_ids, weights=flat, minlength=self.n_global)
-        if out is None:
-            out = np.empty_like(u)
-        out.reshape(-1)[:] = acc[self.global_ids]
+        out = acc[self.global_ids].reshape(u.shape)
         elapsed = perf_counter() - t0
         with self._lock:
             self.calls += 1

@@ -26,6 +26,7 @@ from repro.comm import (
     RetryPolicy,
     SimWorld,
 )
+from repro.comm import topology
 from repro.comm.campaign import structured_global_ids
 from repro.resilience.faults import Fault, FaultInjector, RankFailedError
 
@@ -261,3 +262,38 @@ class TestGatherScatterEquivalence:
             world.exchange_batched(
                 np.array([0]), np.array([1]), np.array([8])
             )
+
+
+class TestCopyOrder:
+    """``CopyIndex``'s fused-key sort is the (gid, rank) lexsort it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds,
+        n_gids=st.integers(min_value=1, max_value=40),
+        n_ranks=st.integers(min_value=1, max_value=9),
+        n_copies=st.integers(min_value=1, max_value=400),
+    )
+    def test_random_copies(self, seed, n_gids, n_ranks, n_copies):
+        # Few gids and ranks against many copies: (gid, rank) pairs repeat,
+        # so an unstable sort would permute the copies of a slot.
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, n_gids, size=n_copies)
+        rank = rng.integers(0, n_ranks, size=n_copies)
+        np.testing.assert_array_equal(
+            topology._copy_order(ids, rank), np.lexsort((rank, ids))
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        shape=mesh_shapes,
+        lx=st.integers(min_value=2, max_value=4),
+        nranks=st.integers(min_value=1, max_value=6),
+        seed=seeds,
+    )
+    def test_partitioned_mesh(self, shape, lx, nranks, seed):
+        ids, owner, fshape = _mesh_and_partition(shape, lx, nranks, seed)
+        rank = np.repeat(owner, int(np.prod(fshape[1:])))
+        np.testing.assert_array_equal(
+            topology._copy_order(ids, rank), np.lexsort((rank, ids))
+        )

@@ -8,15 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import rbc_box_case, rbc_cylinder_case
 from repro.sem import gather_scatter
 from repro.sem.gather_scatter import GatherScatter, build_global_numbering
 from repro.sem.mesh import box_mesh, cylinder_mesh
 
 
-def make_gs(mesh, lx):
+def mesh_coords(mesh, lx):
     x, y, z = mesh.gll_coordinates(lx)
-    coords = np.stack([x.reshape(-1), y.reshape(-1), z.reshape(-1)], axis=1)
-    return GatherScatter(coords, (mesh.nelv, lx, lx, lx), periodic_image=mesh.periodic_image)
+    return np.stack([x.reshape(-1), y.reshape(-1), z.reshape(-1)], axis=1)
+
+
+def make_gs(mesh, lx):
+    return GatherScatter(
+        mesh_coords(mesh, lx), (mesh.nelv, lx, lx, lx), periodic_image=mesh.periodic_image
+    )
 
 
 class TestGlobalNumbering:
@@ -53,6 +59,58 @@ class TestGlobalNumbering:
             GatherScatter(coords, (1, 3, 3, 3))
 
 
+def unique_rows_numbering(coords, periodic_image=None, tol=None):
+    """Oracle: the row sort ``build_global_numbering`` replaced."""
+    quant = gather_scatter._quantised(coords, periodic_image, tol)
+    _, inverse = np.unique(quant, axis=0, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64), int(inverse.max()) + 1
+
+
+# Duplicated rows of a small integer lattice, scaled so coordinates go
+# negative; one column may be constant.
+point_clouds = st.tuples(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=200),
+    st.sampled_from([None, 0, 1, 2]),
+)
+
+
+class TestNumberingOracle:
+    """The lexsort numbering equals ``np.unique(quant, axis=0)`` id for id."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # The spine's periodic box (scalar_transport_p7).
+            rbc_box_case(1e7, n=(6, 6, 6), lx=8, aspect=2.0, dt=0.01),
+            rbc_cylinder_case(1e5, aspect=1.0, n_square=2, n_ring=2, n_z=2, lx=5),
+        ],
+        ids=["spine_periodic_box", "cylinder_lx5"],
+    )
+    def test_mesh(self, config):
+        coords = mesh_coords(config.mesh, config.lx)
+        ids, n = build_global_numbering(coords, config.mesh.periodic_image)
+        want_ids, want_n = unique_rows_numbering(coords, config.mesh.periodic_image)
+        assert n == want_n
+        assert ids.dtype == np.int64
+        np.testing.assert_array_equal(ids, want_ids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cloud=point_clouds, tol=st.sampled_from([None, 0.05, 0.3]))
+    def test_point_cloud(self, cloud, tol):
+        seed, n_distinct, n_points, constant = cloud
+        rng = np.random.default_rng(seed)
+        lattice = rng.integers(-20, 21, size=(n_distinct, 3)) * 0.25
+        if constant is not None:
+            lattice[:, constant] = -1.5
+        coords = lattice[rng.integers(0, n_distinct, size=n_points)]
+        ids, n = build_global_numbering(coords, tol=tol)
+        want_ids, want_n = unique_rows_numbering(coords, tol=tol)
+        assert n == want_n
+        np.testing.assert_array_equal(ids, want_ids)
+
+
 class TestGatherScatterOps:
     @pytest.fixture(scope="class")
     def gs(self):
@@ -80,6 +138,10 @@ class TestGatherScatterOps:
         rng = np.random.default_rng(3)
         u = rng.normal(size=gs.shape)
         assert np.allclose(gs.add(gs.average(u)), gs.add(u), atol=1e-12)
+
+    def test_add_of_non_contiguous_field(self, gs):
+        u = np.random.default_rng(3).normal(size=gs.shape)
+        np.testing.assert_array_equal(gs.add(np.asfortranarray(u)), gs.add(u))
 
     def test_min_max(self, gs):
         u = np.ones(gs.shape)
