@@ -20,7 +20,6 @@ from repro.compression.transform import to_modal, to_nodal, modal_energy
 from repro.compression.truncation import truncate_relative, truncation_mask
 from repro.compression.encoder import encode_coefficients, decode_coefficients
 from repro.compression.api import CompressedField, SpectralCompressor
-from repro.compression.timeseries import CompressedSeriesWriter, read_compressed_series
 
 __all__ = [
     "to_modal",
@@ -32,6 +31,4 @@ __all__ = [
     "decode_coefficients",
     "CompressedField",
     "SpectralCompressor",
-    "CompressedSeriesWriter",
-    "read_compressed_series",
 ]

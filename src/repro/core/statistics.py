@@ -54,18 +54,59 @@ def _facet_quadrature(space: FunctionSpace, e: int, face: int) -> np.ndarray:
     return darea * w[:, None] * w[None, :]
 
 
+def _facet_weights(space: FunctionSpace, label: str) -> list[tuple[tuple, np.ndarray]]:
+    """``(node index, dA weights)`` of every face of a labelled boundary.
+
+    Built once per space and label, and memoized on the space instance the
+    way :func:`~repro.precond.cache.space_signature` is: the Nusselt
+    sample integrates over both plates every time it runs.
+    """
+    cache = getattr(space, "_facet_weight_cache", None)
+    if cache is None:
+        cache = space._facet_weight_cache = {}
+    if label not in cache:
+        cache[label] = [
+            (
+                (int(e), *space.mesh.facet_node_index(int(face), space.lx)),
+                _facet_quadrature(space, int(e), int(face)),
+            )
+            for e, face in space.mesh.boundary_facets[label]
+        ]
+    return cache[label]
+
+
 def facet_integral(space: FunctionSpace, label: str, field: np.ndarray) -> float:
     """Surface integral of a nodal field over a labelled boundary."""
     total = 0.0
-    for e, face in space.mesh.boundary_facets[label]:
-        idx = (int(e), *space.mesh.facet_node_index(int(face), space.lx))
-        total += float(np.sum(field[idx] * _facet_quadrature(space, int(e), int(face))))
+    for idx, w in _facet_weights(space, label):
+        total += float(np.sum(field[idx] * w))
     return total
 
 
 def facet_area(space: FunctionSpace, label: str) -> float:
     """Total area of a labelled boundary."""
-    return facet_integral(space, label, np.ones(space.shape))
+    total = 0.0
+    for _, w in _facet_weights(space, label):
+        total += float(np.sum(w))
+    return total
+
+
+def _volume(
+    space: FunctionSpace, uz: np.ndarray, temperature: np.ndarray, dtdz: np.ndarray,
+    rayleigh: float, prandtl: float,
+) -> float:
+    kappa = 1.0 / np.sqrt(rayleigh * prandtl)
+    flux = space.mean(uz * temperature) - kappa * space.mean(dtdz)
+    return flux / kappa
+
+
+def _plate(space: FunctionSpace, dtdz: np.ndarray, label: str) -> float:
+    return -facet_integral(space, label, dtdz) / facet_area(space, label)
+
+
+def _dissipation(space: FunctionSpace, grad: tuple[np.ndarray, ...]) -> float:
+    gx, gy, gz = grad
+    return space.mean(gx**2 + gy**2 + gz**2)
 
 
 def nusselt_volume(
@@ -80,42 +121,27 @@ def nusselt_volume(
     ``Nu = (<u_z T> - kappa <dT/dz>) / (kappa DeltaT / H)`` with
     ``kappa = 1/sqrt(Ra Pr)`` and ``DeltaT = H = 1`` in free-fall units.
     """
-    kappa = 1.0 / np.sqrt(rayleigh * prandtl)
     _, _, dtdz = physical_grad(temperature, space.coef, space.dx)
-    flux = space.mean(uz * temperature) - kappa * space.mean(dtdz)
-    return flux / kappa
+    return _volume(space, uz, temperature, dtdz, rayleigh, prandtl)
 
 
-def nusselt_plate(
-    space: FunctionSpace,
-    temperature: np.ndarray,
-    label: str,
-    rayleigh: float = None,
-    prandtl: float = None,
-) -> float:
+def nusselt_plate(space: FunctionSpace, temperature: np.ndarray, label: str) -> float:
     """Plate-gradient Nusselt number ``-<dT/dz>_plate / (DeltaT/H)``.
 
     For the top plate the outward heat flux is ``-dT/dz`` as well (heat
     leaves through the top), so the same expression applies to both plates.
     """
     _, _, dtdz = physical_grad(temperature, space.coef, space.dx)
-    area = facet_area(space, label)
-    return -facet_integral(space, label, dtdz) / area
+    return _plate(space, dtdz, label)
 
 
-def nusselt_dissipation(
-    space: FunctionSpace,
-    temperature: np.ndarray,
-    rayleigh: float = None,
-    prandtl: float = None,
-) -> float:
+def nusselt_dissipation(space: FunctionSpace, temperature: np.ndarray) -> float:
     """Thermal-dissipation Nusselt number ``<|grad T|^2> H^2 / DeltaT^2``.
 
     The exact relation ``Nu = <eps_T> / (kappa DeltaT^2 / H^2)`` holds for
     statistically steady RBC; the diffusivity cancels in free-fall units.
     """
-    gx, gy, gz = physical_grad(temperature, space.coef, space.dx)
-    return space.mean(gx**2 + gy**2 + gz**2)
+    return _dissipation(space, physical_grad(temperature, space.coef, space.dx))
 
 
 @dataclass
@@ -150,13 +176,14 @@ def compute_nusselt(
     bottom_label: str = "bottom",
     top_label: str = "top",
 ) -> NusseltNumbers:
-    """All Nusselt estimators in one call."""
+    """All Nusselt estimators in one call, on one temperature gradient."""
     space.check_fields("compute_nusselt", uz=uz, temperature=temperature)
+    grad = physical_grad(temperature, space.coef, space.dx)
     return NusseltNumbers(
-        volume=nusselt_volume(space, uz, temperature, rayleigh, prandtl),
-        plate_bottom=nusselt_plate(space, temperature, bottom_label),
-        plate_top=nusselt_plate(space, temperature, top_label),
-        dissipation=nusselt_dissipation(space, temperature),
+        volume=_volume(space, uz, temperature, grad[2], rayleigh, prandtl),
+        plate_bottom=_plate(space, grad[2], bottom_label),
+        plate_top=_plate(space, grad[2], top_label),
+        dissipation=_dissipation(space, grad),
     )
 
 

@@ -3,7 +3,8 @@
 The paper streams simulation data through ADIOS2 to Python post-processing
 running on the otherwise-idle CPUs while the GPUs advance the solution.
 The equivalent here is an in-process producer/consumer pipeline: the
-simulation thread enqueues snapshots, a worker thread drains them through
+simulation thread hands snapshots to a worker thread (a
+:class:`~repro.core.overlap.WorkerExecutor`), which runs them through
 registered processors -- the bundled ones being streaming POD (the
 split-and-merge partitioned method of snapshots of refs. [18, 26]),
 running statistics, and the lossy compressor as a processor.

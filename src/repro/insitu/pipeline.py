@@ -3,33 +3,40 @@
 Design goals copied from the paper's workflow:
 
 * the producer (the solver loop) must not stall unless the consumer is
-  genuinely saturated (bounded queue = backpressure, counted);
+  genuinely saturated (at most ``max_queue`` snapshots in flight =
+  backpressure, counted);
 * consumers run asynchronously on a worker thread ("the data can easily be
   streamed to a data processing routine, running on the mostly unused
-  CPUs");
-* everything is measured: queue waits, items, bytes, per-processor time --
+  CPUs") -- the same :class:`~repro.core.overlap.WorkerExecutor` the
+  time step overlaps its tasks on;
+* everything is measured: producer waits, items, bytes, per-processor time --
   the numbers behind the "low impact on the simulation performance" claim.
 
 Degradation is graceful, because at scale a post-processing routine *will*
 eventually throw and the solver must not care: a failing processor is
-retried, quarantined after repeated failures while the healthy
-processors keep receiving data, and the worker
-always keeps draining the queue -- a processor error can never leave the
-producer blocked on a full queue.  Errors are reported at :meth:`close`
-(``strict=True``, the default) or just recorded in the stats
-(``strict=False``, the mode a resilient driver uses).
+quarantined after :data:`QUARANTINE_AFTER` consecutive failed snapshots
+while the healthy processors keep receiving data, and every snapshot task
+runs to completion -- a processor error can never leave the producer
+blocked behind a full queue.  :meth:`InSituPipeline.close` finalizes the
+healthy processors and then re-raises the first processor error.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Processor", "InSituPipeline", "PipelineStats"]
+from repro.core.overlap import WorkerExecutor
+
+__all__ = ["Processor", "InSituPipeline", "PipelineStats", "QUARANTINE_AFTER"]
+
+#: Consecutive failed snapshots after which a processor is quarantined: it
+#: stops receiving data and its ``finalize`` is skipped.
+QUARANTINE_AFTER = 3
 
 
 class Processor:
@@ -55,7 +62,6 @@ class PipelineStats:
     processor_time: dict[str, float] = field(default_factory=dict)
     dropped: int = 0
     processor_failures: dict[str, int] = field(default_factory=dict)
-    retries: int = 0
     quarantined: list[str] = field(default_factory=list)
 
     def summary(self) -> str:
@@ -73,89 +79,62 @@ class PipelineStats:
 
 
 class InSituPipeline:
-    """Bounded-queue producer/consumer pipeline for field snapshots.
+    """Bounded producer/consumer pipeline for field snapshots.
 
     Parameters
     ----------
     processors:
         Consumers invoked, in order, for every snapshot.
     max_queue:
-        Queue bound; a full queue blocks the producer (``drop_on_full``
-        instead discards, emulating a best-effort engine).
-    retries:
-        Extra attempts per processor per snapshot after a failure.
-    quarantine_after:
-        Consecutive failed *snapshots* (retries exhausted) after which a
-        processor is quarantined: it stops receiving data and its
-        ``finalize`` is skipped, while the healthy processors keep
-        running.
-    strict:
-        If True (default), :meth:`close` re-raises the first processor
-        error -- after finalizing the healthy processors.  If False,
-        errors are only recorded in the stats, the graceful-degradation
-        mode for production drivers.
+        Snapshots in flight at most; the producer waits for the oldest one
+        before it hands over another.
 
     Everything the pipeline measures lands in :attr:`stats`, which
     :meth:`close` returns.
     """
 
-    def __init__(
-        self,
-        processors: list[Processor],
-        max_queue: int = 8,
-        drop_on_full: bool = False,
-        retries: int = 0,
-        quarantine_after: int = 3,
-        strict: bool = True,
-    ) -> None:
+    def __init__(self, processors: list[Processor], max_queue: int = 8) -> None:
         self.processors = processors
-        self.queue: queue.Queue = queue.Queue(maxsize=max_queue)
-        self.drop_on_full = drop_on_full
-        self.retries = retries
-        self.quarantine_after = quarantine_after
-        self.strict = strict
+        self.max_queue = max_queue
         self.stats = PipelineStats()
-        self._worker: threading.Thread | None = None
-        self._closed = False
-        self._error: BaseException | None = None
+        self._executor: WorkerExecutor | None = None
+        self._pending: deque[Future[None]] = deque()
+        self._error: Exception | None = None
         self._consecutive_failures: dict[str, int] = {}
-        self._quarantined: set[str] = set()
 
     # -- lifecycle ------------------------------------------------------------
 
     def open(self) -> "InSituPipeline":
-        """Start the worker thread.  Usable as a context manager."""
-        if self._worker is not None:
+        """Start accepting snapshots.  Usable as a context manager."""
+        if self._executor is not None:
             raise RuntimeError("pipeline already open")
-        self._closed = False
-        self._worker = threading.Thread(target=self._drain, daemon=True, name="insitu")
-        self._worker.start()
+        self._executor = WorkerExecutor()
         return self
 
     def close(self) -> PipelineStats:
-        """Flush outstanding items, stop the worker, finalize processors.
+        """Wait for every snapshot, stop the worker, finalize processors.
 
         Healthy (non-quarantined) processors are always finalized, even
-        when a processor error is about to be re-raised (``strict``).
+        when a processor error is about to be re-raised.
         """
-        if self._worker is None:
+        if self._executor is None:
             raise RuntimeError("pipeline not open")
-        self.queue.put(None)  # sentinel
-        self._worker.join()
-        self._worker = None
-        self._closed = True
-        finalize_error: BaseException | None = None
+        while self._pending:
+            self._pending.popleft().result()
+        self._executor.shutdown()
+        self._executor = None
+        finalize_error: Exception | None = None
         for p in self.processors:
-            if p.name in self._quarantined:
+            if p.name in self.stats.quarantined:
                 continue
             try:
                 p.finalize()
-            except BaseException as exc:
+            except Exception as exc:
                 if finalize_error is None:
                     finalize_error = exc
-        if self._error is not None and self.strict:
+        if self._error is not None:
             raise RuntimeError("in-situ processor failed") from self._error
-        if finalize_error is not None and self.strict:
+        if finalize_error is not None:
             raise finalize_error
         return self.stats
 
@@ -165,87 +144,52 @@ class InSituPipeline:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def quarantined(self) -> frozenset[str]:
-        """Names of processors currently quarantined."""
-        return frozenset(self._quarantined)
-
-    @property
-    def error(self) -> BaseException | None:
-        """The first processor error seen (also kept in non-strict mode)."""
-        return self._error
-
     # -- producer side -----------------------------------------------------------
 
-    def put(self, tag: str, array: np.ndarray, sim_time: float = 0.0) -> bool:
-        """Enqueue one snapshot (copied).  Returns False if dropped."""
-        if self._worker is None or self._closed:
+    def put(self, tag: str, array: np.ndarray, sim_time: float = 0.0) -> None:
+        """Hand over one snapshot (copied); waits while ``max_queue`` are in flight."""
+        if self._executor is None:
             raise RuntimeError("pipeline not open")
-        item = (tag, array.copy(), sim_time)
+        snapshot = array.copy()
         t0 = time.perf_counter()
-        if self.drop_on_full:
-            try:
-                self.queue.put_nowait(item)
-            except queue.Full:
-                self.stats.dropped += 1
-                return False
-        else:
-            self.queue.put(item)
+        while len(self._pending) >= self.max_queue:
+            self._pending.popleft().result()
         self.stats.producer_wait += time.perf_counter() - t0
+        self._pending.append(self._executor.submit(self._process, tag, snapshot, sim_time))
         self.stats.items += 1
         self.stats.bytes_in += array.nbytes
-        return True
 
     # -- consumer side ----------------------------------------------------------
 
-    def _drain(self) -> None:
-        """Worker loop.
+    def _process(self, tag: str, array: np.ndarray, sim_time: float) -> None:
+        """One snapshot through every healthy processor (on the worker).
 
-        Never exits before the sentinel: a processor failure must not stop
-        consumption, or a producer blocked on the bounded queue would hang
-        forever.  Items a processor could not handle count as dropped.
+        Never raises: a processor error is recorded, so the snapshot's
+        future always completes.  A snapshot some processor could not
+        handle, or that no processor was left to handle, counts as dropped.
         """
-        while True:
-            item = self.queue.get()
-            if item is None:
-                return
-            tag, array, sim_time = item
-            active = 0
-            failed = 0
-            for p in self.processors:
-                if p.name in self._quarantined:
-                    continue
-                active += 1
-                if self._process_one(p, tag, array, sim_time):
-                    self._consecutive_failures[p.name] = 0
-                else:
-                    failed += 1
-                    streak = self._consecutive_failures.get(p.name, 0) + 1
-                    self._consecutive_failures[p.name] = streak
-                    if streak >= self.quarantine_after:
-                        self._quarantined.add(p.name)
-                        self.stats.quarantined.append(p.name)
-            if active == 0 or failed:
-                self.stats.dropped += 1
-
-    def _process_one(self, p: Processor, tag, array, sim_time) -> bool:
-        """One snapshot through one processor, with retries."""
-        for attempt in range(self.retries + 1):
+        stats = self.stats
+        active = failed = 0
+        for p in self.processors:
+            if p.name in stats.quarantined:
+                continue
+            active += 1
             t0 = time.perf_counter()
             try:
                 p.process(tag, array, sim_time)
-                return True
-            except BaseException as exc:
+                self._consecutive_failures[p.name] = 0
+            except Exception as exc:
                 if self._error is None:
                     self._error = exc
-                self.stats.processor_failures[p.name] = (
-                    self.stats.processor_failures.get(p.name, 0) + 1
-                )
-                if attempt < self.retries:
-                    self.stats.retries += 1
+                failed += 1
+                stats.processor_failures[p.name] = stats.processor_failures.get(p.name, 0) + 1
+                streak = self._consecutive_failures.get(p.name, 0) + 1
+                self._consecutive_failures[p.name] = streak
+                if streak >= QUARANTINE_AFTER:
+                    stats.quarantined.append(p.name)
             finally:
-                dt = time.perf_counter() - t0
-                self.stats.processor_time[p.name] = (
-                    self.stats.processor_time.get(p.name, 0.0) + dt
+                stats.processor_time[p.name] = (
+                    stats.processor_time.get(p.name, 0.0) + time.perf_counter() - t0
                 )
-        return False
+        if active == 0 or failed:
+            stats.dropped += 1

@@ -29,15 +29,15 @@ import numpy as np
 
 from repro.core.case import CaseConfig
 from repro.core.fluid import FluidScheme
+from repro.core.helmholtz import HelmholtzSolver
 from repro.core.scalar import ScalarScheme
 from repro.precond.hsmg import HybridSchwarzMultigrid
 from repro.precond.jacobi import JacobiPrecond
 from repro.precond.schwarz import SchwarzSmoother
 from repro.sem.bc import DirichletBC
 from repro.sem.mesh import HexMesh, box_mesh
-from repro.sem.operators import ax_helmholtz, ax_poisson, convective_term_collocated
+from repro.sem.operators import ax_poisson, convective_term_collocated
 from repro.sem.space import FunctionSpace
-from repro.solvers.cg import ConjugateGradient
 from repro.solvers.fcg import FlexibleCG
 from repro.solvers.monitor import SolverMonitor
 from repro.verify.manufactured import (
@@ -125,31 +125,14 @@ class EllipticSolveResult:
 
 
 def _lifted_elliptic_solve(
-    space: FunctionSpace,
-    mms: SteadyMMS,
-    apply_op: Callable[[Array], Array],
-    forcing: Array,
-    tol: float,
-    maxiter: int,
+    space: FunctionSpace, mms: SteadyMMS, h1: float, h2: float, forcing: Array, name: str
 ) -> EllipticSolveResult:
-    """Shared Dirichlet-lifting solve for both elliptic operators.
-
-    ``apply_op`` is the unassembled elementwise operator; assembly
-    (gather--scatter) and masking happen here so every caller treats the
-    boundary identically:  ``A (u0 + lift) = B f`` becomes
-    ``A u0 = B f - A lift`` restricted to the interior.
-    """
+    """``(h1 A + h2 B) u = B f`` with the manufactured Dirichlet data, solved
+    by the stepper's :class:`~repro.core.helmholtz.HelmholtzSolver` (Jacobi-CG
+    on the lifted homogeneous correction)."""
     bc = DirichletBC(space, space.mesh.boundary_labels(), mms.solution)
-    mask, lift = bc.mask, bc.values
-    rhs = space.gs.add(space.coef.mass * forcing - apply_op(lift)) * mask
-
-    def amul(u: Array) -> Array:
-        return space.gs.add(apply_op(u)) * mask
-
-    pre = JacobiPrecond(space, 1.0, 0.0, mask=mask)
-    cg = ConjugateGradient(amul, space.gs.dot, precond=pre, tol=tol, maxiter=maxiter)
-    u0, mon = cg.solve(rhs)
-    u = u0 + lift
+    solver = HelmholtzSolver(space, h1, h2, bc.mask, tol=1e-12, name=name, lift=bc.values)
+    u, mon = solver.solve(space.coef.mass * forcing, guess=bc.values)
     exact = space.interpolate(mms.solution)
     err = space.relative_l2_error(u, exact)
     return EllipticSolveResult(
@@ -157,36 +140,18 @@ def _lifted_elliptic_solve(
     )
 
 
-def solve_poisson_mms(
-    space: FunctionSpace,
-    mms: SteadyMMS,
-    tol: float = 1e-12,
-    maxiter: int = 2000,
-) -> EllipticSolveResult:
+def solve_poisson_mms(space: FunctionSpace, mms: SteadyMMS) -> EllipticSolveResult:
     """Solve ``-lap u = f`` with manufactured Dirichlet data and forcing."""
     forcing = np.asarray(mms.poisson_forcing(space.x, space.y, space.z))
-
-    def op(u: Array) -> Array:
-        return ax_poisson(u, space.coef, space.dx)
-
-    return _lifted_elliptic_solve(space, mms, op, forcing, tol, maxiter)
+    return _lifted_elliptic_solve(space, mms, 1.0, 0.0, forcing, "mms_poisson")
 
 
 def solve_helmholtz_mms(
-    space: FunctionSpace,
-    mms: SteadyMMS,
-    h1: float = 1.0,
-    h2: float = 10.0,
-    tol: float = 1e-12,
-    maxiter: int = 2000,
+    space: FunctionSpace, mms: SteadyMMS, h1: float = 1.0, h2: float = 10.0
 ) -> EllipticSolveResult:
     """Solve ``-h1 lap u + h2 u = f`` with manufactured data and forcing."""
     forcing = np.asarray(mms.helmholtz_forcing(space.x, space.y, space.z, h1, h2))
-
-    def op(u: Array) -> Array:
-        return ax_helmholtz(u, space.coef, space.dx, h1, h2)
-
-    return _lifted_elliptic_solve(space, mms, op, forcing, tol, maxiter)
+    return _lifted_elliptic_solve(space, mms, h1, h2, forcing, "mms_helmholtz")
 
 
 # -- preconditioner factory --------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import CaseConfig, RegionTimers
 from repro.core.rbc import conductive_profile, default_perturbation, rbc_box_case, rbc_cylinder_case
+from repro.core import statistics
 from repro.core.statistics import (
     compute_nusselt,
     facet_area,
@@ -17,6 +18,7 @@ from repro.core.statistics import (
     reynolds_number,
 )
 from repro.sem.mesh import box_mesh, cylinder_mesh
+from repro.sem.operators import physical_grad
 from repro.sem.space import FunctionSpace
 from repro.timeint.cfl import courant_number
 
@@ -129,6 +131,49 @@ class TestNusselt:
         ra, pr = 1e6, 1.0
         nuv = nusselt_volume(sp, uz, tt, ra, pr)
         assert nuv > 1.5
+
+    def test_samples_exact_and_facet_quadrature_built_once(self, monkeypatch):
+        # A fresh deformed space, so its facet weights are not yet cached.
+        mesh = cylinder_mesh(diameter=1.0, n_square=2, n_ring=2, n_z=2)
+        sp = FunctionSpace(mesh, 5)
+        rng = np.random.default_rng(7)
+        t = 0.5 - sp.z + 0.05 * np.sin(3.0 * sp.x) * np.cos(2.0 * sp.y)
+        uz = rng.standard_normal(sp.shape)
+        built = []
+        quadrature = statistics._facet_quadrature
+
+        def counting(space, e, face):
+            built.append((e, face))
+            return quadrature(space, e, face)
+
+        monkeypatch.setattr(statistics, "_facet_quadrature", counting)
+        first = compute_nusselt(sp, uz, t, 1e5, 0.7)
+        n_facets = len(sp.mesh.boundary_facets["bottom"]) + len(sp.mesh.boundary_facets["top"])
+        assert len(built) == n_facets
+        second = compute_nusselt(sp, uz, t, 1e5, 0.7)
+        assert len(built) == n_facets  # the second sample builds no quadrature
+        assert second == first
+
+        # The estimators as computed with the quadrature rebuilt per facet
+        # and one gradient per estimator: equal to the last bit.
+        def rebuilt_integral(label, field):
+            total = 0.0
+            for e, face in sp.mesh.boundary_facets[label]:
+                idx = (int(e), *sp.mesh.facet_node_index(int(face), sp.lx))
+                total += float(np.sum(field[idx] * quadrature(sp, int(e), int(face))))
+            return total
+
+        def rebuilt_plate(label):
+            _, _, dtdz = physical_grad(t, sp.coef, sp.dx)
+            area = rebuilt_integral(label, np.ones(sp.shape))
+            return -rebuilt_integral(label, dtdz) / area
+
+        gx, gy, gz = physical_grad(t, sp.coef, sp.dx)
+        kappa = 1.0 / np.sqrt(1e5 * 0.7)
+        assert first.volume == (sp.mean(uz * t) - kappa * sp.mean(gz)) / kappa
+        assert first.plate_bottom == rebuilt_plate("bottom")
+        assert first.plate_top == rebuilt_plate("top")
+        assert first.dissipation == sp.mean(gx**2 + gy**2 + gz**2)
 
     def test_reynolds_number(self, sp):
         u = np.ones(sp.shape)

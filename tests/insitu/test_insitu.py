@@ -66,18 +66,39 @@ class TestPipeline:
             a[:] = 99.0
         assert np.allclose(c.items[0][1], 1.0)
 
-    def test_drop_on_full(self):
-        class Slow(Processor):
-            name = "slow"
+    def test_backpressure_blocks_producer_at_max_queue(self):
+        gate = threading.Event()
+
+        class Gated(Processor):
+            name = "gated"
 
             def process(self, tag, array, sim_time):
-                time.sleep(0.05)
+                gate.wait(timeout=10.0)
 
-        pipe = InSituPipeline([Slow()], max_queue=1, drop_on_full=True).open()
-        sent = sum(pipe.put("x", np.zeros(2)) for _ in range(10))
+        pipe = InSituPipeline([Gated()], max_queue=2).open()
+        returned = []
+
+        def produce():
+            for i in range(3):
+                pipe.put("x", np.zeros(2))
+                returned.append(i)
+
+        t = threading.Thread(target=produce)
+        t.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while len(returned) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.1)
+            assert returned == [0, 1]  # the third put waits on the oldest snapshot
+        finally:
+            gate.set()
+        t.join(timeout=10.0)
+        assert not t.is_alive()
         stats = pipe.close()
-        assert stats.dropped > 0
-        assert sent + stats.dropped == 10
+        assert returned == [0, 1, 2]
+        assert stats.producer_wait > 0
+        assert stats.items == 3
 
     def test_processor_error_surfaces_on_close(self):
         class Boom(Processor):
@@ -109,11 +130,12 @@ class TestPipeline:
             name = "who"
 
             def process(self, tag, array, sim_time):
-                seen.append(threading.current_thread().name)
+                seen.append(threading.current_thread())
 
         with InSituPipeline([Who()]) as pipe:
             pipe.put("x", np.zeros(1))
-        assert seen == ["insitu"]
+        assert len(seen) == 1
+        assert seen[0] is not threading.current_thread()
 
 
 def snapshots_matrix(n_dofs=60, n_snaps=25, rank=4, seed=0, noise=0.0):

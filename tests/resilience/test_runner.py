@@ -245,9 +245,7 @@ class TestEndToEndRecovery:
 
         sim = Simulation(constant_dt_case())
         collector = Collector()
-        pipeline = InSituPipeline(
-            [FailingProcessor(), collector], quarantine_after=2, strict=False
-        ).open()
+        pipeline = InSituPipeline([FailingProcessor(), collector]).open()
         sim.callbacks.append(
             lambda s: pipeline.put("temperature", s.temperature, s.time)
         )
@@ -262,7 +260,9 @@ class TestEndToEndRecovery:
             max_retries=2,
         )
         result = runner.run(n_steps=n_steps, callback_interval=1)
-        stats = pipeline.close()
+        with pytest.raises(RuntimeError, match="in-situ processor failed"):
+            pipeline.close()
+        stats = pipeline.stats
 
         # The run completed through the fault...
         assert sim.step_count == n_steps
