@@ -61,8 +61,8 @@ class CollectiveIntegrityError(RuntimeError):
     """Replicated collective results disagreed beyond the retry budget.
 
     Signals silent data corruption inside a reduction; the caller (the
-    resilient runner or the recovery policy) must roll back to the last
-    consistent epoch rather than trust either replica.
+    :class:`~repro.resilience.runner.ResilientRunner`) must roll back to
+    the last consistent epoch rather than trust either replica.
     """
 
     def __init__(self, op: str, attempts: int) -> None:

@@ -113,7 +113,7 @@ class TrafficStats:
     def absorb(self, other: "TrafficStats") -> None:
         """Fold another stats object into this one (campaign accounting).
 
-        Elastic recovery rebuilds the :class:`SimWorld`; the chaos report
+        A warm replacement rebuilds the :class:`SimWorld`; the chaos report
         wants totals across every world a scenario lived in, so the old
         world's counters are absorbed before it is discarded.
         """

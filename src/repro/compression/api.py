@@ -65,10 +65,10 @@ class SpectralCompressor:
         Supplies the element volumes (energy bookkeeping on graded meshes)
         and the mass matrix for the weighted-L^2 error metric.
     error_bound:
-        Relative L^2 budget of the truncation stage.  The bound is exact in
-        the interpolant (modal) norm; the GLL-quadrature measurement of the
-        error can read up to ~1.5x higher when the removed energy sits in
-        the top modes, which the collocation rule under-integrates.  The
+        Relative L^2 budget of the truncation stage.  Truncation budgets
+        each coefficient's energy as GLL quadrature weighs it, so the
+        bound holds in the measured mass-weighted L^2 norm on affine
+        elements (up to the volume weighting on deformed ones).  The
         paper reports conservative settings of 85-90% reduction for
         high-fidelity post-processing and up to 97% at 2.5% error.
     quant_bits:

@@ -1,9 +1,14 @@
 """Error-bounded truncation of modal coefficients.
 
-Per element, the smallest-magnitude coefficients are dropped while the
-cumulative dropped energy stays below ``(eps * ||u||_elem)^2``; by
-Parseval this bounds the per-element (and hence global) relative L^2
-reconstruction error of the *truncation stage* by ``eps``.  Elements whose
+Per element, the smallest-energy coefficients are dropped while the
+cumulative dropped energy stays below ``(eps * ||u||_elem)^2``.  Energies
+are measured in the GLL-quadrature norm the error is reported in (the
+mass-weighted L^2 norm of :meth:`FunctionSpace.norm_l2`): GLL quadrature
+integrates every product of two orthonormal modes exactly except the top
+mode squared, so each coefficient's energy carries the product of its three
+per-direction factors (:func:`gll_mode_weights`).  This bounds the
+per-element (and hence global) relative error of the *truncation stage* by
+``eps`` in that norm on affine elements.  Elements whose
 energy is negligible relative to the global field are truncated against
 the global scale instead, so that near-quiescent regions (e.g. the
 cylinder core at early times) do not keep noise-level modes alive.
@@ -13,7 +18,20 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["truncation_mask", "truncate_relative"]
+__all__ = ["gll_mode_weights", "truncation_mask", "truncate_relative"]
+
+
+def gll_mode_weights(lx: int) -> np.ndarray:
+    """``(lx, lx, lx)`` GLL-quadrature norms^2 of the orthonormal modes.
+
+    With ``lx`` GLL points (degree ``N = lx - 1``) every mode of degree
+    below ``N`` keeps norm 1; the degree-``N`` mode reads ``(2N+1)/N``.
+    A tensor mode's weight is the product of its three factors.
+    """
+    w = np.ones(lx)
+    if lx > 1:
+        w[-1] = (2 * lx - 1) / (lx - 1)
+    return w[:, None, None] * w[None, :, None] * w[None, None, :]
 
 
 def truncation_mask(uh: np.ndarray, eps: float, element_volumes: np.ndarray | None = None) -> np.ndarray:
@@ -24,7 +42,8 @@ def truncation_mask(uh: np.ndarray, eps: float, element_volumes: np.ndarray | No
     uh:
         ``(nelv, lx, lx, lx)`` modal coefficients.
     eps:
-        Relative L^2 error budget of the truncation stage.
+        Relative L^2 error budget of the truncation stage, in the
+        GLL-weighted coefficient norm.
     element_volumes:
         Optional per-element volume factors making the energy bookkeeping
         physical on graded meshes; defaults to uniform.
@@ -36,7 +55,7 @@ def truncation_mask(uh: np.ndarray, eps: float, element_volumes: np.ndarray | No
     flat = uh.reshape(nelv, nmodes)
     vol = np.ones(nelv) if element_volumes is None else np.asarray(element_volumes, dtype=np.float64)
 
-    energy = flat**2 * vol[:, None]
+    energy = flat**2 * vol[:, None] * gll_mode_weights(uh.shape[-1]).reshape(1, nmodes)
     elem_energy = energy.sum(axis=1)
     total_energy = float(elem_energy.sum())
     if total_energy == 0.0:

@@ -183,6 +183,15 @@ class Simulation:
         self.scheme.step_count = int(scheme_steps)
         self.scheme.dts = [float(v) for v in np.atleast_1d(scheme_dts)]
 
+    def state_shards(self) -> list[dict[str, np.ndarray]]:
+        """The state as the checkpoint epoch of a one-rank world."""
+        return [self.state_arrays()]
+
+    def restore_shards(self, shards: list[Mapping[str, np.ndarray]]) -> None:
+        """Restore the one-shard epoch written from :meth:`state_shards`."""
+        (arrays,) = shards
+        self.load_state(arrays)
+
     # -- stepping ----------------------------------------------------------------
 
     def _adapt_dt(self) -> None:

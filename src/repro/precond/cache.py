@@ -12,7 +12,7 @@ solves on the same mesh (ROADMAP item 3) pays it per job.
 This module provides the factorization-cache pattern of Firedrake's
 ``FDMPC`` (see SNIPPETS.md): a process-wide LRU cache keyed on
 
-    (mesh_hash, p, operator, dtype)
+    (mesh_hash, p, operator)
 
 where ``mesh_hash`` fingerprints the *actual nodal geometry* (SHA-256 of
 the GLL coordinate bytes), so any mesh perturbation -- a single corner
@@ -36,7 +36,7 @@ from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any
+from typing import Any, Literal
 
 import numpy as np
 
@@ -97,22 +97,22 @@ def mask_fingerprint(mask: np.ndarray | None) -> str:
 
 @dataclass(frozen=True)
 class CacheKey:
-    """The cache key: discretization signature x operator x precision."""
+    """The cache key: discretization signature x operator.
+
+    ``operator`` names the builder and folds in any further input, e.g.
+    the coarse solver's Dirichlet-mask fingerprint.
+    """
 
     mesh_hash: str
     p: int
     operator: str
-    dtype: str
 
     @classmethod
-    def for_space(
-        cls, space: Any, operator: str, dtype: np.dtype | str | type = np.float64
-    ) -> "CacheKey":
+    def for_space(cls, space: Any, operator: str) -> "CacheKey":
         return cls(
             mesh_hash=space_signature(space),
             p=int(space.lx) - 1,
             operator=operator,
-            dtype=str(np.dtype(dtype)),
         )
 
 
@@ -221,7 +221,6 @@ class OperatorCache:
                     "mesh_hash": k.mesh_hash[:12],
                     "p": k.p,
                     "operator": k.operator,
-                    "dtype": k.dtype,
                 }
                 for k in self._entries
             ],
@@ -243,7 +242,7 @@ def reset_global_cache(capacity: int | None = None) -> OperatorCache:
     return _GLOBAL_CACHE
 
 
-def resolve_cache(cache: OperatorCache | bool | None) -> OperatorCache:
+def resolve_cache(cache: OperatorCache | Literal[False] | None) -> OperatorCache:
     """Normalize the ``cache=`` convention used across ``repro.precond``.
 
     ``None`` -> the process-wide cache; ``False`` -> a fresh private cache
@@ -254,6 +253,4 @@ def resolve_cache(cache: OperatorCache | bool | None) -> OperatorCache:
         return _GLOBAL_CACHE
     if cache is False:
         return OperatorCache()
-    if cache is True:
-        return _GLOBAL_CACHE
     return cache

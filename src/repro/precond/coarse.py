@@ -19,7 +19,7 @@ priced by :mod:`repro.gpu.schwarz`, not run.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Literal
 
 import numpy as np
 import scipy.sparse
@@ -117,7 +117,7 @@ class CoarseGridSolver:
         self,
         fine_space: FunctionSpace,
         mask: np.ndarray | None = None,
-        cache: OperatorCache | bool | None = None,
+        cache: OperatorCache | Literal[False] | None = None,
     ) -> None:
         self.fine = fine_space
         self.coarse = FunctionSpace(fine_space.mesh, 2)

@@ -27,6 +27,7 @@ and three with ``S`` -- the exact kernel profile the GPU simulator models.
 from __future__ import annotations
 
 import functools
+from typing import Literal
 
 import numpy as np
 import scipy.linalg
@@ -151,7 +152,7 @@ class FastDiagonalization:
     def __init__(
         self,
         space: FunctionSpace,
-        cache: OperatorCache | bool | None = None,
+        cache: OperatorCache | Literal[False] | None = None,
     ) -> None:
         key = CacheKey.for_space(space, "fdm")
         self.s, self.st, self.inv_d3 = resolve_cache(cache).get_or_build(

@@ -13,6 +13,8 @@ while :meth:`__call__` is the serial reference composition.
 
 from __future__ import annotations
 
+from typing import Literal
+
 import numpy as np
 
 from repro.precond.cache import OperatorCache
@@ -50,7 +52,7 @@ class HybridSchwarzMultigrid:
         space: FunctionSpace,
         mask: np.ndarray | None = None,
         mid_orders: tuple[int, ...] = (),
-        cache: OperatorCache | bool | None = None,
+        cache: OperatorCache | Literal[False] | None = None,
     ) -> None:
         self.space = space
         self.mask = mask

@@ -9,6 +9,8 @@ preconditioner the paper uses for the velocity and temperature solves.
 
 from __future__ import annotations
 
+from typing import Literal
+
 import numpy as np
 
 from repro.precond.cache import CacheKey, OperatorCache, resolve_cache
@@ -77,7 +79,7 @@ class JacobiPrecond:
         h1: float | np.ndarray = 1.0,
         h2: float | np.ndarray = 0.0,
         mask: np.ndarray | None = None,
-        cache: OperatorCache | bool | None = None,
+        cache: OperatorCache | Literal[False] | None = None,
     ) -> None:
         self.space = space
         self.mask = mask

@@ -16,6 +16,8 @@ neighbours; the GPU simulator still sizes its working set that way
 
 from __future__ import annotations
 
+from typing import Literal
+
 import numpy as np
 
 from repro.precond.cache import OperatorCache
@@ -43,7 +45,7 @@ class SchwarzSmoother:
         self,
         space: FunctionSpace,
         mask: np.ndarray | None = None,
-        cache: OperatorCache | bool | None = None,
+        cache: OperatorCache | Literal[False] | None = None,
     ) -> None:
         self.space = space
         self.mask = mask

@@ -10,23 +10,25 @@ solver.  This package reproduces that operational layer:
   fault schedules (message drop/corruption/delay in :class:`SimWorld`
   traffic, one-shot rank failures, silent-data-corruption bit flips into
   field arrays) so every recovery path is testable;
-* :class:`~repro.resilience.health.HealthCheck` -- per-step finite-field
-  scan and CFL ceiling;
-* :class:`~repro.resilience.runner.ResilientRunner` -- wraps
-  :meth:`Simulation.run` in segments: checkpoint, health-check, and on
-  failure roll back to the newest valid checkpoint, reduce ``dt`` after a
-  divergence, and retry within a bounded attempt budget.  Each
-  checkpoint is a one-shard epoch of the
-  :class:`~repro.resilience.distributed.shards.ShardedCheckpointStore`,
-  so a serial run restarts through the same store as a distributed one.
+* :class:`~repro.resilience.health.HealthCheck` -- finite-shard scan
+  and CFL ceiling;
+* :class:`~repro.resilience.runner.ResilientRunner` -- the one recovery
+  loop: it wraps an app's ``run`` (:meth:`Simulation.run`, or the
+  distributed workload's) in segments: checkpoint, health-check, and on
+  failure (divergence, rank death, a hardened-channel error) roll back to
+  the newest valid checkpoint, reduce ``dt`` after a divergence, and
+  retry within a bounded attempt budget.  Each checkpoint is an epoch of
+  the app's ``state_shards()`` in the
+  :class:`~repro.resilience.distributed.shards.ShardedCheckpointStore`
+  (one shard for a serial run, one per rank for the distributed one).
   Everything that happens is recorded in a structured
   :class:`~repro.resilience.events.EventLog`.
 
 Two subpackages extend this to the simulated multi-rank fleet:
 
 * :mod:`repro.resilience.distributed` -- the one checkpoint store
-  (checksummed per-rank shards, two-phase epoch commit), rank recovery by
-  warm replacement and the reference recoverable workload;
+  (checksummed per-rank shards, two-phase epoch commit) and the reference
+  recoverable workload, which restores by warm replacement;
 * :mod:`repro.resilience.chaos` -- seeded chaos campaigns (rank kills,
   message storms, SDC bit flips) with a survival report, runnable as
   ``python -m repro.resilience.chaos``.

@@ -13,9 +13,15 @@ time-to-repair of a rollback system (wall-clock repair time would be
 noise at this scale; replayed work is the quantity the
 checkpoint-interval trade-off controls, and it is bit-reproducible).
 
+Recovery is the one loop, :class:`~repro.resilience.runner.ResilientRunner`,
+wrapped around the workload: it commits an epoch every
+``checkpoint_interval`` steps and rolls back on a rank death or a
+hardened-channel error.  The report's incidents are read off the runner's
+``fault_detected`` / ``rollback`` events.
+
 Observability: every scenario runs under a ``chaos.scenario`` span of
-the harness tracer, and its recovery event log records onto that tracer,
-so each ``resilience.*`` event (fault detected, rollback, recovery) nests
+the harness tracer, and the runner's event log records onto that tracer,
+so each ``resilience.*`` event (fault detected, rollback, retry) nests
 inside the span of the scenario that raised it; write the tracer out with
 :func:`~repro.observability.export.write_chrome_trace` for a post-mortem.
 A scenario's counts are the fields of its :class:`ScenarioResult`
@@ -33,11 +39,10 @@ from typing import Any
 from repro.comm.reliable import RetryPolicy
 from repro.observability.tracer import Tracer
 from repro.resilience.chaos.scenarios import ChaosScenario, default_campaign
-from repro.resilience.distributed.recovery import WorldRecovery
-from repro.resilience.distributed.shards import ShardedCheckpointStore
 from repro.resilience.distributed.workload import DistributedThermalWorkload
-from repro.resilience.events import EventLog
 from repro.resilience.faults import FaultInjector
+from repro.resilience.health import HealthCheck
+from repro.resilience.runner import ResilientRunner
 
 __all__ = ["ChaosHarness", "ScenarioResult", "CampaignResult"]
 
@@ -146,22 +151,18 @@ class ChaosHarness:
             scenario.order,
         )
         if key not in self._baselines:
-            w = self._workload(scenario=scenario, nranks=scenario.nranks)
-            self._baselines[key] = w.run(n_steps).nu_final
+            w = self._workload(scenario)
+            w.run(n_steps)
+            self._baselines[key] = w.history[-1][1]
         return self._baselines[key]
 
     def _workload(
-        self, nranks: int, scenario: ChaosScenario | None = None, **kwargs: Any
+        self, scenario: ChaosScenario, **kwargs: Any
     ) -> DistributedThermalWorkload:
-        shape, order = self.shape, self.order
-        if scenario is not None:
-            shape = scenario.shape if scenario.shape is not None else shape
-            order = scenario.order if scenario.order is not None else order
         return DistributedThermalWorkload(
-            shape=shape,
-            order=order,
-            nranks=nranks,
-            checkpoint_interval=self.checkpoint_interval,
+            shape=scenario.shape if scenario.shape is not None else self.shape,
+            order=scenario.order if scenario.order is not None else self.order,
+            nranks=scenario.nranks,
             seed=self.seed,
             **kwargs,
         )
@@ -180,55 +181,66 @@ class ChaosHarness:
             delay_rate=scenario.delay_rate,
         )
         retry = RetryPolicy(max_retries=scenario.max_retries) if scenario.retry else None
-        events = EventLog(self.tracer)
-        store = ShardedCheckpointStore()
-        recovery = WorldRecovery(store, max_recoveries=8, events=events)
         workload = self._workload(
-            nranks=scenario.nranks,
-            scenario=scenario,
-            store=store,
-            recovery=recovery,
+            scenario,
             fault_injector=injector,
             retry=retry,
             verify_collectives=scenario.verify_collectives,
-            events=events,
+            tracer=self.tracer,
+        )
+        runner = ResilientRunner(
+            workload,
+            checkpoint_interval=self.checkpoint_interval,
+            health=HealthCheck(cfl_max=None),
         )
 
         error = ""
         with self.tracer.span("chaos.scenario", scenario=scenario.name):
             try:
-                run = workload.run(n_steps)
+                runner.run(n_steps=n_steps)
             except Exception as exc:  # chaos runs must never take the harness down
                 error = f"{type(exc).__name__}: {exc}"
-                run = workload.result()
 
-        completed = not error and run.steps >= n_steps
-        nu_error = abs(run.nu_final - nu_free)
+        incidents = [
+            {
+                "cause": detected.data["cause"],
+                "detected_step": detected.step,
+                "epoch": rollback.step,
+                "steps_replayed": rollback.data["steps_replayed"],
+                "failed_rank": detected.data["rank"],
+            }
+            for detected, rollback in zip(
+                runner.events.of_kind("fault_detected"), runner.events.of_kind("rollback")
+            )
+        ]
+        nu_faulted = workload.history[-1][1] if workload.history else float("nan")
+        nu_error = abs(nu_faulted - nu_free)
         survived = (
-            completed
+            not error
+            and workload.step_count >= n_steps
             and nu_error <= self.tol
-            and run.recoveries >= scenario.expect_recoveries
+            and len(incidents) >= scenario.expect_recoveries
         )
-        result = ScenarioResult(
+        traffic = workload.traffic()
+        return ScenarioResult(
             name=scenario.name,
             survived=survived,
-            steps=run.steps,
+            steps=workload.step_count,
             nu_free=nu_free,
-            nu_faulted=run.nu_final,
+            nu_faulted=nu_faulted,
             nu_error=nu_error,
-            recoveries=run.recoveries,
-            steps_replayed=run.steps_replayed,
+            recoveries=len(incidents),
+            steps_replayed=sum(i["steps_replayed"] for i in incidents),
             faults_fired=len(injector.events),
-            retransmissions=run.stats.retransmissions,
-            duplicates=run.stats.duplicates,
-            timeouts=run.stats.timeouts,
-            integrity_failures=run.stats.integrity_failures,
+            retransmissions=traffic.retransmissions,
+            duplicates=traffic.duplicates,
+            timeouts=traffic.timeouts,
+            integrity_failures=traffic.integrity_failures,
             fault_kinds=scenario.fault_kinds(),
             error=error,
             replay=injector.export_replay(),
-            incidents=list(run.incidents),
+            incidents=incidents,
         )
-        return result
 
     # -- campaigns ---------------------------------------------------------------
 

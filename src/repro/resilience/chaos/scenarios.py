@@ -3,9 +3,9 @@
 A :class:`ChaosScenario` is a declarative description of one faulted run
 of the reference distributed workload -- which faults fire (explicit
 schedule and/or random rates) and whether the hardened channel (retry +
-CRC) or the replicated-checksum collective verification is armed.  Scenarios are pure data: the harness
-(:mod:`repro.resilience.chaos.harness`) instantiates the injector, the
-store and the workload from them, so the whole campaign is reproducible
+CRC) or the replicated-checksum collective verification is armed.
+Scenarios are pure data: the harness (:mod:`repro.resilience.chaos.harness`)
+instantiates the injector, the workload and its runner from them, so the whole campaign is reproducible
 from the catalogue plus one seed.
 
 :func:`default_campaign` is the committed campaign CI runs, one scenario
@@ -90,11 +90,14 @@ def default_campaign() -> list[ChaosScenario]:
     """The committed CI campaign: 8 survivable scenarios.
 
     One per recovery path: warm replacement mid-CG (1) and at 256-rank
-    width (8), an aborted checkpoint commit (2), retransmission of drops
-    (3), stale-duplicate dedup (4) and a CRC-caught bit flip (5), and a
-    corrupted allreduce rolled back (6) or healed by recompute (7).  No
-    scenario exhausts the retry budget, so the ``CommTimeoutError``
-    rollback is gated by
+    width (8), a checkpoint that fails in its commit barrier, before any
+    shard is staged (2), retransmission of drops (3), stale-duplicate
+    dedup (4) and a CRC-caught bit flip (5), and a corrupted allreduce
+    rolled back (6) or healed by recompute (7).  Staging that fails
+    midway is ``EpochWriter.abort``'s, covered by
+    ``tests/resilience/test_sharded_checkpoint.py``.  No scenario
+    exhausts the channel's retransmission budget, so the
+    ``CommTimeoutError`` rollback is gated by
     ``tests/resilience/test_recovery.py::TestEscalation::test_comm_timeout_recovers_via_rollback``.
     """
     return [
@@ -106,8 +109,8 @@ def default_campaign() -> list[ChaosScenario]:
         ),
         ChaosScenario(
             name="kill-in-checkpoint-barrier",
-            description="rank dies inside the checkpoint commit barrier; "
-            "the staged epoch aborts and the previous epoch restores",
+            description="rank dies in the checkpoint's commit barrier, before "
+            "staging; the previous epoch restores and both steps replay",
             schedule=(Fault(kind="rank_failure", rank=1, at_call=1, op="barrier"),),
             expect_recoveries=1,
         ),

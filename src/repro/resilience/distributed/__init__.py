@@ -5,22 +5,20 @@ the failure unit is a *rank* and the checkpoint unit is a *shard*.  This
 package holds the distributed half of the resilience layer:
 
 * :class:`~repro.resilience.distributed.shards.ShardedCheckpointStore` --
-  the one checkpoint store (the serial runner saves one-shard epochs):
+  the one checkpoint store (one epoch per runner checkpoint, one shard per
+  rank; a serial run's epochs have one shard):
   per-rank shards in the checksummed format of :mod:`repro.core.output`
   and a two-phase stage-then-commit epoch marker, so a crash mid-save
   can never produce a mixed-epoch restore and a corrupt shard falls back
   to the last globally consistent epoch;
-* :class:`~repro.resilience.distributed.recovery.WorldRecovery` -- the
-  recovery that escalates
-  :class:`~repro.resilience.faults.RankFailedError` (and the hardened
-  channel's timeout/integrity errors) into a *warm replacement*: a fresh
-  world of the same size, every rank reloaded from its shard;
 * :class:`~repro.resilience.distributed.workload.DistributedThermalWorkload`
   -- the reference recoverable application (implicit heat conduction
   solved step-by-step with
-  :class:`~repro.comm.distributed_solver.DistributedConjugateGradient`)
-  that the chaos harness (:mod:`repro.resilience.chaos`) drives through
-  fault campaigns.
+  :class:`~repro.comm.distributed_solver.DistributedConjugateGradient`),
+  whose ``restore_shards`` is a *warm replacement*: a fresh world of the
+  same size, every rank reloaded from its shard.  The chaos harness
+  (:mod:`repro.resilience.chaos`) drives it through fault campaigns under
+  the one recovery loop, :class:`~repro.resilience.runner.ResilientRunner`.
 """
 
 from repro.resilience.distributed.shards import (
@@ -29,24 +27,12 @@ from repro.resilience.distributed.shards import (
     ShardCorruptError,
     ShardedCheckpointStore,
 )
-from repro.resilience.distributed.recovery import (
-    RecoveryExhaustedError,
-    RecoveryOutcome,
-    WorldRecovery,
-)
-from repro.resilience.distributed.workload import (
-    DistributedThermalWorkload,
-    WorkloadResult,
-)
+from repro.resilience.distributed.workload import DistributedThermalWorkload
 
 __all__ = [
     "EpochManifest",
     "EpochWriter",
     "ShardCorruptError",
     "ShardedCheckpointStore",
-    "RecoveryExhaustedError",
-    "RecoveryOutcome",
-    "WorldRecovery",
     "DistributedThermalWorkload",
-    "WorkloadResult",
 ]

@@ -1,4 +1,4 @@
-"""Structured event log of faults, rollbacks and recoveries.
+"""Structured event log of faults, rollbacks and retries.
 
 Production campaigns live or die by their operational record: which step
 diverged, which checkpoint was corrupt, how many retries a run needed.
@@ -23,11 +23,11 @@ __all__ = ["Event", "EventLog"]
 class Event:
     """One entry in the resilience log.
 
-    ``kind`` is a short tag: ``"fault"``, ``"rollback"``, ``"retry"``,
-    ``"checkpoint"``, ``"corrupt_checkpoint"``, ``"quarantine"``,
-    ``"recovery"``, ...  ``step``/``time`` locate it in the simulation;
-    ``data`` carries kind-specific payload (offending quantity, dt before
-    and after, fallback checkpoint step, ...).
+    ``kind`` is a short tag: ``"fault"``, ``"fault_detected"``,
+    ``"rollback"``, ``"retry"``, ``"checkpoint"``, ``"corrupt_checkpoint"``,
+    ...  ``step``/``time`` locate it in the run; ``data`` carries
+    kind-specific payload (cause and rank, dt before and after, steps
+    replayed, ...).
     """
 
     kind: str

@@ -1,11 +1,12 @@
-"""Per-step health monitoring: finite fields and a CFL ceiling.
+"""Per-segment health monitoring: finite checkpoint shards and a CFL ceiling.
 
 The divergence guard inside :meth:`Simulation.run` catches a run that has
 already blown up; :class:`HealthCheck` is the earlier tripwire the
 :class:`~repro.resilience.runner.ResilientRunner` consults between run
-segments.  It scans the *state* (every field finite) and the *trajectory*
-(CFL under a ceiling), and returns structured :class:`HealthIssue`
-records the runner turns into rollbacks.
+segments.  It scans the *state* the runner is about to commit (every array
+of every shard finite) and the *trajectory* (CFL under a ceiling), and
+returns structured :class:`HealthIssue` records the runner turns into
+rollbacks.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ class HealthIssue:
 class HealthCheck:
     """Per-segment health scan.
 
-    Every check scans each prognostic field for NaN/Inf (the SDC
-    detector).
+    Every check scans each array of the checkpoint shards for NaN/Inf
+    (the SDC detector).
 
     Parameters
     ----------
     cfl_max:
-        Trip when a step's Courant number exceeds this (``None`` disables).
+        Trip when a step's Courant number exceeds this (``None`` disables,
+        as for apps whose history carries no ``cfl``).
     """
 
     def __init__(self, cfl_max: float | None = 10.0) -> None:
@@ -44,20 +46,12 @@ class HealthCheck:
 
     # -- scans ------------------------------------------------------------------
 
-    def check_state(self, sim) -> list[HealthIssue]:
-        """Scan the simulation's current fields."""
-        step = int(getattr(sim, "step_count", -1))
-        ux, uy, uz = sim.velocity
-        fields = {
-            "ux": ux,
-            "uy": uy,
-            "uz": uz,
-            "temperature": sim.temperature,
-            "pressure": sim.pressure,
-        }
+    def check_state(self, shards) -> list[HealthIssue]:
+        """Scan every array of the shards of one checkpoint."""
         return [
-            HealthIssue("nonfinite", name, f"{name} contains NaN/Inf", step=step)
-            for name, arr in fields.items()
+            HealthIssue("nonfinite", name, f"{name} of shard {rank} contains NaN/Inf")
+            for rank, shard in enumerate(shards)
+            for name, arr in shard.items()
             if not np.all(np.isfinite(arr))
         ]
 
@@ -76,6 +70,6 @@ class HealthCheck:
             if not np.isfinite(res.cfl) or res.cfl > self.cfl_max
         ]
 
-    def check(self, sim, new_results=()) -> list[HealthIssue]:
-        """Full check: state scan plus trajectory scan of ``new_results``."""
-        return self.check_state(sim) + self.check_results(new_results)
+    def check(self, shards, new_results=()) -> list[HealthIssue]:
+        """Full check: shard scan plus trajectory scan of ``new_results``."""
+        return self.check_state(shards) + self.check_results(new_results)

@@ -1,37 +1,49 @@
-"""Rollback-and-retry execution: the resilient wrapper around ``run``.
+"""Rollback-and-retry execution: the one recovery loop.
 
 ``Simulation.run`` is fail-fast: a NaN anywhere raises and the run is
 lost.  At production scale that is unacceptable -- the paper's campaign
 survives weeks of wall time only because failed intervals are replayed
 from checkpoints.  :class:`ResilientRunner` reproduces that operational
-loop:
+loop for any *app* -- the serial :class:`~repro.core.simulation.Simulation`
+or the SPMD
+:class:`~repro.resilience.distributed.workload.DistributedThermalWorkload`:
 
-1. advance the simulation one *segment* (``checkpoint_interval`` steps);
+1. advance the app one *segment* (``checkpoint_interval`` steps);
 2. apply any scheduled injected faults (testing hook);
-3. run the :class:`~repro.resilience.health.HealthCheck` over the new
-   state and step results;
-4. healthy: save ``sim.state_arrays()`` as a one-shard epoch of a
+3. take the app's ``state_shards()`` (one per rank) and run the
+   :class:`~repro.resilience.health.HealthCheck` over them and the new
+   step results;
+4. healthy: commit the shards as one epoch of a
    :class:`~repro.resilience.distributed.shards.ShardedCheckpointStore`
-   and continue; unhealthy (or the segment raised the divergence guard /
-   a simulated rank failure): roll back to the newest valid epoch,
-   optionally reduce ``dt``, and retry -- up to ``max_retries``
-   consecutive attempts per incident.
+   and continue; unhealthy, or the segment raised the divergence guard, a
+   rank failure or a hardened-channel error: roll back to the newest valid
+   epoch through ``restore_shards``, reduce ``dt`` after a divergence, and
+   retry -- up to ``max_retries`` consecutive attempts per incident.
 
 Every decision lands in the structured :class:`EventLog` returned with
-the results; the log is built on ``sim.tracer``, so each decision is also
-a ``resilience.<kind>`` event in the run's trace.
+the results; the log is built on the app's ``tracer``, so each decision is
+also a ``resilience.<kind>`` event in the run's trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.comm.reliable import CollectiveIntegrityError, CommTimeoutError
 from repro.resilience.distributed.shards import ShardedCheckpointStore
 from repro.resilience.events import EventLog
 from repro.resilience.faults import FaultInjector, RankFailedError
 from repro.resilience.health import HealthCheck
 
 __all__ = ["ResilientRunner", "ResilientResult", "RetryBudgetExceededError"]
+
+#: The failures a segment may raise that a rollback recovers from.
+RECOVERABLE = (
+    FloatingPointError,
+    RankFailedError,
+    CommTimeoutError,
+    CollectiveIntegrityError,
+)
 
 
 class RetryBudgetExceededError(RuntimeError):
@@ -57,34 +69,36 @@ class ResilientResult:
 
 
 class ResilientRunner:
-    """Run a simulation to completion through faults.
+    """Run an app to completion through faults.
 
     Parameters
     ----------
     sim:
-        A :class:`~repro.core.simulation.Simulation` (or any duck-typed
-        equivalent exposing ``run``, ``state_arrays``, ``load_state``,
-        ``step_count``, ``time``, ``dt``, ``history`` and
-        ``stat_samples``).
+        The app: a :class:`~repro.core.simulation.Simulation`, a
+        :class:`~repro.resilience.distributed.workload.DistributedThermalWorkload`
+        or any duck-typed equivalent exposing ``run(n_steps=...)``,
+        ``step_count``, ``time``, ``dt``, ``history``, ``state_shards()``
+        and ``restore_shards(shards)``.
     store:
-        Checkpoint storage, one one-shard epoch per checkpoint keyed by
-        ``sim.step_count``; defaults to an in-memory store of capacity 3.
-        A fresh store over the same directory restarts a killed run.
+        Checkpoint storage, one epoch of ``state_shards()`` per checkpoint
+        keyed by ``sim.step_count``; defaults to an in-memory store of
+        capacity 3.  A fresh store over the same directory restarts a
+        killed run.
     checkpoint_interval:
         Steps per segment between checkpoints/health checks.
     health:
         The :class:`HealthCheck` consulted after each segment; defaults to
-        a finite-field scan with a CFL ceiling of 10.
+        a finite-shard scan with a CFL ceiling of 10.
     max_retries:
         Consecutive failed attempts allowed per incident before
         :class:`RetryBudgetExceededError`; a healthy segment resets the
         counter.
     dt_factor:
         Step-size reduction applied when retrying after a *divergence*
-        or *CFL-ceiling* failure; transient faults (SDC, rank death)
-        replay at the checkpoint's ``dt``.  Adaptive runs also scale their
-        CFL target and ``dt_max``, since the controller would otherwise
-        regrow ``dt`` immediately.
+        or *CFL-ceiling* failure; transient faults (SDC, rank death, a
+        hardened-channel error) replay at the checkpoint's ``dt``.
+        Adaptive runs also scale their CFL target and ``dt_max``, since
+        the controller would otherwise regrow ``dt`` immediately.
     fault_injector:
         Optional :class:`FaultInjector` whose scheduled SDC faults are
         applied between segments (each fires once -- the transient model).
@@ -117,19 +131,20 @@ class ResilientRunner:
 
     # -- checkpointing ----------------------------------------------------------
 
-    def _save(self) -> None:
+    def _save(self, shards: list) -> None:
         sim = self.sim
-        self.store.save_epoch(sim.step_count, [sim.state_arrays()])
+        self.store.save_epoch(sim.step_count, shards)
         self._lens[sim.step_count] = (
-            len(getattr(sim, "history", ())),
+            len(sim.history),
             len(getattr(sim, "stat_samples", ())),
         )
         self.events.record("checkpoint", step=sim.step_count, time=sim.time, detail="epoch saved")
 
     def _rollback(self) -> None:
         sim = self.sim
-        epoch, (arrays,), skipped = self.store.restore_latest()
-        sim.load_state(arrays)
+        failed_step = sim.step_count
+        epoch, shards, skipped = self.store.restore_latest()
+        sim.restore_shards(shards)
         for bad in skipped:
             self.events.record(
                 "corrupt_checkpoint",
@@ -137,8 +152,7 @@ class ResilientRunner:
                 detail=f"epoch {bad} failed verification; falling back",
             )
         n_hist, n_stats = self._lens.get(epoch, (0, 0))
-        if hasattr(sim, "history"):
-            del sim.history[n_hist:]
+        del sim.history[n_hist:]
         if hasattr(sim, "stat_samples"):
             del sim.stat_samples[n_stats:]
         self.events.record(
@@ -147,6 +161,7 @@ class ResilientRunner:
             time=sim.time,
             detail=f"restored checkpoint at step {epoch}",
             skipped=skipped,
+            steps_replayed=failed_step - epoch,
         )
 
     def _reduce_dt(self, power: int = 1) -> None:
@@ -177,23 +192,25 @@ class ResilientRunner:
     # -- the loop ---------------------------------------------------------------
 
     def run(
-        self,
-        n_steps: int | None = None,
-        end_time: float | None = None,
-        callback_interval: int = 0,
-        stats_interval: int = 0,
-        print_interval: int = 0,
+        self, n_steps: int | None = None, end_time: float | None = None, **run_kwargs
     ) -> ResilientResult:
-        """Advance until ``n_steps`` more steps or ``end_time``, surviving faults."""
+        """Advance until ``n_steps`` more steps or ``end_time``, surviving faults.
+
+        ``run_kwargs`` (``callback_interval``, ...) pass through to the
+        app's ``run``, as does ``end_time`` when given.
+        """
         if n_steps is None and end_time is None:
             raise ValueError("give n_steps or end_time")
+        if end_time is not None:
+            run_kwargs["end_time"] = end_time
         sim = self.sim
-        start_hist = len(getattr(sim, "history", ()))
+        start_hist = len(sim.history)
         target_step = sim.step_count + n_steps if n_steps is not None else None
         attempts = 0
         retries_total = 0
         checkpoints = 0
-        self._save()  # baseline: rollback works even before the first segment
+        # Baseline: rollback works even before the first segment.
+        self._save(sim.state_shards())
 
         while True:
             if target_step is not None and sim.step_count >= target_step:
@@ -204,51 +221,42 @@ class ResilientRunner:
             if target_step is not None:
                 seg = min(seg, target_step - sim.step_count)
 
-            failure: tuple[str, str] | None = None
             try:
-                sim.run(
-                    n_steps=seg,
-                    end_time=end_time,
-                    callback_interval=callback_interval,
-                    stats_interval=stats_interval,
-                    print_interval=print_interval,
+                sim.run(n_steps=seg, **run_kwargs)
+                if self.fault_injector is not None:
+                    for ev in self.fault_injector.apply_field_faults(sim):
+                        self.events.record(
+                            "fault",
+                            step=sim.step_count,
+                            time=sim.time,
+                            detail=ev.detail,
+                            **ev.data,
+                        )
+                # The shards are checked before they are committed, so no
+                # epoch ever holds a non-finite value.
+                shards = sim.state_shards()
+                issues = self.health.check(
+                    shards, sim.history[self._checked_len(start_hist):]
                 )
-            except FloatingPointError as exc:
-                failure = ("divergence", str(exc))
-            except RankFailedError as exc:
-                failure = ("rank_failure", str(exc))
+            except RECOVERABLE as exc:
+                cause, message = type(exc).__name__, str(exc)
+                rank = int(getattr(exc, "rank", -1))
+            else:
+                if not issues:
+                    attempts = 0
+                    self._save(shards)
+                    checkpoints += 1
+                    continue
+                cause, message = issues[0].kind, "; ".join(i.message for i in issues)
+                rank = -1
 
-            if failure is None and self.fault_injector is not None:
-                for ev in self.fault_injector.apply_field_faults(sim):
-                    self.events.record(
-                        "fault",
-                        step=sim.step_count,
-                        time=sim.time,
-                        detail=ev.detail,
-                        **ev.data,
-                    )
-            if failure is None:
-                new_results = sim.history[self._checked_len(start_hist):]
-                issues = self.health.check(sim, new_results)
-                if issues:
-                    failure = (
-                        issues[0].kind,
-                        "; ".join(i.message for i in issues),
-                    )
-
-            if failure is None:
-                attempts = 0
-                self._save()
-                checkpoints += 1
-                continue
-
-            kind, message = failure
             self.events.record(
                 "fault_detected",
                 step=sim.step_count,
                 time=sim.time,
                 detail=message,
-                cause=kind,
+                cause=cause,
+                rank=rank,
             )
             attempts += 1
             retries_total += 1
@@ -258,7 +266,7 @@ class ResilientRunner:
                     step=sim.step_count,
                     time=sim.time,
                     detail=f"retry budget exhausted: {message}",
-                    cause=kind,
+                    cause=cause,
                     attempts=attempts - 1,
                 )
                 raise RetryBudgetExceededError(
@@ -268,8 +276,8 @@ class ResilientRunner:
             # Divergence and CFL-ceiling failures are the "dt too large"
             # class: replaying them at the same dt fails deterministically,
             # so the retry must shrink the step.  Transient faults (SDC,
-            # rank death) replay cleanly and keep dt.
-            if kind in ("divergence", "cfl"):
+            # rank death, channel errors) replay cleanly and keep dt.
+            if cause in ("FloatingPointError", "cfl"):
                 self._reduce_dt(attempts)
             self.events.record(
                 "retry",

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compression import (
@@ -228,6 +228,9 @@ class TestCompressorAPI:
     eps=st.floats(min_value=0.001, max_value=0.3),
     decay=st.floats(min_value=0.5, max_value=3.0),
 )
+# Slow decay at a small budget leaves the error in the top modes, which GLL
+# quadrature weighs (2N+1)/N per direction.
+@example(eps=0.0024244417165240817, decay=0.66015625)
 def test_property_error_within_budget(eps, decay):
     """Property: measured error <= truncation budget + quantization slack."""
     sp = FunctionSpace(box_mesh((2, 1, 1)), 5)

@@ -1,8 +1,9 @@
 """Property tests: the truncation stage honours its relative-L^2 budget.
 
 The compressor's contract (see ``SpectralCompressor``): the modal
-truncation error is bounded by ``eps`` *exactly* in the volume-weighted
-coefficient norm -- per element the dropped energy never exceeds
+truncation error is bounded by ``eps`` *exactly* in the volume- and
+GLL-weighted coefficient norm (the norm GLL quadrature measures the
+reconstruction error in) -- per element the dropped energy never exceeds
 ``eps^2 * E_e`` (plus the documented 1e-6 global-share guard), so globally
 ``||u_t - u|| <= eps * sqrt(1 + 1e-6) * ||u||``.  Hypothesis drives the
 bound across random shapes, spectra and budgets; the edge cases (zero
@@ -14,7 +15,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.truncation import truncate_relative, truncation_mask
+from repro.compression.truncation import (
+    gll_mode_weights,
+    truncate_relative,
+    truncation_mask,
+)
 from repro.sem.mesh import box_mesh
 from repro.sem.space import FunctionSpace
 
@@ -25,7 +30,9 @@ BUDGET_SLACK = np.sqrt(1.0 + 1e-6)
 
 
 def modal_norm(uh, vol):
-    return float(np.sqrt(np.sum(uh.reshape(uh.shape[0], -1) ** 2 * vol[:, None])))
+    """Volume- and GLL-weighted coefficient norm."""
+    energy = uh**2 * gll_mode_weights(uh.shape[-1])
+    return float(np.sqrt(np.sum(energy.reshape(uh.shape[0], -1) * vol[:, None])))
 
 
 def random_coefficients(seed: int, nelv: int, lx: int, decay: float) -> np.ndarray:
@@ -101,9 +108,9 @@ class TestModalTruncationBound:
 class TestFullRoundtripBound:
     """End-to-end compressor bound on nodal fields.
 
-    The truncation bound is exact in the modal norm; the GLL-quadrature
-    measurement of the nodal error can read up to ~1.5x higher (documented
-    in the API), and 16-bit quantization adds a small absolute floor.
+    The truncation bound is exact in the GLL-weighted modal norm, which on
+    the affine box elements here is the norm the error is measured in;
+    16-bit quantization adds a small absolute floor.
     """
 
     @settings(max_examples=15, deadline=None)

@@ -97,7 +97,7 @@ def test_chaos_recovery_events_nest_in_their_scenario(tmp_path, capsys):
     assert scenario["args"]["scenario"] == "kill-rank-early-warm"
     resilience = [e for e in events if e["name"].startswith("resilience.")]
     kinds = {e["name"] for e in resilience}
-    assert {"resilience.fault_detected", "resilience.rollback", "resilience.recovery"} <= kinds
+    assert {"resilience.fault_detected", "resilience.rollback", "resilience.retry"} <= kinds
     for e in resilience:
         assert scenario["ts"] <= e["ts"] <= scenario["ts"] + scenario["dur"]
 

@@ -18,7 +18,12 @@ from repro.precond import (
     global_cache,
     reset_global_cache,
 )
-from repro.precond.cache import array_signature, resolve_cache, space_signature
+from repro.precond.cache import (
+    array_signature,
+    mask_fingerprint,
+    resolve_cache,
+    space_signature,
+)
 from repro.precond.coarse import CoarseGridSolver
 from repro.sem.mesh import box_mesh
 from repro.sem.operators import ax_poisson
@@ -97,11 +102,17 @@ def test_keys_differ_under_mesh_perturbation():
     assert sig1 != sig2
 
 
-def test_keys_differ_across_order_dtype_operator():
+def test_keys_differ_across_order_operator_mask():
     space = make_space()
-    base = CacheKey.for_space(space, "fdm", np.float64)
-    assert base != CacheKey.for_space(space, "schwarz_weight", np.float64)
-    assert base != CacheKey.for_space(make_space(lx=6), "fdm", np.float64)
+    base = CacheKey.for_space(space, "fdm")
+    assert base != CacheKey.for_space(space, "schwarz_weight")
+    assert base != CacheKey.for_space(make_space(lx=6), "fdm")
+    mask = np.ones(space.shape)
+    other = mask.copy()
+    other.flat[0] = 0.0
+    assert CacheKey.for_space(space, f"coarse[mask={mask_fingerprint(mask)}]") != (
+        CacheKey.for_space(space, f"coarse[mask={mask_fingerprint(other)}]")
+    )
 
 
 def test_key_is_stable_across_equal_spaces():
@@ -145,18 +156,18 @@ def test_eviction_never_corrupts_inflight_user():
 
 def test_eviction_preserves_lru_order():
     cache = OperatorCache(capacity=2)
-    cache.get_or_build(CacheKey("m", 1, "a", "f8"), lambda: np.ones(3))
-    cache.get_or_build(CacheKey("m", 1, "b", "f8"), lambda: np.ones(3))
-    cache.get_or_build(CacheKey("m", 1, "a", "f8"), lambda: np.zeros(3))  # refresh a
-    cache.get_or_build(CacheKey("m", 1, "c", "f8"), lambda: np.ones(3))  # evicts b
+    cache.get_or_build(CacheKey("m", 1, "a"), lambda: np.ones(3))
+    cache.get_or_build(CacheKey("m", 1, "b"), lambda: np.ones(3))
+    cache.get_or_build(CacheKey("m", 1, "a"), lambda: np.zeros(3))  # refresh a
+    cache.get_or_build(CacheKey("m", 1, "c"), lambda: np.ones(3))  # evicts b
     assert cache.evictions == 1
     # b rebuilds (miss) and evicts a, the least recently used of {a, c}.
     calls = []
-    cache.get_or_build(CacheKey("m", 1, "b", "f8"), lambda: calls.append(1) or np.ones(3))
+    cache.get_or_build(CacheKey("m", 1, "b"), lambda: calls.append(1) or np.ones(3))
     assert calls == [1]
     # c was inserted after a's refresh, so it survived both evictions.
     before = cache.hits
-    cache.get_or_build(CacheKey("m", 1, "c", "f8"), lambda: np.zeros(3))
+    cache.get_or_build(CacheKey("m", 1, "c"), lambda: np.zeros(3))
     assert cache.hits == before + 1
 
 
@@ -231,8 +242,8 @@ def test_solve_unaffected_by_concurrent_eviction():
 
 def test_hit_rate_and_report():
     cache = OperatorCache()
-    cache.get_or_build(CacheKey("m", 1, "a", "f8"), lambda: 1)
-    cache.get_or_build(CacheKey("m", 1, "a", "f8"), lambda: 1)
+    cache.get_or_build(CacheKey("m", 1, "a"), lambda: 1)
+    cache.get_or_build(CacheKey("m", 1, "a"), lambda: 1)
     assert cache.hit_rate() == pytest.approx(0.5)
     rep = cache.report()
     assert rep["hits"] == 1 and rep["misses"] == 1 and rep["entries"] == 1
@@ -251,7 +262,6 @@ def test_resolve_cache_convention():
     cache = OperatorCache()
     assert resolve_cache(cache) is cache
     assert resolve_cache(None) is global_cache()
-    assert resolve_cache(True) is global_cache()
     throwaway = resolve_cache(False)
     assert throwaway is not global_cache()
     assert resolve_cache(False) is not throwaway  # private: shared with nobody

@@ -68,6 +68,18 @@ class TestScenarioRuns:
         assert result.nu_error <= harness.tol
         assert result.faults_fired == 1
 
+    def test_barrier_death_replays_both_steps(self):
+        # The failing checkpoint follows step 2: epoch 0 restores and
+        # steps 1-2 re-run.
+        (scenario,) = [
+            s for s in default_campaign() if s.name == "kill-in-checkpoint-barrier"
+        ]
+        result = ChaosHarness().run_scenario(scenario, index=1)
+        assert result.survived
+        assert result.steps_replayed == 2
+        (incident,) = result.incidents
+        assert (incident["detected_step"], incident["epoch"]) == (2, 0)
+
     def test_unmet_recovery_expectation_fails_scenario(self):
         harness = ChaosHarness(seed=11)
         scenario = ChaosScenario(

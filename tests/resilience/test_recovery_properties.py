@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.resilience import HealthCheck, ResilientRunner
 from repro.resilience.distributed import (
     DistributedThermalWorkload,
     ShardedCheckpointStore,
@@ -63,19 +64,22 @@ class TestRecoveryIdempotence:
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**16), steps=st.integers(1, 3))
     def test_second_restore_of_same_epoch_is_a_noop(self, seed, steps):
-        w = DistributedThermalWorkload(nranks=3, seed=seed, checkpoint_interval=1)
-        w.run(steps)
-        epoch, shards, _ = w.store.restore_latest()
+        w = DistributedThermalWorkload(nranks=3, seed=seed)
+        runner = ResilientRunner(
+            w, checkpoint_interval=1, health=HealthCheck(cfl_max=None)
+        )
+        runner.run(n_steps=steps)
+        epoch, shards, _ = runner.store.restore_latest()
 
         w.restore_shards(shards)
         once = [c.copy() for c in w.t_chunks]
-        step_once, time_once = w.step, w.time
-        history_once = list(w.nu_history)
+        step_once, time_once = w.step_count, w.time
+        history_once = list(w.history)
 
         # Restoring the same committed epoch again must change nothing.
         w.restore_shards(shards)
-        assert w.step == step_once == epoch
+        assert w.step_count == step_once == epoch
         assert w.time == time_once
-        assert w.nu_history == history_once
+        assert w.history == history_once
         for got, want in zip(w.t_chunks, once):
             assert np.array_equal(got, want)

@@ -42,19 +42,6 @@ class FakeSim:
         self.fail_if = fail_if or (lambda sim: None)
         self.cfl = cfl or (lambda sim: 0.1)
 
-    # Health-check surface.
-    @property
-    def velocity(self):
-        return (self.state, self.state, self.state)
-
-    @property
-    def temperature(self):
-        return self.state
-
-    @property
-    def pressure(self):
-        return self.state
-
     # Checkpoint surface.
     def state_arrays(self):
         return {
@@ -69,6 +56,13 @@ class FakeSim:
         self.step_count = int(arrays["step_count"])
         self.time = float(arrays["time"])
         self.dt = float(arrays["dt"])
+
+    def state_shards(self):
+        return [self.state_arrays()]
+
+    def restore_shards(self, shards):
+        (arrays,) = shards
+        self.load_state(arrays)
 
     def run(self, n_steps=None, end_time=None, **kw):
         for _ in range(n_steps):

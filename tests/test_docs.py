@@ -75,3 +75,45 @@ def test_every_exported_name_resolves():
             if not hasattr(module, name)
         ]
     assert not stale, f"__all__ names objects that do not exist: {stale}"
+
+
+#: An inline code span that opens with a capitalized name used as one --
+#: called, indexed, dotted into or standing alone (`Simulation.run`,
+#: `WorldRecovery(store)`); fenced blocks and file names are left out.
+FENCED = re.compile(r"```.*?```", re.S)
+INLINE_CODE = re.compile(r"`([^`\n]+)`")
+LEADING_NAME = re.compile(r"([A-Z]\w*)(?:[(.\[]|$)")
+FILE_NAME = re.compile(r"[\w.-]+\.(?:jsonl?|md|txt|py)")
+
+
+def _public_names() -> set[str]:
+    """Builtins plus every public attribute of every ``repro`` module."""
+    import builtins
+    import importlib
+
+    import repro
+
+    names = set(dir(builtins))
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        names.update(n for n in vars(module) if not n.startswith("_"))
+    return names
+
+
+def test_readme_names_only_existing_classes():
+    """`WorldRecovery(store)` in README.md fails once the class is gone.
+
+    Only names with a lowercase letter count, so ruff codes (`E722`) and
+    acronyms pass.
+    """
+    text = FENCED.sub("", (ROOT / "README.md").read_text())
+    names = set()
+    for span in INLINE_CODE.findall(text):
+        match = LEADING_NAME.match(span)
+        if match and not FILE_NAME.fullmatch(span) and not match[1].isupper():
+            names.add(match[1])
+    assert names, "README.md no longer backticks any class name"
+    missing = sorted(names - _public_names())
+    assert not missing, f"README.md names objects no repro module defines: {missing}"
