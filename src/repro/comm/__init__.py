@@ -16,13 +16,18 @@ the network).  This package reproduces that structure in one process:
 * :class:`~repro.comm.topology.CopyIndex` -- the one gather--scatter
   index: every node copy sorted by (gid, holder rank);
 * :class:`~repro.comm.distributed_gs.DistributedGatherScatter` -- the
-  two-phase gather--scatter on per-rank chunks, its shared phase as
-  (gid, value) buffers through ``exchange``;
+  two-phase gather--scatter with ``GatherScatter``'s interface (``add``
+  and ``dot`` on full stacked fields), its shared phase as (gid, value)
+  buffers through ``exchange`` and its ``dot`` one allreduce, so the one
+  :class:`~repro.solvers.cg.ConjugateGradient` solves on the ranks;
 * :class:`~repro.comm.topology.BatchedGatherScatter` -- the same dssum
-  on a stacked field with count-only rounds, flat or the paper's
+  on the same stacked field with count-only rounds, flat or the paper's
   topology-aware staged exchange
   (:class:`~repro.comm.topology.NodeTopology`), bit-identical to each
-  other and to the per-rank path;
+  other and to the buffer path;
+* :class:`~repro.comm.distributed_solver.DistributedConjugateGradient` --
+  per-rank chunks in and out of that CG, kept only for the measurement
+  spine's import;
 * :class:`~repro.comm.costmodel.CommCostModel` -- DES-style alpha-beta
   pricing of logged exchange rounds, the "measured" side of the Fig. 3
   scaling campaign (:mod:`repro.comm.campaign`).

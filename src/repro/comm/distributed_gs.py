@@ -4,11 +4,13 @@ The structure follows the paper's description: "the gather-scatter is ...
 carried out in two phases, one for the local and one for the shared
 elements between different MPI ranks".
 
-Phase 1 (local): each rank reduces its own copies of every node it holds.
-All ranks' chunks are reduced at once by one ``bincount`` over the
-:class:`~repro.comm.topology.CopyIndex` (node copies sorted by gid, then
-holder rank), which sums every (gid, rank) slot in the rank's own copy
-order -- exactly what a rank-local ``bincount`` does.
+Fields are full stacked ``(nelv, lx, lx, lx)`` arrays in element order,
+as for :class:`~repro.sem.gather_scatter.GatherScatter`; element ``e``
+lives on rank ``owner[e]``.  Phase 1 (local): each rank reduces its own
+copies of every node it holds.  All ranks are reduced at once by one
+``bincount`` over the :class:`~repro.comm.topology.CopyIndex` (node copies
+sorted by gid, then holder rank), which sums every (gid, rank) slot in
+the rank's own copy order -- exactly what a rank-local ``bincount`` does.
 
 Phase 2 (shared): every holder sends the partials of its shared nodes to
 each node's owner (the lowest holder rank) as one float64 ``(n, 2)``
@@ -23,27 +25,12 @@ at construction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.comm.simworld import SimWorld
-from repro.comm.topology import CopyIndex
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sem.coef import Coefficients, SparseMetric
+from repro.comm.topology import partitioned_index
 
 __all__ = ["DistributedGatherScatter"]
-
-
-class _RankCoef:
-    """One rank's slice of what the ``ax_*`` kernels read: ``g`` and ``mass``."""
-
-    __slots__ = ("g", "mass")
-
-    def __init__(self, g: SparseMetric, mass: np.ndarray) -> None:
-        self.g = g
-        self.mass = mass
 
 
 class _Messages:
@@ -68,7 +55,14 @@ class _Messages:
 
 
 class DistributedGatherScatter:
-    """Gather--scatter split across simulated ranks.
+    """Gather--scatter split across simulated ranks, on full stacked fields.
+
+    ``add`` and ``dot`` take the fields
+    :class:`~repro.sem.gather_scatter.GatherScatter` takes, so the one
+    :class:`~repro.solvers.cg.ConjugateGradient` runs on the ranks with
+    ``dot=dgs.dot``.  :meth:`scatter_field` / :meth:`gather_field` convert
+    to and from per-rank chunks (a rank's elements in ascending order), the
+    layout of checkpoint shards.
 
     Parameters
     ----------
@@ -92,26 +86,15 @@ class DistributedGatherScatter:
     ) -> None:
         self.world = world
         self.shape = tuple(shape)
-        nelv = self.shape[0]
-        pts = int(np.prod(self.shape[1:]))
-        self.owner = np.asarray(owner, dtype=np.int64)
-        if len(self.owner) != nelv:
-            raise ValueError("owner must have one entry per element")
-        if int(self.owner.max()) + 1 > world.size:
-            raise ValueError("partition uses more ranks than the world has")
-
-        # Per-rank element lists (one stable sort instead of an O(ranks *
-        # nelv) scan of `owner == r` per rank).
-        elem_order = np.argsort(self.owner, kind="stable")
-        elem_counts = np.bincount(self.owner, minlength=world.size)
-        self.rank_elements = np.split(elem_order, np.cumsum(elem_counts)[:-1])
-
-        # Node copies stacked rank after rank, each rank's in chunk order.
-        ids = np.asarray(global_ids, dtype=np.int64).reshape(nelv, pts)[elem_order].reshape(-1)
-        copies = elem_counts * pts
-        self._chunk_bounds = np.cumsum(copies)[:-1]
-        self.index = idx = CopyIndex(ids, np.repeat(np.arange(world.size), copies))
+        self.owner, ids, idx = partitioned_index(global_ids, owner, self.shape, world)
+        self.index = idx
         self.n_shared = idx.n_shared
+
+        # Elements rank after rank, each rank's in ascending order.
+        self._rank_order = np.argsort(self.owner, kind="stable")
+        elem_bounds = np.cumsum(np.bincount(self.owner, minlength=world.size))[:-1]
+        self.rank_elements = np.split(self._rank_order, elem_bounds)
+        self._rank_bounds = elem_bounds * int(np.prod(self.shape[1:]))
 
         # One entry per shared slot, in both rounds.  Requests are ordered
         # by (holder, first gid of the edge, gid), replies by (first gid of
@@ -136,63 +119,50 @@ class DistributedGatherScatter:
         self._reply_slots = shared[rep]
         self._reply_groups = idx.group_of_slot[self._reply_slots]
 
-        # Per-rank ``1 / global multiplicity`` of every local point (dot weights).
-        self._inv_mult = np.split(1.0 / np.bincount(ids)[ids], self._chunk_bounds)
+        # ``1 / global multiplicity`` of every point (the dot weights).
+        self._inv_mult = (1.0 / np.bincount(ids)[ids]).reshape(self.shape)
 
-    # -- data layout helpers ---------------------------------------------------
+    # -- per-rank chunks ---------------------------------------------------------
 
     def scatter_field(self, u: np.ndarray) -> list[np.ndarray]:
         """Split a full elementwise field into per-rank chunks."""
-        if u.shape != self.shape:
-            raise ValueError(f"field shape {u.shape} != {self.shape}")
+        self._check(u)
         return [u[elements] for elements in self.rank_elements]
 
     def gather_field(self, chunks: list[np.ndarray]) -> np.ndarray:
         """Reassemble per-rank chunks into a full elementwise field."""
         out = np.empty(self.shape)
-        for r, chunk in enumerate(chunks):
-            out[self.rank_elements[r]] = chunk
+        for elements, chunk in zip(self.rank_elements, chunks):
+            out[elements] = chunk
         return out
 
-    def scatter_coef(self, coef: Coefficients) -> list[_RankCoef]:
-        """Per-rank slices of the sparse metric G and the mass.
+    def _check(self, u: np.ndarray) -> None:
+        if u.shape != self.shape:
+            raise ValueError(f"field shape {u.shape} != {self.shape}")
 
-        Each carries what the ``ax_*`` kernels read from a
-        :class:`~repro.sem.coef.Coefficients` -- ``g`` and ``mass`` -- so a
-        rank-local operator is ``ax_helmholtz(chunk, coefs[rank], ...)``.
-        """
+    # -- the operations ----------------------------------------------------------
 
-        def rank_g(elements: np.ndarray) -> SparseMetric:
-            return coef.g.map(lambda m: m[..., elements, :, :, :])
-
-        return [
-            _RankCoef(rank_g(elements), mass)
-            for elements, mass in zip(self.rank_elements, self.scatter_field(coef.mass))
-        ]
-
-    # -- the operation -----------------------------------------------------------
-
-    def add(self, chunks: list[np.ndarray]) -> list[np.ndarray]:
-        """Distributed dssum; returns new per-rank chunks."""
+    def add(self, u: np.ndarray) -> np.ndarray:
+        """Distributed dssum of a full field; returns a new field."""
+        self._check(u)
         # Phase 1: every rank's partial sums, one bincount.
-        partial = self.index.partials(np.concatenate([c.reshape(-1) for c in chunks]))
+        partial = self.index.partials(u.reshape(-1))
         # Phase 2: partials to the owners, owners sum in holder order, reply.
         got = self._requests.send(self.world, partial[self._request_slots])
         totals = np.bincount(self._request_groups, weights=got)
         partial[self._reply_slots] = self._replies.send(
             self.world, totals[self._reply_groups]
         )
-        out = np.split(partial[self.index.slot_of_copy], self._chunk_bounds)
-        return [o.reshape(c.shape) for o, c in zip(out, chunks)]
+        return partial[self.index.slot_of_copy].reshape(self.shape)
 
-    def add_full(self, u: np.ndarray) -> np.ndarray:
-        """Convenience: full-field in, full-field out."""
-        return self.gather_field(self.add(self.scatter_field(u)))
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Unique-dof inner product: local weighted dots + one allreduce.
 
-    def dot(self, a_chunks: list[np.ndarray], b_chunks: list[np.ndarray]) -> float:
-        """Unique-dof inner product: local weighted dots + one allreduce."""
-        locals_ = [
-            float(np.sum(a.reshape(-1) * b.reshape(-1) * w))
-            for a, b, w in zip(a_chunks, b_chunks, self._inv_mult)
-        ]
-        return self.world.allreduce_scalar(locals_)
+        Each rank sums ``a * b * w`` over its own elements in ascending
+        order, as a rank-local ``np.sum`` over its chunk does.
+        """
+        self._check(a)
+        weighted = (a * b * self._inv_mult)[self._rank_order].reshape(-1)
+        return self.world.allreduce_scalar(
+            [float(np.sum(c)) for c in np.split(weighted, self._rank_bounds)]
+        )

@@ -50,6 +50,7 @@ __all__ = [
     "exchange_rounds",
     "traffic_summary",
     "CopyIndex",
+    "partitioned_index",
     "BatchedGatherScatter",
 ]
 
@@ -213,6 +214,27 @@ class CopyIndex:
         return np.bincount(self.slot_of_copy, weights=values, minlength=self.slot_rank.size)
 
 
+def partitioned_index(
+    global_ids: np.ndarray, owner: np.ndarray, shape: tuple[int, ...], world: SimWorld
+) -> tuple[np.ndarray, np.ndarray, CopyIndex]:
+    """Check a partition of a stacked ``shape`` field; index its node copies.
+
+    Returns the owner array, the flat node ids and the :class:`CopyIndex`
+    over the copies in element order, each held by its element's owner.
+    """
+    nelv = shape[0]
+    pts = int(np.prod(shape[1:]))
+    owner = np.asarray(owner, dtype=np.int64)
+    if len(owner) != nelv:
+        raise ValueError("owner must have one entry per element")
+    if int(owner.max()) + 1 > world.size:
+        raise ValueError("partition uses more ranks than the world has")
+    ids = np.asarray(global_ids, dtype=np.int64).reshape(-1)
+    if ids.size != nelv * pts:
+        raise ValueError("global_ids must cover every point of every element")
+    return owner, ids, CopyIndex(ids, np.repeat(owner, pts))
+
+
 def _copy_order(ids: np.ndarray, copy_rank: np.ndarray) -> np.ndarray:
     """``lexsort((copy_rank, ids))`` as one stable sort of an int64 key."""
     n_ranks = int(copy_rank.max()) + 1
@@ -253,27 +275,16 @@ class BatchedGatherScatter:
         world: SimWorld,
         topology: NodeTopology | None = None,
     ) -> None:
-        self.world = world
-        self.topology = topology
-        self.shape = tuple(shape)
-        nelv = self.shape[0]
-        pts = int(np.prod(self.shape[1:]))
-        self.owner = np.asarray(owner, dtype=np.int64)
-        if len(self.owner) != nelv:
-            raise ValueError("owner must have one entry per element")
-        if int(self.owner.max()) + 1 > world.size:
-            raise ValueError("partition uses more ranks than the world has")
         if world.fault_injector is not None:
             raise ValueError(
                 "the batched gather-scatter replays count-only exchange rounds "
                 "and cannot exercise a fault injector; faulted runs use "
                 "DistributedGatherScatter"
             )
-
-        ids = np.asarray(global_ids, dtype=np.int64).reshape(-1)
-        if ids.size != nelv * pts:
-            raise ValueError("global_ids must cover every point of every element")
-        self.index = CopyIndex(ids, np.repeat(self.owner, pts))
+        self.world = world
+        self.topology = topology
+        self.shape = tuple(shape)
+        self.owner, _, self.index = partitioned_index(global_ids, owner, self.shape, world)
 
         # One staged entry per shared non-owner slot, collapsed to edges.
         idx = self.index

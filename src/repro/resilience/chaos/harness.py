@@ -41,7 +41,6 @@ from repro.observability.tracer import Tracer
 from repro.resilience.chaos.scenarios import ChaosScenario, default_campaign
 from repro.resilience.distributed.workload import DistributedThermalWorkload
 from repro.resilience.faults import FaultInjector
-from repro.resilience.health import HealthCheck
 from repro.resilience.runner import ResilientRunner
 
 __all__ = ["ChaosHarness", "ScenarioResult", "CampaignResult"]
@@ -188,11 +187,7 @@ class ChaosHarness:
             verify_collectives=scenario.verify_collectives,
             tracer=self.tracer,
         )
-        runner = ResilientRunner(
-            workload,
-            checkpoint_interval=self.checkpoint_interval,
-            health=HealthCheck(cfl_max=None),
-        )
+        runner = ResilientRunner(workload, checkpoint_interval=self.checkpoint_interval)
 
         error = ""
         with self.tracer.span("chaos.scenario", scenario=scenario.name):

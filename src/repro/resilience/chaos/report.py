@@ -10,6 +10,7 @@ reproduced in isolation).
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.resilience.chaos.harness import CampaignResult, ScenarioResult
@@ -70,7 +71,7 @@ def render_report(campaign: CampaignResult) -> str:
 
 
 def campaign_to_dict(campaign: CampaignResult) -> dict:
-    """JSON-able campaign record (includes per-scenario replay logs)."""
+    """JSON-able campaign record: every :class:`ScenarioResult` field, replay logs included."""
     return {
         "seed": campaign.seed,
         "scenarios": len(campaign.results),
@@ -79,26 +80,7 @@ def campaign_to_dict(campaign: CampaignResult) -> dict:
         "total_recoveries": campaign.total_recoveries,
         "total_steps_replayed": campaign.total_steps_replayed,
         "results": [
-            {
-                "name": r.name,
-                "survived": r.survived,
-                "steps": r.steps,
-                "nu_free": r.nu_free,
-                "nu_faulted": r.nu_faulted,
-                "nu_error": r.nu_error,
-                "recoveries": r.recoveries,
-                "steps_replayed": r.steps_replayed,
-                "faults_fired": r.faults_fired,
-                "retransmissions": r.retransmissions,
-                "duplicates": r.duplicates,
-                "timeouts": r.timeouts,
-                "integrity_failures": r.integrity_failures,
-                "fault_kinds": list(r.fault_kinds),
-                "error": r.error,
-                "incidents": r.incidents,
-                "replay": r.replay,
-            }
-            for r in campaign.results
+            {**asdict(r), "fault_kinds": list(r.fault_kinds)} for r in campaign.results
         ],
     }
 

@@ -13,8 +13,9 @@ package holds the distributed half of the resilience layer:
   to the last globally consistent epoch;
 * :class:`~repro.resilience.distributed.workload.DistributedThermalWorkload`
   -- the reference recoverable application (implicit heat conduction
-  solved step-by-step with
-  :class:`~repro.comm.distributed_solver.DistributedConjugateGradient`),
+  solved step-by-step by :class:`~repro.solvers.cg.ConjugateGradient`
+  with a :class:`~repro.comm.distributed_gs.DistributedGatherScatter`'s
+  ``add`` and ``dot``),
   whose ``restore_shards`` is a *warm replacement*: a fresh world of the
   same size, every rank reloaded from its shard.  The chaos harness
   (:mod:`repro.resilience.chaos`) drives it through fault campaigns under

@@ -1,21 +1,25 @@
 """The reference recoverable SPMD application: distributed heat conduction.
 
-The recovery machinery needs a real workload to protect -- one with the
-communication skeleton of the production solver (rank-local operator,
-two-phase gather--scatter halo exchange, allreduce inner products) but
-small enough that the chaos campaign can run dozens of faulted instances
-in seconds.  :class:`DistributedThermalWorkload` is that mini-app:
-implicit-Euler heat conduction between a hot bottom plate (T=1) and a
-cold top plate (T=0), each step solved by
-:class:`~repro.comm.distributed_solver.DistributedConjugateGradient`
-over an element partition of the SEM mesh.
+The recovery machinery needs a workload with the communication skeleton
+of the production solver (two-phase gather--scatter halo exchange,
+allreduce inner products) that is small enough for the chaos campaign to
+run dozens of faulted instances in seconds.
+:class:`DistributedThermalWorkload` is that mini-app: implicit-Euler heat
+conduction between a hot bottom plate (T=1) and a cold top plate (T=0),
+each step solved by the one Jacobi-CG,
+:class:`~repro.solvers.cg.ConjugateGradient`, with the ``add`` and
+``dot`` of a :class:`~repro.comm.distributed_gs.DistributedGatherScatter`
+over an element partition of the SEM mesh.  Its fields are full stacked
+arrays, element ``e`` living on rank ``owner[e]``.  ``h2 = 1/dt`` and the
+Jacobi diagonal follow ``dt`` at the next step when it changes (a
+runner's retry at a reduced step).
 
 It fails fast, like :meth:`Simulation.run`; recovery is the
 :class:`~repro.resilience.runner.ResilientRunner` wrapped around it.  Its
-checkpoint is one shard per rank (``state_shards``, shard r holding rank
-r's temperature chunk), and ``restore_shards`` is a *warm replacement*: a
-fresh world of the same size, every rank reloaded from its shard, the CG
-warm-started from the restored state.
+checkpoint is one shard per rank (``state_shards``: rank r's temperature
+chunk, cut by ``scatter_field``), and ``restore_shards`` is a *warm
+replacement*: a fresh world of the same size, every rank reloaded from
+its shard, the CG warm-started from the restored state.
 
 The scalar diagnostic ``nu`` is the mass-weighted volume average of the
 temperature -- the deterministic stand-in for the Nusselt number that
@@ -28,23 +32,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.distributed_gs import DistributedGatherScatter
-from repro.comm.distributed_solver import DistributedConjugateGradient
 from repro.comm.partition import linear_partition, rcb_partition
 from repro.comm.reliable import RetryPolicy
 from repro.comm.simworld import SimWorld, TrafficStats
 from repro.observability.tracer import NULL_TRACER
-from repro.precond.jacobi import helmholtz_diagonal
+from repro.precond.jacobi import JacobiPrecond
 from repro.resilience.faults import FaultInjector
 from repro.sem.bc import DirichletBC
 from repro.sem.mesh import box_mesh
 from repro.sem.operators import ax_helmholtz
 from repro.sem.space import FunctionSpace
+from repro.solvers.cg import ConjugateGradient
 
 __all__ = ["DistributedThermalWorkload"]
 
 
 class DistributedThermalWorkload:
-    """Implicit heat conduction on per-rank element chunks.
+    """Implicit heat conduction on an element partition over simulated ranks.
 
     Parameters
     ----------
@@ -80,32 +84,31 @@ class DistributedThermalWorkload:
         verify_collectives: bool = False,
         tracer=None,
         seed: int = 7,
-        tol: float = 1e-10,
-        maxiter: int = 500,
     ) -> None:
-        self.space = FunctionSpace(box_mesh(shape), order)
-        self.kappa = kappa
+        self.space = sp = FunctionSpace(box_mesh(shape), order)
         self.dt = dt
         self.h1 = kappa
-        self.h2 = 1.0 / dt
         self.fault_injector = fault_injector
         self.retry = retry
         self.verify_collectives = verify_collectives
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.tol = tol
-        self.maxiter = maxiter
 
-        sp = self.space
         bottom = DirichletBC(sp, ["bottom"], 1.0)
         top = DirichletBC(sp, ["top"], 0.0)
         self.mask = bottom.mask * top.mask
         self.lift = np.where(bottom.mask == 0.0, bottom.values, 0.0) + np.where(
             top.mask == 0.0, top.values, 0.0
         )
-        self.volume = float(np.sum(sp.coef.mass))
+        self.mass = sp.coef.mass
+        self.volume = float(np.sum(self.mass))
+        self.h2 = 1.0 / dt
+        self.precond = JacobiPrecond(sp, self.h1, self.h2, mask=self.mask)
 
         rng = np.random.default_rng(seed)
-        t0 = self.lift + self.mask * (0.5 + 0.05 * rng.standard_normal(sp.shape))
+        #: The full temperature field; rank r holds ``scatter_field(T)[r]``.
+        self.temperature = self.lift + self.mask * (
+            0.5 + 0.05 * rng.standard_normal(sp.shape)
+        )
 
         self.step_count = 0
         self.time = 0.0
@@ -119,7 +122,6 @@ class DistributedThermalWorkload:
         else:
             self.owner = linear_partition(sp.mesh.nelv, nranks)
         self._build()
-        self.t_chunks = self.dgs.scatter_field(t0)
 
     # -- world construction ------------------------------------------------------
 
@@ -138,29 +140,14 @@ class DistributedThermalWorkload:
         self.dgs = DistributedGatherScatter(
             sp.gs.global_ids, self.owner, sp.shape, self.world
         )
-        self.mask_chunks = self.dgs.scatter_field(self.mask)
-        self.lift_chunks = self.dgs.scatter_field(self.lift)
-        rank_coefs = self.dgs.scatter_coef(sp.coef)
-        self._mass_chunks = [c.mass for c in rank_coefs]
+        self.solver = ConjugateGradient(self._amul, self.dgs.dot, precond=self.precond, tol=1e-10)
 
-        h1, h2, dx = self.h1, self.h2, sp.dx
-
-        def local_amul(rank: int, chunk: np.ndarray) -> np.ndarray:
-            return ax_helmholtz(chunk, rank_coefs[rank], dx, h1, h2)
-
-        diag = sp.gs.add(helmholtz_diagonal(sp, h1, h2))
-        diag = np.where(self.mask == 0.0, 1.0, diag)
-        pd = self.dgs.scatter_field(1.0 / diag)
-        pd = [d * m for d, m in zip(pd, self.mask_chunks)]
-        self.solver = DistributedConjugateGradient(
-            local_amul,
-            self.dgs,
-            self.world,
-            local_mask=self.mask_chunks,
-            precond_diag=pd,
-            tol=self.tol,
-            maxiter=self.maxiter,
-        )
+    def _amul(self, u: np.ndarray) -> np.ndarray:
+        """The assembled, masked Helmholtz operator on the ranks."""
+        sp = self.space
+        w = self.dgs.add(ax_helmholtz(u, sp.coef, sp.dx, self.h1, self.h2))
+        w *= self.mask
+        return w
 
     def traffic(self) -> TrafficStats:
         """Message statistics summed over every world this workload built."""
@@ -178,11 +165,11 @@ class DistributedThermalWorkload:
         before anything is staged, so the previous epoch stays the newest.
         """
         self.world.barrier()
-        step = np.asarray(self.step_count)
-        time = np.asarray(self.time)
+        scalars = {"step": np.asarray(self.step_count), "time": np.asarray(self.time),
+                   "dt": np.asarray(self.dt)}
         return [
-            {"temperature": chunk, "step": step, "time": time}
-            for chunk in self.t_chunks
+            {"temperature": chunk, **scalars}
+            for chunk in self.dgs.scatter_field(self.temperature)
         ]
 
     def restore_shards(self, shards: list[dict[str, np.ndarray]]) -> None:
@@ -197,33 +184,27 @@ class DistributedThermalWorkload:
                 f"epoch has {len(shards)} shards for a world of {self.nranks} ranks"
             )
         self._build()
-        self.t_chunks = [np.array(shard["temperature"]) for shard in shards]
+        self.temperature = self.dgs.gather_field([shard["temperature"] for shard in shards])
         self.step_count = int(shards[0]["step"])
         self.time = float(shards[0]["time"])
+        self.dt = float(shards[0]["dt"])
 
     # -- the physics -------------------------------------------------------------
 
     def advance(self) -> None:
         """One implicit-Euler step: assemble rhs, CG solve, diagnostics."""
-        rhs_local = [
-            m * t * self.h2 - self._ax_lift(r)
-            for r, (m, t) in enumerate(zip(self._mass_chunks, self.t_chunks))
-        ]
-        rhs = self.dgs.add(rhs_local)
-        rhs = [c * m for c, m in zip(rhs, self.mask_chunks)]
-        x0 = [
-            (t - lf) * m
-            for t, lf, m in zip(self.t_chunks, self.lift_chunks, self.mask_chunks)
-        ]
-        theta, _ = self.solver.solve(rhs, x0=x0)
-        self.t_chunks = [th + lf for th, lf in zip(theta, self.lift_chunks)]
+        sp = self.space
+        if 1.0 / self.dt != self.h2:  # follow a changed dt, e.g. a runner retry
+            self.h2 = 1.0 / self.dt
+            self.precond.update(self.h1, self.h2)
+        ax_lift = ax_helmholtz(self.lift, sp.coef, sp.dx, self.h1, self.h2)
+        rhs = self.dgs.add(self.mass * self.temperature * self.h2 - ax_lift)
+        rhs *= self.mask
+        theta, _ = self.solver.solve(rhs, x0=(self.temperature - self.lift) * self.mask)
+        self.temperature = theta + self.lift
         self.step_count += 1
         self.time += self.dt
         self.history.append((self.step_count, self.nusselt()))
-
-    def _ax_lift(self, rank: int) -> np.ndarray:
-        """Rank-local operator applied to the Dirichlet lift."""
-        return self.solver.local_amul(rank, self.lift_chunks[rank])
 
     def nusselt(self) -> float:
         """Mass-weighted volume average of T (the deterministic Nu proxy).
@@ -232,11 +213,8 @@ class DistributedThermalWorkload:
         allreduce -- so the diagnostic itself exercises (and is protected
         by) the hardened collective path.
         """
-        locals_ = [
-            float(np.sum(m * t))
-            for m, t in zip(self._mass_chunks, self.t_chunks)
-        ]
-        return self.world.allreduce_scalar(locals_) / self.volume
+        chunks = self.dgs.scatter_field(self.mass * self.temperature)
+        return self.world.allreduce_scalar([float(np.sum(c)) for c in chunks]) / self.volume
 
     def run(self, n_steps: int) -> None:
         """Advance ``n_steps`` steps; failures propagate."""

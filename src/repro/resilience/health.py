@@ -37,39 +37,29 @@ class HealthCheck:
     Parameters
     ----------
     cfl_max:
-        Trip when a step's Courant number exceeds this (``None`` disables,
-        as for apps whose history carries no ``cfl``).
+        Trip when a step's Courant number exceeds this; the distributed
+        workload's ``(step, nu)`` history carries no ``cfl`` and skips it.
     """
 
-    def __init__(self, cfl_max: float | None = 10.0) -> None:
+    def __init__(self, cfl_max: float = 10.0) -> None:
         self.cfl_max = cfl_max
 
-    # -- scans ------------------------------------------------------------------
-
-    def check_state(self, shards) -> list[HealthIssue]:
-        """Scan every array of the shards of one checkpoint."""
-        return [
+    def check(self, shards, new_results=()) -> list[HealthIssue]:
+        """Scan every array of one checkpoint's shards, then the CFL of
+        ``new_results`` (results that carry no ``cfl`` are not CFL-checked)."""
+        nonfinite = [
             HealthIssue("nonfinite", name, f"{name} of shard {rank} contains NaN/Inf")
             for rank, shard in enumerate(shards)
             for name, arr in shard.items()
             if not np.all(np.isfinite(arr))
         ]
-
-    def check_results(self, results) -> list[HealthIssue]:
-        """Scan newly produced :class:`StepResult` records."""
-        if self.cfl_max is None:
-            return []
-        return [
+        return nonfinite + [
             HealthIssue(
                 "cfl",
                 "cfl",
                 f"CFL {res.cfl:.3g} exceeds ceiling {self.cfl_max}",
                 step=res.step,
             )
-            for res in results
-            if not np.isfinite(res.cfl) or res.cfl > self.cfl_max
+            for res in new_results
+            if hasattr(res, "cfl") and (not np.isfinite(res.cfl) or res.cfl > self.cfl_max)
         ]
-
-    def check(self, shards, new_results=()) -> list[HealthIssue]:
-        """Full check: shard scan plus trajectory scan of ``new_results``."""
-        return self.check_state(shards) + self.check_results(new_results)

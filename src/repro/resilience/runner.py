@@ -177,7 +177,8 @@ class ResilientRunner:
         # of the same incident must compound: attempt n runs at
         # dt * dt_factor**n, not the same reduced dt every time.
         new_dt = max(
-            sim.dt * self.dt_factor**power, getattr(sim.config, "dt_min", 0.0)
+            sim.dt * self.dt_factor**power,
+            getattr(getattr(sim, "config", None), "dt_min", 0.0),
         )
         sim.dt = new_dt
         self.events.record(

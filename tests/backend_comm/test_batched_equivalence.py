@@ -119,7 +119,8 @@ def _assert_matches_reference(shape, lx, nranks, seed, make_world):
     chunks = [u[owner == r] for r in range(nranks)]
 
     def new(world):
-        return DistributedGatherScatter(ids, owner, fshape, world).add
+        dgs = DistributedGatherScatter(ids, owner, fshape, world)
+        return lambda ch: dgs.scatter_field(dgs.add(dgs.gather_field(ch)))
 
     def old(world):
         return lambda ch: reference_add(ids, owner, fshape, world, ch)
@@ -215,7 +216,7 @@ class TestGatherScatterEquivalence:
 
         legacy_world = SimWorld(nranks)
         dgs = DistributedGatherScatter(ids, owner, fshape, legacy_world)
-        legacy = dgs.add_full(u.copy())
+        legacy = dgs.add(u.copy())
 
         batched_world = SimWorld(nranks)
         gs = BatchedGatherScatter(ids, owner, fshape, batched_world)

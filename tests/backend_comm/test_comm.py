@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import (
+    BatchedGatherScatter,
     DistributedGatherScatter,
     SimWorld,
     linear_partition,
@@ -109,18 +110,37 @@ class TestPartition:
 
 
 class TestDistributedGS:
-    @pytest.mark.parametrize("nranks", [1, 2, 3, 4])
-    def test_matches_single_rank(self, nranks):
+    @pytest.mark.parametrize(
+        "partition, nranks, world_size",
+        [
+            pytest.param("rcb", 1, 1, id="1"),
+            pytest.param("rcb", 2, 2, id="2"),
+            pytest.param("rcb", 3, 3, id="3"),
+            pytest.param("rcb", 4, 4, id="4"),
+            pytest.param("rcb", 7, 7, id="rcb-7"),
+            pytest.param("linear", 5, 5, id="linear-5"),
+            # Ranks 3..5 of the world own no element.
+            pytest.param("linear", 3, 6, id="idle-ranks"),
+        ],
+    )
+    def test_matches_single_rank(self, partition, nranks, world_size):
+        """``add`` is the batched add bit for bit; add and dot match one rank."""
         mesh = box_mesh((3, 2, 2))
         sp = FunctionSpace(mesh, 4)
-        world = SimWorld(nranks)
-        owner = rcb_partition(mesh, nranks)
-        dgs = DistributedGatherScatter(sp.gs.global_ids, owner, sp.shape, world)
+        if partition == "rcb":
+            owner = rcb_partition(mesh, nranks)
+        else:
+            owner = linear_partition(mesh.nelv, nranks)
+        ids = sp.gs.global_ids
+        dgs = DistributedGatherScatter(ids, owner, sp.shape, SimWorld(world_size))
+        batched = BatchedGatherScatter(ids, owner, sp.shape, SimWorld(world_size))
         rng = np.random.default_rng(0)
         u = rng.normal(size=sp.shape)
-        got = dgs.add_full(u)
-        ref = sp.gs.add(u)
-        assert np.allclose(got, ref, atol=1e-12)
+        v = rng.normal(size=sp.shape)
+        got = dgs.add(u)
+        assert got.tobytes() == batched.add(u, "flat").tobytes()
+        assert np.allclose(got, sp.gs.add(u), atol=1e-12)
+        assert dgs.dot(u, v) == pytest.approx(sp.gs.dot(u, v), rel=1e-12)
 
     def test_cylinder_mesh(self):
         mesh = cylinder_mesh(n_square=2, n_ring=1, n_z=2)
@@ -130,7 +150,7 @@ class TestDistributedGS:
         dgs = DistributedGatherScatter(sp.gs.global_ids, owner, sp.shape, world)
         rng = np.random.default_rng(1)
         u = rng.normal(size=sp.shape)
-        assert np.allclose(dgs.add_full(u), sp.gs.add(u), atol=1e-12)
+        assert np.allclose(dgs.add(u), sp.gs.add(u), atol=1e-12)
 
     def test_traffic_recorded(self):
         mesh = box_mesh((2, 2, 1))
@@ -138,7 +158,7 @@ class TestDistributedGS:
         world = SimWorld(2)
         owner = linear_partition(mesh.nelv, 2)
         dgs = DistributedGatherScatter(sp.gs.global_ids, owner, sp.shape, world)
-        dgs.add_full(np.ones(sp.shape))
+        dgs.add(np.ones(sp.shape))
         assert world.stats.p2p_messages > 0
         assert world.stats.p2p_bytes > 0
         assert dgs.n_shared > 0
@@ -149,7 +169,7 @@ class TestDistributedGS:
         world = SimWorld(1)
         owner = linear_partition(mesh.nelv, 1)
         dgs = DistributedGatherScatter(sp.gs.global_ids, owner, sp.shape, world)
-        dgs.add_full(np.ones(sp.shape))
+        dgs.add(np.ones(sp.shape))
         assert world.stats.p2p_messages == 0
 
     def test_dot_matches_single_rank(self):
@@ -161,7 +181,7 @@ class TestDistributedGS:
         rng = np.random.default_rng(2)
         a = rng.normal(size=sp.shape)
         b = rng.normal(size=sp.shape)
-        got = dgs.dot(dgs.scatter_field(a), dgs.scatter_field(b))
+        got = dgs.dot(a, b)
         assert got == pytest.approx(sp.gs.dot(a, b), rel=1e-12)
 
     def test_too_many_ranks_rejected(self):
@@ -183,4 +203,4 @@ def test_property_distributed_gs_rank_invariant(nranks, seed):
     u = rng.normal(size=sp.shape)
     owner = linear_partition(mesh.nelv, nranks)
     dgs = DistributedGatherScatter(sp.gs.global_ids, owner, sp.shape, SimWorld(nranks))
-    assert np.allclose(dgs.add_full(u), sp.gs.add(u), atol=1e-12)
+    assert np.allclose(dgs.add(u), sp.gs.add(u), atol=1e-12)

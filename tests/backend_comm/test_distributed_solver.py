@@ -1,5 +1,12 @@
 """Tests for the distributed CG over simulated ranks."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -27,7 +34,11 @@ def build_distributed(sp, nranks, h1, h2, mask, partition=linear_partition):
         else partition(sp.mesh, nranks)
     )
     dgs = DistributedGatherScatter(sp.gs.global_ids, owner, sp.shape, world)
-    coefs = dgs.scatter_coef(sp.coef)
+    # Each rank's slice of what ax_helmholtz reads: the metric and the mass.
+    coefs = [
+        SimpleNamespace(g=sp.coef.g.map(lambda m, e=e: m[..., e, :, :, :]), mass=sp.coef.mass[e])
+        for e in dgs.rank_elements
+    ]
 
     def local_amul(r, chunk):
         return ax_helmholtz(chunk, coefs[r], sp.dx, h1, h2)
@@ -74,7 +85,7 @@ class TestDistributedCG:
         x = dgs.gather_field(x_chunks)
         assert np.allclose(x, x_ref, atol=1e-7 * max(1.0, np.abs(x_ref).max()))
         # The solve went through dgs.dot's weights, built once and reused.
-        assert dgs.dot(dgs.scatter_field(b), x_chunks) == pytest.approx(sp.gs.dot(b, x), rel=1e-12)
+        assert dgs.dot(b, x) == pytest.approx(sp.gs.dot(b, x), rel=1e-12)
 
     def test_iteration_count_rank_invariant(self, problem):
         sp, bc, h1, h2, b, x_ref, mon_ref = problem
@@ -107,3 +118,21 @@ class TestDistributedCG:
         assert mon.converged
         x = dgs.gather_field(x_chunks)
         assert np.allclose(x, x_ref, atol=1e-7 * max(1.0, np.abs(x_ref).max()))
+
+
+def test_example_agrees_with_single_rank(tmp_path):
+    """``examples/distributed_gather_scatter.py --ranks 4`` exits 0 and prints agreement."""
+    root = Path(__file__).resolve().parents[2]
+    proc = subprocess.run(
+        [sys.executable, str(root / "examples" / "distributed_gather_scatter.py"), "--ranks", "4"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    iters = re.findall(r"solve: cg: converged in (\d+) iters", proc.stdout)
+    assert len(iters) == 2 and iters[0] == iters[1], proc.stdout
+    err = re.search(r"max \|x_dist - x_single\| = (\S+)", proc.stdout)
+    assert err is not None and float(err.group(1)) < 1e-12, proc.stdout

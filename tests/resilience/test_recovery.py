@@ -1,12 +1,12 @@
 """Warm-replacement recovery: the ResilientRunner over the distributed workload."""
 
+import numpy as np
 import pytest
 
 from repro.comm import CollectiveIntegrityError, RetryPolicy
 from repro.resilience import (
     Fault,
     FaultInjector,
-    HealthCheck,
     ResilientRunner,
     RetryBudgetExceededError,
 )
@@ -28,12 +28,7 @@ def faulted_run(schedule, nranks=4, max_retries=3, **kwargs):
     w = DistributedThermalWorkload(
         nranks=nranks, seed=3, fault_injector=injector, **kwargs
     )
-    runner = ResilientRunner(
-        w,
-        checkpoint_interval=2,
-        health=HealthCheck(cfl_max=None),
-        max_retries=max_retries,
-    )
+    runner = ResilientRunner(w, checkpoint_interval=2, max_retries=max_retries)
     return w, runner
 
 
@@ -66,6 +61,48 @@ class TestWarmReplace:
         assert result.results == w.history
         for (_, nu), (_, ref) in zip(w.history, fault_free.history):
             assert nu == pytest.approx(ref, abs=1e-10)
+
+
+class TestDefaultRunner:
+    def test_default_health_check_runs_the_workload(self, fault_free):
+        # The workload's (step, nu) history carries no CFL: the default
+        # HealthCheck scans its shards and skips the CFL ceiling.
+        w = DistributedThermalWorkload(nranks=4, seed=3)
+        result = ResilientRunner(w, checkpoint_interval=2).run(n_steps=N_STEPS)
+        assert result.retries == 0
+        assert w.history == fault_free.history
+
+
+class TestTimeStep:
+    def test_step_follows_a_changed_dt(self):
+        # h2 = 1/dt and the Jacobi diagonal follow dt at the next step.
+        w = DistributedThermalWorkload(nranks=2, seed=3)
+        w.dt = 0.025
+        w.run(1)
+        ref = DistributedThermalWorkload(nranks=2, seed=3, dt=0.025)
+        ref.run(1)
+        assert w.history == ref.history
+        assert np.array_equal(w.temperature, ref.temperature)
+
+    def test_divergence_retry_steps_at_the_reduced_dt(self):
+        # A diverged segment rolls back and replays at dt * dt_factor with
+        # the operator of the new dt; the epoch restores the old dt first.
+        w = DistributedThermalWorkload(nranks=2, seed=3)
+        advance = w.advance
+        failures = iter([True])
+
+        def diverge_once():
+            if next(failures, False):
+                raise FloatingPointError("diverged")
+            advance()
+
+        w.advance = diverge_once
+        result = ResilientRunner(w, checkpoint_interval=1).run(n_steps=1)
+        assert result.retries == 1
+        assert w.dt == 0.025
+        ref = DistributedThermalWorkload(nranks=2, seed=3, dt=0.025)
+        ref.run(1)
+        assert w.history == ref.history
 
 
 class TestRestoreShards:
