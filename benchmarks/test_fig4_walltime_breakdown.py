@@ -42,7 +42,7 @@ def test_fig4_measured_python_solver(benchmark, box_sim, capsys):
         print("\n=== Fig. 4 (measured, Python solver at laptop scale) ===")
         print(render_breakdown(fr))
     # The ordering holds at laptop scale too: pressure is the largest
-    # phase.  Its share (39 %) is far below the paper's: 12 flexible-CG
+    # phase.  Its share (39 %) is far below the paper's: 12 CG
     # iterations per step behind the restarted projection space, against
     # the larger counts and the communication that amplify it at 16k GCDs
     # (69 % here too while the solve was GMRES at 40 iterations per step).

@@ -3,7 +3,7 @@
 
 Runs a laptop-scale DNS at Ra = 1e5 (Pr = 1) in a doubly-periodic box with
 the full production configuration of the framework -- P_N-P_N splitting,
-BDF3/EXT3, 3/2-rule dealiasing, flexible CG + hybrid Schwarz multigrid
+BDF3/EXT3, 3/2-rule dealiasing, CG + hybrid Schwarz multigrid
 pressure solve -- and prints the Nusselt-number estimators, the wall-time
 distribution over solver phases and the boundary-layer thickness.
 

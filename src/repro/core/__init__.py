@@ -6,7 +6,7 @@ This is the layer a user of the framework touches: build a
 and call :meth:`run`.  The fluid and scalar schemes underneath implement the
 paper's configuration: Karniadakis splitting, BDF3/EXT3, 3/2-rule
 dealiasing, the hybrid Schwarz multigrid for the pressure (as the
-preconditioner of a flexible CG where the paper runs GMRES) and
+preconditioner of a CG where the paper runs GMRES) and
 CG + block-Jacobi for velocity and temperature.
 """
 

@@ -6,8 +6,8 @@ scheme, as configured in the paper:
 1. Advance the explicit terms: weak-form dealiased advection plus body
    forces (buoyancy), extrapolated with EXT-k, combined with the BDF-k
    history of the velocity.
-2. Solve the consistent pressure Poisson equation with flexible CG
-   preconditioned by the hybrid Schwarz multigrid, behind a projection onto
+2. Solve the consistent pressure Poisson equation with CG preconditioned
+   by the hybrid Schwarz multigrid, behind a projection onto
    previous solutions.  (The paper runs GMRES; with the symmetric counting
    weights the preconditioner is SPD in the gather-scatter inner product and
    CG needs three work vectors instead of an Arnoldi basis -- the NekRS
@@ -51,7 +51,7 @@ from repro.sem.operators import (
     weak_gradient_transpose,
 )
 from repro.sem.space import FunctionSpace
-from repro.solvers.fcg import FlexibleCG
+from repro.solvers.cg import ConjugateGradient
 from repro.solvers.monitor import SolverMonitor
 from repro.solvers.projection import MeanProjector
 from repro.solvers.solution_projection import SolutionProjection
@@ -94,7 +94,7 @@ class FluidScheme:
 
         self.p = space.zeros()
 
-        # Pressure solver: flexible CG + hybrid Schwarz multigrid, singular
+        # Pressure solver: CG + hybrid Schwarz multigrid, singular
         # (pure-Neumann) with the counting null-space projector.
         self.hsmg = HybridSchwarzMultigrid(space, mask=None)
         self._pressure_project = MeanProjector.counting(space.gs)
@@ -102,9 +102,9 @@ class FluidScheme:
         def p_amul(u: np.ndarray) -> np.ndarray:
             return space.gs.add(ax_poisson(u, space.coef, space.dx))
 
-        self.pressure_solver = FlexibleCG(
+        self.pressure_solver = ConjugateGradient(
             p_amul,
-            space.gs.inv_multiplicity,
+            space.gs.dot,
             precond=self.hsmg,
             tol=config.pressure_tol,
             maxiter=300,

@@ -8,7 +8,7 @@ The local problems carry zero-Dirichlet ghost caps one grid spacing outside
 the element and no neighbour data, so every local solve is one tensor solve
 on ``lx^3`` arrays.  The counting weight is split symmetrically around the
 local solves, which makes the smoother symmetric in the gather--scatter
-inner product (the flexible CG pressure solve relies on it).  The paper's
+inner product (the CG pressure solve relies on it).  The paper's
 smoother instead extends each local domain one grid point into the face
 neighbours; the GPU simulator still sizes its working set that way
 (:class:`repro.gpu.schwarz.SchwarzWorkload`).

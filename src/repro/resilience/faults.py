@@ -14,8 +14,8 @@ three hook surfaces:
   scheduled one-shot failure fires (modelling a failed-then-respawned
   rank, as in ULFM-style MPI practice);
 * **silent data corruption** -- :meth:`apply_field_faults` flips bits (or
-  plants NaN) directly into a simulation's field arrays at scheduled step
-  numbers, the classic SDC scenario.
+  plants NaN) in one array of an application's state shards at scheduled
+  step numbers and installs the corrupted state, the classic SDC scenario.
 
 Scheduled faults fire exactly once, so a rollback that replays the same
 steps does not re-trigger them -- the transient-fault model.
@@ -66,8 +66,14 @@ class Fault:
     delay           at_call      p2p message ``at_call`` delivers stale data
     rank_failure    at_call      collective ``at_call`` raises RankFailedError
     collective_sdc  at_call      collective *result* ``at_call`` gets a bit flip
-    sdc             at_step      field ``target`` corrupted once step >= at_step
+    sdc             at_step      state ``target`` of shard ``rank`` corrupted
+                                 once step >= at_step
     ============== ============ =========================================
+
+    An ``sdc`` ``target`` is a key of the application's state shards
+    (``state_shards()``): ``"t0"``, ``"pressure"``, ``"u0"``, ... for a
+    :class:`~repro.core.simulation.Simulation`, ``"temperature"`` for the
+    distributed workload.
 
     ``at_call`` indexes the injector's own per-surface call counters
     (p2p messages for drop/corrupt/delay, collective entries for
@@ -279,38 +285,39 @@ class FaultInjector:
         self._record("sdc", int(detail["element"]), f"array corrupted ({mode})", **detail)
         return detail
 
-    def apply_field_faults(self, sim) -> list[FaultEvent]:
+    def apply_field_faults(self, app) -> list[FaultEvent]:
         """Fire pending ``sdc`` schedule entries whose ``at_step`` has passed.
 
-        Called by the :class:`ResilientRunner` between run segments; each
-        entry fires once, so replay after rollback is fault-free.
+        Called by the :class:`ResilientRunner` between run segments.  Each
+        entry corrupts one element of ``app.state_shards()[rank][target]``;
+        once one has fired the shards go back through
+        ``app.restore_shards``.  Each entry fires once, so replay after
+        rollback is fault-free.
         """
         fired: list[FaultEvent] = []
+        shards = None
         while True:
-            f = self._take_scheduled(("sdc",), at_step=sim.step_count)
+            f = self._take_scheduled(("sdc",), at_step=app.step_count)
             if f is None:
-                return fired
-            arr = self._target_array(sim, f.target)
-            detail = self._flip_bit(arr, mode=f.mode)
+                break
+            if shards is None:
+                shards = app.state_shards()
+            arrays = shards[f.rank]
+            if f.target not in arrays:
+                raise ValueError(f"unknown SDC target {f.target!r}")
+            detail = self._flip_bit(arrays[f.target], mode=f.mode)
             fired.append(
                 self._record(
                     "sdc",
-                    sim.step_count,
-                    f"SDC in {f.target} at step {sim.step_count}",
+                    app.step_count,
+                    f"SDC in {f.target} at step {app.step_count}",
                     target=f.target,
                     **detail,
                 )
             )
-
-    @staticmethod
-    def _target_array(sim, target: str) -> np.ndarray:
-        if target == "temperature":
-            return sim.scalar.temperature
-        if target == "pressure":
-            return sim.fluid.p
-        if target in ("ux", "uy", "uz"):
-            return {"ux": sim.fluid.u, "uy": sim.fluid.v, "uz": sim.fluid.w}[target][0]
-        raise ValueError(f"unknown SDC target {target!r}")
+        if shards is not None:
+            app.restore_shards(shards)
+        return fired
 
     # -- deterministic replay ----------------------------------------------------
 

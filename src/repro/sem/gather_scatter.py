@@ -112,7 +112,6 @@ class GatherScatter:
         mult = np.bincount(self.global_ids, minlength=self.n_global).astype(np.float64)
         self.multiplicity = mult[self.global_ids].reshape(self.shape)
         self._inv_multiplicity = 1.0 / self.multiplicity
-        self._inv_multiplicity_flat = np.ascontiguousarray(self._inv_multiplicity.reshape(-1))
         # Nodes with multiplicity 1 are element-interior; the shared set is
         # what a distributed implementation would communicate.
         self.n_shared = int(np.count_nonzero(mult > 1))
@@ -198,8 +197,8 @@ class GatherScatter:
     def inv_multiplicity(self) -> np.ndarray:
         """Pointwise ``1 / multiplicity`` -- the weight of :meth:`dot`.
 
-        Exposed so a Krylov solver can form ``W * v`` once and share it
-        between several inner products taken as plain BLAS dots (the
-        ``weight`` of :class:`repro.solvers.fcg.FlexibleCG`).
+        Also the counting weight that makes a residual's restriction to a
+        coarser level the transpose of prolongation
+        (:class:`~repro.precond.hsmg.HybridSchwarzMultigrid`).
         """
         return self._inv_multiplicity

@@ -1,10 +1,14 @@
 """Preconditioned conjugate-gradient solver.
 
-Matches the paper's velocity/temperature configuration: CG with a (block-)
-Jacobi preconditioner.  The operator, preconditioner and inner product are
-injected as callables, mirroring Neko's abstract ``ax``/``pc``/``glsc3``
-interfaces, so the same solver runs on the plain CPU arrays and the
-distributed rank simulator.
+The one CG of the repo: Jacobi-CG for the velocity/temperature Helmholtz
+solves (the paper's configuration) and hybrid Schwarz multigrid CG for the
+pressure Poisson solve, where the paper runs GMRES -- with symmetric
+counting weights the preconditioner is SPD in the gather--scatter inner
+product, so CG applies and needs three work vectors instead of an Arnoldi
+basis (the NekRS configuration, arXiv:2104.05829).  The operator,
+preconditioner and inner product are injected as callables, mirroring
+Neko's abstract ``ax``/``pc``/``glsc3`` interfaces, so the same solver runs
+on the plain CPU arrays and the distributed rank simulator.
 
 The stopping test is relative to the right-hand side, ``||r|| <= tol *
 ||b||`` (PETSc's default; NekRS stops its Helmholtz solves on the residual
@@ -31,12 +35,12 @@ Dot = Callable[[FloatArray, FloatArray], float]
 
 
 def _identity(r: FloatArray) -> FloatArray:
-    """Unpreconditioned default: ``M^{-1} = I``."""
+    """Unpreconditioned default: ``M^{-1} = I``; also the no-op projector."""
     return r
 
 
 class ConjugateGradient:
-    """CG for symmetric positive-definite systems ``A x = b``.
+    """CG for symmetric positive (semi-)definite systems ``A x = b``.
 
     Parameters
     ----------
@@ -52,6 +56,16 @@ class ConjugateGradient:
         ``tol * ||r_0||``; with one, the ``||r_0||`` term only matters when
         the guess is worse than none (or ``b`` vanishes), and keeps such a
         solve no stricter than ``tol`` of its own starting residual.
+    project_out:
+        Optional in-place null-space projector, applied to the initial
+        residual, to every operator image and preconditioned residual and
+        to the solution -- removes the constant pressure mode of a
+        pure-Neumann problem.
+
+    A solve stops early, keeping the best iterate, when ``<p, A p>`` or
+    ``<r, M^{-1} r>`` is not positive: the operator or the preconditioner
+    lost definiteness.  ``amul`` and ``precond`` are looked up on the
+    instance at every application, so a wrapper set there sees every call.
     """
 
     def __init__(
@@ -64,6 +78,7 @@ class ConjugateGradient:
         atol: float = 1e-30,
         name: str = "cg",
         tracer: TracerProtocol | None = None,
+        project_out: Operator | None = None,
     ) -> None:
         self.amul = amul
         self.dot = dot
@@ -73,6 +88,7 @@ class ConjugateGradient:
         self.maxiter = maxiter
         self.name = name
         self.tracer: TracerProtocol = tracer if tracer is not None else NULL_TRACER
+        self.project_out: Operator = project_out if project_out is not None else _identity
 
     def solve(
         self, b: FloatArray, x0: FloatArray | None = None
@@ -84,24 +100,25 @@ class ConjugateGradient:
         self, b: FloatArray, x0: FloatArray | None = None
     ) -> tuple[FloatArray, SolverMonitor]:
         mon = SolverMonitor(tol=self.tol, atol=self.atol, name=self.name)
+        project = self.project_out
         x = np.zeros_like(b) if x0 is None else x0.copy()
 
-        r = b - self.amul(x) if x0 is not None else b.copy()
-        z = self.precond(r)
+        r = project(b - self.amul(x) if x0 is not None else b.copy())
+        z = project(self.precond(r))
         rho = self.dot(r, z)
         rnorm = float(np.sqrt(max(self.dot(r, r), 0.0)))
         bnorm = rnorm if x0 is None else float(np.sqrt(max(self.dot(b, b), 0.0)))
 
         if mon.start(rnorm, reference=bnorm):
-            return x, mon
+            return project(x), mon
 
         p = z.copy()
         for _ in range(self.maxiter):
-            ap = self.amul(p)
+            ap = project(self.amul(p))
             pap = self.dot(p, ap)
-            if pap <= 0.0:
-                # Operator lost positive-definiteness (breakdown); bail with
-                # the best iterate so far rather than diverging silently.
+            if pap <= 0.0 or rho <= 0.0:
+                # Operator or preconditioner lost positive-definiteness
+                # (breakdown); keep the best iterate rather than diverging.
                 break
             alpha = rho / pap
             x += alpha * p
@@ -109,7 +126,7 @@ class ConjugateGradient:
             rnorm = float(np.sqrt(max(self.dot(r, r), 0.0)))
             if mon.step(rnorm):
                 break
-            z = self.precond(r)
+            z = project(self.precond(r))
             rho_new = self.dot(r, z)
             beta = rho_new / rho
             rho = rho_new
@@ -117,4 +134,4 @@ class ConjugateGradient:
             # to z + beta*p and reuses p's buffer instead of allocating.
             p *= beta
             p += z
-        return x, mon
+        return project(x), mon

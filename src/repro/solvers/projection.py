@@ -9,7 +9,6 @@ the orthogonal complement -- the standard treatment in Neko/Nek5000.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from typing import Protocol
 
 import numpy as np
@@ -39,7 +38,6 @@ class MeanProjector:
     """
 
     def __init__(self, weight: FloatArray) -> None:
-        self.weight = weight
         self._weight_flat = np.ascontiguousarray(weight).reshape(-1)
         self.total = float(np.sum(weight))
         if self.total <= 0:
@@ -53,11 +51,6 @@ class MeanProjector:
         """Remove the weighted mean from ``u`` in place; returns ``u``."""
         u -= self.mean(u)
         return u
-
-    @classmethod
-    def identity(cls) -> Callable[[FloatArray], FloatArray]:
-        """A no-op projector for non-singular problems."""
-        return lambda u: u
 
     @classmethod
     def counting(cls, gs: _HasMultiplicity) -> "MeanProjector":

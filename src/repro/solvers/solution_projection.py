@@ -9,9 +9,11 @@ right-hand sides vary slowly, so this typically cuts pressure iterations
 by an integer factor.
 
 The basis is A-orthonormalized with modified Gram-Schmidt using stored
-``A x_i`` products, and maintaining it applies the operator at most once
-per solve: the image of the new entry comes from the solver's closing
-true-residual evaluation when it exposes one.  A full basis is *restarted*
+``A x_i`` products, and maintaining it applies the operator once per solve.
+That image of the new correction also gives the solve's true residual,
+which closes it: the recurrence residual a Krylov solver stops on drifts
+from ``b - A x`` by rounding, and a solve that missed its target on the true
+residual resumes from it (residual replacement).  A full basis is *restarted*
 from the current solution ``x0 + dx`` (Fischer's and Nek5000/NekRS's
 policy), not rolled: in an incrementally orthonormalised basis direction 0
 is the normalised first solution, which carries the bulk of every later
@@ -40,6 +42,7 @@ class _KrylovSolver(Protocol):
 
     tol: float
     atol: float
+    maxiter: int
 
     def solve(
         self, b: FloatArray, x0: FloatArray | None = None
@@ -137,31 +140,48 @@ class SolutionProjection:
     def solve_with(
         self, solver: _KrylovSolver, b: FloatArray
     ) -> tuple[FloatArray, SolverMonitor]:
-        """Deflate, solve the remainder, update the space.
+        """Deflate, solve the remainder, close on its true residual, update.
 
-        ``solver`` must expose ``solve(b, x0=None) -> (x, monitor)`` (the
-        Krylov solver interface); one that also exposes ``closing_ax`` (``A dx``
-        from its closing true residual, as :class:`~repro.solvers.fcg.FlexibleCG`
-        does) saves the operator application of the update.  Returns
-        ``(x, monitor)`` for the *full* problem.  The solver's absolute floor
-        is temporarily raised to
-        ``tol * ||b||`` so a deflated residual already below the original
-        problem's target terminates immediately -- otherwise the *relative*
-        criterion would chase ``tol`` more digits below an already tiny
-        remainder.
+        Returns ``(x, monitor)`` for the *full* problem.  The solver's
+        absolute floor is temporarily raised to ``tol * ||b||`` so a
+        deflated residual already below the original problem's target
+        terminates immediately -- otherwise the *relative* criterion would
+        chase ``tol`` more digits below an already tiny remainder.
+
+        The operator image ``A dx`` the basis update needs also gives the
+        true residual ``r - A dx`` of the deflated problem, which replaces
+        the monitor's last (recurrence) residual and decides ``converged``.
+        When the recurrence converged but the true residual misses the
+        target, the solver resumes from the true residual within what is
+        left of its ``maxiter``; each resumption costs one more operator
+        application.
         """
         x0, r = self.initial_guess(b)
         b_norm = float(np.sqrt(max(self.dot(b, b), 0.0)))
-        old_atol: float | None = getattr(solver, "atol", None)
-        if old_atol is not None:
-            solver.atol = max(old_atol, solver.tol * b_norm)
+        atol, maxiter = solver.atol, solver.maxiter
+        solver.atol = max(atol, solver.tol * b_norm)
         try:
             dx, mon = solver.solve(r)
+            adx = self.amul(dx)
+            while True:
+                res = r - adx
+                recurrence_converged = mon.converged
+                mon.residuals[-1] = float(np.sqrt(max(self.dot(res, res), 0.0)))
+                mon.converged = mon.residuals[-1] <= mon.target
+                if mon.converged or not recurrence_converged or mon.iterations >= maxiter:
+                    break
+                solver.atol, solver.maxiter = mon.target, maxiter - mon.iterations
+                ddx, more = solver.solve(res)
+                if more.iterations == 0:
+                    break
+                dx += ddx
+                adx += self.amul(ddx)
+                mon.residuals += more.residuals[1:]
+                mon.converged = more.converged
         finally:
-            if old_atol is not None:
-                solver.atol = old_atol
+            solver.atol, solver.maxiter = atol, maxiter
         # A x0 = b - r exactly: the deflation subtracted the stored images.
-        self.update(dx, getattr(solver, "closing_ax", None), guess=(x0, b - r))
+        self.update(dx, adx, guess=(x0, b - r))
         return x0 + dx, mon
 
     # -- checkpoint support ----------------------------------------------------

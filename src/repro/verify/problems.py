@@ -7,7 +7,7 @@ This module turns the closed-form fields of
   box) shared by the convergence studies and the regression tests;
 * elliptic MMS solves with inhomogeneous Dirichlet data handled by lifting
   (solve the homogeneous correction, add the boundary interpolant back);
-* a preconditioner factory, each entry run under flexible CG (every
+* a preconditioner factory, each entry run under CG (every
   preconditioner is symmetric in the gather--scatter inner product);
 * temporal MMS problems for the scalar advection--diffusion equation and
   the coupled Boussinesq step, with the multistep history primed from the
@@ -35,10 +35,10 @@ from repro.precond.hsmg import HybridSchwarzMultigrid
 from repro.precond.jacobi import JacobiPrecond
 from repro.precond.schwarz import SchwarzSmoother
 from repro.sem.bc import DirichletBC
-from repro.sem.mesh import HexMesh, box_mesh
+from repro.sem.mesh import box_mesh
 from repro.sem.operators import ax_poisson, convective_term_collocated
 from repro.sem.space import FunctionSpace
-from repro.solvers.fcg import FlexibleCG
+from repro.solvers.cg import ConjugateGradient
 from repro.solvers.monitor import SolverMonitor
 from repro.verify.manufactured import (
     BoussinesqMMS,
@@ -189,7 +189,7 @@ def solve_poisson_mms_preconditioned(
     tol: float = 1e-10,
     maxiter: int = 2000,
 ) -> EllipticSolveResult:
-    """Poisson MMS solve under flexible CG with :func:`make_preconditioner`.
+    """Poisson MMS solve under CG with :func:`make_preconditioner`.
 
     Used by the iteration-count regression tests: the error assertion
     proves the preconditioned solve converges to the *right* answer, the
@@ -205,9 +205,9 @@ def solve_poisson_mms_preconditioned(
     def amul(u: Array) -> Array:
         return space.gs.add(ax_poisson(u, space.coef, space.dx)) * mask
 
-    solver = FlexibleCG(
+    solver = ConjugateGradient(
         amul,
-        space.gs.inv_multiplicity,
+        space.gs.dot,
         precond=make_preconditioner(precond, space, mask),
         tol=tol,
         maxiter=maxiter,

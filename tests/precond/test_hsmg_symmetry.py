@@ -1,9 +1,9 @@
-"""The assumption the pressure solve's flexible CG rests on.
+"""The assumption the pressure solve's CG rests on.
 
 CG needs a preconditioner that is symmetric positive definite in the
 solver's inner product.  With the symmetric counting weights the default
 hybrid Schwarz multigrid is, to rounding, on deformed elements and at every
-order -- and the production pairing, flexible CG behind it, converges there.
+order -- and the production pairing, CG behind it, converges there.
 The same holds with an intermediate polynomial level, whose restriction
 carries the fine counting weight so that it is the transpose of the
 prolongation.
@@ -16,7 +16,7 @@ from repro.precond import HybridSchwarzMultigrid
 from repro.sem.mesh import box_mesh
 from repro.sem.operators import ax_poisson
 from repro.sem.space import FunctionSpace
-from repro.solvers.fcg import FlexibleCG
+from repro.solvers.cg import ConjugateGradient
 from repro.solvers.projection import MeanProjector
 
 TOL = 1e-8
@@ -83,9 +83,9 @@ def test_flexible_cg_with_default_hsmg_converges_on_deformed_boxes(seed, p):
         return space.gs.add(ax_poisson(u, space.coef, space.dx))
 
     project = MeanProjector.counting(space.gs)
-    solver = FlexibleCG(
+    solver = ConjugateGradient(
         amul,
-        space.gs.inv_multiplicity,
+        space.gs.dot,
         precond=HybridSchwarzMultigrid(space, cache=False),
         tol=TOL,
         maxiter=500,

@@ -2,7 +2,7 @@
 
 Preconditioner strength regresses silently: the solve still converges,
 just slower, and nothing fails until someone profiles.  These tests pin
-the flexible-CG iteration counts of every preconditioner on a fixed
+the CG iteration counts of every preconditioner on a fixed
 deformed-mesh Poisson problem (seeded geometry, fixed tolerance) inside
 +-15% tolerance bands.
 

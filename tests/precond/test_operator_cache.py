@@ -28,7 +28,7 @@ from repro.precond.coarse import CoarseGridSolver
 from repro.sem.mesh import box_mesh
 from repro.sem.operators import ax_poisson
 from repro.sem.space import FunctionSpace
-from repro.solvers.fcg import FlexibleCG
+from repro.solvers.cg import ConjugateGradient
 from repro.solvers.projection import MeanProjector
 
 
@@ -206,7 +206,7 @@ def test_cached_arrays_are_read_only():
 
 
 def test_solve_unaffected_by_concurrent_eviction():
-    """A flexible-CG solve keeps converging while its preconditioner's entries
+    """A CG solve keeps converging while its preconditioner's entries
     are evicted mid-flight by other builds."""
     space = make_space()
     reset_global_cache(capacity=1)
@@ -224,8 +224,8 @@ def test_solve_unaffected_by_concurrent_eviction():
         evicted["n"] += 1
         return pc(r)
 
-    solver = FlexibleCG(
-        amul, space.gs.inv_multiplicity, precond=noisy_precond, tol=1e-8,
+    solver = ConjugateGradient(
+        amul, space.gs.dot, precond=noisy_precond, tol=1e-8,
         maxiter=300, project_out=project,
     )
     rng = np.random.default_rng(4)

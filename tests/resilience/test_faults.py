@@ -114,46 +114,47 @@ class TestSDC:
         FaultInjector(seed=9).corrupt_array(a2)
         assert np.array_equal(a1, a2, equal_nan=True)
 
+    class FakeApp:
+        """One shard holding ``t0``; ``restore_shards`` installs a copy."""
+
+        def __init__(self, step_count):
+            self.step_count = step_count
+            self.t0 = np.ones(20)
+            self.restored = 0
+
+        def state_shards(self):
+            return [{"t0": self.t0.copy()}]
+
+        def restore_shards(self, shards):
+            (arrays,) = shards
+            self.t0 = arrays["t0"].copy()
+            self.restored += 1
+
     def test_apply_field_faults_fires_once(self):
-        class FakeScalar:
-            temperature = np.ones(20)
-
-        class FakeSim:
-            step_count = 5
-            scalar = FakeScalar()
-
-        sim = FakeSim()
-        inj = FaultInjector(seed=0, schedule=[Fault("sdc", at_step=4, mode="nan")])
-        fired = inj.apply_field_faults(sim)
+        app = self.FakeApp(step_count=5)
+        inj = FaultInjector(seed=0, schedule=[Fault("sdc", at_step=4, target="t0", mode="nan")])
+        fired = inj.apply_field_faults(app)
         assert len(fired) == 1
-        assert np.count_nonzero(np.isnan(sim.scalar.temperature)) == 1
+        assert np.count_nonzero(np.isnan(app.t0)) == 1
+        assert app.restored == 1
         # Replay after rollback: the transient fault does not re-fire.
-        sim.scalar.temperature[:] = 1.0
-        assert inj.apply_field_faults(sim) == []
-        assert not np.any(np.isnan(sim.scalar.temperature))
+        app.t0[:] = 1.0
+        assert inj.apply_field_faults(app) == []
+        assert not np.any(np.isnan(app.t0))
+        assert app.restored == 1
 
     def test_field_fault_waits_for_step(self):
-        class FakeScalar:
-            temperature = np.ones(20)
-
-        class FakeSim:
-            step_count = 2
-            scalar = FakeScalar()
-
-        sim = FakeSim()
-        inj = FaultInjector(schedule=[Fault("sdc", at_step=10, mode="nan")])
-        assert inj.apply_field_faults(sim) == []
-        sim.step_count = 10
-        assert len(inj.apply_field_faults(sim)) == 1
+        app = self.FakeApp(step_count=2)
+        inj = FaultInjector(schedule=[Fault("sdc", at_step=10, target="t0", mode="nan")])
+        assert inj.apply_field_faults(app) == []
+        assert app.restored == 0
+        app.step_count = 10
+        assert len(inj.apply_field_faults(app)) == 1
 
     def test_unknown_target_raises(self):
         inj = FaultInjector(schedule=[Fault("sdc", at_step=0, target="vorticity")])
-
-        class FakeSim:
-            step_count = 1
-
         with pytest.raises(ValueError, match="unknown SDC target"):
-            inj.apply_field_faults(FakeSim())
+            inj.apply_field_faults(self.FakeApp(step_count=1))
 
 
 class TestTargetedCollectiveFaults:

@@ -73,6 +73,24 @@ class TestDefaultRunner:
         assert w.history == fault_free.history
 
 
+class TestFieldFault:
+    def test_sdc_in_a_rank_shard_rolls_back(self):
+        # The scheduled SDC corrupts rank 0's temperature shard; the health
+        # check sees the NaN before the epoch is committed and the replayed
+        # step reproduces the fault-free run.
+        reference = DistributedThermalWorkload()
+        reference.run(2)
+        injector = FaultInjector(seed=1, schedule=[Fault("sdc", at_step=1, mode="nan")])
+        w = DistributedThermalWorkload()
+        result = ResilientRunner(w, checkpoint_interval=1, fault_injector=injector).run(
+            n_steps=2
+        )
+        assert result.retries == 1
+        (fault,) = result.events.of_kind("fault")
+        assert fault.data["target"] == "temperature"
+        assert w.history[-1][1] == reference.history[-1][1]
+
+
 class TestTimeStep:
     def test_step_follows_a_changed_dt(self):
         # h2 = 1/dt and the Jacobi diagonal follow dt at the next step.

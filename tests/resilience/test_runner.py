@@ -244,7 +244,7 @@ class TestEndToEndRecovery:
             lambda s: pipeline.put("temperature", s.temperature, s.time)
         )
         injector = FaultInjector(
-            seed=5, schedule=[Fault("sdc", at_step=10, target="temperature", mode="nan")]
+            seed=5, schedule=[Fault("sdc", at_step=10, target="t0", mode="nan")]
         )
         runner = ResilientRunner(
             sim,
@@ -281,7 +281,7 @@ class TestEndToEndRecovery:
     def test_event_log_summary_readable(self, tmp_path):
         sim = Simulation(constant_dt_case())
         injector = FaultInjector(
-            seed=1, schedule=[Fault("sdc", at_step=4, target="temperature", mode="nan")]
+            seed=1, schedule=[Fault("sdc", at_step=4, target="t0", mode="nan")]
         )
         runner = ResilientRunner(
             sim,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.solvers import ConjugateGradient, FlexibleCG, SolutionProjection
+from repro.solvers import ConjugateGradient, SolutionProjection
 
 
 def dense_dot(a, b):
@@ -105,6 +105,50 @@ class TestSolutionProjection:
         proj.update(np.ones(10))
         assert proj.dim == 1
 
+    def test_residual_replacement_when_true_residual_misses(self):
+        # The first 25 operator applications carry a 1e-3 relative error,
+        # so the recurrence converges to the wrong system; the true residual
+        # of the correction exposes it and the solve resumes from there.
+        a = make_spd(30, seed=3, cond=50.0)
+        b = np.ones(30)
+        calls = {"n": 0}
+
+        def amul(u):
+            calls["n"] += 1
+            return (a @ u) * (1.001 if calls["n"] <= 25 else 1.0)
+
+        cg = ConjugateGradient(amul, dense_dot, tol=1e-8, maxiter=200)
+        proj = SolutionProjection(amul, dense_dot)
+        x, mon = proj.solve_with(cg, b)
+        assert mon.converged
+        assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
+        # The replaced residual is visible as a jump in the history, and the
+        # second closing evaluation as one more operator application.
+        jumps = [k for k in range(1, len(mon.residuals)) if mon.residuals[k] > mon.residuals[k - 1]]
+        assert jumps and mon.iterations > jumps[0]
+        assert calls["n"] == mon.iterations + 2
+        # The solver's floor and budget are back to what they were.
+        assert (cg.atol, cg.maxiter) == (1e-30, 200)
+
+    def test_resumed_solve_counts_toward_maxiter(self):
+        # The solver's operator is 5 % off, so every recurrence converges
+        # to the wrong system: the first one in 19 iterations, after which
+        # the true residual misses and the solve resumes.  With a budget of
+        # 20 the resumed solve gets one iteration; with 200 it converges.
+        a = make_spd(30, seed=3, cond=50.0)
+        b = np.ones(30)
+        proj = SolutionProjection(lambda u: a @ u, dense_dot)
+        cg = ConjugateGradient(lambda u: 1.05 * (a @ u), dense_dot, tol=1e-3, maxiter=20)
+        _, mon = proj.solve_with(cg, b)
+        assert mon.iterations == 20 and not mon.converged
+        assert mon.residuals[19] > 10 * mon.residuals[18]
+        assert cg.maxiter == 20
+        cg.maxiter = 200
+        proj.clear()
+        x, mon = proj.solve_with(cg, b)
+        assert mon.converged and 20 < mon.iterations < 200
+        assert np.linalg.norm(b - a @ x) <= 1e-3 * np.linalg.norm(b)
+
 
 class TestProjectionRestart:
     """A full basis restarts from the current solution (Fischer / Nek5000)."""
@@ -162,23 +206,15 @@ class TestProjectionRestart:
             calls["amul"] += 1
             return a @ u
 
-        fcg = FlexibleCG(amul, np.ones(a.shape[0]), tol=1e-8, maxiter=500)
+        cg = ConjugateGradient(amul, dense_dot, tol=1e-8, maxiter=500)
         proj = SolutionProjection(amul, dense_dot, max_dim=self.MAX_DIM)
         for b in rhs:
             calls["amul"] = 0
-            _, mon = proj.solve_with(fcg, b)
-            # One application per iteration plus the closing true residual,
-            # which also serves the basis update -- on restarts too.
+            _, mon = proj.solve_with(cg, b)
+            # One application per iteration plus the image of the correction,
+            # which closes the solve on its true residual and serves the
+            # basis update -- on restarts too.
             assert calls["amul"] == mon.iterations + 1
-
-    def test_computed_image_without_closing_ax(self):
-        # Solvers that do not expose their closing A x keep the fallback.
-        a, cg, rhs = self.drifting_sequence()
-        proj = SolutionProjection(lambda u: a @ u, dense_dot, max_dim=self.MAX_DIM)
-        assert not hasattr(cg, "closing_ax")
-        for b in rhs[: self.MAX_DIM + 2]:
-            x, _ = proj.solve_with(cg, b)
-            assert np.linalg.norm(a @ x - b) < 1e-6 * np.linalg.norm(b)
 
     def test_state_round_trip_across_restart(self):
         a, cg, rhs = self.drifting_sequence()
