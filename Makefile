@@ -29,8 +29,9 @@ spine:
 	$(PYTHON) -m pytest benchmarks/spine/tests -q
 	$(PYTHON) benchmarks/spine/run.py --quick
 
-# The seeded chaos campaign within 60 s, then a rerun whose JSON report
-# must be byte-identical to the first.
+# The seeded chaos campaign on the real step (a partitioned RBC Simulation)
+# within 60 s, then a rerun whose JSON report must be byte-identical to the
+# first.
 chaos:
 	mkdir -p chaos_out
 	timeout 60 $(PYTHON) -m repro.resilience.chaos \

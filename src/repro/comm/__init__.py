@@ -19,7 +19,10 @@ the network).  This package reproduces that structure in one process:
   two-phase gather--scatter with ``GatherScatter``'s interface (``add``
   and ``dot`` on full stacked fields), its shared phase as (gid, value)
   buffers through ``exchange`` and its ``dot`` one allreduce, so the one
-  :class:`~repro.solvers.cg.ConjugateGradient` solves on the ranks;
+  :class:`~repro.solvers.cg.ConjugateGradient` solves on the ranks, and,
+  swapped into ``space.gs`` by :func:`repro.core.simulation.distribute`,
+  the one :class:`~repro.core.simulation.Simulation` steps on them (one
+  checkpoint shard per rank, restore by warm replacement of the world);
 * :class:`~repro.comm.topology.BatchedGatherScatter` -- the same dssum
   on the same stacked field with count-only rounds, flat or the paper's
   topology-aware staged exchange

@@ -21,9 +21,21 @@ so the fault injector and the reliable channel see every message, and
 the traffic counters can be asserted on and fed to the performance model.
 The received values are read by position: the message layouts are fixed
 at construction.
+
+Swapped into a :class:`~repro.sem.space.FunctionSpace`'s ``gs``
+(:func:`repro.core.simulation.distribute`), it runs the one
+:class:`~repro.core.simulation.Simulation` on the ranks: stepping reads
+``add``, ``dot`` (through ``space.dot``) and the ``calls`` /
+``bytes_moved`` / ``seconds`` counters, and the checkpoint is
+:meth:`DistributedGatherScatter.split_state` -- one shard per rank -- and
+:meth:`DistributedGatherScatter.join_state`, a warm replacement of the
+world.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping, Sequence
+from time import perf_counter
 
 import numpy as np
 
@@ -60,9 +72,10 @@ class DistributedGatherScatter:
     ``add`` and ``dot`` take the fields
     :class:`~repro.sem.gather_scatter.GatherScatter` takes, so the one
     :class:`~repro.solvers.cg.ConjugateGradient` runs on the ranks with
-    ``dot=dgs.dot``.  :meth:`scatter_field` / :meth:`gather_field` convert
-    to and from per-rank chunks (a rank's elements in ascending order), the
-    layout of checkpoint shards.
+    ``dot=dgs.dot``, and the one ``Simulation`` with ``space.gs = dgs``.
+    :meth:`scatter_field` / :meth:`gather_field` convert to and from
+    per-rank chunks (a rank's elements in ascending order), the layout of
+    checkpoint shards.
 
     Parameters
     ----------
@@ -121,6 +134,12 @@ class DistributedGatherScatter:
 
         # ``1 / global multiplicity`` of every point (the dot weights).
         self._inv_mult = (1.0 / np.bincount(ids)[ids]).reshape(self.shape)
+        # GatherScatter's dssum counters, read by ``Simulation.step``.  The
+        # world is single-threaded, so a partitioned run steps inline and
+        # needs no lock.
+        self.calls = 0
+        self.bytes_moved = 0
+        self.seconds = 0.0
 
     # -- per-rank chunks ---------------------------------------------------------
 
@@ -140,10 +159,61 @@ class DistributedGatherScatter:
         if u.shape != self.shape:
             raise ValueError(f"field shape {u.shape} != {self.shape}")
 
+    # -- checkpoint shards -------------------------------------------------------
+
+    def split_state(self, arrays: Mapping[str, np.ndarray]) -> list[dict[str, np.ndarray]]:
+        """A state mapping as a checkpoint epoch: one shard per rank.
+
+        Taken after the epoch's commit barrier: a rank that dies in it
+        raises before anything is cut, so the previous epoch stays the
+        newest.  Full fields are cut by :meth:`scatter_field`; every other
+        array is copied into every shard.
+        """
+        self.world.barrier()
+        shards: list[dict[str, np.ndarray]] = [{} for _ in self.rank_elements]
+        for name, value in arrays.items():
+            if np.shape(value) == self.shape:
+                chunks = self.scatter_field(value)
+            else:
+                chunks = [np.array(value, copy=True) for _ in shards]
+            for shard, chunk in zip(shards, chunks):
+                shard[name] = chunk
+        return shards
+
+    def join_state(self, shards: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
+        """Warm replacement: a fresh world, then the epoch's state reassembled.
+
+        The shards come from disk, so an epoch written by a world of another
+        size raises ``ValueError`` before anything changes.  The new world
+        of the same size keeps the old one's injector, retry and verify
+        settings and carries on its traffic totals; rank r's chunks come
+        from shard r, every other array from shard 0.
+        """
+        old = self.world
+        if len(shards) != old.size:
+            raise ValueError(
+                f"epoch has {len(shards)} shards for a world of {old.size} ranks"
+            )
+        self.world = SimWorld(
+            old.size,
+            fault_injector=old.fault_injector,
+            retry=old.retry,
+            verify_collectives=old.verify_collectives,
+        )
+        self.world.stats.absorb(old.stats)
+        chunk_shape = (len(self.rank_elements[0]), *self.shape[1:])
+        return {
+            name: self.gather_field([shard[name] for shard in shards])
+            if np.shape(value) == chunk_shape
+            else value
+            for name, value in shards[0].items()
+        }
+
     # -- the operations ----------------------------------------------------------
 
     def add(self, u: np.ndarray) -> np.ndarray:
         """Distributed dssum of a full field; returns a new field."""
+        t0 = perf_counter()
         self._check(u)
         # Phase 1: every rank's partial sums, one bincount.
         partial = self.index.partials(u.reshape(-1))
@@ -153,7 +223,11 @@ class DistributedGatherScatter:
         partial[self._reply_slots] = self._replies.send(
             self.world, totals[self._reply_groups]
         )
-        return partial[self.index.slot_of_copy].reshape(self.shape)
+        out = partial[self.index.slot_of_copy].reshape(self.shape)
+        self.calls += 1
+        self.bytes_moved += 2 * u.nbytes
+        self.seconds += perf_counter() - t0
+        return out
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """Unique-dof inner product: local weighted dots + one allreduce.

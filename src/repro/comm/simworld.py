@@ -166,7 +166,7 @@ class SimWorld:
     def _observe_result(self, op: str, result: np.ndarray) -> np.ndarray:
         """Pass a collective result through the injector's SDC hook."""
         inj = self.fault_injector
-        if inj is None or not hasattr(inj, "deliver_collective"):
+        if inj is None:
             return result
         return inj.deliver_collective(op, result)
 

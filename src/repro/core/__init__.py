@@ -15,7 +15,7 @@ from repro.core.timers import RegionTimers
 from repro.core.helmholtz import HelmholtzSolver
 from repro.core.fluid import FluidScheme
 from repro.core.scalar import ScalarScheme
-from repro.core.simulation import Simulation, StepResult
+from repro.core.simulation import Simulation, StepResult, distribute
 from repro.core.statistics import (
     facet_integral,
     facet_area,
@@ -39,6 +39,7 @@ __all__ = [
     "HelmholtzSolver",
     "ScalarScheme",
     "Simulation",
+    "distribute",
     "StepResult",
     "facet_integral",
     "facet_area",

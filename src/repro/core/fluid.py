@@ -104,7 +104,7 @@ class FluidScheme:
 
         self.pressure_solver = ConjugateGradient(
             p_amul,
-            space.gs.dot,
+            space.dot,
             precond=self.hsmg,
             tol=config.pressure_tol,
             maxiter=300,
@@ -117,7 +117,7 @@ class FluidScheme:
         self.pressure_projection: SolutionProjection | None = None
         if config.pressure_projection_dim > 0:
             self.pressure_projection = SolutionProjection(
-                p_amul, space.gs.dot, max_dim=config.pressure_projection_dim
+                p_amul, space.dot, max_dim=config.pressure_projection_dim
             )
 
         # Velocity Helmholtz solver, shared by the three components; h2

@@ -32,7 +32,7 @@ class HelmholtzSolver:
     ----------
     space:
         The function space; its gather--scatter is looked up at every
-        operator application.
+        operator application and every reduction.
     h1, h2:
         Diffusivity and mass coefficient; ``h2`` follows the time scheme
         through :meth:`set_h2`.
@@ -67,7 +67,7 @@ class HelmholtzSolver:
         self.precond = JacobiPrecond(space, h1, h2, mask=mask)
         self.cg = ConjugateGradient(
             self.matvec,
-            space.gs.dot,
+            space.dot,
             precond=self.precond,
             tol=tol,
             maxiter=500,

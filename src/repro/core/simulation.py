@@ -10,16 +10,21 @@ hooks: compression, streaming POD, field output).
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import wait
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.comm.distributed_gs import DistributedGatherScatter
+from repro.comm.partition import rcb_partition
+from repro.comm.reliable import RetryPolicy
+from repro.comm.simworld import SimWorld
 from repro.core.case import CaseConfig
 from repro.core.fluid import FluidScheme
 from repro.core.output import CheckpointCorruptError
-from repro.core.overlap import step_executor
+from repro.core.overlap import INLINE, step_executor
 from repro.core.scalar import ScalarScheme
 from repro.core.statistics import NusseltNumbers, compute_nusselt, reynolds_number
 from repro.core.timers import RegionTimers
@@ -34,7 +39,10 @@ from repro.sem.space import FunctionSpace
 from repro.timeint.bdf_ext import TimeScheme
 from repro.timeint.cfl import courant_number
 
-__all__ = ["Simulation", "StepResult"]
+if TYPE_CHECKING:  # avoid a runtime repro.resilience dependency
+    from repro.resilience.faults import FaultInjector
+
+__all__ = ["Simulation", "StepResult", "distribute"]
 
 
 @dataclass
@@ -184,13 +192,21 @@ class Simulation:
         self.scheme.dts = [float(v) for v in np.atleast_1d(scheme_dts)]
 
     def state_shards(self) -> list[dict[str, np.ndarray]]:
-        """The state as the checkpoint epoch of a one-rank world."""
-        return [self.state_arrays()]
+        """The state as one checkpoint epoch, split by ``space.gs``.
 
-    def restore_shards(self, shards: list[Mapping[str, np.ndarray]]) -> None:
-        """Restore the one-shard epoch written from :meth:`state_shards`."""
-        (arrays,) = shards
-        self.load_state(arrays)
+        A serial run's epoch has one shard.  A partitioned run's
+        (:func:`distribute`) has one per rank, taken after a commit barrier.
+        """
+        return self.space.gs.split_state(self.state_arrays())
+
+    def restore_shards(self, shards: Sequence[Mapping[str, np.ndarray]]) -> None:
+        """Restore an epoch written by :meth:`state_shards`.
+
+        An epoch of another world size raises ``ValueError`` and changes
+        nothing.  On a partitioned run the restore is a warm replacement: a
+        fresh rank world of the same size, then every rank's shard.
+        """
+        self.load_state(self.space.gs.join_state(shards))
 
     # -- stepping ----------------------------------------------------------------
 
@@ -373,3 +389,39 @@ class Simulation:
             plate_top=float(np.mean([s.nusselt.plate_top for s in samples])),
             dissipation=float(np.mean([s.nusselt.dissipation for s in samples])),
         )
+
+
+def distribute(
+    sim: Simulation,
+    nranks: int,
+    fault_injector: "FaultInjector | None" = None,
+    retry: RetryPolicy | None = None,
+    verify_collectives: bool = False,
+) -> DistributedGatherScatter:
+    """Run ``sim`` on ``nranks`` simulated ranks; returns the new ``space.gs``.
+
+    The elements are RCB-partitioned and the space's gather--scatter is
+    swapped for a :class:`~repro.comm.distributed_gs.DistributedGatherScatter`
+    on a fresh :class:`~repro.comm.simworld.SimWorld`, which gets
+    ``fault_injector``, ``retry`` and ``verify_collectives``.  From then on
+    every dssum of the step is the two-phase exchange and every reduction
+    of the pressure CG, its projection space and the Helmholtz solves one
+    allreduce; :meth:`Simulation.state_shards` gives one shard per rank.
+    The pressure null-space projector, the coarse-grid solve and the
+    diagnostics (``space.integrate``, ``norm_l2``, ``compute_nusselt``)
+    stay serial reductions with no allreduce behind them (ROADMAP items 17
+    and 7(b)).  The world is single-threaded, so the simulation steps
+    inline from here on.
+    """
+    space = sim.space
+    world = SimWorld(
+        nranks,
+        fault_injector=fault_injector,
+        retry=retry,
+        verify_collectives=verify_collectives,
+    )
+    owner = rcb_partition(space.mesh, nranks)
+    space.gs = DistributedGatherScatter(space.gs.global_ids, owner, space.shape, world)
+    sim.executor.shutdown()
+    sim.executor = INLINE
+    return space.gs

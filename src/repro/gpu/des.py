@@ -297,10 +297,6 @@ class DeviceSimulator:
 
     # -- analysis -------------------------------------------------------------
 
-    def lane_busy_time(self, lane_prefix: str) -> float:
-        """Total busy time on lanes starting with the prefix (e.g. ``stream``)."""
-        return sum(i.duration_us for i in self.trace if i.lane.startswith(lane_prefix))
-
     def device_busy_time(self) -> float:
         """Union length of all kernel intervals (true device utilization)."""
         ivs = sorted(

@@ -13,22 +13,21 @@ solver.  This package reproduces that operational layer:
 * :class:`~repro.resilience.health.HealthCheck` -- finite-shard scan
   and CFL ceiling;
 * :class:`~repro.resilience.runner.ResilientRunner` -- the one recovery
-  loop: it wraps an app's ``run`` (:meth:`Simulation.run`, or the
-  distributed workload's) in segments: checkpoint, health-check, and on
+  loop: it wraps :meth:`Simulation.run`, serial or on simulated ranks, in
+  segments: checkpoint, health-check, and on
   failure (divergence, rank death, a hardened-channel error) roll back to
   the newest valid checkpoint, reduce ``dt`` after a divergence, and
   retry within a bounded attempt budget.  Each checkpoint is an epoch of
   the app's ``state_shards()`` in the
   :class:`~repro.resilience.distributed.shards.ShardedCheckpointStore`
-  (one shard for a serial run, one per rank for the distributed one).
+  (one shard for a serial run, one per rank for a partitioned one).
   Everything that happens is recorded in a structured
   :class:`~repro.resilience.events.EventLog`.
 
 Two subpackages extend this to the simulated multi-rank fleet:
 
 * :mod:`repro.resilience.distributed` -- the one checkpoint store
-  (checksummed per-rank shards, two-phase epoch commit) and the reference
-  recoverable workload, which restores by warm replacement;
+  (checksummed per-rank shards, two-phase epoch commit);
 * :mod:`repro.resilience.chaos` -- seeded chaos campaigns (rank kills,
   message storms, SDC bit flips) with a survival report, runnable as
   ``python -m repro.resilience.chaos``.

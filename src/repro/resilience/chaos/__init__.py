@@ -1,9 +1,10 @@
 """Chaos testing for the distributed resilience layer.
 
-Seeded fault campaigns against the reference distributed workload: kill
-rank *k* at step *s*, drop up to 20% of messages, flip a bit in an
-exchange buffer or an allreduce result -- then assert the run survives
-and converges to the fault-free answer.  The harness emits a survival
+Seeded fault campaigns against the real step -- an RBC
+:class:`~repro.core.simulation.Simulation` on simulated ranks: kill rank
+*k* at step *s*, drop up to 20% of messages, flip a bit in an exchange
+buffer or an allreduce result -- then assert the run survives and lands
+on the fault-free Nusselt number.  The harness emits a survival
 report, and its tracer holds each scenario's recovery
 events for post-mortems.
 

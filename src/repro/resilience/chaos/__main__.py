@@ -22,7 +22,7 @@ from repro.resilience.chaos.scenarios import default_campaign
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.resilience.chaos",
-        description="Run the seeded chaos campaign against the distributed workload.",
+        description="Run the seeded chaos campaign against the real step on simulated ranks.",
     )
     parser.add_argument("--seed", type=int, default=2026, help="campaign master seed")
     parser.add_argument(

@@ -1,12 +1,15 @@
 """The chaos harness: run scenario campaigns, measure survival and replay.
 
 For each :class:`~repro.resilience.chaos.scenarios.ChaosScenario` the
-harness runs the reference workload twice -- once fault-free (cached per
-configuration) and once with the scenario's faults armed -- and compares
-the final Nusselt proxy.  A scenario *survives* when the faulted run
-completes every step without an unhandled exception, performs at least
-the expected number of recoveries, and lands within tolerance of the
-fault-free functional.
+harness runs the real Navier--Stokes step -- a
+:class:`~repro.core.simulation.Simulation` of a small RBC box, partitioned
+over the scenario's simulated ranks by
+:func:`~repro.core.simulation.distribute` -- twice: once fault-free (cached
+per configuration) and once with the scenario's faults armed, and compares
+the final volume Nusselt number.  A scenario *survives* when the faulted
+run completes every step without an unhandled exception, performs at
+least the expected number of recoveries, and lands within tolerance of
+the fault-free Nu.
 
 Recovery cost is reported as *steps replayed*: the deterministic
 time-to-repair of a rollback system (wall-clock repair time would be
@@ -14,10 +17,11 @@ noise at this scale; replayed work is the quantity the
 checkpoint-interval trade-off controls, and it is bit-reproducible).
 
 Recovery is the one loop, :class:`~repro.resilience.runner.ResilientRunner`,
-wrapped around the workload: it commits an epoch every
-``checkpoint_interval`` steps and rolls back on a rank death or a
-hardened-channel error.  The report's incidents are read off the runner's
-``fault_detected`` / ``rollback`` events.
+wrapped around the simulation: it commits an epoch of per-rank shards
+every ``checkpoint_interval`` steps and rolls back, by warm replacement of
+the rank world, on a rank death or a hardened-channel error.  The report's
+incidents are read off the runner's ``fault_detected`` / ``rollback``
+events.
 
 Observability: every scenario runs under a ``chaos.scenario`` span of
 the harness tracer, and the runner's event log records onto that tracer,
@@ -37,9 +41,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.comm.reliable import RetryPolicy
+from repro.core.rbc import rbc_box_case
+from repro.core.simulation import Simulation, distribute
+from repro.core.statistics import compute_nusselt
 from repro.observability.tracer import Tracer
 from repro.resilience.chaos.scenarios import ChaosScenario, default_campaign
-from repro.resilience.distributed.workload import DistributedThermalWorkload
 from repro.resilience.faults import FaultInjector
 from repro.resilience.runner import ResilientRunner
 
@@ -49,6 +55,10 @@ __all__ = ["ChaosHarness", "ScenarioResult", "CampaignResult"]
 #: bit-for-bit and the reductions are rank-order deterministic, so a
 #: recovered run lands on the fault-free answer; the bar is headroom.
 DEFAULT_TOL = 1.0e-8
+
+#: Rayleigh number and time step of every scenario's RBC box.
+RAYLEIGH = 1.0e4
+DT = 0.02
 
 
 @dataclass
@@ -103,18 +113,19 @@ class CampaignResult:
 
 
 class ChaosHarness:
-    """Runs chaos campaigns over the distributed thermal workload.
+    """Runs chaos campaigns over the partitioned RBC simulation.
 
     Parameters
     ----------
     seed:
         Campaign master seed; scenario ``i`` gets injector seed
-        ``seed + i`` and the workload initial condition uses ``seed``
-        (identical between the fault-free baseline and the faulted run).
+        ``seed + i``.  The initial condition is the case's deterministic
+        perturbation, the same in the fault-free and the faulted run.
     shape, order:
-        Workload mesh defaults; scenarios may override them.
+        Default box (elements per axis) and polynomial order (``lx =
+        order + 1``); scenarios may override them.
     checkpoint_interval:
-        Steps between committed epochs of every workload.
+        Steps between committed epochs of every run.
     tol:
         Survival bar on ``|nu_faulted - nu_free|``.
     tracer:
@@ -150,21 +161,20 @@ class ChaosHarness:
             scenario.order,
         )
         if key not in self._baselines:
-            w = self._workload(scenario)
-            w.run(n_steps)
-            self._baselines[key] = w.history[-1][1]
+            sim = self._simulation(scenario)
+            sim.run(n_steps=n_steps)
+            self._baselines[key] = _nusselt(sim)
         return self._baselines[key]
 
-    def _workload(
-        self, scenario: ChaosScenario, **kwargs: Any
-    ) -> DistributedThermalWorkload:
-        return DistributedThermalWorkload(
-            shape=scenario.shape if scenario.shape is not None else self.shape,
-            order=scenario.order if scenario.order is not None else self.order,
-            nranks=scenario.nranks,
-            seed=self.seed,
-            **kwargs,
-        )
+    def _simulation(
+        self, scenario: ChaosScenario, tracer: Tracer | None = None, **world: Any
+    ) -> Simulation:
+        """The scenario's box on its ranks; ``world`` goes to ``distribute``."""
+        shape = scenario.shape if scenario.shape is not None else self.shape
+        order = scenario.order if scenario.order is not None else self.order
+        sim = Simulation(rbc_box_case(RAYLEIGH, n=shape, lx=order + 1, dt=DT), tracer=tracer)
+        distribute(sim, scenario.nranks, **world)
+        return sim
 
     # -- one scenario ------------------------------------------------------------
 
@@ -180,14 +190,14 @@ class ChaosHarness:
             delay_rate=scenario.delay_rate,
         )
         retry = RetryPolicy(max_retries=scenario.max_retries) if scenario.retry else None
-        workload = self._workload(
+        sim = self._simulation(
             scenario,
+            tracer=self.tracer,
             fault_injector=injector,
             retry=retry,
             verify_collectives=scenario.verify_collectives,
-            tracer=self.tracer,
         )
-        runner = ResilientRunner(workload, checkpoint_interval=self.checkpoint_interval)
+        runner = ResilientRunner(sim, checkpoint_interval=self.checkpoint_interval)
 
         error = ""
         with self.tracer.span("chaos.scenario", scenario=scenario.name):
@@ -208,19 +218,21 @@ class ChaosHarness:
                 runner.events.of_kind("fault_detected"), runner.events.of_kind("rollback")
             )
         ]
-        nu_faulted = workload.history[-1][1] if workload.history else float("nan")
+        nu_faulted = _nusselt(sim)
         nu_error = abs(nu_faulted - nu_free)
         survived = (
             not error
-            and workload.step_count >= n_steps
+            and sim.step_count >= n_steps
             and nu_error <= self.tol
             and len(incidents) >= scenario.expect_recoveries
         )
-        traffic = workload.traffic()
+        # Totals over every world the run lived in: a warm replacement
+        # carries the old world's counters on.
+        traffic = sim.space.gs.world.stats
         return ScenarioResult(
             name=scenario.name,
             survived=survived,
-            steps=workload.step_count,
+            steps=sim.step_count,
             nu_free=nu_free,
             nu_faulted=nu_faulted,
             nu_error=nu_error,
@@ -253,3 +265,11 @@ class ChaosHarness:
             for i, scenario in enumerate(scenarios):
                 campaign.results.append(self.run_scenario(scenario, index=i))
         return campaign
+
+
+def _nusselt(sim: Simulation) -> float:
+    """The run's volume Nusselt number at its current state."""
+    cfg = sim.config
+    return compute_nusselt(
+        sim.space, sim.velocity[2], sim.temperature, cfg.rayleigh, cfg.prandtl
+    ).volume

@@ -1,19 +1,19 @@
 """The chaos scenario catalogue: what we break, and how, on purpose.
 
 A :class:`ChaosScenario` is a declarative description of one faulted run
-of the reference distributed workload -- which faults fire (explicit
-schedule and/or random rates) and whether the hardened channel (retry +
-CRC) or the replicated-checksum collective verification is armed.
-Scenarios are pure data: the harness (:mod:`repro.resilience.chaos.harness`)
-instantiates the injector, the workload and its runner from them, so the whole campaign is reproducible
-from the catalogue plus one seed.
+of the partitioned RBC simulation -- which faults fire (explicit schedule
+and/or random rates) and whether the hardened channel (retry + CRC) or the
+replicated-checksum collective verification is armed.  Scenarios are pure
+data: the harness (:mod:`repro.resilience.chaos.harness`) instantiates the
+injector, the simulation and its runner from them, so the whole campaign
+is reproducible from the catalogue plus one seed.
 
 :func:`default_campaign` is the committed campaign CI runs, one scenario
 per distinct recovery path: rank kills (mid-CG, during the checkpoint
 barrier, on a 256-rank world), ≤20% message drop/delay storms, and SDC
 bit flips on both a p2p exchange buffer and an allreduce result.  Every
 scenario in it is designed to be survivable -- the acceptance bar is
-100% survival with the recovered Nusselt proxy matching the fault-free
+100% survival with the recovered Nusselt number matching the fault-free
 run.
 """
 
@@ -28,7 +28,7 @@ __all__ = ["ChaosScenario", "default_campaign"]
 
 @dataclass(frozen=True)
 class ChaosScenario:
-    """One reproducible faulted run of the distributed workload.
+    """One reproducible faulted run of the partitioned simulation.
 
     Parameters
     ----------
@@ -43,8 +43,9 @@ class ChaosScenario:
         World size and steps of the run (small on purpose: a campaign is
         dozens of runs).
     shape, order:
-        Workload mesh overrides (``None`` keeps the harness defaults);
-        wide-world scenarios size the mesh to the rank count.
+        Box (elements per axis) and polynomial order overrides (``None``
+        keeps the harness defaults); wide-world scenarios size the mesh to
+        the rank count.
     retry:
         Arm the hardened p2p channel (CRC + retransmission).  Required
         whenever message faults are injected -- without it a dropped

@@ -10,16 +10,16 @@ package holds the distributed half of the resilience layer:
   per-rank shards in the checksummed format of :mod:`repro.core.output`
   and a two-phase stage-then-commit epoch marker, so a crash mid-save
   can never produce a mixed-epoch restore and a corrupt shard falls back
-  to the last globally consistent epoch;
-* :class:`~repro.resilience.distributed.workload.DistributedThermalWorkload`
-  -- the reference recoverable application (implicit heat conduction
-  solved step-by-step by :class:`~repro.solvers.cg.ConjugateGradient`
-  with a :class:`~repro.comm.distributed_gs.DistributedGatherScatter`'s
-  ``add`` and ``dot``),
-  whose ``restore_shards`` is a *warm replacement*: a fresh world of the
-  same size, every rank reloaded from its shard.  The chaos harness
-  (:mod:`repro.resilience.chaos`) drives it through fault campaigns under
-  the one recovery loop, :class:`~repro.resilience.runner.ResilientRunner`.
+  to the last globally consistent epoch.
+
+The recoverable application is the one
+:class:`~repro.core.simulation.Simulation`, run on simulated ranks by
+:func:`~repro.core.simulation.distribute`: its ``state_shards()`` is one
+shard per rank, and its ``restore_shards`` a *warm replacement* -- a fresh
+world of the same size, every rank reloaded from its shard.  The chaos
+harness (:mod:`repro.resilience.chaos`) drives it through fault campaigns
+under the one recovery loop,
+:class:`~repro.resilience.runner.ResilientRunner`.
 """
 
 from repro.resilience.distributed.shards import (
@@ -28,12 +28,10 @@ from repro.resilience.distributed.shards import (
     ShardCorruptError,
     ShardedCheckpointStore,
 )
-from repro.resilience.distributed.workload import DistributedThermalWorkload
 
 __all__ = [
     "EpochManifest",
     "EpochWriter",
     "ShardCorruptError",
     "ShardedCheckpointStore",
-    "DistributedThermalWorkload",
 ]

@@ -71,9 +71,9 @@ class Fault:
     ============== ============ =========================================
 
     An ``sdc`` ``target`` is a key of the application's state shards
-    (``state_shards()``): ``"t0"``, ``"pressure"``, ``"u0"``, ... for a
-    :class:`~repro.core.simulation.Simulation`, ``"temperature"`` for the
-    distributed workload.
+    (``state_shards()``), a key of
+    :meth:`~repro.core.simulation.Simulation.state_arrays`: ``"t0"``,
+    ``"pressure"``, ``"u0"``, ...
 
     ``at_call`` indexes the injector's own per-surface call counters
     (p2p messages for drop/corrupt/delay, collective entries for
@@ -88,7 +88,7 @@ class Fault:
     kind: str
     at_call: int | None = None
     at_step: int | None = None
-    target: str = "temperature"
+    target: str = "t0"
     rank: int = 0
     mode: str = "bitflip"
     op: str | None = None
@@ -278,12 +278,6 @@ class FaultInjector:
             view = flat[idx : idx + 1].view(np.uint64)
             view[0] ^= np.uint64(1) << np.uint64(bit)
         return {"element": idx, "mode": mode, "old": old, "new": float(flat[idx])}
-
-    def corrupt_array(self, array: np.ndarray, mode: str = "bitflip") -> dict:
-        """Public SDC entry point: corrupt one seeded element in place."""
-        detail = self._flip_bit(array, mode=mode)
-        self._record("sdc", int(detail["element"]), f"array corrupted ({mode})", **detail)
-        return detail
 
     def apply_field_faults(self, app) -> list[FaultEvent]:
         """Fire pending ``sdc`` schedule entries whose ``at_step`` has passed.

@@ -37,8 +37,7 @@ class HealthCheck:
     Parameters
     ----------
     cfl_max:
-        Trip when a step's Courant number exceeds this; the distributed
-        workload's ``(step, nu)`` history carries no ``cfl`` and skips it.
+        Trip when a step's Courant number exceeds this.
     """
 
     def __init__(self, cfl_max: float = 10.0) -> None:
@@ -46,7 +45,7 @@ class HealthCheck:
 
     def check(self, shards, new_results=()) -> list[HealthIssue]:
         """Scan every array of one checkpoint's shards, then the CFL of
-        ``new_results`` (results that carry no ``cfl`` are not CFL-checked)."""
+        ``new_results``."""
         nonfinite = [
             HealthIssue("nonfinite", name, f"{name} of shard {rank} contains NaN/Inf")
             for rank, shard in enumerate(shards)
@@ -61,5 +60,5 @@ class HealthCheck:
                 step=res.step,
             )
             for res in new_results
-            if hasattr(res, "cfl") and (not np.isfinite(res.cfl) or res.cfl > self.cfl_max)
+            if not np.isfinite(res.cfl) or res.cfl > self.cfl_max
         ]

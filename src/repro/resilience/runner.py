@@ -4,9 +4,8 @@
 lost.  At production scale that is unacceptable -- the paper's campaign
 survives weeks of wall time only because failed intervals are replayed
 from checkpoints.  :class:`ResilientRunner` reproduces that operational
-loop for any *app* -- the serial :class:`~repro.core.simulation.Simulation`
-or the SPMD
-:class:`~repro.resilience.distributed.workload.DistributedThermalWorkload`:
+loop for a :class:`~repro.core.simulation.Simulation`, serial or on
+simulated ranks (:func:`~repro.core.simulation.distribute`):
 
 1. advance the app one *segment* (``checkpoint_interval`` steps);
 2. apply any scheduled injected faults (testing hook);
@@ -74,11 +73,10 @@ class ResilientRunner:
     Parameters
     ----------
     sim:
-        The app: a :class:`~repro.core.simulation.Simulation`, a
-        :class:`~repro.resilience.distributed.workload.DistributedThermalWorkload`
-        or any duck-typed equivalent exposing ``run(n_steps=...)``,
-        ``step_count``, ``time``, ``dt``, ``history``, ``state_shards()``
-        and ``restore_shards(shards)``.
+        The app: a :class:`~repro.core.simulation.Simulation` (or an
+        equivalent exposing its ``run(n_steps=...)``, ``step_count``,
+        ``time``, ``dt``, ``adaptive``, ``config``, ``tracer``, ``history``,
+        ``stat_samples``, ``state_shards()`` and ``restore_shards(shards)``).
     store:
         Checkpoint storage, one epoch of ``state_shards()`` per checkpoint
         keyed by ``sim.step_count``; defaults to an in-memory store of
@@ -120,7 +118,7 @@ class ResilientRunner:
         self.store = store if store is not None else ShardedCheckpointStore(capacity=3)
         self.checkpoint_interval = checkpoint_interval
         self.health = health if health is not None else HealthCheck()
-        self.events = EventLog(getattr(sim, "tracer", None))
+        self.events = EventLog(sim.tracer)
         self.max_retries = max_retries
         self.dt_factor = dt_factor
         self.fault_injector = fault_injector
@@ -134,10 +132,7 @@ class ResilientRunner:
     def _save(self, shards: list) -> None:
         sim = self.sim
         self.store.save_epoch(sim.step_count, shards)
-        self._lens[sim.step_count] = (
-            len(sim.history),
-            len(getattr(sim, "stat_samples", ())),
-        )
+        self._lens[sim.step_count] = (len(sim.history), len(sim.stat_samples))
         self.events.record("checkpoint", step=sim.step_count, time=sim.time, detail="epoch saved")
 
     def _rollback(self) -> None:
@@ -153,8 +148,7 @@ class ResilientRunner:
             )
         n_hist, n_stats = self._lens.get(epoch, (0, 0))
         del sim.history[n_hist:]
-        if hasattr(sim, "stat_samples"):
-            del sim.stat_samples[n_stats:]
+        del sim.stat_samples[n_stats:]
         self.events.record(
             "rollback",
             step=epoch,
@@ -167,7 +161,7 @@ class ResilientRunner:
     def _reduce_dt(self, power: int = 1) -> None:
         sim = self.sim
         old_dt = sim.dt
-        if getattr(sim, "adaptive", False):
+        if sim.adaptive:
             # The config survives rollback, so one scaling per failed
             # attempt compounds naturally across consecutive retries.
             cfg = sim.config
@@ -176,10 +170,7 @@ class ResilientRunner:
         # Rollback restored the *checkpoint's* dt, so consecutive retries
         # of the same incident must compound: attempt n runs at
         # dt * dt_factor**n, not the same reduced dt every time.
-        new_dt = max(
-            sim.dt * self.dt_factor**power,
-            getattr(getattr(sim, "config", None), "dt_min", 0.0),
-        )
+        new_dt = max(sim.dt * self.dt_factor**power, sim.config.dt_min)
         sim.dt = new_dt
         self.events.record(
             "dt_reduction",

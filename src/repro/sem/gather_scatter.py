@@ -17,7 +17,7 @@ bandwidth-bound, matching the character of the real kernel.  The two-phase
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Sequence
 from time import perf_counter
 
 import numpy as np
@@ -192,6 +192,18 @@ class GatherScatter:
         Gram--Schmidt hot path (thousands of calls per step).
         """
         return float(np.dot((u * self._inv_multiplicity).reshape(-1), v.reshape(-1)))
+
+    # -- checkpoint shards --------------------------------------------------
+
+    def split_state(self, arrays: dict[str, np.ndarray]) -> list[dict[str, np.ndarray]]:
+        """A state mapping as a checkpoint epoch of one rank: one shard."""
+        return [arrays]
+
+    def join_state(self, shards: Sequence[Mapping[str, np.ndarray]]) -> Mapping[str, np.ndarray]:
+        """The state mapping of an epoch written by :meth:`split_state`."""
+        if len(shards) != 1:
+            raise ValueError(f"epoch has {len(shards)} shards for a world of 1 rank")
+        return shards[0]
 
     @property
     def inv_multiplicity(self) -> np.ndarray:

@@ -130,12 +130,6 @@ class HexMesh:
         """All boundary labels present on this mesh."""
         return sorted(self.boundary_facets.keys())
 
-    def characteristic_size(self) -> float:
-        """Mean element diagonal length -- a crude resolution indicator."""
-        lo = self.corner_coords[:, 0, 0, 0]
-        hi = self.corner_coords[:, 1, 1, 1]
-        return float(np.mean(np.linalg.norm(hi - lo, axis=1)))
-
 
 def graded_layers(n: int, lo: float, hi: float, beta: float = 0.0) -> np.ndarray:
     """``n + 1`` layer boundaries on ``[lo, hi]``.

@@ -53,6 +53,16 @@ class FunctionSpace:
         """Integral of a continuous nodal field over the domain."""
         return float(np.sum(u * self.coef.mass))
 
+    def dot(self, u: np.ndarray, v: np.ndarray) -> float:
+        """Unique-dof inner product through the space's current gather--scatter.
+
+        The solvers reduce through this method rather than a ``gs.dot`` bound
+        when they are built, so a gather--scatter swapped into ``gs`` later
+        (a partitioned run, :func:`repro.core.simulation.distribute`) takes
+        every reduction, each then one allreduce.
+        """
+        return self.gs.dot(u, v)
+
     def mean(self, u: np.ndarray) -> float:
         """Volume average of a continuous nodal field."""
         return self.integrate(u) / self.coef.volume

@@ -92,27 +92,28 @@ class TestRankFailure:
 
 
 class TestSDC:
-    def test_corrupt_array_bitflip_is_catastrophic(self):
-        inj = FaultInjector(seed=1)
-        a = np.ones(100)
-        detail = inj.corrupt_array(a)
-        assert np.count_nonzero(a != 1.0) == 1
-        bad = a[a != 1.0][0]
+    def test_field_fault_bitflip_is_catastrophic(self):
+        app = self.FakeApp(step_count=1)
+        inj = FaultInjector(seed=1, schedule=[Fault("sdc", at_step=0, target="t0")])
+        (fired,) = inj.apply_field_faults(app)
+        assert np.count_nonzero(app.t0 != 1.0) == 1
+        bad = app.t0[app.t0 != 1.0][0]
         # Top exponent bits flipped: the value is absurd, not a blip.
         assert not np.isfinite(bad) or abs(bad) > 1e4 or abs(bad) < 1e-4
-        assert detail["element"] == int(np.flatnonzero(a != 1.0)[0])
+        assert fired.data["element"] == int(np.flatnonzero(app.t0 != 1.0)[0])
 
-    def test_corrupt_array_nan_mode(self):
-        inj = FaultInjector(seed=2)
-        a = np.ones(10)
-        inj.corrupt_array(a, mode="nan")
-        assert np.count_nonzero(np.isnan(a)) == 1
+    def test_field_fault_nan_mode(self):
+        app = self.FakeApp(step_count=1)
+        inj = FaultInjector(seed=2, schedule=[Fault("sdc", at_step=0, target="t0", mode="nan")])
+        inj.apply_field_faults(app)
+        assert np.count_nonzero(np.isnan(app.t0)) == 1
 
     def test_corruption_is_seed_deterministic(self):
-        a1, a2 = np.ones(50), np.ones(50)
-        FaultInjector(seed=9).corrupt_array(a1)
-        FaultInjector(seed=9).corrupt_array(a2)
-        assert np.array_equal(a1, a2, equal_nan=True)
+        apps = [self.FakeApp(step_count=1) for _ in range(2)]
+        for app in apps:
+            FaultInjector(seed=9, schedule=[Fault("sdc", at_step=0)]).apply_field_faults(app)
+        assert np.array_equal(apps[0].t0, apps[1].t0, equal_nan=True)
+        assert np.count_nonzero(apps[0].t0 != 1.0) == 1
 
     class FakeApp:
         """One shard holding ``t0``; ``restore_shards`` installs a copy."""

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import Simulation, rbc_box_case
 from repro.insitu import InSituPipeline, Processor
+from repro.observability.tracer import NULL_TRACER
 from repro.resilience import (
     Fault,
     FaultInjector,
@@ -36,6 +37,7 @@ class FakeSim:
         self.dt = dt
         self.history = []
         self.stat_samples = []
+        self.tracer = NULL_TRACER
         self.adaptive = False
         self.config = SimpleNamespace(dt_min=1e-4, dt_max=1.0, adaptive_cfl=None)
         self.state = np.zeros(4)
